@@ -179,9 +179,13 @@ def draw_fallback(action_count: int, seed: int) -> MixedStrategy:
     """
     if action_count < 1:
         raise InvalidInputError("action_count must be positive")
+    return _simplex_draw(action_count, np.random.default_rng(seed))
+
+
+def _simplex_draw(action_count: int, rng: np.random.Generator) -> MixedStrategy:
+    """Uniform draw from the simplex; a single action consumes no randomness."""
     if action_count == 1:
         return MixedStrategy([1.0])
-    rng = np.random.default_rng(seed)
     g = rng.exponential(size=action_count)
     return MixedStrategy(g / g.sum())
 

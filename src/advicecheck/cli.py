@@ -220,7 +220,7 @@ def cmd_simulate(args) -> int:
         with open(outdir / "batch_summary.json", "w") as fh:
             json.dump(batch, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _manifest(args, outdir, extra={"config": cfg, "seed": seed})
+        _manifest(args, outdir, cfg, seed)
         print(f"wrote {outdir}/batch_summary.json")
         return EXIT_OK
     if cfg.get("record", "full") == "counts":
@@ -229,7 +229,7 @@ def cmd_simulate(args) -> int:
         run = sim.run_game(game, sigma, schedule, agent_configs, seed=seed, rounds=rounds)
         sim.transcript_to_csv(run, outdir / "transcript.csv")
     sim.write_summary_json(run, outdir / "summary.json")
-    _manifest(args, outdir, extra={"config": cfg, "seed": seed})
+    _manifest(args, outdir, cfg, seed)
     print(f"wrote {outdir}/summary.json")
     return EXIT_OK
 
@@ -239,23 +239,18 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _manifest(args, outdir: Path, extra: dict | None = None) -> None:
-    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    ).hexdigest()
+def _manifest(args, outdir: Path, config: dict | None = None, seed=None) -> None:
+    """Write manifest.json: config hash (default: the parsed options), seed, timestamp."""
+    if config is None:
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        seed = args.seed
     manifest = {
-        "config_hash": digest,
-        "seed": getattr(args, "seed", None),
+        "config_hash": hashlib.sha256(
+            json.dumps(config, sort_keys=True, default=str).encode()
+        ).hexdigest(),
+        "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    if extra:
-        manifest.update(
-            config_hash=hashlib.sha256(
-                json.dumps(extra.get("config", {}), sort_keys=True).encode()
-            ).hexdigest(),
-            seed=extra.get("seed"),
-        )
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -327,10 +322,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, ZeroCellObserved, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, ZeroCellObserved, FileNotFoundError) as exc:
+        # InvalidInputError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

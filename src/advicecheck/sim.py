@@ -8,12 +8,16 @@ periods. At the end of every sampling test each agent runs the decision on
 that test's public counts, and the outcomes set modes for the following free
 period.
 
-Two runners share these dynamics:
+One phase loop plays the schedule for both runners, and one round stepper
+plays every round that is not drawn in bulk:
 
-* ``run_game`` records every round (the full transcript contract);
-* ``run_game_counts`` keeps only per-phase counts, drawing one exact
+* ``run_game`` steps every round and returns a ``Transcript``, a
+  ``RunSummary`` that also keeps each round's row;
+* ``run_game_counts`` returns a ``RunSummary`` and draws one exact
   multinomial per phase whenever every active behavior is i.i.d. within the
-  phase, which makes astronomically long phases cheap.
+  phase, which makes astronomically long phases cheap;
+* ``run_pure_learning`` steps its horizon as one free period in which every
+  agent learns.
 
 Utility ledgers accumulate exact rationals (Fractions built from the
 binary-exact float payoffs), so phase segments partition totals exactly.
@@ -22,6 +26,7 @@ binary-exact float payoffs), so phase segments partition totals exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,7 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .agents import AgentState, Mode, agent_act, make_learner, sample_strategy
+from .agents import AgentState, Mode, _simplex_draw, agent_act, make_learner
+from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
 from .errors import InvalidInputError, NoDataError
 from .games import (
     CorrelatedStrategy,
@@ -54,16 +60,34 @@ class RoundRecord:
     utilities: tuple[float, ...]
 
 
+@dataclass(frozen=True)
+class PhaseResult:
+    phase: Phase
+    rounds_run: int
+    counts: np.ndarray
+    utility_totals: tuple[Fraction, ...]
+
+    def empirical(self) -> EmpiricalFrequency:
+        return EmpiricalFrequency(counts=self.counts, total=self.rounds_run)
+
+
 @dataclass
-class Transcript:
-    """Full per-round record of one run."""
+class RunSummary:
+    """Phase-aggregated record of one run: per-phase counts, totals, decisions."""
 
     config: dict
     seed: int
     game: Game
     sigma_m: CorrelatedStrategy
-    rounds: list[RoundRecord] = field(default_factory=list)
+    phase_results: list[PhaseResult] = field(default_factory=list)
     decisions: dict[tuple[int, int], Decision] = field(default_factory=dict)
+
+
+@dataclass
+class Transcript(RunSummary):
+    """A run summary that also keeps every round."""
+
+    rounds: list[RoundRecord] = field(default_factory=list)
 
     @property
     def num_rounds(self) -> int:
@@ -116,40 +140,17 @@ class UtilityLedger:
         return sum(seg.length for seg in self.segments)
 
 
-def build_ledger(run) -> UtilityLedger:
-    """Ledger from a Transcript (round-resolved) or RunSummary (phase-resolved)."""
-    if isinstance(run, Transcript):
-        n = run.game.num_agents
-        segments = []
-        per_round = []
-
-        def flush(key, begin, length, totals):
-            segments.append(LedgerSegment(key[0], key[1], begin, length, tuple(totals)))
-
-        key = begin = None
-        length = 0
-        totals = [Fraction(0)] * n
-        for rec in run.rounds:
-            utilities = tuple(Fraction(u) for u in rec.utilities)
-            per_round.append(utilities)
-            rec_key = (rec.phase_kind, rec.phase_index)
-            if rec_key != key:
-                if key is not None:
-                    flush(key, begin, length, totals)
-                key, begin, length = rec_key, rec.t, 0
-                totals = [Fraction(0)] * n
-            for i, u in enumerate(utilities):
-                totals[i] += u
-            length += 1
-        if key is not None:
-            flush(key, begin, length, totals)
-        return UtilityLedger(segments=segments, num_agents=n, per_round=per_round)
+def build_ledger(run: RunSummary) -> UtilityLedger:
+    """Ledger of a run's phases; a Transcript's ledger also resolves single rounds."""
     segments = [
         LedgerSegment(pr.phase.kind.value, pr.phase.index, pr.phase.begin, pr.rounds_run,
                       pr.utility_totals)
         for pr in run.phase_results
     ]
-    return UtilityLedger(segments=segments, num_agents=run.game.num_agents)
+    per_round = None
+    if isinstance(run, Transcript):
+        per_round = [tuple(Fraction(u) for u in rec.utilities) for rec in run.rounds]
+    return UtilityLedger(segments=segments, num_agents=run.game.num_agents, per_round=per_round)
 
 
 def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
@@ -217,20 +218,6 @@ def tv_distance(p, q) -> float:
 # --- engine -----------------------------------------------------------------
 
 
-def _fallback_from(rng: np.random.Generator, action_count: int) -> MixedStrategy:
-    if action_count == 1:
-        return MixedStrategy([1.0])
-    g = rng.exponential(size=action_count)
-    return MixedStrategy(g / g.sum())
-
-
-def _strides(game: Game) -> list[int]:
-    out = [1] * game.num_agents
-    for i in range(game.num_agents - 2, -1, -1):
-        out[i] = out[i + 1] * game.action_counts[i + 1]
-    return out
-
-
 def _setup_agents(game, sigma_m, agent_configs, seed):
     configs = agent_configs or [{} for _ in range(game.num_agents)]
     if len(configs) != game.num_agents:
@@ -248,7 +235,7 @@ def _setup_agents(game, sigma_m, agent_configs, seed):
             if len(fallback) != game.action_counts[i]:
                 raise InvalidInputError(f"fallback for agent {i} has wrong length")
         else:
-            fallback = _fallback_from(rng, game.action_counts[i])
+            fallback = _simplex_draw(game.action_counts[i], rng)
         learner = make_learner(cfg.get("learner"), game, i)
         mode = (
             Mode.REJECTED_BY_EQ2
@@ -267,6 +254,115 @@ def _apply_decision(state: AgentState, decision: Decision) -> None:
         state.mode = Mode.REJECTED_BY_EQ2
     else:
         state.mode = Mode.REJECTED_BY_TEST
+
+
+def _iid_deviators(states, phase) -> dict | None:
+    """Each rejected agent's i.i.d. strategy for the phase, or None if one is sequential.
+
+    A following agent plays its signal component (not a deviator). Rejected
+    agents are i.i.d. with their fall-back in tests; in free periods they are
+    i.i.d. only when the learner declares a stationary strategy.
+    """
+    deviators = {}
+    for st in states:
+        if st.mode is Mode.FOLLOWING_MEDIATOR:
+            continue
+        if phase.kind is PhaseKind.SAMPLING_TEST:
+            strategy = st.fallback.probs
+        else:
+            strategy = st.learner.stationary_strategy()
+            if strategy is None:
+                return None
+        deviators[st.id] = strategy
+    return deviators
+
+
+def _exact_utility_totals(game: Game, counts: np.ndarray) -> tuple[Fraction, ...]:
+    out = []
+    for agent in range(game.num_agents):
+        total = Fraction(0)
+        col = game.utilities[:, agent]
+        for idx in np.flatnonzero(counts):
+            total += int(counts[idx]) * Fraction(float(col[idx]))
+        out.append(total)
+    return tuple(out)
+
+
+def _step(game, phase, states, rngs, signals, rows=None) -> np.ndarray:
+    """Play one phase stretch round by round; returns its joint-action counts.
+
+    ``signals`` holds each round's per-agent signal components. Rejected
+    agents' learners observe every free-period round. With ``rows`` given, a
+    RoundRecord per round is appended to it.
+    """
+    index = {joint: i for i, joint in enumerate(game.all_joint_actions())}
+    utilities = [tuple(row) for row in game.utilities.tolist()]
+    observers = (
+        [st.learner for st in states if st.mode.rejected]
+        if phase.kind is PhaseKind.FREE_PERIOD else []
+    )
+    kind = phase.kind.value
+    counts = [0] * game.num_joint_actions
+    for t, signal in enumerate(signals, start=phase.begin):
+        actions = tuple(agent_act(st, phase, signal[st.id], rngs[st.id]) for st in states)
+        joint = index[actions]
+        counts[joint] += 1
+        for learner in observers:
+            learner.observe(actions)
+        if rows is not None:
+            rows.append(RoundRecord(t, kind, phase.index, signal, joint, actions, utilities[joint]))
+    return np.array(counts, dtype=np.int64)
+
+
+def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_override=None):
+    """Play the schedule into ``run``: the phase loop behind both runners.
+
+    A Transcript steps every round and keeps its rows. Otherwise a phase in
+    which every active behavior is i.i.d. (followers track the signal;
+    rejected agents play fixed strategies) is one exact multinomial draw from
+    the announcement composed with the deviators' mixes, and a phase with a
+    sequential learner is stepped round by round.
+    """
+    game, sigma_m = run.game, run.sigma_m
+    probs = joint_distribution(sigma_m, game)
+    if rounds is not None and rounds < 0:
+        raise InvalidInputError("rounds must be nonnegative")
+    horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
+    if signal_override is not None and len(signal_override) < horizon:
+        raise InvalidInputError(f"signal_override covers fewer than {horizon} rounds")
+    mediator_rng, agent_rngs, states = _setup_agents(game, sigma_m, agent_configs, run.seed)
+    rows = run.rounds if isinstance(run, Transcript) else None
+    n_joint = game.num_joint_actions
+    decode = [game.joint_action(i) for i in range(n_joint)]
+    for phase in schedule.phases:
+        if phase.begin > horizon:
+            break
+        length = min(phase.end, horizon) - phase.begin + 1
+        if phase.kind is PhaseKind.FREE_PERIOD:
+            for st in states:
+                st.begin_free_period()
+        deviators = None if rows is not None else _iid_deviators(states, phase)
+        if deviators is not None:
+            dist = compose_deviation(sigma_m, game, deviators).probs if deviators else probs
+            counts = mediator_rng.multinomial(length, dist).astype(np.int64)
+        else:
+            if signal_override is not None:
+                signals = signal_override[phase.begin - 1 : phase.begin - 1 + length]
+            else:
+                signals = mediator_rng.choice(n_joint, size=length, p=probs)
+            signals = [decode[int(s)] for s in signals]
+            counts = _step(game, phase, states, agent_rngs, signals, rows)
+        run.phase_results.append(
+            PhaseResult(phase, length, counts, _exact_utility_totals(game, counts))
+        )
+        if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
+            plan = schedule.plan_for(phase.index)
+            if plan is not None:
+                for st in states:
+                    decision = run_sampling_decision(plan, game, sigma_m, st.id, counts)
+                    run.decisions[(st.id, phase.index)] = decision
+                    _apply_decision(st, decision)
+    return run
 
 
 def _config_snapshot(game, sigma_m, schedule, agent_configs, seed, rounds):
@@ -297,121 +393,9 @@ def run_game(
     the cap. ``signal_override`` (a sequence of joint indices) replaces the
     mediator's draws; it exists for tests.
     """
-    probs = joint_distribution(sigma_m, game)
-    horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
-    if rounds is not None and rounds < 0:
-        raise InvalidInputError("rounds must be nonnegative")
-    mediator_rng, agent_rngs, states = _setup_agents(game, sigma_m, agent_configs, seed)
-    transcript = Transcript(
-        config=_config_snapshot(game, sigma_m, schedule, agent_configs, seed, rounds),
-        seed=seed,
-        game=game,
-        sigma_m=sigma_m,
-    )
-    decode = [game.joint_action(i) for i in range(game.num_joint_actions)]
-    n_joint = game.num_joint_actions
-    for phase in schedule.phases:
-        if phase.begin > horizon:
-            break
-        length = min(phase.end, horizon) - phase.begin + 1
-        complete = length == phase.length
-        if phase.kind is PhaseKind.FREE_PERIOD:
-            for st in states:
-                st.begin_free_period()
-        if signal_override is not None:
-            signals = np.asarray(signal_override[phase.begin - 1 : phase.begin - 1 + length])
-        else:
-            signals = mediator_rng.choice(n_joint, size=length, p=probs)
-        counts = np.zeros(n_joint, dtype=np.int64)
-        for off in range(length):
-            s_joint = int(signals[off])
-            s_components = decode[s_joint]
-            actions = tuple(
-                agent_act(st, phase, s_components[st.id], agent_rngs[st.id]) for st in states
-            )
-            joint = game.joint_index(actions)
-            counts[joint] += 1
-            if phase.kind is PhaseKind.FREE_PERIOD:
-                for st in states:
-                    if st.mode.rejected:
-                        st.learner.observe(actions)
-            transcript.rounds.append(
-                RoundRecord(
-                    t=phase.begin + off,
-                    phase_kind=phase.kind.value,
-                    phase_index=phase.index,
-                    signals=s_components,
-                    joint_index=joint,
-                    actions=actions,
-                    utilities=tuple(float(u) for u in game.utilities[joint]),
-                )
-            )
-        if phase.kind is PhaseKind.SAMPLING_TEST and complete:
-            plan = schedule.plan_for(phase.index)
-            if plan is not None:
-                for st in states:
-                    decision = run_sampling_decision(plan, game, sigma_m, st.id, counts)
-                    transcript.decisions[(st.id, phase.index)] = decision
-                    _apply_decision(st, decision)
-    return transcript
-
-
-@dataclass(frozen=True)
-class PhaseResult:
-    phase: Phase
-    rounds_run: int
-    counts: np.ndarray
-    utility_totals: tuple[Fraction, ...]
-
-    def empirical(self) -> EmpiricalFrequency:
-        return EmpiricalFrequency(counts=self.counts, total=self.rounds_run)
-
-
-@dataclass
-class RunSummary:
-    """Phase-aggregated record of one run (no per-round rows)."""
-
-    config: dict
-    seed: int
-    game: Game
-    sigma_m: CorrelatedStrategy
-    phase_results: list[PhaseResult] = field(default_factory=list)
-    decisions: dict[tuple[int, int], Decision] = field(default_factory=dict)
-
-
-def _phase_behavior(states, phase):
-    """Per-agent i.i.d. strategy for the phase, or None if sequential.
-
-    Returns (deviators dict, sequential agents list). A following agent plays
-    its signal component (not a deviator). Rejected agents are i.i.d. with
-    their fall-back in tests; in free periods they are i.i.d. only when the
-    learner declares a stationary strategy.
-    """
-    deviators = {}
-    sequential = []
-    for st in states:
-        if st.mode is Mode.FOLLOWING_MEDIATOR:
-            continue
-        if phase.kind is PhaseKind.SAMPLING_TEST:
-            deviators[st.id] = st.fallback.probs
-        else:
-            stationary = st.learner.stationary_strategy()
-            if stationary is None:
-                sequential.append(st.id)
-            else:
-                deviators[st.id] = stationary
-    return deviators, sequential
-
-
-def _exact_utility_totals(game: Game, counts: np.ndarray) -> tuple[Fraction, ...]:
-    out = []
-    for agent in range(game.num_agents):
-        total = Fraction(0)
-        col = game.utilities[:, agent]
-        for idx in np.flatnonzero(counts):
-            total += int(counts[idx]) * Fraction(float(col[idx]))
-        out.append(total)
-    return tuple(out)
+    config = _config_snapshot(game, sigma_m, schedule, agent_configs, seed, rounds)
+    run = Transcript(config=config, seed=seed, game=game, sigma_m=sigma_m)
+    return _play(run, schedule, agent_configs, rounds, signal_override)
 
 
 def run_game_counts(
@@ -424,69 +408,12 @@ def run_game_counts(
 ) -> RunSummary:
     """Run the repeated game keeping only per-phase counts and decisions.
 
-    Within a phase where every active behavior is i.i.d. (followers track the
-    signal; rejected agents play fixed strategies), the joint behavior is the
-    announced strategy composed with the deviators' mixes, and the phase's
-    counts are one exact multinomial draw. Phases with sequential learners
-    fall back to a per-round loop.
+    Phases where every active behavior is i.i.d. cost one multinomial draw
+    whatever their length; phases with sequential learners step per round.
     """
-    probs = joint_distribution(sigma_m, game)
-    if rounds is not None and rounds < 0:
-        raise InvalidInputError("rounds must be nonnegative")
-    horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
-    mediator_rng, agent_rngs, states = _setup_agents(game, sigma_m, agent_configs, seed)
-    summary = RunSummary(
-        config=_config_snapshot(game, sigma_m, schedule, agent_configs, seed, rounds),
-        seed=seed,
-        game=game,
-        sigma_m=sigma_m,
-    )
-    decode = [game.joint_action(i) for i in range(game.num_joint_actions)]
-    n_joint = game.num_joint_actions
-    for phase in schedule.phases:
-        if phase.begin > horizon:
-            break
-        length = min(phase.end, horizon) - phase.begin + 1
-        complete = length == phase.length
-        if phase.kind is PhaseKind.FREE_PERIOD:
-            for st in states:
-                st.begin_free_period()
-        deviators, sequential = _phase_behavior(states, phase)
-        if not sequential:
-            dist = compose_deviation(sigma_m, game, deviators).probs if deviators else probs
-            counts = mediator_rng.multinomial(length, dist).astype(np.int64)
-        else:
-            counts = np.zeros(n_joint, dtype=np.int64)
-            signals = mediator_rng.choice(n_joint, size=length, p=probs).tolist()
-            strides = _strides(game)
-            observers = [st for st in states if st.mode.rejected]
-            for off in range(length):
-                s_components = decode[signals[off]]
-                actions = tuple(
-                    agent_act(st, phase, s_components[st.id], agent_rngs[st.id])
-                    for st in states
-                )
-                joint = sum(a * s for a, s in zip(actions, strides))
-                counts[joint] += 1
-                if phase.kind is PhaseKind.FREE_PERIOD:
-                    for st in observers:
-                        st.learner.observe(actions)
-        summary.phase_results.append(
-            PhaseResult(
-                phase=phase,
-                rounds_run=length,
-                counts=counts,
-                utility_totals=_exact_utility_totals(game, counts),
-            )
-        )
-        if phase.kind is PhaseKind.SAMPLING_TEST and complete:
-            plan = schedule.plan_for(phase.index)
-            if plan is not None:
-                for st in states:
-                    decision = run_sampling_decision(plan, game, sigma_m, st.id, counts)
-                    summary.decisions[(st.id, phase.index)] = decision
-                    _apply_decision(st, decision)
-    return summary
+    config = _config_snapshot(game, sigma_m, schedule, agent_configs, seed, rounds)
+    run = RunSummary(config=config, seed=seed, game=game, sigma_m=sigma_m)
+    return _play(run, schedule, agent_configs, rounds)
 
 
 @dataclass
@@ -507,22 +434,20 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     """Joint play when every agent runs its learner for the whole horizon.
 
     No mediator, no tests, no resets: the baseline an agent would have earned
-    by learning alone.
+    by learning alone, played as one free period in which every agent learns.
     """
     if rounds < 0:
         raise InvalidInputError("rounds must be nonnegative")
-    learners = [make_learner(spec, game, i) for i, spec in enumerate(learner_specs)]
+    states = [
+        # every agent is rejected and the fall-back is never played in a free period
+        AgentState(id=i, fallback=MixedStrategy([1.0] + [0.0] * (game.action_counts[i] - 1)),
+                   learner=make_learner(spec, game, i), rng_seed=seed, mode=Mode.REJECTED_BY_TEST)
+        for i, spec in enumerate(learner_specs)
+    ]
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(game.num_agents)]
-    counts = np.zeros(game.num_joint_actions, dtype=np.int64)
-    strides = _strides(game)
-    for _ in range(rounds):
-        actions = tuple(
-            sample_strategy(ln.next_strategy(), rngs[i]) for i, ln in enumerate(learners)
-        )
-        joint = sum(a * s for a, s in zip(actions, strides))
-        counts[joint] += 1
-        for ln in learners:
-            ln.observe(actions)
+    # a Phase is at least one round long; the signals alone set how many are played
+    phase = Phase(PhaseKind.FREE_PERIOD, 1, 1, max(rounds, 1))
+    counts = _step(game, phase, states, rngs, itertools.repeat((None,) * game.num_agents, rounds))
     return PureLearningRun(
         counts=counts, utility_totals=_exact_utility_totals(game, counts), rounds=rounds
     )
@@ -598,42 +523,20 @@ def transcript_to_csv(transcript: Transcript, path) -> None:
             )
 
 
-def run_summary_dict(run) -> dict:
+def run_summary_dict(run: RunSummary) -> dict:
     """JSON-ready summary: decisions, per-phase averages, free-period TV."""
-    game = run.game
-    sigma = run.sigma_m
-    if isinstance(run, Transcript):
-        ledger = build_ledger(run)
-        phase_rows = []
-        pos = 0
-        for seg in ledger.segments:
-            row = {
-                "phase": seg.kind,
-                "j": seg.index,
-                "begin": seg.begin,
-                "length": seg.length,
-                "avg_utility": [float(tot / seg.length) for tot in seg.totals],
-            }
-            if seg.kind == "F":
-                counts = np.zeros(game.num_joint_actions, dtype=np.int64)
-                for rec in run.rounds[pos : pos + seg.length]:
-                    counts[rec.joint_index] += 1
-                row["tv_to_announced"] = tv_distance(counts / seg.length, sigma)
-            phase_rows.append(row)
-            pos += seg.length
-    else:
-        phase_rows = []
-        for pr in run.phase_results:
-            row = {
-                "phase": pr.phase.kind.value,
-                "j": pr.phase.index,
-                "begin": pr.phase.begin,
-                "length": pr.rounds_run,
-                "avg_utility": [float(tot / pr.rounds_run) for tot in pr.utility_totals],
-            }
-            if pr.phase.kind is PhaseKind.FREE_PERIOD:
-                row["tv_to_announced"] = tv_distance(pr.counts / pr.rounds_run, sigma)
-            phase_rows.append(row)
+    phase_rows = []
+    for pr in run.phase_results:
+        row = {
+            "phase": pr.phase.kind.value,
+            "j": pr.phase.index,
+            "begin": pr.phase.begin,
+            "length": pr.rounds_run,
+            "avg_utility": [float(tot / pr.rounds_run) for tot in pr.utility_totals],
+        }
+        if pr.phase.kind is PhaseKind.FREE_PERIOD:
+            row["tv_to_announced"] = tv_distance(pr.counts / pr.rounds_run, run.sigma_m)
+        phase_rows.append(row)
     decisions = {
         f"agent{agent+1}.test{j}": {
             "outcome": d.outcome.value,

@@ -2,14 +2,28 @@
 
 These deliberately avoid the library's own code paths: the equilibrium check
 is a direct triple loop over (agent, signal, deviation) computed from raw
-arrays.
+arrays, and the repeated game is replayed by a plain per-round loop over the
+public agent and decision primitives.
 """
 
 import itertools
 
 import numpy as np
 
-from advicecheck import CorrelatedStrategy, Game
+from advicecheck import (
+    AgentState,
+    CorrelatedStrategy,
+    Game,
+    MixedStrategy,
+    Mode,
+    Outcome,
+    PhaseKind,
+    agent_act,
+    make_learner,
+    run_sampling_decision,
+)
+from advicecheck.games import agent_incentive_violations
+from advicecheck.sim import RoundRecord
 
 
 def brute_force_ce(action_counts, utilities, probs, tol=1e-9):
@@ -46,3 +60,68 @@ def random_game_and_strategy(rng):
         raw[rng.integers(0, num_joint)] = 0.0  # exercise zero-marginal handling
     probs = raw / raw.sum()
     return Game(counts, utilities), CorrelatedStrategy(probs)
+
+
+def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=None):
+    """Round-by-round reference for ``run_game``: (rows, decisions).
+
+    Same seeding and random streams as the engine: one SeedSequence child for
+    the mediator and one per agent, whose generator first draws the agent's
+    fall-back (normalized exponentials) when none is configured. Every round
+    draws nothing in bulk: the mediator's signals for a phase come from one
+    ``choice`` call, then each agent acts and rejected agents learn from every
+    free-period round.
+    """
+    configs = agent_configs or [{} for _ in range(game.num_agents)]
+    children = np.random.SeedSequence(seed).spawn(1 + game.num_agents)
+    mediator_rng = np.random.default_rng(children[0])
+    rngs, states = [], []
+    for i, cfg in enumerate(configs):
+        rng = np.random.default_rng(children[1 + i])
+        rngs.append(rng)
+        if cfg.get("fallback") is not None:
+            fallback = MixedStrategy(cfg["fallback"])
+        elif game.action_counts[i] == 1:
+            fallback = MixedStrategy([1.0])
+        else:
+            g = rng.exponential(size=game.action_counts[i])
+            fallback = MixedStrategy(g / g.sum())
+        screened = agent_incentive_violations(game, sigma_m, i)
+        states.append(AgentState(
+            id=i, fallback=fallback, learner=make_learner(cfg.get("learner"), game, i),
+            rng_seed=seed, mode=Mode.REJECTED_BY_EQ2 if screened else Mode.FOLLOWING_MEDIATOR,
+        ))
+    modes = {Outcome.FOLLOW_MEDIATOR: Mode.FOLLOWING_MEDIATOR, Outcome.REJECT_BY_EQ2: Mode.REJECTED_BY_EQ2}
+    horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
+    rows, decisions = [], {}
+    for phase in schedule.phases:
+        if phase.begin > horizon:
+            break
+        length = min(phase.end, horizon) - phase.begin + 1
+        free = phase.kind is PhaseKind.FREE_PERIOD
+        if free:
+            for st in states:
+                st.learner.reset()
+        signals = mediator_rng.choice(game.num_joint_actions, size=length, p=sigma_m.probs)
+        counts = np.zeros(game.num_joint_actions, dtype=np.int64)
+        for off in range(length):
+            components = game.joint_action(int(signals[off]))
+            actions = tuple(agent_act(st, phase, components[st.id], rngs[st.id]) for st in states)
+            joint = game.joint_index(actions)
+            counts[joint] += 1
+            if free:
+                for st in states:
+                    if st.mode.rejected:
+                        st.learner.observe(actions)
+            rows.append(RoundRecord(
+                t=phase.begin + off, phase_kind=phase.kind.value, phase_index=phase.index,
+                signals=components, joint_index=joint, actions=actions,
+                utilities=tuple(float(u) for u in game.utilities[joint]),
+            ))
+        plan = schedule.plan_for(phase.index) if phase.kind is PhaseKind.SAMPLING_TEST else None
+        if plan is not None and length == phase.length:
+            for st in states:
+                decision = run_sampling_decision(plan, game, sigma_m, st.id, counts)
+                decisions[(st.id, phase.index)] = decision
+                st.mode = modes.get(decision.outcome, Mode.REJECTED_BY_TEST)
+    return rows, decisions

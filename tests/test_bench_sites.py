@@ -1,0 +1,45 @@
+"""The benchmark's traced run wraps module attributes; they must still exist.
+
+``bench/tracing.py`` patches each layer's functions where their callers look
+them up. If a refactor renames or stops importing one, ``--trace 1`` breaks
+or silently stops counting; these tests catch both.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from advicecheck import load_strategy, run_game, run_pure_learning, toy_schedule
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_site_exists(tracing):
+    sites = [site for _, group in tracing.SPANS + tracing.TALLIES for site in group]
+    sites += [(tracing.sim, name) for name in tracing.RUNNERS]
+    missing = [f"{m.__name__}.{attr}" for m, attr in sites if not callable(getattr(m, attr, None))]
+    assert missing == []
+
+
+def test_tracer_counts_every_stepped_agent_action(tracing, game, fixtures_dir):
+    sigma = load_strategy(fixtures_dir / "non_ce_strategy.json")
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[50], free_lengths=[70])
+    fp = {"name": "fictitious-play"}
+    with tracing.Tracer() as tracer:
+        tr = tracing.sim.run_game(game, sigma, sched, [{"learner": fp}] * 2, seed=1)
+        tracing.sim.run_pure_learning(game, [fp, fp], rounds=40, seed=1)
+    assert tracer.tallies["agents"][0] == game.num_agents * (tr.num_rounds + 40)
+    assert tracer.values["sim.rounds_stepped"] == tr.num_rounds + 40
+    # leaving the tracer restores the originals
+    assert tracing.sim.run_game is run_game
+    assert tracing.sim.run_pure_learning is run_pure_learning

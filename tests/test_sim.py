@@ -8,6 +8,9 @@ from advicecheck import (
     InvalidInputError,
     NoDataError,
     Outcome,
+    Phase,
+    PhaseKind,
+    Schedule,
     average_utility,
     build_ledger,
     chi2_quantile,
@@ -23,6 +26,19 @@ from advicecheck import (
     toy_schedule,
     tv_distance,
 )
+from advicecheck.sim import run_summary_dict
+
+from oracles import per_round_game
+
+FP = {"name": "fictitious-play"}
+UNIFORM = {"name": "uniform"}
+TRIGGER = {"name": "trigger", "initial_action": 0, "switch_action": 1,
+           "watch_agent": 0, "watch_action": 1}
+ORACLE_CONFIGS = [
+    [{"learner": FP}, {"learner": FP}],
+    [{"learner": FP}, {"learner": UNIFORM, "fallback": [0.3, 0.7]}],
+    [{"learner": UNIFORM}, {"learner": TRIGGER}],
+]
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +193,14 @@ def test_signal_privacy(game):
     assert acts_a == acts_b
 
 
+def test_short_signal_override_refused(game, ce_strategy, small_toy):
+    short = [0] * (small_toy.horizon - 1)
+    with pytest.raises(InvalidInputError):
+        run_game(game, ce_strategy, small_toy, seed=0, signal_override=short)
+    assert run_game(game, ce_strategy, small_toy, seed=0, rounds=len(short),
+                    signal_override=short).num_rounds == len(short)
+
+
 def test_goodness_of_fit_calibration(game, ce_strategy):
     # when everyone follows, the announcement fits the transcript: the
     # statistic clears the 0.001 level in at least 99% of seeds
@@ -236,3 +260,63 @@ def test_exact_window_expectation_total_mass(game):
     rounds = exact_window_expectation(game, specs, 4)
     for dist in rounds:
         assert sum(dist) == 1  # exact Fractions
+
+
+@pytest.mark.parametrize("announcement", ["ce_strategy", "non_ce_strategy"])
+@pytest.mark.parametrize("configs", ORACLE_CONFIGS, ids=["fp-fp", "fp-uniform", "uniform-trigger"])
+def test_run_game_matches_per_round_oracle(game, announcement, configs, request):
+    sigma = request.getfixturevalue(announcement)
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[150, 200], free_lengths=[400, 300])
+    # caps: none, zero, mid test 1, mid free period 1, mid test 2
+    for rounds in (None, 0, 100, 300, 700):
+        for seed in range(3):
+            tr = run_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            rows, decisions = per_round_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            assert tr.rounds == rows
+            assert tr.decisions == decisions
+
+
+def test_transcript_phase_results_match_rows(game, non_ce_strategy):
+    sched = toy_schedule(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[120, 120], free_lengths=[300, 200])
+    tr = run_game(game, non_ce_strategy, sched, ORACLE_CONFIGS[2], seed=3, rounds=600)
+    assert sum(pr.rounds_run for pr in tr.phase_results) == tr.num_rounds == 600
+    pos = 0
+    for pr in tr.phase_results:
+        rows = tr.rounds[pos : pos + pr.rounds_run]
+        pos += pr.rounds_run
+        assert {(rec.phase_kind, rec.phase_index) for rec in rows} == {
+            (pr.phase.kind.value, pr.phase.index)
+        }
+        counts = np.zeros(game.num_joint_actions, dtype=np.int64)
+        for rec in rows:
+            counts[rec.joint_index] += 1
+        assert np.array_equal(pr.counts, counts)
+        for agent in range(game.num_agents):
+            exact = sum((Fraction(rec.utilities[agent]) for rec in rows), Fraction(0))
+            assert pr.utility_totals[agent] == exact
+    ledger = build_ledger(tr)
+    # a transcript's ledger still answers mid-phase questions from its rows
+    assert average_utility(ledger, 0, 200) == float(
+        sum((Fraction(rec.utilities[0]) for rec in tr.rounds[:200]), Fraction(0)) / 200
+    )
+
+
+@pytest.mark.parametrize("configs", [ORACLE_CONFIGS[0], [{}, {"learner": TRIGGER}]],
+                         ids=["fp-fp", "follow-trigger"])
+def test_counts_and_transcript_agree_when_every_phase_is_stepped(game, non_ce_strategy, configs):
+    # agent 2 fails its incentive check, so it learns from round 1; a learner
+    # that is not stationary makes the counts runner step every round too
+    lone_free = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 500),), (), rules=None,
+                         conforming=False)
+    for seed in range(3):
+        tr = run_game(game, non_ce_strategy, lone_free, configs, seed=seed)
+        rs = run_game_counts(game, non_ce_strategy, lone_free, configs, seed=seed)
+        assert len(tr.phase_results) == len(rs.phase_results) == 1
+        for a, b in zip(tr.phase_results, rs.phase_results):
+            assert (a.phase, a.rounds_run, a.utility_totals) == (b.phase, b.rounds_run,
+                                                                 b.utility_totals)
+            assert np.array_equal(a.counts, b.counts)
+        assert tr.decisions == rs.decisions
+        assert run_summary_dict(tr) == run_summary_dict(rs)
