@@ -24,6 +24,8 @@ def _as_prob_vector(probs, name: str) -> np.ndarray:
     v = np.array(probs, dtype=float)  # copy: strategies own their storage
     if v.ndim != 1:
         raise InvalidInputError(f"{name} must be one-dimensional")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError(f"{name} has non-finite entries")
     if np.any(v < 0):
         raise InvalidInputError(f"{name} has negative entries")
     if abs(float(v.sum()) - 1.0) > PROB_TOL:
@@ -85,6 +87,8 @@ class Game:
         expected = (math.prod(counts), len(counts))
         if u.shape != expected:
             raise InvalidInputError(f"utilities shape {u.shape} != {expected}")
+        if not np.all(np.isfinite(u)):
+            raise InvalidInputError("utilities must be finite")
         if np.any(u < 0):
             raise InvalidInputError("utilities must be nonnegative")
         if action_names is not None:
@@ -291,17 +295,9 @@ def compose_deviation(sigma: CorrelatedStrategy, game: Game, deviations: dict) -
         if len(v) != game.action_counts[i]:
             raise InvalidInputError(f"deviation strategy for agent {i} has wrong length")
     tensor = joint_distribution(sigma, game).reshape(game.action_counts)
-    if devs:
-        marg = tensor.sum(axis=tuple(devs))
-    else:
-        marg = tensor
-    out = np.zeros(game.action_counts)
-    keep = [i for i in range(game.num_agents) if i not in devs]
-    for idx in np.ndindex(*game.action_counts):
-        p = float(marg[tuple(idx[i] for i in keep)]) if keep else 1.0
-        for i, v in devs.items():
-            p *= float(v[idx[i]])
-        out[idx] = p
+    out = 1.0 if len(devs) == game.num_agents else tensor.sum(axis=tuple(devs), keepdims=True)
+    for i, v in devs.items():
+        out = out * v.reshape([-1 if j == i else 1 for j in range(game.num_agents)])
     return CorrelatedStrategy(out.ravel())
 
 

@@ -11,7 +11,11 @@ works backward from a single target error probability p:
   * psi is the worst case, over nonempty deviating subsets, of the chance
     that uniformly drawn fall-back strategies produce a deviation too small
     to detect (sensitivity below delta_hat) - a Lebesgue-measure ratio
-    estimated by Monte Carlo;
+    estimated by Monte Carlo. Sensitivity is quadratic in the composed
+    distribution, so each subset D reduces to two arrays W and L on the
+    deviators' joint grid, and a sample costs O(prod_{d in D} |A_d|) rather
+    than O(|A|); samples are contracted a fixed-size block at a time, so
+    memory beyond the drawn fall-backs does not grow with mc_samples;
   * the Type-2 budget solves p = (1 - psi) * beta + psi, i.e.
     beta = (p - psi) / (1 - psi) (the (1-P)^l_T zero-cell factor is <= 1 and
     is dropped, which only makes the plan more conservative);
@@ -40,6 +44,7 @@ from .games import (
 
 DEFAULT_MC_SAMPLES = 200_000
 MAX_PSI_AGENTS = 12  # 2^n subsets
+_CHUNK_ELEMENTS = 1 << 15  # cells of the per-sample outer product held at once
 
 
 class Outcome(Enum):
@@ -159,31 +164,44 @@ def sensitivity_delta(sigma_m, sigma_tilde) -> float | Fraction:
     return total
 
 
-def _delta_matrix(samples: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Vectorized sensitivity of many candidate distributions (rows)."""
-    mask = sigma > 0
-    diff = samples[:, mask] - sigma[mask]
-    return (diff * diff / sigma[mask]).sum(axis=1)
-
-
 def _uniform_simplex(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     g = rng.exponential(size=(n, dim))
     return g / g.sum(axis=1, keepdims=True)
 
 
-def _composed_samples(game: Game, tensor: np.ndarray, devs: tuple[int, ...], gammas: dict) -> np.ndarray:
-    """Distributions (rows) from composing sampled deviations with the marginal."""
-    keep = [i for i in range(game.num_agents) if i not in devs]
-    marg = tensor.sum(axis=tuple(devs))
-    n = next(iter(gammas.values())).shape[0]
-    out = np.empty((n, game.num_joint_actions))
-    for flat, idx in enumerate(np.ndindex(*game.action_counts)):
-        base = float(marg[tuple(idx[i] for i in keep)]) if keep else 1.0
-        col = np.full(n, base)
-        for d in devs:
-            col = col * gammas[d][:, idx[d]]
-        out[:, flat] = col
-    return out
+def _subset_forms(tensor: np.ndarray, devs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """W and L of the quadratic-form identity, flat over the deviators' grid.
+
+    W(a_D) sums m(a_K)^2 / sigma(a) and L(a_D) sums m(a_K) over the others'
+    actions a_K with sigma(a) > 0, where m is sigma's marginal on the others
+    (1 when every agent deviates).
+    """
+    keep = tuple(i for i in range(tensor.ndim) if i not in devs)
+    positive = tensor > 0
+    marg = tensor.sum(axis=devs, keepdims=True) if keep else 1.0
+    lin = np.where(positive, marg, 0.0)
+    quad = lin * lin / np.where(positive, tensor, 1.0)
+    return quad.sum(axis=keep).ravel(), lin.sum(axis=keep).ravel()
+
+
+def _count_below(gammas: list[np.ndarray], w: np.ndarray, lin: np.ndarray,
+                 offset: float, delta_hat: float) -> int:
+    """Samples whose sensitivity <P*P, W> - 2 <P, L> + offset is below delta_hat.
+
+    P is the per-sample outer product of the deviators' gammas; it is formed
+    a block of rows at a time so that memory stays bounded in the sample count.
+    """
+    n = gammas[0].shape[0]
+    rows = max(1, _CHUNK_ELEMENTS // w.size)
+    below = 0
+    for start in range(0, n, rows):
+        block = [g[start:start + rows] for g in gammas]
+        outer = block[0]
+        for g in block[1:]:
+            outer = (outer[:, :, None] * g[:, None, :]).reshape(len(outer), -1)
+        delta = (outer * outer) @ w - 2.0 * (outer @ lin) + offset
+        below += int(np.count_nonzero(delta < delta_hat))
+    return below
 
 
 def estimate_psi(
@@ -195,16 +213,26 @@ def estimate_psi(
 ) -> PsiEstimate:
     """Worst case over deviating subsets of the undetectable-deviation measure.
 
-    For each nonempty subset of agents, draws their fall-back strategies
-    uniformly from the product of simplices, composes them with the announced
-    strategy's marginal on the rest, and estimates the fraction whose
-    sensitivity falls below delta_hat. Returns the maximum over subsets with
-    the binomial standard error of the maximizing subset. Per-subset draws use
-    sub-seeds derived from (seed, subset rank), so results do not depend on
+    For each nonempty subset D of agents, draws their fall-back strategies
+    gamma_d uniformly from the product of simplices, composes them with the
+    announced strategy's marginal m on the rest K, and estimates the fraction
+    whose sensitivity falls below delta_hat. Returns the maximum over subsets
+    with the binomial standard error of the maximizing subset. Per-subset draws
+    use sub-seeds derived from (seed, subset rank), so results do not depend on
     evaluation order.
+
+    The composed distributions are never formed. Over the announced support S,
+
+      delta = <W, (x)_d gamma_d^2> - 2 <L, (x)_d gamma_d> + sum_S sigma
+
+    with W(a_D) = sum_{a_K: sigma(a)>0} m(a_K)^2 / sigma(a) and
+    L(a_D) = sum_{a_K: sigma(a)>0} m(a_K), built once per subset. Each sample
+    then costs O(prod_d |A_d|) instead of O(|A|), and beyond the gammas
+    (mc_samples x |A_d| per deviator) memory is one fixed-size block of rows,
+    whatever mc_samples is.
     """
-    if delta_hat <= 0:
-        raise InvalidInputError(f"delta_hat must be positive, got {delta_hat}")
+    if not math.isfinite(delta_hat) or delta_hat <= 0:
+        raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
     if mc_samples < 1000:
         raise InvalidInputError("mc_samples must be at least 1000")
     if game.num_agents > MAX_PSI_AGENTS:
@@ -214,15 +242,16 @@ def estimate_psi(
         )
     probs = joint_distribution(sigma_m, game)
     tensor = probs.reshape(game.action_counts)
+    offset = float(probs[probs > 0].sum())
     per_subset: dict[tuple[int, ...], float] = {}
     best = (0.0, 0.0)
     rank = 0
     for r in range(1, game.num_agents + 1):
         for devs in itertools.combinations(range(game.num_agents), r):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
-            gammas = {d: _uniform_simplex(rng, mc_samples, game.action_counts[d]) for d in devs}
-            composed = _composed_samples(game, tensor, devs, gammas)
-            frac = float((_delta_matrix(composed, probs) < delta_hat).mean())
+            gammas = [_uniform_simplex(rng, mc_samples, game.action_counts[d]) for d in devs]
+            w, lin = _subset_forms(tensor, devs)
+            frac = _count_below(gammas, w, lin, offset, delta_hat) / mc_samples
             per_subset[devs] = frac
             if frac >= best[0]:
                 best = (frac, math.sqrt(frac * (1.0 - frac) / mc_samples))
@@ -270,8 +299,8 @@ def plan_test(
     """
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"p must be in (0, 1), got {p}")
-    if delta_hat <= 0.0:
-        raise InvalidInputError(f"delta_hat must be positive, got {delta_hat}")
+    if not math.isfinite(delta_hat) or delta_hat <= 0.0:
+        raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
     probs = joint_distribution(sigma_m, game)
     zeta = zeta_cells(sigma_m)
     df_total = len(probs) - 1 - len(zeta)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the equilibrium check
 is a direct triple loop over (agent, signal, deviation) computed from raw
-arrays, and the repeated game is replayed by a plain per-round loop over the
-public agent and decision primitives.
+arrays, deviations are composed cell by cell, psi is estimated from dense
+composed distributions, and the repeated game is replayed by a plain
+per-round loop over the public agent and decision primitives.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from advicecheck import (
     make_learner,
     run_sampling_decision,
 )
-from advicecheck.games import agent_incentive_violations
+from advicecheck.games import agent_incentive_violations, joint_distribution
 from advicecheck.sim import RoundRecord
 
 
@@ -60,6 +61,61 @@ def random_game_and_strategy(rng):
         raw[rng.integers(0, num_joint)] = 0.0  # exercise zero-marginal handling
     probs = raw / raw.sum()
     return Game(counts, utilities), CorrelatedStrategy(probs)
+
+
+def per_cell_compose(sigma, game, deviations):
+    """Row-major probabilities of ``compose_deviation``, one joint action at a time.
+
+    Each cell starts from the non-deviators' marginal (1.0 when every agent
+    deviates) and multiplies in the deviators' probabilities in the dict's order.
+    """
+    devs = {int(i): np.asarray(getattr(v, "probs", v), dtype=float) for i, v in deviations.items()}
+    tensor = joint_distribution(sigma, game).reshape(game.action_counts)
+    marg = tensor.sum(axis=tuple(devs)) if devs else tensor
+    keep = [i for i in range(game.num_agents) if i not in devs]
+    out = np.zeros(game.action_counts)
+    for idx in np.ndindex(*game.action_counts):
+        p = float(marg[tuple(idx[i] for i in keep)]) if keep else 1.0
+        for i, v in devs.items():
+            p *= float(v[idx[i]])
+        out[idx] = p
+    return out.ravel()
+
+
+def dense_psi(game, sigma_m, delta_hat, mc_samples, seed=0):
+    """Per-subset undetectable fractions from dense composed distributions.
+
+    Same draws as ``estimate_psi``: one generator per subset from
+    SeedSequence(seed, spawn_key=(rank,)), each deviator's (mc_samples, |A_d|)
+    normalized exponentials drawn whole in subset order. Every sample's
+    composed distribution over all |A| joint actions is formed column by
+    column and its sensitivity summed over the announced support.
+    """
+    probs = joint_distribution(sigma_m, game)
+    tensor = probs.reshape(game.action_counts)
+    mask = probs > 0
+    per_subset = {}
+    rank = 0
+    for r in range(1, game.num_agents + 1):
+        for devs in itertools.combinations(range(game.num_agents), r):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
+            gammas = {}
+            for d in devs:
+                g = rng.exponential(size=(mc_samples, game.action_counts[d]))
+                gammas[d] = g / g.sum(axis=1, keepdims=True)
+            keep = [i for i in range(game.num_agents) if i not in devs]
+            marg = tensor.sum(axis=devs)
+            composed = np.empty((mc_samples, game.num_joint_actions))
+            for flat, idx in enumerate(np.ndindex(*game.action_counts)):
+                col = np.full(mc_samples, float(marg[tuple(idx[i] for i in keep)]) if keep else 1.0)
+                for d in devs:
+                    col = col * gammas[d][:, idx[d]]
+                composed[:, flat] = col
+            diff = composed[:, mask] - probs[mask]
+            delta = (diff * diff / probs[mask]).sum(axis=1)
+            per_subset[devs] = float((delta < delta_hat).mean())
+            rank += 1
+    return per_subset
 
 
 def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=None):

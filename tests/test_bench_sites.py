@@ -8,9 +8,18 @@ or silently stops counting; these tests catch both.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from advicecheck import load_strategy, run_game, run_pure_learning, toy_schedule
+from advicecheck import (
+    CorrelatedStrategy,
+    Game,
+    load_strategy,
+    plan_test,
+    run_game,
+    run_pure_learning,
+    toy_schedule,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,3 +52,16 @@ def test_tracer_counts_every_stepped_agent_action(tracing, game, fixtures_dir):
     # leaving the tracer restores the originals
     assert tracing.sim.run_game is run_game
     assert tracing.sim.run_pure_learning is run_pure_learning
+
+
+def test_tracer_counts_every_psi_draw_of_a_plan(tracing, game, ce_strategy):
+    rng = np.random.default_rng(4)
+    cube = Game([2, 2, 2], rng.uniform(0, 5, size=(8, 3)))
+    sigma = CorrelatedStrategy(rng.dirichlet(np.full(8, 20.0)))
+    mc = 1000
+    with tracing.Tracer() as tracer:
+        tracing.verifier.plan_test(game, ce_strategy, 0.3, 0.01, mc_samples=mc, seed=2)
+        tracing.verifier.plan_test(cube, sigma, 0.3, 0.01, mc_samples=mc, seed=2)
+    assert tracer.values["verifier.psi_draws"] == mc * (2**2 - 1) + mc * (2**3 - 1)
+    assert [span[0] for span in tracer.spans].count("verifier.estimate_psi") == 2
+    assert tracing.verifier.plan_test is plan_test

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,35 @@ def test_strategy_validation():
         CorrelatedStrategy([0.5, 0.4])  # sums to 0.9
     with pytest.raises(InvalidInputError):
         MixedStrategy([1.5, -0.5])
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    where=st.integers(0, 5),
+    bad=NON_FINITE,
+)
+def test_non_finite_probabilities_refused(probs, where, bad):
+    # a NaN compares false against every bound, so it used to pass the sum check
+    probs[where % len(probs)] = bad
+    for kind in (CorrelatedStrategy, MixedStrategy):
+        with pytest.raises(InvalidInputError):
+            kind(probs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    utilities=st.lists(st.floats(0.0, 10.0), min_size=8, max_size=8),
+    where=st.integers(0, 7),
+    bad=NON_FINITE,
+)
+def test_non_finite_utilities_refused(utilities, where, bad):
+    utilities[where] = bad
+    with pytest.raises(InvalidInputError):
+        Game([2, 2], np.reshape(utilities, (4, 2)))
 
 
 def test_joint_index_round_trip(game):
@@ -166,7 +196,18 @@ def test_compose_deviation_no_deviators_is_identity(game, ce_strategy):
 
 # --- brute-force oracle ------------------------------------------------------
 
-from oracles import brute_force_ce, random_game_and_strategy
+from oracles import brute_force_ce, per_cell_compose, random_game_and_strategy
+
+
+def test_compose_deviation_matches_per_cell_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        g, sigma = random_game_and_strategy(rng)
+        size = int(rng.integers(0, g.num_agents + 1))
+        devs = rng.permutation(g.num_agents)[:size]  # every subset, in any order
+        deviations = {int(d): rng.dirichlet(np.ones(g.action_counts[d])) for d in devs}
+        got = compose_deviation(sigma, g, deviations).probs
+        assert np.array_equal(got, per_cell_compose(sigma, g, deviations))
 
 
 def test_check_ce_matches_brute_force_oracle():

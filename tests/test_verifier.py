@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_psi
 
 from advicecheck import (
     CorrelatedStrategy,
+    Game,
     InfeasiblePlanError,
     InvalidInputError,
     Outcome,
@@ -136,6 +142,74 @@ def test_estimate_psi_validation(game, ce_strategy):
         estimate_psi(game, ce_strategy, -0.1, mc_samples=2000)
     with pytest.raises(InvalidInputError):
         estimate_psi(game, ce_strategy, 0.01, mc_samples=10)
+
+
+BAD_DELTA_HAT = st.one_of(st.sampled_from([math.nan, math.inf]), st.floats(max_value=0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(delta_hat=BAD_DELTA_HAT)
+def test_estimate_psi_refuses_bad_delta_hat(game, ce_strategy, delta_hat):
+    # NaN compares false against delta_hat and used to give psi 0.0
+    with pytest.raises(InvalidInputError):
+        estimate_psi(game, ce_strategy, delta_hat, mc_samples=1000)
+
+
+@settings(max_examples=30, deadline=None)
+@given(delta_hat=BAD_DELTA_HAT)
+def test_plan_test_refuses_bad_delta_hat_before_sampling(game, ce_strategy, delta_hat):
+    with mock.patch.object(verifier, "estimate_psi", side_effect=AssertionError("psi estimated")):
+        with pytest.raises(InvalidInputError):
+            plan_test(game, ce_strategy, p=0.1, delta_hat=delta_hat, mc_samples=1000)
+
+
+def _near_product(rng, counts, eps):
+    """A product of random marginals mixed with eps of arbitrary correlated mass."""
+    joint = np.ones(1)
+    for c in counts:
+        joint = np.multiply.outer(joint, rng.dirichlet(np.full(c, 3.0))).ravel()
+    return (1 - eps) * joint + eps * rng.dirichlet(np.ones(joint.size))
+
+
+def _random_psi_case(rng):
+    """1-4 agents with 1-4 actions each, near-product or not, some zero cells."""
+    n = int(rng.integers(1, 5))
+    counts = [int(rng.integers(1, 5)) for _ in range(n)]
+    probs = _near_product(rng, counts, rng.choice([0.0, 0.02, 0.3, 1.0]))
+    if probs.size > 1 and rng.random() < 0.4:
+        zeros = rng.choice(probs.size, size=int(rng.integers(1, probs.size)), replace=False)
+        probs[zeros] = 0.0
+    game = Game(counts, rng.uniform(0, 5, size=(probs.size, n)))
+    delta_hat = float(10 ** rng.uniform(-3, math.log10(0.3)))
+    return game, CorrelatedStrategy(probs / probs.sum()), delta_hat
+
+
+def test_estimate_psi_matches_dense_oracle():
+    rng = np.random.default_rng(2024)
+    interior = 0
+    for _ in range(200):
+        g, sigma, delta_hat = _random_psi_case(rng)
+        seed = int(rng.integers(2**31))
+        est = estimate_psi(g, sigma, delta_hat, mc_samples=1000, seed=seed)
+        assert est.per_subset == dense_psi(g, sigma, delta_hat, 1000, seed=seed)
+        interior += sum(0.0 < f < 1.0 for f in est.per_subset.values())
+    assert interior >= 100  # the comparison is not all zeros and ones
+
+
+def test_estimate_psi_memory_bounded_in_samples():
+    rng = np.random.default_rng(5)
+    counts = (3,) * 5
+    probs = _near_product(rng, counts, 0.02)
+    g = Game(counts, rng.uniform(0, 5, size=(probs.size, len(counts))))
+    sigma = CorrelatedStrategy(probs / probs.sum())
+    tracemalloc.start()
+    try:
+        estimate_psi(g, sigma, 0.01, mc_samples=100_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense (mc_samples, |A|) matrix alone would be 185 MiB
+    assert peak < 64 * 2**20
 
 
 def test_prob_zero_cell_bound_worked_value(game):
