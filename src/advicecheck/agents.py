@@ -8,6 +8,7 @@ free period can leak into it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,7 +30,17 @@ class Mode(Enum):
 
 
 class Learner:
-    """Behavior contract: reset(), observe(joint action), next_strategy()."""
+    """Behavior contract: reset(), observe(joint action), next_strategy().
+
+    Skip-ahead contract: ``stable_rounds()`` returns a lower bound k >= 1 on
+    how many rounds ``next_strategy()`` holds whatever gets observed, i.e. its
+    value is unchanged after any k - 1 observations (``math.inf``: it never
+    changes). The engine then plays those rounds as one block and reports them
+    through ``observe_block(actions)``, where ``actions[i]`` is an integer
+    array of agent i's actions in round order; the result must equal observing
+    the rounds one by one. The defaults (1, and a loop over ``observe``) are
+    always valid.
+    """
 
     def reset(self) -> None:
         raise NotImplementedError
@@ -41,9 +52,14 @@ class Learner:
         """Distribution over own actions for the coming round."""
         raise NotImplementedError
 
-    def stationary_strategy(self) -> np.ndarray | None:
-        """Fixed i.i.d. strategy if play never depends on observations, else None."""
-        return None
+    def stable_rounds(self) -> float:
+        """Rounds the current strategy is guaranteed to hold, at least 1."""
+        return 1
+
+    def observe_block(self, actions) -> None:
+        """Observe consecutive rounds at once; ``actions[i]`` is agent i's column."""
+        for joint_action in zip(*actions):
+            self.observe(joint_action)
 
 
 class UniformLearner(Learner):
@@ -58,11 +74,14 @@ class UniformLearner(Learner):
     def observe(self, joint_action) -> None:
         pass
 
+    def observe_block(self, actions) -> None:
+        pass
+
     def next_strategy(self) -> np.ndarray:
         return self._dist
 
-    def stationary_strategy(self) -> np.ndarray:
-        return self._dist
+    def stable_rounds(self) -> float:
+        return math.inf
 
 
 class FictitiousPlayLearner(Learner):
@@ -88,6 +107,10 @@ class FictitiousPlayLearner(Learner):
         self._uniform_opp = [
             [1.0 / game.action_counts[i]] * game.action_counts[i] for i in range(game.num_agents)
         ]
+        # skip-ahead bounds: _drops[b][a] = max_c(u[a][c] - u[b][c]), the most
+        # one observation can cut b's lead over a; _umax scales the float error
+        self._drops = [[max(x - y for x, y in zip(ra, rb)) for ra in self._u] for rb in self._u]
+        self._umax = max(map(max, self._u))
 
     def reset(self) -> None:
         self._counts = [[0] * c for c in self.game.action_counts]
@@ -96,6 +119,11 @@ class FictitiousPlayLearner(Learner):
         counts = self._counts
         for i in self._opponents:
             counts[i][joint_action[i]] += 1
+
+    def observe_block(self, actions) -> None:
+        for i in self._opponents:
+            seen = np.bincount(actions[i], minlength=len(self._counts[i])).tolist()
+            self._counts[i] = [x + y for x, y in zip(self._counts[i], seen)]
 
     def _opponent_joint(self) -> list[float]:
         qs = []
@@ -122,6 +150,38 @@ class FictitiousPlayLearner(Learner):
                 best, best_ev = a, ev
         return self._points[best]
 
+    def stable_rounds(self) -> float:
+        """Rounds the best response b keeps against one opponent, whatever it plays.
+
+        At counts n, b leads rival a by gap_a = sum_c (u[b][c] - u[a][c]) n_c,
+        and one observation cuts that lead by at most
+        drop_a = max_c (u[a][c] - u[b][c]). So b stays strictly best, ties
+        included, for floor((gap_a - eps) / drop_a) rounds, where eps dominates
+        the float error of next_strategy's sums. A block stops after total + 1
+        rounds, so that error at most doubles within it. Utilities are
+        nonnegative, so values never fall to the argmax's -1.0 start. Several
+        opponents, or none observed yet: 1.
+        """
+        if self._single is None:
+            return 1
+        c = self._counts[self._single]
+        total = sum(c)
+        if not total:
+            return 1
+        evs = [sum(r * w for r, w in zip(row, c)) for row in self._u]
+        b = evs.index(max(evs))  # next_strategy's choice: the first maximum
+        eps = 1e-9 * (1 + self._umax * (total + 1))
+        bound = total + 1
+        for a, (ev, drop) in enumerate(zip(evs, self._drops[b])):
+            if a == b:
+                continue
+            gap = evs[b] - ev
+            if gap <= eps:
+                return 1
+            if drop > 0:
+                bound = min(bound, (gap - eps) // drop)
+        return max(1, int(bound))
+
 
 class TriggerLearner(Learner):
     """Plays one action until a designated opponent action is seen, then switches.
@@ -147,10 +207,17 @@ class TriggerLearner(Learner):
         if joint_action[self.watch_agent] == self.watch_action:
             self.triggered = True
 
+    def observe_block(self, actions) -> None:
+        if np.any(actions[self.watch_agent] == self.watch_action):
+            self.triggered = True
+
     def next_strategy(self) -> np.ndarray:
         out = np.zeros(self.action_count)
         out[self.switch_action if self.triggered else self.initial_action] = 1.0
         return out
+
+    def stable_rounds(self) -> float:
+        return math.inf if self.triggered else 1
 
 
 def make_learner(spec: dict | None, game: Game, agent: int) -> Learner:
@@ -234,6 +301,20 @@ def sample_strategy(probs, rng: np.random.Generator) -> int:
     return len(probs) - 1
 
 
+def sample_block(probs, rng: np.random.Generator, k: int) -> np.ndarray:
+    """``k`` calls of ``sample_strategy`` at once, bit for bit.
+
+    Point masses consume nothing. Otherwise ``rng.random(k)`` yields the
+    doubles of ``k`` ``random()`` calls and ``np.cumsum`` adds in the loop's
+    order, so each action and the generator's final state match.
+    """
+    hi = max(range(len(probs)), key=probs.__getitem__)
+    if probs[hi] >= 1.0:
+        return np.full(k, hi)
+    cdf = np.cumsum(probs)
+    return np.minimum(np.searchsorted(cdf, rng.random(k), side="right"), len(probs) - 1)
+
+
 def agent_act(state: AgentState, phase: Phase, signal: int | None, rng: np.random.Generator) -> int:
     """Choose this round's action.
 
@@ -250,3 +331,18 @@ def agent_act(state: AgentState, phase: Phase, signal: int | None, rng: np.rando
     else:
         probs = state.learner.next_strategy()
     return sample_strategy(probs, rng)
+
+
+def act_block(state: AgentState, phase: Phase, signals: np.ndarray | None,
+              rng: np.random.Generator, k: int) -> np.ndarray:
+    """``k`` consecutive rounds of ``agent_act`` while the learner's strategy holds.
+
+    ``signals`` is the agent's signal column over the block.
+    """
+    if state.mode is Mode.FOLLOWING_MEDIATOR:
+        return signals
+    if phase.kind is PhaseKind.SAMPLING_TEST:
+        probs = state.fallback.probs
+    else:
+        probs = state.learner.next_strategy()
+    return sample_block(probs, rng, k)

@@ -168,8 +168,8 @@ class PowerQuery:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.delta_hat <= 0.0:
-            raise InvalidInputError(f"delta_hat must be positive, got {self.delta_hat}")
+        if not math.isfinite(self.delta_hat) or self.delta_hat <= 0.0:
+            raise InvalidInputError(f"delta_hat must be positive and finite, got {self.delta_hat}")
         if self.df_total < 1:
             raise InvalidInputError(f"df_total must be >= 1, got {self.df_total}")
         if self.sample_size < 1:
@@ -197,8 +197,8 @@ def sample_size(alpha: float, beta_target: float, delta_hat: float, df_total: in
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
     if not 0.0 < beta_target < 1.0:
         raise InvalidInputError(f"beta_target must be in (0, 1), got {beta_target}")
-    if delta_hat <= 0.0:
-        raise InvalidInputError(f"delta_hat must be positive, got {delta_hat}")
+    if not math.isfinite(delta_hat) or delta_hat <= 0.0:
+        raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
     c = chi2_quantile(1.0 - alpha, df_total)
 
     def beta_at(n: int) -> float:

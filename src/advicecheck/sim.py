@@ -8,8 +8,8 @@ periods. At the end of every sampling test each agent runs the decision on
 that test's public counts, and the outcomes set modes for the following free
 period.
 
-One phase loop plays the schedule for both runners, and one round stepper
-plays every round that is not drawn in bulk:
+One phase loop plays the schedule for both runners, and one stepper plays
+every round that is not drawn in bulk:
 
 * ``run_game`` steps every round and returns a ``Transcript``, a
   ``RunSummary`` that also keeps each round's row;
@@ -19,6 +19,13 @@ plays every round that is not drawn in bulk:
 * ``run_pure_learning`` steps its horizon as one free period in which every
   agent learns.
 
+The stepper plays rounds in skip-ahead blocks: as many rounds as every
+learning agent's ``Learner.stable_rounds()`` guarantees its strategy holds.
+Within a block each agent's actions are drawn as one array from exactly the
+randomness the per-round loop would consume, so every output is
+bit-identical to playing round by round; a round after which some strategy
+may change is stepped singly through ``agent_act``.
+
 Utility ledgers accumulate exact rationals (Fractions built from the
 binary-exact float payoffs), so phase segments partition totals exactly.
 """
@@ -26,15 +33,15 @@ binary-exact float payoffs), so phase segments partition totals exactly.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
-from .agents import AgentState, Mode, _simplex_draw, agent_act, make_learner
+from .agents import AgentState, Mode, _simplex_draw, act_block, agent_act, make_learner
 from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
 from .errors import InvalidInputError, NoDataError
 from .games import (
@@ -261,19 +268,19 @@ def _iid_deviators(states, phase) -> dict | None:
 
     A following agent plays its signal component (not a deviator). Rejected
     agents are i.i.d. with their fall-back in tests; in free periods they are
-    i.i.d. only when the learner declares a stationary strategy.
+    i.i.d. only when the learner's strategy holds for ever (``stable_rounds()``
+    is infinite).
     """
     deviators = {}
     for st in states:
         if st.mode is Mode.FOLLOWING_MEDIATOR:
             continue
         if phase.kind is PhaseKind.SAMPLING_TEST:
-            strategy = st.fallback.probs
+            deviators[st.id] = st.fallback.probs
+        elif st.learner.stable_rounds() == math.inf:
+            deviators[st.id] = st.learner.next_strategy()
         else:
-            strategy = st.learner.stationary_strategy()
-            if strategy is None:
-                return None
-        deviators[st.id] = strategy
+            return None
     return deviators
 
 
@@ -288,14 +295,26 @@ def _exact_utility_totals(game: Game, counts: np.ndarray) -> tuple[Fraction, ...
     return tuple(out)
 
 
-def _step(game, phase, states, rngs, signals, rows=None) -> np.ndarray:
-    """Play one phase stretch round by round; returns its joint-action counts.
+# the most rounds in one block, which bounds its arrays; splitting a block
+# changes no output
+_BLOCK_ROUNDS = 1 << 14
 
-    ``signals`` holds each round's per-agent signal components. Rejected
-    agents' learners observe every free-period round. With ``rows`` given, a
-    RoundRecord per round is appended to it.
+
+def _step(game, phase, states, rngs, length, signals=None, rows=None) -> np.ndarray:
+    """Play ``length`` rounds of a phase; returns their joint-action counts.
+
+    ``signals`` holds each round's joint signal index (None when no agent
+    follows). Rounds go in blocks of the least ``stable_rounds()`` over the
+    learners that observe: each agent's block of actions is its signal
+    column, a constant, or one vector draw (``act_block``), consuming the
+    randomness of the per-round loop exactly. A block of one round is stepped
+    through ``agent_act``. Rejected agents' learners observe every
+    free-period round. With ``rows`` given, a RoundRecord per round is
+    appended to it.
     """
+    shape = game.action_counts
     index = {joint: i for i, joint in enumerate(game.all_joint_actions())}
+    decode = list(index)
     utilities = [tuple(row) for row in game.utilities.tolist()]
     observers = (
         [st.learner for st in states if st.mode.rejected]
@@ -303,25 +322,56 @@ def _step(game, phase, states, rngs, signals, rows=None) -> np.ndarray:
     )
     kind = phase.kind.value
     counts = [0] * game.num_joint_actions
-    for t, signal in enumerate(signals, start=phase.begin):
-        actions = tuple(agent_act(st, phase, signal[st.id], rngs[st.id]) for st in states)
-        joint = index[actions]
-        counts[joint] += 1
+    bulk = np.zeros(game.num_joint_actions, dtype=np.int64)
+    no_signal = (None,) * game.num_agents
+    bounds = [learner.stable_rounds for learner in observers]
+    pos = 0
+    while pos < length:
+        k = length - pos
+        for stable_rounds in bounds:
+            stable = stable_rounds()
+            if stable < k:
+                k = stable
+                if k == 1:
+                    break
+        if k == 1:
+            signal = no_signal if signals is None else decode[signals[pos]]
+            actions = tuple(agent_act(st, phase, signal[st.id], rngs[st.id]) for st in states)
+            joint = index[actions]
+            counts[joint] += 1
+            for learner in observers:
+                learner.observe(actions)
+            if rows is not None:
+                rows.append(RoundRecord(phase.begin + pos, kind, phase.index, signal, joint,
+                                        actions, utilities[joint]))
+            pos += 1
+            continue
+        k = min(int(k), _BLOCK_ROUNDS)
+        block = None if signals is None else signals[pos : pos + k]
+        columns = no_signal if block is None else np.unravel_index(block, shape)
+        actions = [act_block(st, phase, columns[st.id], rngs[st.id], k) for st in states]
+        joints = np.ravel_multi_index(actions, shape)
+        bulk += np.bincount(joints, minlength=game.num_joint_actions)
         for learner in observers:
-            learner.observe(actions)
+            learner.observe_block(actions)
         if rows is not None:
-            rows.append(RoundRecord(t, kind, phase.index, signal, joint, actions, utilities[joint]))
-    return np.array(counts, dtype=np.int64)
+            t = phase.begin + pos
+            joints = joints.tolist()
+            rows.extend(map(RoundRecord, range(t, t + k), repeat(kind), repeat(phase.index),
+                            [decode[s] for s in block.tolist()], joints,
+                            zip(*[a.tolist() for a in actions]), [utilities[j] for j in joints]))
+        pos += k
+    return np.array(counts, dtype=np.int64) + bulk
 
 
 def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_override=None):
     """Play the schedule into ``run``: the phase loop behind both runners.
 
-    A Transcript steps every round and keeps its rows. Otherwise a phase in
+    A Transcript steps every phase and keeps its rows. Otherwise a phase in
     which every active behavior is i.i.d. (followers track the signal;
     rejected agents play fixed strategies) is one exact multinomial draw from
     the announcement composed with the deviators' mixes, and a phase with a
-    sequential learner is stepped round by round.
+    sequential learner is stepped (``_step``).
     """
     game, sigma_m = run.game, run.sigma_m
     probs = joint_distribution(sigma_m, game)
@@ -333,7 +383,6 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
     mediator_rng, agent_rngs, states = _setup_agents(game, sigma_m, agent_configs, run.seed)
     rows = run.rounds if isinstance(run, Transcript) else None
     n_joint = game.num_joint_actions
-    decode = [game.joint_action(i) for i in range(n_joint)]
     for phase in schedule.phases:
         if phase.begin > horizon:
             break
@@ -347,11 +396,11 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
             counts = mediator_rng.multinomial(length, dist).astype(np.int64)
         else:
             if signal_override is not None:
-                signals = signal_override[phase.begin - 1 : phase.begin - 1 + length]
+                signals = np.asarray(signal_override[phase.begin - 1 : phase.begin - 1 + length],
+                                     dtype=np.intp)
             else:
                 signals = mediator_rng.choice(n_joint, size=length, p=probs)
-            signals = [decode[int(s)] for s in signals]
-            counts = _step(game, phase, states, agent_rngs, signals, rows)
+            counts = _step(game, phase, states, agent_rngs, length, signals, rows)
         run.phase_results.append(
             PhaseResult(phase, length, counts, _exact_utility_totals(game, counts))
         )
@@ -445,9 +494,9 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
         for i, spec in enumerate(learner_specs)
     ]
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(game.num_agents)]
-    # a Phase is at least one round long; the signals alone set how many are played
+    # a Phase is at least one round long; ``rounds`` alone sets how many are played
     phase = Phase(PhaseKind.FREE_PERIOD, 1, 1, max(rounds, 1))
-    counts = _step(game, phase, states, rngs, itertools.repeat((None,) * game.num_agents, rounds))
+    counts = _step(game, phase, states, rngs, rounds)
     return PureLearningRun(
         counts=counts, utility_totals=_exact_utility_totals(game, counts), rounds=rounds
     )

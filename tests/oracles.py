@@ -4,10 +4,12 @@ These deliberately avoid the library's own code paths: the equilibrium check
 is a direct triple loop over (agent, signal, deviation) computed from raw
 arrays, deviations are composed cell by cell, psi is estimated from dense
 composed distributions, and the repeated game is replayed by a plain
-per-round loop over the public agent and decision primitives.
+per-round loop over the public agent and decision primitives, as is the
+pure-learning baseline.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from advicecheck import (
     MixedStrategy,
     Mode,
     Outcome,
+    Phase,
     PhaseKind,
     agent_act,
     make_learner,
@@ -181,3 +184,31 @@ def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=N
                 decisions[(st.id, phase.index)] = decision
                 st.mode = modes.get(decision.outcome, Mode.REJECTED_BY_TEST)
     return rows, decisions
+
+
+def per_round_pure_learning(game, learner_specs, rounds, seed=0):
+    """Round-by-round reference for ``run_pure_learning``: (counts, utility totals).
+
+    Every agent is rejected, with a fresh learner and its own generator from
+    SeedSequence(seed).spawn(n). Each round every agent samples its learner's
+    strategy through ``agent_act`` and every learner observes the joint action.
+    """
+    states = [
+        AgentState(id=i, fallback=MixedStrategy([1.0] + [0.0] * (game.action_counts[i] - 1)),
+                   learner=make_learner(spec, game, i), rng_seed=seed, mode=Mode.REJECTED_BY_TEST)
+        for i, spec in enumerate(learner_specs)
+    ]
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(game.num_agents)]
+    phase = Phase(PhaseKind.FREE_PERIOD, 1, 1, max(rounds, 1))
+    counts = np.zeros(game.num_joint_actions, dtype=np.int64)
+    for _ in range(rounds):
+        actions = tuple(agent_act(st, phase, None, rngs[st.id]) for st in states)
+        counts[game.joint_index(actions)] += 1
+        for st in states:
+            st.learner.observe(actions)
+    totals = tuple(
+        sum((int(n) * Fraction(float(u)) for n, u in zip(counts, game.utilities[:, agent])),
+            Fraction(0))
+        for agent in range(game.num_agents)
+    )
+    return counts, totals

@@ -1,3 +1,6 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,9 @@ from hypothesis import strategies as st
 from advicecheck import (
     AgentState,
     FictitiousPlayLearner,
+    Game,
     InvalidInputError,
+    Learner,
     Mode,
     MixedStrategy,
     Phase,
@@ -17,6 +22,7 @@ from advicecheck import (
     draw_fallback,
     make_learner,
 )
+from advicecheck.agents import sample_block, sample_strategy
 
 TEST_PHASE = Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10)
 FREE_PHASE = Phase(PhaseKind.FREE_PERIOD, 1, 11, 10)
@@ -168,3 +174,99 @@ def test_agent_act_deterministic_given_state(game):
     ra, rb = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(200):
         assert agent_act(st_a, TEST_PHASE, 0, ra) == agent_act(st_b, TEST_PHASE, 0, rb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(lambda w: sum(w) > 0),
+        st.integers(1, 5).flatmap(lambda n: st.integers(0, n - 1).map(
+            lambda hot: [1.0 if i == hot else 0.0 for i in range(n)])),
+    ),
+    as_array=st.booleans(),
+    k=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_block_matches_repeated_sample_strategy(weights, as_array, k, seed):
+    total = sum(weights)
+    probs = [w / total for w in weights]
+    if as_array:
+        probs = np.array(probs)
+    block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = sample_block(probs, block_rng, k)
+    assert block.tolist() == [sample_strategy(probs, loop_rng) for _ in range(k)]
+    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+    if max(probs) >= 1.0:  # point masses consume no randomness
+        assert block_rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
+def _utility_table(data, own, opp, agent):
+    payoff = st.integers(0, 5).map(float) if data.draw(st.booleans()) else st.floats(0.0, 10.0)
+    table = np.array(data.draw(st.lists(payoff, min_size=own * opp, max_size=own * opp)))
+    counts = [own, opp] if agent == 0 else [opp, own]
+    utilities = np.zeros((own * opp, 2))
+    # lay the agent's own payoffs out row-major over (agent 0's action, agent 1's action)
+    utilities[:, agent] = np.moveaxis(table.reshape(own, opp), 0, agent).ravel()
+    return Game(counts, utilities)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fictitious_play_holds_for_stable_rounds(data):
+    agent = data.draw(st.integers(0, 1))
+    own, opp = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    game = _utility_table(data, own, opp, agent)
+    seen = data.draw(st.lists(st.integers(0, 20), min_size=opp, max_size=opp))
+
+    def joint(c):
+        return (0, c) if agent == 0 else (c, 0)
+
+    fp = FictitiousPlayLearner(game, agent)
+    for c, n in enumerate(seen):
+        for _ in range(n):
+            fp.observe(joint(c))
+    k = fp.stable_rounds()
+    assert k >= 1 and k <= sum(seen) + 1
+    best = fp.next_strategy()
+    b = best.index(1.0)
+    u = np.moveaxis(game.utilities[:, agent].reshape(game.action_counts), agent, 0)
+    # each rival's worst case repeated, then any sequence
+    worst = [int(np.argmax(u[a] - u[b])) for a in range(own) if a != b]
+    sequences = [[c] * (k - 1) for c in worst]
+    sequences.append(data.draw(st.lists(st.integers(0, opp - 1), min_size=k - 1, max_size=k - 1)))
+    for seq in sequences:
+        learner = copy.deepcopy(fp)
+        for c in seq:
+            learner.observe(joint(c))
+            assert learner.next_strategy() == best
+        # a block observed at once leaves the learner as the rounds one by one do
+        block = copy.deepcopy(fp)
+        column = np.array(seq, dtype=np.int64)
+        block.observe_block([np.zeros_like(column), column] if agent == 0 else
+                            [column, np.zeros_like(column)])
+        assert block.next_strategy() == learner.next_strategy()
+        assert block.stable_rounds() == learner.stable_rounds()
+
+
+def test_stable_rounds_per_learner(game):
+    assert Learner().stable_rounds() == 1
+    assert UniformLearner(2).stable_rounds() == math.inf
+    trig = TriggerLearner(2, 0, 1, watch_agent=0, watch_action=1)
+    assert trig.stable_rounds() == 1
+    trig.observe_block([np.array([0, 0, 1]), np.array([0, 0, 0])])
+    assert trig.triggered and trig.stable_rounds() == math.inf
+    fp = FictitiousPlayLearner(game, 1)
+    assert fp.stable_rounds() == 1  # nothing observed yet
+    for joint in [(0, 0)] * 4 + [(1, 0)] * 2:
+        fp.observe(joint)
+    # agent 2's actions are worth 4 + 4 = 8 and 20 + 0 = 20; each round of agent
+    # 1's second action cuts the lead of 12 by 2, so it lasts floor((12 - eps) / 2)
+    # rounds, below the cap of 6 + 1 observations
+    assert fp.stable_rounds() == 5
+    for _ in range(10):
+        fp.observe((0, 0))
+    assert fp.stable_rounds() == 17  # lead 52: the cap binds
+    three = Game([2, 2, 2], np.ones((8, 3)))
+    fp3 = FictitiousPlayLearner(three, 0)
+    fp3.observe((0, 0, 0))
+    assert fp3.stable_rounds() == 1

@@ -40,6 +40,16 @@ def test_every_traced_site_exists(tracing):
 
 
 def test_tracer_counts_every_stepped_agent_action(tracing, game, fixtures_dir):
+    # two triggers that never fire report a one-round stable strategy, so every
+    # round is stepped singly through sim.agent_act
+    never = [{"name": "trigger", "watch_agent": 1, "watch_action": 1, "switch_action": 1},
+             {"name": "trigger", "watch_agent": 0, "watch_action": 1, "switch_action": 1}]
+    with tracing.Tracer() as tracer:
+        tracing.sim.run_pure_learning(game, never, rounds=40, seed=1)
+    assert tracer.tallies["agents"][0] == game.num_agents * 40
+    assert tracer.values["sim.rounds_stepped"] == 40
+    # fictitious play skips ahead once it locks in; the rounds it steps singly
+    # are still counted once per agent
     sigma = load_strategy(fixtures_dir / "non_ce_strategy.json")
     sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
                          test_lengths=[50], free_lengths=[70])
@@ -47,8 +57,9 @@ def test_tracer_counts_every_stepped_agent_action(tracing, game, fixtures_dir):
     with tracing.Tracer() as tracer:
         tr = tracing.sim.run_game(game, sigma, sched, [{"learner": fp}] * 2, seed=1)
         tracing.sim.run_pure_learning(game, [fp, fp], rounds=40, seed=1)
-    assert tracer.tallies["agents"][0] == game.num_agents * (tr.num_rounds + 40)
-    assert tracer.values["sim.rounds_stepped"] == tr.num_rounds + 40
+    stepped = tracer.values["sim.rounds_stepped"]
+    assert tracer.tallies["agents"][0] == game.num_agents * stepped
+    assert 0 < stepped < tr.num_rounds + 40
     # leaving the tracer restores the originals
     assert tracing.sim.run_game is run_game
     assert tracing.sim.run_pure_learning is run_pure_learning

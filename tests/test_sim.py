@@ -11,6 +11,7 @@ from advicecheck import (
     Phase,
     PhaseKind,
     Schedule,
+    agent_act,
     average_utility,
     build_ledger,
     chi2_quantile,
@@ -26,9 +27,10 @@ from advicecheck import (
     toy_schedule,
     tv_distance,
 )
+from advicecheck import sim
 from advicecheck.sim import run_summary_dict
 
-from oracles import per_round_game
+from oracles import per_round_game, per_round_pure_learning
 
 FP = {"name": "fictitious-play"}
 UNIFORM = {"name": "uniform"}
@@ -39,6 +41,30 @@ ORACLE_CONFIGS = [
     [{"learner": FP}, {"learner": UNIFORM, "fallback": [0.3, 0.7]}],
     [{"learner": UNIFORM}, {"learner": TRIGGER}],
 ]
+# a trigger for agent 1 that fires once agent 2 plays its second action
+TRIGGER_ON_2 = {"name": "trigger", "initial_action": 1, "switch_action": 0,
+                "watch_agent": 1, "watch_action": 1}
+# (fixture, agent configs): agent 1 of the 3x2 game follows, everyone else learns
+BEYOND_2X2 = [
+    ("game_3x2", [{"learner": FP}, {"learner": FP}]),
+    ("game_3x2", [{"learner": UNIFORM}, {"learner": FP, "fallback": [0.4, 0.6]}]),
+    ("game_3x2", [{"learner": FP}, {"learner": TRIGGER}]),
+    ("game_2x2x2", [{"learner": FP}] * 3),
+    ("game_2x2x2", [{"learner": FP}, {"learner": UNIFORM, "fallback": [0.2, 0.8]},
+                    {"learner": TRIGGER}]),
+    ("game_2x2x2", [{"learner": TRIGGER_ON_2}, {"learner": TRIGGER}, {"learner": UNIFORM}]),
+]
+BEYOND_IDS = ["3x2-fp-fp", "3x2-uniform-fp", "3x2-fp-trigger", "2x2x2-fp", "2x2x2-fp-uniform-trigger",
+              "2x2x2-triggers-uniform"]
+# counts-mode oracle cases: a sequential learner among the rejected agents makes
+# every free period stepped, so the counts runner draws what the per-round loop draws
+STEPPED = [("fixture_2x2", ORACLE_CONFIGS[0]), ("fixture_2x2", [{}, {"learner": TRIGGER}])] + BEYOND_2X2
+STEPPED_IDS = ["2x2-fp-fp", "2x2-follow-trigger"] + BEYOND_IDS
+
+
+@pytest.fixture(scope="module")
+def fixture_2x2(game, non_ce_strategy):
+    return game, non_ce_strategy
 
 
 @pytest.fixture(scope="module")
@@ -320,3 +346,110 @@ def test_counts_and_transcript_agree_when_every_phase_is_stepped(game, non_ce_st
             assert np.array_equal(a.counts, b.counts)
         assert tr.decisions == rs.decisions
         assert run_summary_dict(tr) == run_summary_dict(rs)
+
+
+@pytest.mark.parametrize("case, configs", BEYOND_2X2, ids=BEYOND_IDS)
+def test_run_game_matches_per_round_oracle_beyond_2x2(case, configs, request):
+    game, sigma = request.getfixturevalue(case)
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[150, 200], free_lengths=[400, 300])
+    for rounds in (None, 0, 100, 300, 700):
+        for seed in range(3):
+            tr = run_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            rows, decisions = per_round_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            assert tr.rounds == rows
+            assert tr.decisions == decisions
+
+
+def _tally(game, rows, phase):
+    counts = np.zeros(game.num_joint_actions, dtype=np.int64)
+    mine = [rec for rec in rows if (rec.phase_kind, rec.phase_index) == (phase.kind.value, phase.index)]
+    for rec in mine:
+        counts[rec.joint_index] += 1
+    totals = tuple(sum((Fraction(rec.utilities[a]) for rec in mine), Fraction(0))
+                   for a in range(game.num_agents))
+    return len(mine), counts, totals
+
+
+@pytest.mark.parametrize("case, configs", STEPPED, ids=STEPPED_IDS)
+def test_run_game_counts_matches_per_round_oracle_when_stepped(case, configs, request):
+    # free periods only: every phase is stepped in counts mode too
+    game, sigma = request.getfixturevalue(case)
+    frees = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 300), Phase(PhaseKind.FREE_PERIOD, 2, 301, 400),
+                      Phase(PhaseKind.FREE_PERIOD, 3, 701, 500)), (None, None, None), rules=None,
+                     conforming=False)
+    for rounds in (None, 0, 100, 300, 700):
+        for seed in range(3):
+            rs = run_game_counts(game, sigma, frees, configs, seed=seed, rounds=rounds)
+            rows, decisions = per_round_game(game, sigma, frees, configs, seed=seed, rounds=rounds)
+            assert sum(pr.rounds_run for pr in rs.phase_results) == len(rows)
+            for pr in rs.phase_results:
+                run, counts, totals = _tally(game, rows, pr.phase)
+                assert pr.rounds_run == run
+                assert np.array_equal(pr.counts, counts)
+                assert pr.utility_totals == totals
+            assert rs.decisions == decisions
+
+
+@pytest.mark.parametrize("learners", [
+    [FP, FP, FP],
+    [{"name": "trigger", "initial_action": 0, "switch_action": 1, "watch_agent": 2,
+      "watch_action": 0}, TRIGGER, FP],
+], ids=["fp", "triggers-fp"])
+def test_run_game_counts_decisions_match_per_round_oracle(game_2x2x2, learners):
+    # every agent rejects the announcement and plays point masses, so the
+    # counts runner's multinomial tests draw the per-round loop's counts
+    game, sigma = game_2x2x2
+    configs = [{"learner": spec, "fallback": [0.0, 1.0]} for spec in learners]
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[150, 200], free_lengths=[400, 300])
+    for rounds in (None, 100, 700):
+        for seed in range(3):
+            rs = run_game_counts(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            rows, decisions = per_round_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            for pr in rs.phase_results:
+                run, counts, totals = _tally(game, rows, pr.phase)
+                assert (pr.rounds_run, pr.utility_totals) == (run, totals)
+                assert np.array_equal(pr.counts, counts)
+            assert rs.decisions == decisions
+            if rounds is None:
+                assert len(decisions) == 2 * game.num_agents
+
+
+@pytest.mark.parametrize("case, learners", [
+    ("fixture_2x2", [FP, FP]),
+    ("fixture_2x2", [FP, UNIFORM]),
+    ("fixture_2x2", [{"name": "trigger", "watch_agent": 1, "watch_action": 1, "switch_action": 1},
+                     {"name": "trigger", "watch_agent": 0, "watch_action": 1, "switch_action": 1}]),
+    ("fixture_2x2", [UNIFORM, TRIGGER]),
+    ("game_3x2", [FP, FP]),
+    ("game_2x2x2", [FP, FP, FP]),
+    ("game_2x2x2", [FP, UNIFORM, TRIGGER]),
+], ids=["fp-fp", "fp-uniform", "triggers-never-fire", "uniform-trigger", "3x2-fp-fp", "3fp",
+        "fp-uniform-trigger"])
+def test_run_pure_learning_matches_per_round_oracle(case, learners, request):
+    game, _ = request.getfixturevalue(case)
+    for rounds in (0, 1, 57, 3000):
+        for seed in range(3):
+            run = run_pure_learning(game, learners, rounds=rounds, seed=seed)
+            counts, totals = per_round_pure_learning(game, learners, rounds, seed=seed)
+            assert np.array_equal(run.counts, counts)
+            assert run.utility_totals == totals
+
+
+def test_long_free_periods_are_not_stepped_per_round(game, non_ce_strategy, monkeypatch):
+    # criterion 9's paired runs: per-round play would call agent_act 2 x 500k times
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return agent_act(*args)
+
+    monkeypatch.setattr(sim, "agent_act", counted)
+    configs = [{"learner": FP}, {"learner": FP, "fallback": [0.75, 0.25]}]
+    sched = toy_schedule(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[2500], free_lengths=[247500])
+    rs = run_game_counts(game, non_ce_strategy, sched, configs, seed=0)
+    pure = run_pure_learning(game, [FP, FP], rounds=sched.horizon, seed=0)
+    assert sum(pr.rounds_run for pr in rs.phase_results) == pure.rounds == 250_000
+    assert len(calls) < 1000

@@ -15,6 +15,7 @@ from advicecheck import (
     InfeasiblePlanError,
     InvalidInputError,
     Outcome,
+    PowerQuery,
     ZeroCellObserved,
     estimate_psi,
     manual_plan,
@@ -22,6 +23,7 @@ from advicecheck import (
     plan_test,
     prob_zero_cell_bound,
     run_sampling_decision,
+    sample_size,
     sensitivity_delta,
     zeta_cells,
 )
@@ -161,6 +163,19 @@ def test_plan_test_refuses_bad_delta_hat_before_sampling(game, ce_strategy, delt
     with mock.patch.object(verifier, "estimate_psi", side_effect=AssertionError("psi estimated")):
         with pytest.raises(InvalidInputError):
             plan_test(game, ce_strategy, p=0.1, delta_hat=delta_hat, mc_samples=1000)
+
+
+@settings(max_examples=30, deadline=None)
+@given(delta_hat=BAD_DELTA_HAT)
+def test_power_entry_points_refuse_bad_delta_hat(game, ce_strategy, delta_hat):
+    # a NaN or infinite delta_hat used to reach the noncentral series and die
+    # with RuntimeError
+    with pytest.raises(InvalidInputError):
+        manual_plan(game, ce_strategy, 0.1, delta_hat, 100)
+    with pytest.raises(InvalidInputError):
+        PowerQuery(alpha=0.1, delta_hat=delta_hat, df_total=3, sample_size=100)
+    with pytest.raises(InvalidInputError):
+        sample_size(0.1, 0.1, delta_hat, 3)
 
 
 def _near_product(rng, counts, eps):
