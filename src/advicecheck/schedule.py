@@ -181,9 +181,8 @@ def build_schedule(
     """
     if horizon_tests < 1:
         raise InvalidInputError("horizon_tests must be >= 1")
-    phases: list[Phase] = []
     plans: list[TestPlan] = []
-    t = 1
+    free_lengths: list[int] = []
     for j in range(1, horizon_tests + 1):
         p_j = rules.p_rule(j)
         delta_j = rules.delta_rule(j)
@@ -191,15 +190,28 @@ def build_schedule(
             plan = plan_test(game, sigma_m, p_j, delta_j, mc_samples=mc_samples, seed=seed + j)
         except InfeasiblePlanError as exc:
             raise InfeasibleScheduleError(j, p_j, exc.psi) from exc
-        l_r = plan.sample_size
-        l_f = int(rules.free_length_rule(l_r))
+        l_f = int(rules.free_length_rule(plan.sample_size))
         if l_f < 1:
             raise InvalidInputError(f"free length rule produced {l_f} at test {j}")
-        phases.append(Phase(PhaseKind.SAMPLING_TEST, j, t, l_r))
-        phases.append(Phase(PhaseKind.FREE_PERIOD, j, t + l_r, l_f))
         plans.append(plan)
-        t += l_r + l_f
-    return Schedule(tuple(phases), tuple(plans), rules, conforming=True)
+        free_lengths.append(l_f)
+    layout = literal_layout([plan.sample_size for plan in plans], free_lengths)
+    return Schedule(layout.phases, tuple(plans), rules, conforming=True)
+
+
+def literal_layout(test_lengths: Sequence[int], free_lengths: Sequence[int]) -> Schedule:
+    """Phases from literal length lists, no plans attached; a free length of 0 omits that period."""
+    if len(test_lengths) != len(free_lengths):
+        raise InvalidInputError("need one free length per test length")
+    phases: list[Phase] = []
+    t = 1
+    for j, (l_r, l_f) in enumerate(zip(test_lengths, free_lengths), start=1):
+        phases.append(Phase(PhaseKind.SAMPLING_TEST, j, t, int(l_r)))
+        t += int(l_r)
+        if int(l_f) > 0:
+            phases.append(Phase(PhaseKind.FREE_PERIOD, j, t, int(l_f)))
+            t += int(l_f)
+    return Schedule(tuple(phases), tuple([None] * len(test_lengths)), rules=None, conforming=False)
 
 
 def toy_schedule(
@@ -214,40 +226,17 @@ def toy_schedule(
 
     Not produced by the planning rules, hence non-conforming: the asymptotic
     growth conditions are not expected to hold and validation refuses it.
-    A free length of 0 omits that free period (the last test may stand alone).
+    Phases come from ``literal_layout`` (a free length of 0 omits that free period).
     """
-    if len(test_lengths) != len(free_lengths):
-        raise InvalidInputError("need one free length per test length")
-    phases: list[Phase] = []
-    plans: list[TestPlan] = []
-    t = 1
-    for j, (l_r, l_f) in enumerate(zip(test_lengths, free_lengths), start=1):
-        plans.append(manual_plan(game, sigma_m, alpha, delta_hat, int(l_r)))
-        phases.append(Phase(PhaseKind.SAMPLING_TEST, j, t, int(l_r)))
-        t += int(l_r)
-        if int(l_f) > 0:
-            phases.append(Phase(PhaseKind.FREE_PERIOD, j, t, int(l_f)))
-            t += int(l_f)
-    return Schedule(tuple(phases), tuple(plans), rules=None, conforming=False)
+    layout = literal_layout(test_lengths, free_lengths)
+    plans = tuple(manual_plan(game, sigma_m, alpha, delta_hat, ph.length) for ph in layout.tests())
+    return Schedule(layout.phases, plans, rules=None, conforming=False)
 
 
 def single_test_schedule(plan: TestPlan) -> Schedule:
     """A schedule holding exactly one sampling test sized by the given plan."""
     phases = (Phase(PhaseKind.SAMPLING_TEST, 1, 1, plan.sample_size),)
     return Schedule(phases, (plan,), rules=None, conforming=False)
-
-
-def literal_layout(test_lengths: Sequence[int], free_lengths: Sequence[int]) -> Schedule:
-    """Phases from literal length lists, with no plans attached."""
-    phases: list[Phase] = []
-    t = 1
-    for j, (l_r, l_f) in enumerate(zip(test_lengths, free_lengths), start=1):
-        phases.append(Phase(PhaseKind.SAMPLING_TEST, j, t, int(l_r)))
-        t += int(l_r)
-        if int(l_f) > 0:
-            phases.append(Phase(PhaseKind.FREE_PERIOD, j, t, int(l_f)))
-            t += int(l_f)
-    return Schedule(tuple(phases), tuple([None] * len(test_lengths)), rules=None, conforming=False)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ period.
 One phase loop plays the schedule for both runners, and one stepper plays
 every round that is not drawn in bulk:
 
-* ``run_game`` steps every round and returns a ``Transcript``, a
-  ``RunSummary`` that also keeps each round's row;
+* ``run_game`` steps every round and returns a ``Transcript``, whose phase
+  results also keep each round's joint signal and joint action index: rows,
+  windows, the CSV and mid-phase ledger averages are read from these columns;
 * ``run_game_counts`` returns a ``RunSummary`` and draws one exact
   multinomial per phase whenever every active behavior is i.i.d. within the
   phase, which makes astronomically long phases cheap;
@@ -26,8 +27,8 @@ randomness the per-round loop would consume, so every output is
 bit-identical to playing round by round; a round after which some strategy
 may change is stepped singly through ``agent_act``.
 
-Utility ledgers accumulate exact rationals (Fractions built from the
-binary-exact float payoffs), so phase segments partition totals exactly.
+Utility ledgers sum exact rationals (joint-action counts times Fractions of
+the binary-exact float payoffs), so phase segments partition totals exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -69,10 +69,15 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class PhaseResult:
+    """One phase of a run; a transcript's also keeps each round's joint signal
+    and joint action index (int64 columns ``signals``, ``joints``)."""
+
     phase: Phase
     rounds_run: int
     counts: np.ndarray
     utility_totals: tuple[Fraction, ...]
+    signals: np.ndarray | None = None
+    joints: np.ndarray | None = None
 
     def empirical(self) -> EmpiricalFrequency:
         return EmpiricalFrequency(counts=self.counts, total=self.rounds_run)
@@ -90,15 +95,27 @@ class RunSummary:
     decisions: dict[tuple[int, int], Decision] = field(default_factory=dict)
 
 
-@dataclass
 class Transcript(RunSummary):
-    """A run summary that also keeps every round."""
-
-    rounds: list[RoundRecord] = field(default_factory=list)
+    """A run summary whose phase results keep every round's index columns."""
 
     @property
     def num_rounds(self) -> int:
-        return len(self.rounds)
+        return sum(pr.rounds_run for pr in self.phase_results)
+
+    @property
+    def rounds(self) -> list[RoundRecord]:
+        """Every round's record, materialised from the phase columns."""
+        return [RoundRecord(*row) for row in self._rows()]
+
+    def _rows(self):
+        """(t, kind, j, signals, joint, actions, utilities) of each round."""
+        decode = list(self.game.all_joint_actions())
+        utilities = [tuple(row) for row in self.game.utilities.tolist()]
+        for pr in self.phase_results:
+            kind, j, begin = pr.phase.kind.value, pr.phase.index, pr.phase.begin
+            for t, signal, joint in zip(range(begin, begin + pr.rounds_run),
+                                        pr.signals.tolist(), pr.joints.tolist()):
+                yield t, kind, j, decode[signal], joint, decode[joint], utilities[joint]
 
 
 @dataclass(frozen=True)
@@ -129,11 +146,11 @@ class LedgerSegment:
 
 @dataclass
 class UtilityLedger:
-    """Per-agent cumulative utility, segmented by phase."""
+    """Per-agent cumulative utility, segmented by phase; a transcript's resolves rounds."""
 
     segments: list[LedgerSegment]
     num_agents: int
-    per_round: list[tuple[Fraction, ...]] | None = None
+    transcript: Transcript | None = field(default=None, repr=False)
 
     def totals(self) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * self.num_agents
@@ -154,10 +171,8 @@ def build_ledger(run: RunSummary) -> UtilityLedger:
                       pr.utility_totals)
         for pr in run.phase_results
     ]
-    per_round = None
-    if isinstance(run, Transcript):
-        per_round = [tuple(Fraction(u) for u in rec.utilities) for rec in run.rounds]
-    return UtilityLedger(segments=segments, num_agents=run.game.num_agents, per_round=per_round)
+    transcript = run if isinstance(run, Transcript) else None
+    return UtilityLedger(segments=segments, num_agents=run.game.num_agents, transcript=transcript)
 
 
 def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
@@ -170,22 +185,22 @@ def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
         raise InvalidInputError("up_to_t must be >= 1")
     if up_to_t > ledger.num_rounds:
         raise InvalidInputError(f"up_to_t={up_to_t} beyond recorded {ledger.num_rounds} rounds")
-    if ledger.per_round is not None:
-        total = sum((u[agent] for u in ledger.per_round[:up_to_t]), Fraction(0))
-        return float(total / up_to_t)
     total = Fraction(0)
-    covered = 0
-    for seg in ledger.segments:
-        if covered + seg.length <= up_to_t:
-            total += seg.totals[agent]
-            covered += seg.length
-            if covered == up_to_t:
-                return float(total / up_to_t)
-        else:
+    rest = up_to_t
+    for i, seg in enumerate(ledger.segments):
+        if rest < seg.length:
             break
-    raise InvalidInputError(
-        f"phase-resolved ledger: up_to_t={up_to_t} is not a phase boundary"
-    )
+        total += seg.totals[agent]
+        rest -= seg.length
+        if rest == 0:
+            return float(total / up_to_t)
+    # up_to_t ends ``rest`` rounds into segment i
+    if ledger.transcript is None:
+        raise InvalidInputError(f"phase-resolved ledger: up_to_t={up_to_t} is not a phase boundary")
+    game = ledger.transcript.game
+    counts = np.bincount(ledger.transcript.phase_results[i].joints[:rest],
+                         minlength=game.num_joint_actions)
+    return float((total + _exact_utility_totals(game, counts)[agent]) / up_to_t)
 
 
 def phase_average(ledger: UtilityLedger, agent: int, kind: str) -> float:
@@ -207,9 +222,8 @@ def empirical_frequency(transcript: Transcript, from_t: int, to_t: int) -> Empir
         raise InvalidInputError(
             f"window [{from_t}, {to_t}] invalid for {transcript.num_rounds} rounds"
         )
-    counts = np.zeros(transcript.game.num_joint_actions, dtype=np.int64)
-    for rec in transcript.rounds[from_t - 1 : to_t]:
-        counts[rec.joint_index] += 1
+    joints = np.concatenate([pr.joints for pr in transcript.phase_results])
+    counts = np.bincount(joints[from_t - 1 : to_t], minlength=transcript.game.num_joint_actions)
     return EmpiricalFrequency(counts=counts, total=to_t - from_t + 1)
 
 
@@ -300,7 +314,7 @@ def _exact_utility_totals(game: Game, counts: np.ndarray) -> tuple[Fraction, ...
 _BLOCK_ROUNDS = 1 << 14
 
 
-def _step(game, phase, states, rngs, length, signals=None, rows=None) -> np.ndarray:
+def _step(game, phase, states, rngs, length, signals=None, joints_out=None) -> np.ndarray:
     """Play ``length`` rounds of a phase; returns their joint-action counts.
 
     ``signals`` holds each round's joint signal index (None when no agent
@@ -309,18 +323,16 @@ def _step(game, phase, states, rngs, length, signals=None, rows=None) -> np.ndar
     column, a constant, or one vector draw (``act_block``), consuming the
     randomness of the per-round loop exactly. A block of one round is stepped
     through ``agent_act``. Rejected agents' learners observe every
-    free-period round. With ``rows`` given, a RoundRecord per round is
-    appended to it.
+    free-period round. With ``joints_out`` given, each round's joint action
+    index is written to it.
     """
     shape = game.action_counts
     index = {joint: i for i, joint in enumerate(game.all_joint_actions())}
     decode = list(index)
-    utilities = [tuple(row) for row in game.utilities.tolist()]
     observers = (
         [st.learner for st in states if st.mode.rejected]
         if phase.kind is PhaseKind.FREE_PERIOD else []
     )
-    kind = phase.kind.value
     counts = [0] * game.num_joint_actions
     bulk = np.zeros(game.num_joint_actions, dtype=np.int64)
     no_signal = (None,) * game.num_agents
@@ -341,9 +353,8 @@ def _step(game, phase, states, rngs, length, signals=None, rows=None) -> np.ndar
             counts[joint] += 1
             for learner in observers:
                 learner.observe(actions)
-            if rows is not None:
-                rows.append(RoundRecord(phase.begin + pos, kind, phase.index, signal, joint,
-                                        actions, utilities[joint]))
+            if joints_out is not None:
+                joints_out[pos] = joint
             pos += 1
             continue
         k = min(int(k), _BLOCK_ROUNDS)
@@ -354,12 +365,8 @@ def _step(game, phase, states, rngs, length, signals=None, rows=None) -> np.ndar
         bulk += np.bincount(joints, minlength=game.num_joint_actions)
         for learner in observers:
             learner.observe_block(actions)
-        if rows is not None:
-            t = phase.begin + pos
-            joints = joints.tolist()
-            rows.extend(map(RoundRecord, range(t, t + k), repeat(kind), repeat(phase.index),
-                            [decode[s] for s in block.tolist()], joints,
-                            zip(*[a.tolist() for a in actions]), [utilities[j] for j in joints]))
+        if joints_out is not None:
+            joints_out[pos : pos + k] = joints
         pos += k
     return np.array(counts, dtype=np.int64) + bulk
 
@@ -367,10 +374,11 @@ def _step(game, phase, states, rngs, length, signals=None, rows=None) -> np.ndar
 def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_override=None):
     """Play the schedule into ``run``: the phase loop behind both runners.
 
-    A Transcript steps every phase and keeps its rows. Otherwise a phase in
-    which every active behavior is i.i.d. (followers track the signal;
-    rejected agents play fixed strategies) is one exact multinomial draw from
-    the announcement composed with the deviators' mixes, and a phase with a
+    A Transcript steps every phase and keeps its columns (the signals copied,
+    never a view of ``signal_override``). Otherwise a phase in which every
+    active behavior is i.i.d. (followers track the signal; rejected agents
+    play fixed strategies) is one exact multinomial draw from the
+    announcement composed with the deviators' mixes, and a phase with a
     sequential learner is stepped (``_step``).
     """
     game, sigma_m = run.game, run.sigma_m
@@ -381,7 +389,7 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
     if signal_override is not None and len(signal_override) < horizon:
         raise InvalidInputError(f"signal_override covers fewer than {horizon} rounds")
     mediator_rng, agent_rngs, states = _setup_agents(game, sigma_m, agent_configs, run.seed)
-    rows = run.rounds if isinstance(run, Transcript) else None
+    record = isinstance(run, Transcript)
     n_joint = game.num_joint_actions
     for phase in schedule.phases:
         if phase.begin > horizon:
@@ -390,20 +398,23 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
         if phase.kind is PhaseKind.FREE_PERIOD:
             for st in states:
                 st.begin_free_period()
-        deviators = None if rows is not None else _iid_deviators(states, phase)
+        deviators = None if record else _iid_deviators(states, phase)
+        signals = joints = None
         if deviators is not None:
             dist = compose_deviation(sigma_m, game, deviators).probs if deviators else probs
             counts = mediator_rng.multinomial(length, dist).astype(np.int64)
         else:
             if signal_override is not None:
-                signals = np.asarray(signal_override[phase.begin - 1 : phase.begin - 1 + length],
-                                     dtype=np.intp)
+                signals = np.array(signal_override[phase.begin - 1 : phase.begin - 1 + length],
+                                   dtype=np.int64)
             else:
                 signals = mediator_rng.choice(n_joint, size=length, p=probs)
-            counts = _step(game, phase, states, agent_rngs, length, signals, rows)
-        run.phase_results.append(
-            PhaseResult(phase, length, counts, _exact_utility_totals(game, counts))
-        )
+            joints = np.empty(length, dtype=np.int64) if record else None
+            counts = _step(game, phase, states, agent_rngs, length, signals, joints)
+        run.phase_results.append(PhaseResult(
+            phase, length, counts, _exact_utility_totals(game, counts),
+            signals=None if joints is None else signals, joints=joints,
+        ))
         if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
             plan = schedule.plan_for(phase.index)
             if plan is not None:
@@ -487,6 +498,8 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     """
     if rounds < 0:
         raise InvalidInputError("rounds must be nonnegative")
+    if len(learner_specs) != game.num_agents:
+        raise InvalidInputError("need one learner spec per agent")
     states = [
         # every agent is rejected and the fall-back is never played in a free period
         AgentState(id=i, fallback=MixedStrategy([1.0] + [0.0] * (game.action_counts[i] - 1)),
@@ -563,13 +576,10 @@ def transcript_to_csv(transcript: Transcript, path) -> None:
             + [f"action_{i+1}" for i in range(n)]
             + [f"utility_{i+1}" for i in range(n)]
         )
-        for rec in transcript.rounds:
-            writer.writerow(
-                [rec.t, rec.phase_kind, rec.phase_index]
-                + list(rec.signals)
-                + list(rec.actions)
-                + [repr(u) for u in rec.utilities]
-            )
+        writer.writerows(
+            [t, kind, j, *signals, *actions, *map(repr, utilities)]
+            for t, kind, j, signals, _, actions, utilities in transcript._rows()
+        )
 
 
 def run_summary_dict(run: RunSummary) -> dict:

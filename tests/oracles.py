@@ -5,9 +5,10 @@ is a direct triple loop over (agent, signal, deviation) computed from raw
 arrays, deviations are composed cell by cell, psi is estimated from dense
 composed distributions, and the repeated game is replayed by a plain
 per-round loop over the public agent and decision primitives, as is the
-pure-learning baseline.
+pure-learning baseline; the transcript CSV is written one record at a time.
 """
 
+import csv
 import itertools
 from fractions import Fraction
 
@@ -212,3 +213,22 @@ def per_round_pure_learning(game, learner_specs, rounds, seed=0):
         for agent in range(game.num_agents)
     )
     return counts, totals
+
+
+def write_rows_csv(rows, num_agents, path):
+    """Reference for ``transcript_to_csv``: one CSV row per RoundRecord."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["t", "phase", "j"]
+            + [f"signal_{i+1}" for i in range(num_agents)]
+            + [f"action_{i+1}" for i in range(num_agents)]
+            + [f"utility_{i+1}" for i in range(num_agents)]
+        )
+        for rec in rows:
+            writer.writerow(
+                [rec.t, rec.phase_kind, rec.phase_index]
+                + list(rec.signals)
+                + list(rec.actions)
+                + [repr(u) for u in rec.utilities]
+            )

@@ -49,6 +49,17 @@ def test_locate_worked_points():
     assert ph.kind is PhaseKind.FREE_PERIOD and ph.index == 1 and off == 0
 
 
+def test_literal_layout_refuses_mismatched_lengths(game, ce_strategy):
+    # zip would silently drop the second test
+    with pytest.raises(InvalidInputError):
+        literal_layout([1, 2], [2])
+    with pytest.raises(InvalidInputError):
+        literal_layout([1], [2, 2])
+    with pytest.raises(InvalidInputError):
+        toy_schedule(game, ce_strategy, alpha=0.1, delta_hat=0.01,
+                     test_lengths=[10, 20], free_lengths=[30])
+
+
 def test_locate_bounds():
     lay = literal_layout([1, 2], [2, 2])
     with pytest.raises(InvalidInputError):

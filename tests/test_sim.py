@@ -28,9 +28,9 @@ from advicecheck import (
     tv_distance,
 )
 from advicecheck import sim
-from advicecheck.sim import run_summary_dict
+from advicecheck.sim import run_summary_dict, transcript_to_csv
 
-from oracles import per_round_game, per_round_pure_learning
+from oracles import per_round_game, per_round_pure_learning, write_rows_csv
 
 FP = {"name": "fictitious-play"}
 UNIFORM = {"name": "uniform"}
@@ -148,7 +148,7 @@ def test_ledger_partitions_total_exactly(game, ce_strategy, small_toy):
     ledger = build_ledger(tr)
     totals = ledger.totals()
     for agent in range(2):
-        per_round_sum = sum((u[agent] for u in ledger.per_round), Fraction(0))
+        per_round_sum = sum((Fraction(rec.utilities[agent]) for rec in tr.rounds), Fraction(0))
         assert totals[agent] == per_round_sum  # exact rational equality
     assert ledger.num_rounds == tr.num_rounds
     assert len(ledger.segments) == 4
@@ -186,6 +186,28 @@ def test_counts_ledger_boundary_only(game, ce_strategy, small_toy):
         average_utility(ledger, 0, 450)  # mid-phase needs per-round data
 
 
+@pytest.mark.parametrize("announcement", ["ce_strategy", "non_ce_strategy"])
+@pytest.mark.parametrize("configs", ORACLE_CONFIGS, ids=["fp-fp", "fp-uniform", "uniform-trigger"])
+def test_transcript_csv_matches_per_record_writer(game, announcement, configs, request, tmp_path):
+    sigma = request.getfixturevalue(announcement)
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[150, 200], free_lengths=[400, 300])
+    # the whole horizon, and caps ending mid free period 1 and mid test 2
+    for rounds in (None, 300, 700):
+        for seed in range(2):
+            tr = run_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            rows, _ = per_round_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            transcript_to_csv(tr, tmp_path / "got.csv")
+            write_rows_csv(rows, game.num_agents, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_pure_learning_needs_one_spec_per_agent(game):
+    for specs in ([UNIFORM], [UNIFORM] * 3):
+        with pytest.raises(InvalidInputError):
+            run_pure_learning(game, specs, rounds=10, seed=0)
+
+
 def test_tv_distance_examples(ce_strategy):
     assert tv_distance(ce_strategy, ce_strategy) == 0.0
     assert tv_distance([1, 0, 0, 0], [0, 0, 0, 1]) == 1.0
@@ -217,6 +239,10 @@ def test_signal_privacy(game):
     acts_a = [rec.actions[1] for rec in tr_a.rounds]
     acts_b = [rec.actions[1] for rec in tr_b.rounds]
     assert acts_a == acts_b
+    # the transcript owns its signal column: the override may change afterwards
+    rows_a = tr_a.rounds
+    base[:] = 3
+    assert tr_a.rounds == rows_a
 
 
 def test_short_signal_override_refused(game, ce_strategy, small_toy):
@@ -323,10 +349,14 @@ def test_transcript_phase_results_match_rows(game, non_ce_strategy):
             exact = sum((Fraction(rec.utilities[agent]) for rec in rows), Fraction(0))
             assert pr.utility_totals[agent] == exact
     ledger = build_ledger(tr)
-    # a transcript's ledger still answers mid-phase questions from its rows
-    assert average_utility(ledger, 0, 200) == float(
-        sum((Fraction(rec.utilities[0]) for rec in tr.rounds[:200]), Fraction(0)) / 200
-    )
+    # a transcript's ledger answers any t, mid-phase too, exactly as its rows do
+    ends = np.cumsum([pr.rounds_run for pr in tr.phase_results]).tolist()
+    checked = {1, 200, tr.num_rounds} | {t + d for t in ends for d in (-1, 0, 1)}
+    rows = tr.rounds
+    for t in sorted(x for x in checked if 1 <= x <= tr.num_rounds):
+        for agent in range(game.num_agents):
+            exact = sum((Fraction(rec.utilities[agent]) for rec in rows[:t]), Fraction(0))
+            assert average_utility(ledger, agent, t) == float(exact / t)
 
 
 @pytest.mark.parametrize("configs", [ORACLE_CONFIGS[0], [{}, {"learner": TRIGGER}]],
