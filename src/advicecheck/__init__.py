@@ -27,6 +27,7 @@ from .errors import (
     InfeasibleScheduleError,
     InvalidInputError,
     NoDataError,
+    NonConvergenceError,
     UndefinedConditionalError,
     ZeroCellObserved,
 )

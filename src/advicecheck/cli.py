@@ -20,7 +20,7 @@ import numpy as np
 
 from . import schedule as sched
 from . import sim, verifier
-from .errors import InvalidInputError, ZeroCellObserved
+from .errors import InvalidInputError, NonConvergenceError, ZeroCellObserved
 from .games import check_correlated_equilibrium, compose_deviation, load_game, load_strategy
 
 EXIT_OK = 0
@@ -112,14 +112,21 @@ def cmd_test(args) -> int:
     return EXIT_OK if not decision.rejected else EXIT_DOMAIN
 
 
+def _required(cfg: dict, key: str, where: str):
+    """cfg[key], or an InvalidInputError naming the missing key."""
+    if key not in cfg:
+        raise InvalidInputError(f"{where} lacks required key {key!r}")
+    return cfg[key]
+
+
 def _rules_from_config(cfg) -> sched.ScheduleRules:
     kind = cfg.get("kind", "harmonic")
     if kind == "harmonic":
         return sched.harmonic_rules()
     if kind == "geometric":
         return sched.geometric_rules(
-            delta0=cfg["delta0"],
-            p0=cfg["p0"],
+            delta0=_required(cfg, "delta0", "geometric schedule"),
+            p0=_required(cfg, "p0", "geometric schedule"),
             delta_decay=cfg.get("delta_decay", 16.0),
             p_decay=cfg.get("p_decay", 2.0),
         )
@@ -132,8 +139,8 @@ def _schedule_from_config(game, sigma, cfg, mc_samples, seed):
             game, sigma,
             alpha=cfg.get("alpha", 0.1),
             delta_hat=cfg.get("delta_hat", 0.01),
-            test_lengths=cfg["test_lengths"],
-            free_lengths=cfg["free_lengths"],
+            test_lengths=_required(cfg, "test_lengths", "toy schedule"),
+            free_lengths=_required(cfg, "free_lengths", "toy schedule"),
         )
     rules = _rules_from_config(cfg)
     return sched.build_schedule(
@@ -199,10 +206,12 @@ def cmd_schedule(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise InvalidInputError("simulate config must be a JSON object")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     mc_samples = args.mc_samples or int(cfg.get("mc_samples", verifier.DEFAULT_MC_SAMPLES))
-    game = load_game(cfg["game"])
-    sigma = load_strategy(cfg["strategy"])
+    game = load_game(_required(cfg, "game", "simulate config"))
+    sigma = load_strategy(_required(cfg, "strategy", "simulate config"))
     if len(sigma) != game.num_joint_actions:
         raise InvalidInputError("strategy length does not match the game")
     schedule = _schedule_from_config(game, sigma, cfg.get("schedule", {}), mc_samples, seed)
@@ -322,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroCellObserved, FileNotFoundError) as exc:
+    except (ValueError, ZeroCellObserved, FileNotFoundError, NonConvergenceError) as exc:
         # InvalidInputError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,13 @@ class UndefinedConditionalError(InvalidInputError):
     """Conditioning on a signal whose marginal probability is zero."""
 
 
+class NonConvergenceError(ArithmeticError):
+    """A numerical series or continued fraction did not converge within its cap.
+
+    Raised instead of returning a value of unknown accuracy.
+    """
+
+
 class ZeroCellObserved(Exception):
     """A joint action with announced probability zero was observed.
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from advicecheck import (
     InvalidInputError,
+    NonConvergenceError,
     PowerQuery,
     chi2_cdf,
     chi2_quantile,
@@ -15,6 +16,7 @@ from advicecheck import (
     power_beta,
     sample_size,
 )
+from advicecheck import chi2
 
 CENTRAL_GRID = [(0.5, 1), (2.0, 1), (1.0, 2), (1.3863, 2), (3.0, 3), (6.251, 3),
                 (10.0, 5), (4.0, 8), (20.0, 10), (8.0, 6)]
@@ -181,3 +183,80 @@ def test_power_query_validation():
         PowerQuery(alpha=0.1, delta_hat=-1.0, df_total=3, sample_size=10)
     with pytest.raises(InvalidInputError):
         PowerQuery(alpha=0.1, delta_hat=0.01, df_total=0, sample_size=10)
+
+
+# Accuracy over the whole documented domain: df up to 2e5, ncp up to 1e8 and
+# quantiles 1e-6..1-1e-6, at the tolerances of the grid tests above. The
+# grids hold the cases that used to fail: df = 2e5 at the median (the series
+# stopped after 500 terms, off by 0.057) and df = 3 at ncp 1e5 (off by 1.6e-3)
+# and 1e6 (an internal assert fired).
+QUANTILES = (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6)
+WIDE_DFS = (1, 3, 26, 200, 20_000, 200_000)
+WIDE_NCPS = (1e-3, 0.5, 50.0, 1e3, 1e5, 1e6, 1e8)
+
+
+def test_chi2_cdf_matches_scipy_over_wide_domain():
+    for df in WIDE_DFS:
+        for q in QUANTILES:
+            x = scipy.stats.chi2.ppf(q, df)
+            assert chi2_cdf(x, df) == pytest.approx(scipy.stats.chi2.cdf(x, df), abs=1e-10)
+
+
+def test_noncentral_matches_scipy_over_wide_domain():
+    for df in WIDE_DFS:
+        for ncp in WIDE_NCPS:
+            for q in QUANTILES:
+                x = scipy.stats.ncx2.ppf(q, df, ncp)
+                assert noncentral_chi2_cdf(x, df, ncp) == pytest.approx(
+                    scipy.stats.ncx2.cdf(x, df, ncp), abs=1e-9
+                ), (df, ncp, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_df=st.floats(0.0, math.log(2e5)),
+    log_ncp=st.floats(math.log(1e-4), math.log(1e8)),
+    log_q=st.floats(math.log(1e-6), math.log(0.5)),
+    upper=st.booleans(),
+)
+def test_cdfs_match_scipy_anywhere(log_df, log_ncp, log_q, upper):
+    df = max(1, round(math.exp(log_df)))
+    ncp = math.exp(log_ncp)
+    q = -math.expm1(log_q) if upper else math.exp(log_q)
+    x = scipy.stats.chi2.ppf(q, df)
+    assert chi2_cdf(x, df) == pytest.approx(scipy.stats.chi2.cdf(x, df), abs=1e-10)
+    x = scipy.stats.ncx2.ppf(q, df, ncp)
+    assert noncentral_chi2_cdf(x, df, ncp) == pytest.approx(
+        scipy.stats.ncx2.cdf(x, df, ncp), abs=1e-9
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.floats(0.0, 1e6),
+    df=st.integers(1, 500),
+    ncp=st.floats(1e-3, 1e6),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_inputs_refused(x, df, ncp, bad):
+    with pytest.raises(InvalidInputError):
+        chi2_cdf(math.nan, df)
+    with pytest.raises(InvalidInputError):
+        noncentral_chi2_cdf(math.nan, df, ncp)
+    with pytest.raises(InvalidInputError):
+        noncentral_chi2_cdf(x, df, bad)
+    with pytest.raises(InvalidInputError):
+        chi2_cdf(x, bad)
+    with pytest.raises(InvalidInputError):
+        noncentral_chi2_cdf(x, bad, ncp)
+    assert chi2_cdf(math.inf, df) == 1.0
+    assert noncentral_chi2_cdf(math.inf, df, ncp) == 1.0
+
+
+def test_incomplete_gamma_raises_instead_of_stopping(monkeypatch):
+    # a cap too small to converge must raise, never return a partial sum
+    monkeypatch.setattr(chi2, "_iteration_cap", lambda a: 3)
+    with pytest.raises(NonConvergenceError):
+        chi2_cdf(100.0, 200)
+    with pytest.raises(NonConvergenceError):
+        chi2_cdf(300.0, 200)

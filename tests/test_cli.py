@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from advicecheck import NonConvergenceError, verifier
 from advicecheck.cli import main
 
 GAME = "fixtures/small_game.json"
@@ -216,3 +219,60 @@ def test_batch_summary_order_independent(game, ce_strategy):
 
 def test_missing_file_exits_2(capsys):
     assert main(["check-ce", "--game", "no-such.json", "--strategy", CE]) == 2
+
+
+def test_simulate_1e8_round_test_in_counts_mode(tmp_path, capsys):
+    # a 1e8-round toy test has noncentrality 1e6, where the noncentral CDF
+    # used to fail an internal assert
+    cfg = {
+        "game": GAME,
+        "strategy": CE,
+        "record": "counts",
+        "agents": [{"learner": {"name": "uniform"}}, {"learner": {"name": "uniform"}}],
+        "schedule": {"kind": "toy", "alpha": 0.1, "delta_hat": 0.01,
+                     "test_lengths": [10**8], "free_lengths": [10**18]},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "batch"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seeds", "1"]) == 0
+    batch = json.loads((out / "batch_summary.json").read_text())
+    assert batch["num_seeds"] == 1
+    assert sorted(batch["decision_tallies"]) == ["agent1.test1", "agent2.test1"]
+
+
+TOY = {"kind": "toy", "alpha": 0.1, "delta_hat": 0.01, "test_lengths": [100], "free_lengths": [200]}
+GEOMETRIC = {"kind": "geometric", "delta0": 0.01, "p0": 0.2, "horizon_tests": 1}
+
+
+@pytest.mark.parametrize("schedule, key", [
+    (TOY, "game"), (TOY, "strategy"), (TOY, "test_lengths"), (TOY, "free_lengths"),
+    (GEOMETRIC, "delta0"), (GEOMETRIC, "p0"),
+])
+def test_simulate_config_missing_key_exits_2(tmp_path, capsys, schedule, key):
+    cfg = {"game": GAME, "strategy": CE, "schedule": dict(schedule)}
+    cfg.pop(key, None)
+    cfg["schedule"].pop(key, None)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(key) in err
+
+
+def test_simulate_config_not_an_object_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_numerics_failure_exits_2(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NonConvergenceError("incomplete gamma series did not converge")
+
+    monkeypatch.setattr(verifier, "plan_test", fail)
+    code = main(["plan", "--game", GAME, "--strategy", CE, "--p", "0.1", "--delta-hat", "0.01"])
+    assert code == 2
+    assert "did not converge" in capsys.readouterr().err
