@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError
-from .games import Game, MixedStrategy
+from .games import Game, MixedStrategy, _agent_view
 from .schedule import Phase, PhaseKind
 
 
@@ -27,6 +27,13 @@ class Mode(Enum):
     @property
     def rejected(self) -> bool:
         return self is not Mode.FOLLOWING_MEDIATOR
+
+
+def _bounded_int(value, what: str, bound) -> int:
+    """``value`` as an integer in [0, bound), else InvalidInputError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < bound:
+        raise InvalidInputError(f"{what} must be an integer in [0, {bound}), got {value!r}")
+    return int(value)
 
 
 class Learner:
@@ -100,8 +107,7 @@ class FictitiousPlayLearner(Learner):
         # own-utility tensor as nested lists (hot loop avoids numpy dispatch):
         # _u[own_action][opponent joint index], row-major over opponents
         own = game.action_counts[agent]
-        tensor = np.moveaxis(game.utilities[:, agent].reshape(game.action_counts), agent, 0)
-        self._u = tensor.reshape(own, -1).tolist()
+        self._u = _agent_view(game.utilities[:, agent], game, agent).tolist()
         # point-mass strategies, one per own action (returned read-only)
         self._points = [[1.0 if i == a else 0.0 for i in range(own)] for a in range(own)]
         self._uniform_opp = [
@@ -191,11 +197,9 @@ class TriggerLearner(Learner):
 
     def __init__(self, action_count: int, initial_action: int, switch_action: int,
                  watch_agent: int, watch_action: int):
-        if not 0 <= initial_action < action_count or not 0 <= switch_action < action_count:
-            raise InvalidInputError("trigger actions out of range")
         self.action_count = action_count
-        self.initial_action = initial_action
-        self.switch_action = switch_action
+        self.initial_action = _bounded_int(initial_action, "trigger initial_action", action_count)
+        self.switch_action = _bounded_int(switch_action, "trigger switch_action", action_count)
         self.watch_agent = watch_agent
         self.watch_action = watch_action
         self.triggered = False
@@ -221,21 +225,23 @@ class TriggerLearner(Learner):
 
 
 def make_learner(spec: dict | None, game: Game, agent: int) -> Learner:
-    """Build a learner from a config spec: {"name": ..., **params}."""
-    spec = dict(spec or {"name": "uniform"})
-    name = spec.pop("name")
+    """Build a learner from a config spec: {"name": ..., **params}, checked against the game."""
+    if spec is not None and not isinstance(spec, dict):
+        raise InvalidInputError(f"learner spec must be an object, got {spec!r}")
+    spec = spec or {"name": "uniform"}
+    name = spec.get("name")
     if name == "uniform":
         return UniformLearner(game.action_counts[agent])
     if name == "fictitious-play":
         return FictitiousPlayLearner(game, agent)
     if name == "trigger":
-        return TriggerLearner(
-            action_count=game.action_counts[agent],
-            initial_action=int(spec.get("initial_action", 0)),
-            switch_action=int(spec.get("switch_action", 0)),
-            watch_agent=int(spec.get("watch_agent", (agent + 1) % game.num_agents)),
-            watch_action=int(spec.get("watch_action", 0)),
-        )
+        counts = game.action_counts
+        watch = _bounded_int(spec.get("watch_agent", (agent + 1) % len(counts)),
+                             "trigger watch_agent", len(counts))
+        return TriggerLearner(counts[agent], spec.get("initial_action", 0),
+                              spec.get("switch_action", 0), watch,
+                              _bounded_int(spec.get("watch_action", 0), "trigger watch_action",
+                                           counts[watch]))
     raise InvalidInputError(f"unknown learner {name!r}")
 
 

@@ -28,9 +28,9 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _load_inputs(args):
-    game = load_game(args.game)
-    sigma = load_strategy(args.strategy)
+def _load_inputs(game_path, strategy_path):
+    game = load_game(game_path)
+    sigma = load_strategy(strategy_path)
     if len(sigma) != game.num_joint_actions:
         raise InvalidInputError(
             f"strategy has {len(sigma)} entries, game has {game.num_joint_actions} joint actions"
@@ -39,7 +39,7 @@ def _load_inputs(args):
 
 
 def cmd_check_ce(args) -> int:
-    game, sigma = _load_inputs(args)
+    game, sigma = _load_inputs(args.game, args.strategy)
     verdict = check_correlated_equilibrium(game, sigma, tolerance=args.tolerance)
     if verdict.is_equilibrium:
         print("correlated equilibrium: yes")
@@ -54,7 +54,7 @@ def cmd_check_ce(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    game, sigma = _load_inputs(args)
+    game, sigma = _load_inputs(args.game, args.strategy)
     plan = verifier.plan_test(
         game, sigma, p=args.p, delta_hat=args.delta_hat,
         mc_samples=args.mc_samples, seed=args.seed,
@@ -81,7 +81,7 @@ def _simulated_counts(args, game, sigma, sample_size):
 
 
 def cmd_test(args) -> int:
-    game, sigma = _load_inputs(args)
+    game, sigma = _load_inputs(args.game, args.strategy)
     if args.counts:
         # the counts are the sample: size the test from them
         with open(args.counts) as fh:
@@ -112,40 +112,54 @@ def cmd_test(args) -> int:
     return EXIT_OK if not decision.rejected else EXIT_DOMAIN
 
 
-def _required(cfg: dict, key: str, where: str):
-    """cfg[key], or an InvalidInputError naming the missing key."""
+_NUMBER = (int, float)
+_REQUIRED = object()
+
+
+def _typed(value, kind) -> bool:
+    """Whether a JSON value has ``kind``: a type, a tuple of them, or [t] for a list of t."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_typed(v, kind[0]) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _entry(cfg: dict, key: str, where: str, kind, default=_REQUIRED):
+    """cfg[key] if it has ``kind`` (a bool is no number), or ``default`` when absent."""
     if key not in cfg:
-        raise InvalidInputError(f"{where} lacks required key {key!r}")
+        if default is _REQUIRED:
+            raise InvalidInputError(f"{where} lacks required key {key!r}")
+        return default
+    if not _typed(cfg[key], kind):
+        raise InvalidInputError(f"{where} entry {key!r} has the wrong type: {cfg[key]!r}")
     return cfg[key]
 
 
-def _rules_from_config(cfg) -> sched.ScheduleRules:
-    kind = cfg.get("kind", "harmonic")
-    if kind == "harmonic":
-        return sched.harmonic_rules()
-    if kind == "geometric":
-        return sched.geometric_rules(
-            delta0=_required(cfg, "delta0", "geometric schedule"),
-            p0=_required(cfg, "p0", "geometric schedule"),
-            delta_decay=cfg.get("delta_decay", 16.0),
-            p_decay=cfg.get("p_decay", 2.0),
-        )
-    raise InvalidInputError(f"unknown schedule rule kind {kind!r}")
-
-
 def _schedule_from_config(game, sigma, cfg, mc_samples, seed):
-    if cfg.get("kind") == "toy":
+    if not isinstance(cfg, dict):
+        raise InvalidInputError(f"schedule must be a JSON object, got {cfg!r}")
+    kind = cfg.get("kind", "harmonic")
+    if kind == "toy":
         return sched.toy_schedule(
             game, sigma,
-            alpha=cfg.get("alpha", 0.1),
-            delta_hat=cfg.get("delta_hat", 0.01),
-            test_lengths=_required(cfg, "test_lengths", "toy schedule"),
-            free_lengths=_required(cfg, "free_lengths", "toy schedule"),
+            alpha=_entry(cfg, "alpha", "toy schedule", _NUMBER, 0.1),
+            delta_hat=_entry(cfg, "delta_hat", "toy schedule", _NUMBER, 0.01),
+            test_lengths=_entry(cfg, "test_lengths", "toy schedule", [int]),
+            free_lengths=_entry(cfg, "free_lengths", "toy schedule", [int]),
         )
-    rules = _rules_from_config(cfg)
+    if kind == "harmonic":
+        rules = sched.harmonic_rules()
+    elif kind == "geometric":
+        rules = sched.geometric_rules(
+            delta0=_entry(cfg, "delta0", "geometric schedule", _NUMBER),
+            p0=_entry(cfg, "p0", "geometric schedule", _NUMBER),
+            delta_decay=_entry(cfg, "delta_decay", "geometric schedule", _NUMBER, 16.0),
+            p_decay=_entry(cfg, "p_decay", "geometric schedule", _NUMBER, 2.0),
+        )
+    else:
+        raise InvalidInputError(f"unknown schedule rule kind {kind!r}")
     return sched.build_schedule(
         game, sigma, rules,
-        horizon_tests=int(cfg.get("horizon_tests", 3)),
+        horizon_tests=_entry(cfg, "horizon_tests", "schedule", int, 3),
         mc_samples=mc_samples, seed=seed,
     )
 
@@ -181,7 +195,7 @@ def _schedule_rows(schedule: sched.Schedule):
 
 
 def cmd_schedule(args) -> int:
-    game, sigma = _load_inputs(args)
+    game, sigma = _load_inputs(args.game, args.strategy)
     cfg = {"kind": args.rules, "horizon_tests": args.tests}
     if args.rules == "geometric":
         cfg.update(delta0=args.delta0, p0=args.p0)
@@ -208,16 +222,15 @@ def cmd_simulate(args) -> int:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise InvalidInputError("simulate config must be a JSON object")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    mc_samples = args.mc_samples or int(cfg.get("mc_samples", verifier.DEFAULT_MC_SAMPLES))
-    game = load_game(_required(cfg, "game", "simulate config"))
-    sigma = load_strategy(_required(cfg, "strategy", "simulate config"))
-    if len(sigma) != game.num_joint_actions:
-        raise InvalidInputError("strategy length does not match the game")
+    where = "simulate config"
+    seed = args.seed if args.seed is not None else _entry(cfg, "seed", where, int, 0)
+    mc_samples = args.mc_samples or _entry(cfg, "mc_samples", where, int,
+                                           verifier.DEFAULT_MC_SAMPLES)
+    game, sigma = _load_inputs(_entry(cfg, "game", where, str), _entry(cfg, "strategy", where, str))
     schedule = _schedule_from_config(game, sigma, cfg.get("schedule", {}), mc_samples, seed)
     agent_configs = cfg.get("agents")
     rounds = cfg.get("rounds")
-    outdir = Path(args.out or cfg.get("output_dir", "out"))
+    outdir = Path(args.out or _entry(cfg, "output_dir", where, str, "out"))
     outdir.mkdir(parents=True, exist_ok=True)
     if args.seeds:
         # batch mode: independent generators per seed, order-free aggregation
@@ -331,7 +344,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroCellObserved, FileNotFoundError, NonConvergenceError) as exc:
+    except (ValueError, ZeroCellObserved, OSError, NonConvergenceError) as exc:
         # InvalidInputError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

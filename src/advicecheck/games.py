@@ -3,6 +3,10 @@
 Joint actions are indexed row-major over (a_1, ..., a_n): agent 1's action is
 the slowest-varying coordinate. Every vector over the joint action set uses
 this order. Utilities must be nonnegative.
+Joint vectors are seen per agent through one view (``_agent_view``: rows are
+that agent's actions, columns the others' joint actions), and deviators are
+composed with one factor (``_others_marginal``: the announcement's marginal on
+the non-deviators) by one routine (``_composed``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,10 @@ GAP_TOL = 1e-9
 
 
 def _as_prob_vector(probs, name: str) -> np.ndarray:
-    v = np.array(probs, dtype=float)  # copy: strategies own their storage
+    try:
+        v = np.array(probs, dtype=float)  # copy: strategies own their storage
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} is not a vector of numbers: {probs!r}") from exc
     if v.ndim != 1:
         raise InvalidInputError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(v)):
@@ -158,16 +165,7 @@ def expected_utility(game: Game, profile) -> np.ndarray:
     """
     if len(profile) != game.num_agents:
         raise InvalidInputError("profile must have one strategy per agent")
-    strats = []
-    for i, s in enumerate(profile):
-        v = s.probs if isinstance(s, MixedStrategy) else _as_prob_vector(s, f"strategy {i}")
-        if len(v) != game.action_counts[i]:
-            raise InvalidInputError(f"strategy {i} has wrong action count")
-        strats.append(v)
-    joint = strats[0]
-    for v in strats[1:]:
-        joint = np.multiply.outer(joint, v)
-    return joint.ravel() @ game.utilities
+    return _composed(1.0, game, dict(enumerate(profile))) @ game.utilities
 
 
 def joint_distribution(sigma: CorrelatedStrategy | np.ndarray, game: Game) -> np.ndarray:
@@ -175,6 +173,18 @@ def joint_distribution(sigma: CorrelatedStrategy | np.ndarray, game: Game) -> np
     if len(v) != game.num_joint_actions:
         raise InvalidInputError("strategy length does not match the game's joint action set")
     return v
+
+
+def _agent_view(vector: np.ndarray, game: Game, agent: int) -> np.ndarray:
+    """A joint vector as agent's actions x the others' joint actions, row-major."""
+    order = (agent, *(i for i in range(game.num_agents) if i != agent))  # np.moveaxis, cheaper
+    return vector.reshape(game.action_counts).transpose(order).reshape(game.action_counts[agent], -1)
+
+
+def _others_marginal(tensor: np.ndarray, deviators: tuple[int, ...]):
+    """sigma's marginal on the non-deviators, keeping the deviators' axes at
+    length 1, or 1.0 when every agent deviates."""
+    return 1.0 if len(deviators) == tensor.ndim else tensor.sum(axis=deviators, keepdims=True)
 
 
 def conditional_given_signal(
@@ -190,52 +200,36 @@ def conditional_given_signal(
         raise InvalidInputError(f"agent {agent} out of range")
     if not 0 <= signal < game.action_counts[agent]:
         raise InvalidInputError(f"signal {signal} out of range for agent {agent}")
-    tensor = probs.reshape(game.action_counts)
-    slab = np.take(tensor, signal, axis=agent).ravel()
-    total = float(slab.sum())
+    row = _agent_view(probs, game, agent)[signal]
+    total = float(row.sum())
     if total <= 0.0:
         raise UndefinedConditionalError(
             f"signal {signal} of agent {agent} has zero marginal probability"
         )
-    return slab / total
+    return row / total
 
 
 def signal_marginal(sigma: CorrelatedStrategy, game: Game, agent: int) -> np.ndarray:
     """Marginal distribution of one agent's signal under sigma."""
-    tensor = joint_distribution(sigma, game).reshape(game.action_counts)
-    axes = tuple(i for i in range(game.num_agents) if i != agent)
-    return tensor.sum(axis=axes)
-
-
-def _deviation_gaps(game: Game, tensor: np.ndarray, agent: int, signal: int):
-    """Yield (deviation, gap) over all alternative actions at one signal.
-
-    gap > 0 means deviating beats following; uses unnormalized conditional
-    weights (the normalizer is positive and common to both sides).
-    """
-    weights = np.take(tensor, signal, axis=agent)  # over opponents' actions
-    u = game.utilities[:, agent].reshape(game.action_counts)
-    follow = float((weights * np.take(u, signal, axis=agent)).sum())
-    marginal = float(weights.sum())
-    for alt in range(game.action_counts[agent]):
-        if alt == signal:
-            continue
-        dev = float((weights * np.take(u, alt, axis=agent)).sum())
-        yield alt, (dev - follow) / marginal
+    return _agent_view(joint_distribution(sigma, game), game, agent).sum(axis=1)
 
 
 def agent_incentive_violations(
     game: Game, sigma: CorrelatedStrategy, agent: int, tolerance: float = GAP_TOL
 ) -> list[CeViolation]:
-    """Profitable deviations for one agent across its positive-marginal signals."""
-    tensor = joint_distribution(sigma, game).reshape(game.action_counts)
+    """Profitable deviations for one agent across its positive-marginal signals.
+
+    ``values[s, a]`` is the payoff of playing a against the unnormalized
+    conditional weights at signal s; gap > 0 means deviating beats following.
+    """
+    weights = _agent_view(joint_distribution(sigma, game), game, agent)
+    values = weights @ _agent_view(game.utilities[:, agent], game, agent).T
+    marginal = weights.sum(axis=1)
     out = []
-    for signal in range(game.action_counts[agent]):
-        if float(np.take(tensor, signal, axis=agent).sum()) <= 0.0:
-            continue  # zero-probability signal imposes no constraint
-        for alt, gap in _deviation_gaps(game, tensor, agent, signal):
-            if gap > tolerance:
-                out.append(CeViolation(agent, signal, alt, gap))
+    for signal in np.flatnonzero(marginal > 0.0):
+        gaps = (values[signal] - values[signal, signal]) / marginal[signal]
+        out.extend(CeViolation(agent, int(signal), int(alt), float(gaps[alt]))
+                   for alt in np.flatnonzero(gaps > tolerance) if alt != signal)
     return out
 
 
@@ -280,6 +274,18 @@ def marginal_excluding(
     return float(tensor[partial]) if keep else float(tensor)
 
 
+def _composed(base, game: Game, mixes: dict) -> np.ndarray:
+    """``base`` times each agent's independent mix along that agent's axis, in
+    the dict's order, flat row-major. ``mixes`` maps agent -> MixedStrategy or
+    probability vector."""
+    for i, s in mixes.items():
+        v = s.probs if isinstance(s, MixedStrategy) else _as_prob_vector(s, f"strategy of agent {i}")
+        if len(v) != game.action_counts[i]:
+            raise InvalidInputError(f"strategy of agent {i} has the wrong action count")
+        base = base * v.reshape([-1 if j == i else 1 for j in range(game.num_agents)])
+    return base.ravel()
+
+
 def compose_deviation(sigma: CorrelatedStrategy, game: Game, deviations: dict) -> CorrelatedStrategy:
     """Joint distribution when some agents ignore signals and mix independently.
 
@@ -287,18 +293,11 @@ def compose_deviation(sigma: CorrelatedStrategy, game: Game, deviations: dict) -
     Deviators' play is independent of everything else; the remaining agents'
     joint behavior is sigma's marginal on their action sets.
     """
-    devs = {int(i): (s.probs if isinstance(s, MixedStrategy) else _as_prob_vector(s, f"gamma {i}"))
-            for i, s in deviations.items()}
-    for i, v in devs.items():
-        if not 0 <= i < game.num_agents:
-            raise InvalidInputError(f"deviating agent {i} out of range")
-        if len(v) != game.action_counts[i]:
-            raise InvalidInputError(f"deviation strategy for agent {i} has wrong length")
+    devs = {int(i): s for i, s in deviations.items()}
+    if not all(0 <= i < game.num_agents for i in devs):
+        raise InvalidInputError(f"deviating agents {sorted(devs)} out of range")
     tensor = joint_distribution(sigma, game).reshape(game.action_counts)
-    out = 1.0 if len(devs) == game.num_agents else tensor.sum(axis=tuple(devs), keepdims=True)
-    for i, v in devs.items():
-        out = out * v.reshape([-1 if j == i else 1 for j in range(game.num_agents)])
-    return CorrelatedStrategy(out.ravel())
+    return CorrelatedStrategy(_composed(_others_marginal(tensor, tuple(devs)), game, devs))
 
 
 # --- file formats -----------------------------------------------------------

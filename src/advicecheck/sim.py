@@ -41,7 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .agents import AgentState, Mode, _simplex_draw, act_block, agent_act, make_learner
+from .agents import (AgentState, Mode, _bounded_int, _simplex_draw, act_block, agent_act,
+                     make_learner)
 from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
 from .errors import InvalidInputError, NoDataError
 from .games import (
@@ -241,8 +242,9 @@ def tv_distance(p, q) -> float:
 
 def _setup_agents(game, sigma_m, agent_configs, seed):
     configs = agent_configs or [{} for _ in range(game.num_agents)]
-    if len(configs) != game.num_agents:
-        raise InvalidInputError("need one agent config per agent")
+    if (not isinstance(configs, (list, tuple)) or len(configs) != game.num_agents
+            or not all(isinstance(cfg, dict) for cfg in configs)):
+        raise InvalidInputError(f"need one agent config object per agent, got {configs!r}")
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(1 + game.num_agents)
     mediator_rng = np.random.default_rng(children[0])
@@ -383,9 +385,11 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
     """
     game, sigma_m = run.game, run.sigma_m
     probs = joint_distribution(sigma_m, game)
-    if rounds is not None and rounds < 0:
-        raise InvalidInputError("rounds must be nonnegative")
+    if rounds is not None:
+        _bounded_int(rounds, "rounds", math.inf)
     horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
+    if any(min(ph.end, horizon) - ph.begin >= 2**63 - 1 for ph in schedule.phases):
+        raise InvalidInputError("numpy draws a phase in int64: phases must be < 2**63 rounds")
     if signal_override is not None and len(signal_override) < horizon:
         raise InvalidInputError(f"signal_override covers fewer than {horizon} rounds")
     mediator_rng, agent_rngs, states = _setup_agents(game, sigma_m, agent_configs, run.seed)
@@ -496,8 +500,7 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     No mediator, no tests, no resets: the baseline an agent would have earned
     by learning alone, played as one free period in which every agent learns.
     """
-    if rounds < 0:
-        raise InvalidInputError("rounds must be nonnegative")
+    _bounded_int(rounds, "rounds", math.inf)
     if len(learner_specs) != game.num_agents:
         raise InvalidInputError("need one learner spec per agent")
     states = [
@@ -527,8 +530,7 @@ def exact_window_expectation(
     exercise reset machinery by feeding a pre-period history and resetting.
     Exponential in ``rounds``; intended for micro-horizons.
     """
-    if rounds < 0:
-        raise InvalidInputError("rounds must be nonnegative")
+    _bounded_int(rounds, "rounds", math.inf)
     n_joint = game.num_joint_actions
     totals: list[list[Fraction]] = [[Fraction(0)] * n_joint for _ in range(rounds)]
     joint_actions = list(game.all_joint_actions())
@@ -632,6 +634,8 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
             tallies.setdefault(key, {})
             tallies[key][d.outcome.value] = tallies[key].get(d.outcome.value, 0) + 1
         total_rounds = sum(pr.rounds_run for pr in run.phase_results)
+        if not total_rounds:
+            raise NoDataError(f"run with seed {run.seed} has no rounds to average")
         for a in range(game.num_agents):
             total = sum((pr.utility_totals[a] for pr in run.phase_results), Fraction(0))
             util_sums[a] += total / total_rounds

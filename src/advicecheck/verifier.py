@@ -37,9 +37,10 @@ from .errors import InfeasiblePlanError, InvalidInputError, ZeroCellObserved
 from .games import (
     CorrelatedStrategy,
     Game,
+    _others_marginal,
     agent_incentive_violations,
+    compose_deviation,
     joint_distribution,
-    marginal_excluding,
 )
 
 DEFAULT_MC_SAMPLES = 200_000
@@ -178,8 +179,7 @@ def _subset_forms(tensor: np.ndarray, devs: tuple[int, ...]) -> tuple[np.ndarray
     """
     keep = tuple(i for i in range(tensor.ndim) if i not in devs)
     positive = tensor > 0
-    marg = tensor.sum(axis=devs, keepdims=True) if keep else 1.0
-    lin = np.where(positive, marg, 0.0)
+    lin = np.where(positive, _others_marginal(tensor, devs), 0.0)
     quad = lin * lin / np.where(positive, tensor, 1.0)
     return quad.sum(axis=keep).ravel(), lin.sum(axis=keep).ravel()
 
@@ -263,25 +263,18 @@ def prob_zero_cell_bound(game: Game, sigma_m: CorrelatedStrategy) -> float:
     """Lower bound on the per-round chance of landing in an announced-zero cell.
 
     P = sum over zero cells of the minimum, over nonempty deviating subsets,
-    of marginal(non-deviators' part) * 1/|joint deviator actions|. Zero when
+    of the announcement composed with uniformly mixing deviators. Zero when
     the announced strategy has full support.
     """
-    zeta = zeta_cells(sigma_m)
+    zeta = list(zeta_cells(sigma_m))
     if not zeta:
         return 0.0
-    total = 0.0
-    agents = range(game.num_agents)
-    for cell in zeta:
-        actions = game.joint_action(cell)
-        best = math.inf
-        for r in range(1, game.num_agents + 1):
-            for devs in itertools.combinations(agents, r):
-                keep = [i for i in agents if i not in devs]
-                marg = marginal_excluding(sigma_m, game, devs, tuple(actions[i] for i in keep))
-                size = math.prod(game.action_counts[d] for d in devs)
-                best = min(best, marg / size)
-        total += best
-    return total
+    best = np.full(len(zeta), math.inf)
+    for r in range(1, game.num_agents + 1):
+        for devs in itertools.combinations(range(game.num_agents), r):
+            uniform = {d: np.full(game.action_counts[d], 1.0 / game.action_counts[d]) for d in devs}
+            best = np.minimum(best, compose_deviation(sigma_m, game, uniform).probs[zeta])
+    return float(best.sum())
 
 
 def plan_test(

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: the equilibrium check
 is a direct triple loop over (agent, signal, deviation) computed from raw
-arrays, deviations are composed cell by cell, psi is estimated from dense
+arrays, deviations are composed cell by cell, the zero-cell bound is taken one
+cell and one deviating subset at a time, psi is estimated from dense
 composed distributions, and the repeated game is replayed by a plain
 per-round loop over the public agent and decision primitives, as is the
 pure-learning baseline; the transcript CSV is written one record at a time.
@@ -10,6 +11,7 @@ pure-learning baseline; the transcript CSV is written one record at a time.
 
 import csv
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,15 +29,17 @@ from advicecheck import (
     make_learner,
     run_sampling_decision,
 )
-from advicecheck.games import agent_incentive_violations, joint_distribution
+from advicecheck.games import agent_incentive_violations, joint_distribution, marginal_excluding
 from advicecheck.sim import RoundRecord
 
 
-def brute_force_ce(action_counts, utilities, probs, tol=1e-9):
-    """Direct enumeration of every incentive constraint."""
+def brute_force_violations(action_counts, utilities, probs, tol=1e-9):
+    """Direct enumeration of every incentive constraint: the failing ones as
+    (agent, signal, deviation, gap), in agent, signal, deviation order."""
     n = len(action_counts)
     joints = list(itertools.product(*[range(c) for c in action_counts]))
     index = {a: i for i, a in enumerate(joints)}
+    out = []
     for agent in range(n):
         for signal in range(action_counts[agent]):
             cells = [a for a in joints if a[agent] == signal]
@@ -44,14 +48,21 @@ def brute_force_ce(action_counts, utilities, probs, tol=1e-9):
                 continue
             follow = sum(probs[index[a]] * utilities[index[a]][agent] for a in cells)
             for alt in range(action_counts[agent]):
+                if alt == signal:
+                    continue
                 dev = 0.0
                 for a in cells:
                     swapped = list(a)
                     swapped[agent] = alt
                     dev += probs[index[a]] * utilities[index[tuple(swapped)]][agent]
                 if (dev - follow) / marginal > tol:
-                    return False
-    return True
+                    out.append((agent, signal, alt, (dev - follow) / marginal))
+    return out
+
+
+def brute_force_ce(action_counts, utilities, probs, tol=1e-9):
+    """Whether no incentive constraint fails, by direct enumeration."""
+    return not brute_force_violations(action_counts, utilities, probs, tol)
 
 
 def random_game_and_strategy(rng):
@@ -84,6 +95,24 @@ def per_cell_compose(sigma, game, deviations):
             p *= float(v[idx[i]])
         out[idx] = p
     return out.ravel()
+
+
+def per_cell_zero_cell_bound(game, sigma_m):
+    """Reference for ``prob_zero_cell_bound``: one zero cell at a time, the least
+    over deviating subsets of the non-deviators' marginal over the deviators'
+    joint action count, summed."""
+    total = 0.0
+    agents = range(game.num_agents)
+    for cell in sigma_m.zero_cells():
+        actions = game.joint_action(cell)
+        best = math.inf
+        for r in range(1, game.num_agents + 1):
+            for devs in itertools.combinations(agents, r):
+                keep = [i for i in agents if i not in devs]
+                marg = marginal_excluding(sigma_m, game, devs, tuple(actions[i] for i in keep))
+                best = min(best, marg / math.prod(game.action_counts[d] for d in devs))
+        total += best
+    return total
 
 
 def dense_psi(game, sigma_m, delta_hat, mc_samples, seed=0):

@@ -168,6 +168,22 @@ def test_make_learner_specs(game):
         make_learner({"name": "no-such"}, game, 0)
 
 
+@pytest.mark.parametrize("params", [
+    {"watch_agent": 5}, {"watch_agent": -1}, {"watch_action": 2}, {"watch_action": -1},
+    {"initial_action": 2}, {"switch_action": -1}, {"watch_agent": "1"}, {"watch_action": 1.0},
+    {"initial_action": None}, {"switch_action": True},
+], ids=lambda p: f"{next(iter(p))}={next(iter(p.values()))!r}")
+def test_make_learner_refuses_trigger_params_outside_the_game(game, params):
+    with pytest.raises(InvalidInputError):
+        make_learner({"name": "trigger", **params}, game, 1)
+
+
+@pytest.mark.parametrize("spec", ["trigger", 3, ["trigger"], {"watch_agent": 0}])
+def test_make_learner_refuses_malformed_specs(game, spec):
+    with pytest.raises(InvalidInputError):
+        make_learner(spec, game, 0)
+
+
 def test_agent_act_deterministic_given_state(game):
     st_a = _state(game, Mode.REJECTED_BY_TEST)
     st_b = _state(game, Mode.REJECTED_BY_TEST)

@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advicecheck import NonConvergenceError, verifier
 from advicecheck.cli import main
@@ -276,3 +283,105 @@ def test_numerics_failure_exits_2(monkeypatch, capsys):
     code = main(["plan", "--game", GAME, "--strategy", CE, "--p", "0.1", "--delta-hat", "0.01"])
     assert code == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+def _simulate(tmp_path, cfg, *extra):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *extra])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("schedule", 3), ("agents", ["x", "y"]), ("agents", 3), ("rounds", "x"),
+    ("seed", None), ("game", 3), ("schedule", {**TOY, "alpha": "0.1"}),
+    ("schedule", {**TOY, "test_lengths": [None]}), ("schedule", {**TOY, "free_lengths": 200}),
+    ("agents", [{"fallback": {"a": 1}}, {}]), ("agents", [{"learner": 3}, {}]),
+])
+def test_simulate_config_of_wrong_shape_exits_2(tmp_path, capsys, key, value):
+    cfg = {"game": GAME, "strategy": CE, "schedule": TOY, key: value}
+    assert _simulate(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("strategy", [CE, NON_CE])
+@pytest.mark.parametrize("params", [{"watch_agent": 5}, {"watch_agent": -1}, {"watch_action": 2}])
+def test_simulate_trigger_outside_the_game_exits_2(tmp_path, capsys, strategy, params):
+    # on the CE fixture nobody rejects, so the trigger never observes a round
+    learner = {"name": "trigger", **params}
+    cfg = {"game": GAME, "strategy": strategy, "schedule": TOY,
+           "agents": [{"learner": learner}, {"learner": learner}]}
+    assert _simulate(tmp_path, cfg) == 2
+    assert "trigger" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [(), ("--seeds", "2")])
+def test_simulate_phase_beyond_int64_exits_2(tmp_path, capsys, extra):
+    cfg = {"game": GAME, "strategy": CE, "record": "counts",
+           "schedule": {**TOY, "free_lengths": [2**64]}}
+    assert _simulate(tmp_path, cfg, *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2**63" in err
+
+
+def test_simulate_batch_of_zero_round_runs_exits_2(tmp_path, capsys):
+    # no round means no average utility to aggregate
+    cfg = {"game": GAME, "strategy": CE, "schedule": TOY, "rounds": 0}
+    assert _simulate(tmp_path, cfg, "--seeds", "2") == 2
+    assert "no rounds" in capsys.readouterr().err
+
+
+# replacement values for mutated configs: every JSON type, small numbers only,
+# and paths to files of the wrong kind
+_VALUES = st.sampled_from([None, True, -1, 0, 3, 0.5, "x", ".", GAME, NON_CE, [], [0], [0.5, 0.5],
+                           [None], {}, {"name": "trigger"}])
+_LEARNERS = st.fixed_dictionaries({}, optional={
+    "name": st.sampled_from(["uniform", "fictitious-play", "trigger", "no-such"]),
+    **{key: st.integers(-2, 3) for key in
+       ("initial_action", "switch_action", "watch_agent", "watch_action")},
+})
+
+
+def _slots(node):
+    """(container, key) of every entry of every object and array in a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key
+        yield from _slots(value)
+
+
+@st.composite
+def _mutated_configs(draw):
+    with open("fixtures/sim_config.json") as fh:
+        cfg = json.load(fh)
+    cfg["schedule"].update(test_lengths=[30, 30], free_lengths=[60, 60])
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "swap", "add", "learner"]))
+        if op == "learner" and isinstance(cfg.get("agents"), list) and cfg["agents"]:
+            agent = draw(st.sampled_from(cfg["agents"]))
+            if isinstance(agent, dict):
+                agent["learner"] = draw(_LEARNERS)
+        elif op == "add":
+            key = draw(st.sampled_from(["rounds", "record"]))
+            cfg[key] = copy.deepcopy(draw(_VALUES | st.just("counts")))
+        else:
+            container, key = draw(st.sampled_from(list(_slots(cfg))))
+            if op == "drop":
+                container.pop(key)
+            else:
+                container[key] = copy.deepcopy(draw(_VALUES))  # the pool's values stay unmutated
+    return cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_mutated_configs(), batch=st.booleans())
+def test_simulate_mutated_configs_exit_cleanly(cfg, batch):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(Path(tmp) / "o")]
+        code = main(argv + (["--seeds", "2"] if batch else []))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -196,7 +196,7 @@ def test_compose_deviation_no_deviators_is_identity(game, ce_strategy):
 
 # --- brute-force oracle ------------------------------------------------------
 
-from oracles import brute_force_ce, per_cell_compose, random_game_and_strategy
+from oracles import brute_force_violations, per_cell_compose, random_game_and_strategy
 
 
 def test_compose_deviation_matches_per_cell_oracle():
@@ -210,13 +210,28 @@ def test_compose_deviation_matches_per_cell_oracle():
         assert np.array_equal(got, per_cell_compose(sigma, g, deviations))
 
 
+def _tied_game_and_strategy(rng):
+    """1-4 agents with 1-4 actions, small integer payoffs (many exact ties) and
+    a strategy with zero cells, some of them whole zero-marginal signals."""
+    counts = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))]
+    num_joint = int(np.prod(counts))
+    raw = rng.integers(0, 3, size=num_joint).astype(float)
+    raw[rng.integers(0, num_joint)] = 1.0  # at least one positive cell
+    return Game(counts, rng.integers(0, 4, size=(num_joint, len(counts)))), CorrelatedStrategy(raw / raw.sum())
+
+
 def test_check_ce_matches_brute_force_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(200):
-        g, sigma = random_game_and_strategy(rng)
-        ours = check_correlated_equilibrium(g, sigma).is_equilibrium
-        oracle = brute_force_ce(g.action_counts, g.utilities, sigma.probs)
-        assert ours == oracle
+    games = [random_game_and_strategy(rng) for _ in range(200)]
+    games += [_tied_game_and_strategy(rng) for _ in range(300)]
+    for g, sigma in games:
+        verdict = check_correlated_equilibrium(g, sigma)
+        oracle = brute_force_violations(g.action_counts, g.utilities, sigma.probs)
+        assert verdict.is_equilibrium == (not oracle)
+        got = [(v.agent, v.signal, v.deviation) for v in verdict.violations]
+        assert got == [o[:3] for o in oracle]
+        for v, o in zip(verdict.violations, oracle):
+            assert abs(v.gap - o[3]) <= 1e-12
 
 
 def _pure_nash_points(g):

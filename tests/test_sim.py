@@ -280,6 +280,28 @@ def test_counts_engine_matches_full_engine_distributionally(game, ce_strategy):
     assert tv_distance(counts / counts.sum(), agg_counts / agg_counts.sum()) < 0.1
 
 
+def test_phases_longer_than_int64_are_refused_before_drawing(game, ce_strategy):
+    longest = toy_schedule(game, ce_strategy, 0.1, 0.01, [100], [2**63 - 1])
+    run = run_game_counts(game, ce_strategy, longest, seed=1)
+    assert int(run.phase_results[-1].counts.sum()) == 2**63 - 1
+    too_long = toy_schedule(game, ce_strategy, 0.1, 0.01, [100], [2**63])
+    for runner in (run_game_counts, run_game):
+        with pytest.raises(InvalidInputError):
+            runner(game, ce_strategy, too_long, seed=1)
+    # capped below the long phase, the run is fine
+    assert run_game_counts(game, ce_strategy, too_long, seed=1, rounds=500).decisions
+
+
+@pytest.mark.parametrize("configs, rounds", [
+    (3, None), (["x", "y"], None), ([{}, 3], None), ([{}], None), (None, "x"), (None, 2.0),
+    (None, True), (None, -1),
+])
+def test_run_game_refuses_malformed_agents_and_rounds(game, ce_strategy, configs, rounds):
+    schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20], [20])
+    with pytest.raises(InvalidInputError):
+        run_game(game, ce_strategy, schedule, configs, seed=1, rounds=rounds)
+
+
 def test_pure_learning_locks_pure_equilibrium(game):
     fp = {"name": "fictitious-play"}
     run = run_pure_learning(game, [fp, fp], rounds=2000, seed=0)

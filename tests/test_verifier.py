@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_psi
+from oracles import dense_psi, per_cell_zero_cell_bound
 
 from advicecheck import (
     CorrelatedStrategy,
@@ -231,6 +231,22 @@ def test_prob_zero_cell_bound_worked_value(game):
     sigma = CorrelatedStrategy([0.0, 1 / 3, 1 / 3, 1 / 3])
     # min over {1}, {2}, {1,2} of {1/3*1/2, 1/3*1/2, 1*1/4} = 1/6
     assert prob_zero_cell_bound(game, sigma) == pytest.approx(1 / 6, abs=1e-12)
+
+
+def test_prob_zero_cell_bound_matches_per_cell_oracle():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(300):
+        counts = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))]
+        num_joint = int(np.prod(counts))
+        raw = rng.uniform(size=num_joint) * (rng.uniform(size=num_joint) < 0.6)
+        if raw.sum() == 0:
+            continue
+        g = Game(counts, np.ones((num_joint, len(counts))))
+        sigma = CorrelatedStrategy(raw / raw.sum())
+        checked += bool(sigma.zero_cells())
+        assert abs(prob_zero_cell_bound(g, sigma) - per_cell_zero_cell_bound(g, sigma)) <= 1e-15
+    assert checked >= 200
 
 
 def test_prob_zero_cell_bound_full_support(game, ce_strategy):
