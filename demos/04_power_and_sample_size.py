@@ -9,7 +9,6 @@ mass above the critical value, shrinking the Type-2 probability.
 
 from advicecheck import (
     CorrelatedStrategy,
-    PowerQuery,
     chi2_quantile,
     noncentral_chi2_cdf,
     power_beta,
@@ -23,7 +22,7 @@ print("critical value at alpha = 0.1, 3 dof:", round(chi2_quantile(0.9, 3), 4))
 print()
 print("Type-2 probability vs rounds watched (delta_hat = 0.01):")
 for n in (250, 500, 1000, 2100, 4000):
-    beta = power_beta(PowerQuery(alpha=0.1, delta_hat=0.01, df_total=3, sample_size=n))
+    beta = power_beta(alpha=0.1, delta_hat=0.01, df_total=3, sample_size=n)
     print(f"  l_T = {n:5d}  ->  beta = {beta:.5f}")
 
 print()

@@ -20,7 +20,7 @@ from .agents import (
     draw_fallback,
     make_learner,
 )
-from .chi2 import PowerQuery, chi2_cdf, chi2_quantile, noncentral_chi2_cdf, power_beta, sample_size
+from .chi2 import chi2_cdf, chi2_quantile, noncentral_chi2_cdf, power_beta, sample_size
 from .errors import (
     HorizonExceededError,
     InfeasiblePlanError,
@@ -92,7 +92,6 @@ from .verifier import (
     prob_zero_cell_bound,
     run_sampling_decision,
     sensitivity_delta,
-    zeta_cells,
 )
 
 __version__ = "0.1.0"

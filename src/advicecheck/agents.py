@@ -274,7 +274,6 @@ class AgentState:
     id: int
     fallback: MixedStrategy
     learner: Learner
-    rng_seed: int
     mode: Mode = Mode.FOLLOWING_MEDIATOR
     _fallback_hash: int = field(init=False, repr=False)
 

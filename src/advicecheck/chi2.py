@@ -40,7 +40,6 @@ noncentrality; the remaining df_total - 1 are central).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidInputError, NonConvergenceError
 
@@ -222,38 +221,25 @@ def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class PowerQuery:
-    """Inputs of one Type-2 probability evaluation.
-
-    df_total is the statistic's degrees of freedom under the null (retained
-    cells minus one); the noncentrality is sample_size * delta_hat.
-    """
-
-    alpha: float
-    delta_hat: float
-    df_total: int
-    sample_size: int
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not math.isfinite(self.delta_hat) or self.delta_hat <= 0.0:
-            raise InvalidInputError(f"delta_hat must be positive and finite, got {self.delta_hat}")
-        if self.df_total < 1:
-            raise InvalidInputError(f"df_total must be >= 1, got {self.df_total}")
-        if self.sample_size < 1:
-            raise InvalidInputError(f"sample_size must be >= 1, got {self.sample_size}")
+def _check_alpha_delta(alpha: float, delta_hat: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
+    if not math.isfinite(delta_hat) or delta_hat <= 0.0:
+        raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
 
 
-def power_beta(q: PowerQuery) -> float:
+def power_beta(alpha: float, delta_hat: float, df_total: int, sample_size: int) -> float:
     """Type-2 probability: mass the alternative leaves below the critical value.
 
     beta = F_nc(c(alpha); df_total, sample_size * delta_hat) with
-    c(alpha) = chi2_quantile(1 - alpha, df_total).
+    c(alpha) = chi2_quantile(1 - alpha, df_total); df_total is the
+    statistic's degrees of freedom under the null (retained cells minus one).
     """
-    c = chi2_quantile(1.0 - q.alpha, q.df_total)
-    return noncentral_chi2_cdf(c, q.df_total, q.sample_size * q.delta_hat)
+    _check_alpha_delta(alpha, delta_hat)
+    if sample_size < 1:
+        raise InvalidInputError(f"sample_size must be >= 1, got {sample_size}")
+    c = chi2_quantile(1.0 - alpha, df_total)
+    return noncentral_chi2_cdf(c, df_total, sample_size * delta_hat)
 
 
 def sample_size(alpha: float, beta_target: float, delta_hat: float, df_total: int) -> int:
@@ -263,12 +249,9 @@ def sample_size(alpha: float, beta_target: float, delta_hat: float, df_total: in
     grows linearly with it), so exponential bracketing plus binary search is
     exact. Degenerate targets that are met at a single sample report 1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha_delta(alpha, delta_hat)
     if not 0.0 < beta_target < 1.0:
         raise InvalidInputError(f"beta_target must be in (0, 1), got {beta_target}")
-    if not math.isfinite(delta_hat) or delta_hat <= 0.0:
-        raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
     c = chi2_quantile(1.0 - alpha, df_total)
 
     def beta_at(n: int) -> float:

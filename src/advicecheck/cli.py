@@ -75,6 +75,8 @@ def _simulated_counts(args, game, sigma, sample_size):
     else:
         with open(args.simulate_under) as fh:
             profile = json.load(fh)
+        if not isinstance(profile, dict):
+            raise InvalidInputError("--simulate-under profile must be a JSON object {agent: [probs]}")
         deviations = {int(k) - 1: v for k, v in profile.items()}
         dist = compose_deviation(sigma, game, deviations).probs
     return rng.multinomial(sample_size, dist).astype(np.int64)
@@ -82,6 +84,8 @@ def _simulated_counts(args, game, sigma, sample_size):
 
 def cmd_test(args) -> int:
     game, sigma = _load_inputs(args.game, args.strategy)
+    if not 1 <= args.agent <= game.num_agents:
+        raise InvalidInputError(f"--agent must be in 1..{game.num_agents}, got {args.agent}")
     if args.counts:
         # the counts are the sample: size the test from them
         with open(args.counts) as fh:
@@ -347,6 +351,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroCellObserved, OSError, NonConvergenceError) as exc:
         # InvalidInputError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

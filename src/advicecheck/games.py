@@ -66,9 +66,6 @@ class CorrelatedStrategy:
     def __len__(self) -> int:
         return len(self.probs)
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs > 0)
-
     def zero_cells(self) -> tuple[int, ...]:
         """Joint-action indices carrying exactly zero probability."""
         return tuple(int(i) for i in np.flatnonzero(self.probs == 0.0))
@@ -221,7 +218,13 @@ def agent_incentive_violations(
 
     ``values[s, a]`` is the payoff of playing a against the unnormalized
     conditional weights at signal s; gap > 0 means deviating beats following.
+    Refuses an agent outside the game and a tolerance that is not finite and
+    nonnegative.
     """
+    if not 0 <= agent < game.num_agents:
+        raise InvalidInputError(f"agent {agent} out of range")
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise InvalidInputError(f"tolerance must be finite and nonnegative, got {tolerance}")
     weights = _agent_view(joint_distribution(sigma, game), game, agent)
     values = weights @ _agent_view(game.utilities[:, agent], game, agent).T
     marginal = weights.sum(axis=1)

@@ -113,17 +113,11 @@ def geometric_rules(
 
 @dataclass(frozen=True)
 class Schedule:
-    """Alternating phases plus the per-test plans that sized them.
-
-    ``conforming`` is False for toy/literal schedules whose lengths were not
-    produced by the planning rules; such schedules are excluded from
-    validation.
-    """
+    """Alternating phases plus the per-test plans that sized them."""
 
     phases: tuple[Phase, ...]
     plans: tuple[TestPlan | None, ...]
     rules: ScheduleRules | None
-    conforming: bool
     _begins: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -140,8 +134,10 @@ class Schedule:
         return self.phases[-1].end if self.phases else 0
 
     @property
-    def num_tests(self) -> int:
-        return sum(1 for ph in self.phases if ph.kind is PhaseKind.SAMPLING_TEST)
+    def conforming(self) -> bool:
+        """Whether planning rules produced the lengths; toy and literal schedules
+        were not, and validation refuses them."""
+        return self.rules is not None
 
     def tests(self) -> list[Phase]:
         return [ph for ph in self.phases if ph.kind is PhaseKind.SAMPLING_TEST]
@@ -196,7 +192,7 @@ def build_schedule(
         plans.append(plan)
         free_lengths.append(l_f)
     layout = literal_layout([plan.sample_size for plan in plans], free_lengths)
-    return Schedule(layout.phases, tuple(plans), rules, conforming=True)
+    return Schedule(layout.phases, tuple(plans), rules)
 
 
 def literal_layout(test_lengths: Sequence[int], free_lengths: Sequence[int]) -> Schedule:
@@ -211,7 +207,7 @@ def literal_layout(test_lengths: Sequence[int], free_lengths: Sequence[int]) -> 
         if int(l_f) > 0:
             phases.append(Phase(PhaseKind.FREE_PERIOD, j, t, int(l_f)))
             t += int(l_f)
-    return Schedule(tuple(phases), tuple([None] * len(test_lengths)), rules=None, conforming=False)
+    return Schedule(tuple(phases), tuple([None] * len(test_lengths)), rules=None)
 
 
 def toy_schedule(
@@ -230,13 +226,13 @@ def toy_schedule(
     """
     layout = literal_layout(test_lengths, free_lengths)
     plans = tuple(manual_plan(game, sigma_m, alpha, delta_hat, ph.length) for ph in layout.tests())
-    return Schedule(layout.phases, plans, rules=None, conforming=False)
+    return Schedule(layout.phases, plans, rules=None)
 
 
 def single_test_schedule(plan: TestPlan) -> Schedule:
     """A schedule holding exactly one sampling test sized by the given plan."""
     phases = (Phase(PhaseKind.SAMPLING_TEST, 1, 1, plan.sample_size),)
-    return Schedule(phases, (plan,), rules=None, conforming=False)
+    return Schedule(phases, (plan,), rules=None)
 
 
 @dataclass(frozen=True)
@@ -291,7 +287,7 @@ def validate_schedule(
     """
     if prefix_tests < 2:
         raise InvalidInputError("prefix_tests must be >= 2")
-    if not schedule.conforming or schedule.rules is None:
+    if not schedule.conforming:
         raise InvalidInputError("schedule is non-conforming; validation does not apply")
     tests = schedule.tests()
     frees = schedule.free_periods()

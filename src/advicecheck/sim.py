@@ -4,9 +4,10 @@ Each round the mediator draws a joint signal from the announced strategy and
 delivers each agent its own component privately. Agents act according to
 their mode: following agents play the signal; rejected agents play their
 fixed fall-back during sampling tests and their (reset) learner during free
-periods. At the end of every sampling test each agent runs the decision on
-that test's public counts, and the outcomes set modes for the following free
-period.
+periods. An agent whose own incentive constraints fail is screened out once,
+at set-up, and rejects every test without testing; at the end of every
+sampling test each other agent runs the decision on that test's public
+counts, and the outcomes set modes for the following free period.
 
 One phase loop plays the schedule for both runners, and one stepper plays
 every round that is not drawn in bulk:
@@ -80,15 +81,11 @@ class PhaseResult:
     signals: np.ndarray | None = None
     joints: np.ndarray | None = None
 
-    def empirical(self) -> EmpiricalFrequency:
-        return EmpiricalFrequency(counts=self.counts, total=self.rounds_run)
-
 
 @dataclass
 class RunSummary:
     """Phase-aggregated record of one run: per-phase counts, totals, decisions."""
 
-    config: dict
     seed: int
     game: Game
     sigma_m: CorrelatedStrategy
@@ -265,18 +262,8 @@ def _setup_agents(game, sigma_m, agent_configs, seed):
             if agent_incentive_violations(game, sigma_m, i)
             else Mode.FOLLOWING_MEDIATOR
         )
-        states.append(AgentState(id=i, fallback=fallback, learner=learner,
-                                 rng_seed=seed, mode=mode))
+        states.append(AgentState(id=i, fallback=fallback, learner=learner, mode=mode))
     return mediator_rng, agent_rngs, states
-
-
-def _apply_decision(state: AgentState, decision: Decision) -> None:
-    if decision.outcome is Outcome.FOLLOW_MEDIATOR:
-        state.mode = Mode.FOLLOWING_MEDIATOR
-    elif decision.outcome is Outcome.REJECT_BY_EQ2:
-        state.mode = Mode.REJECTED_BY_EQ2
-    else:
-        state.mode = Mode.REJECTED_BY_TEST
 
 
 def _iid_deviators(states, phase) -> dict | None:
@@ -423,22 +410,15 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
             plan = schedule.plan_for(phase.index)
             if plan is not None:
                 for st in states:
-                    decision = run_sampling_decision(plan, game, sigma_m, st.id, counts)
+                    # the set-up screen is final: a screened agent never tests
+                    if st.mode is Mode.REJECTED_BY_EQ2:
+                        decision = Decision(Outcome.REJECT_BY_EQ2)
+                    else:
+                        decision = run_sampling_decision(plan, game, sigma_m, st.id, counts)
+                        st.mode = (Mode.REJECTED_BY_TEST if decision.rejected
+                                   else Mode.FOLLOWING_MEDIATOR)
                     run.decisions[(st.id, phase.index)] = decision
-                    _apply_decision(st, decision)
     return run
-
-
-def _config_snapshot(game, sigma_m, schedule, agent_configs, seed, rounds):
-    return {
-        "action_counts": list(game.action_counts),
-        "sigma_m": sigma_m.probs.tolist(),
-        "num_phases": len(schedule.phases),
-        "horizon": schedule.horizon,
-        "agent_configs": agent_configs,
-        "seed": seed,
-        "rounds": rounds,
-    }
 
 
 def run_game(
@@ -457,8 +437,7 @@ def run_game(
     the cap. ``signal_override`` (a sequence of joint indices) replaces the
     mediator's draws; it exists for tests.
     """
-    config = _config_snapshot(game, sigma_m, schedule, agent_configs, seed, rounds)
-    run = Transcript(config=config, seed=seed, game=game, sigma_m=sigma_m)
+    run = Transcript(seed=seed, game=game, sigma_m=sigma_m)
     return _play(run, schedule, agent_configs, rounds, signal_override)
 
 
@@ -475,8 +454,7 @@ def run_game_counts(
     Phases where every active behavior is i.i.d. cost one multinomial draw
     whatever their length; phases with sequential learners step per round.
     """
-    config = _config_snapshot(game, sigma_m, schedule, agent_configs, seed, rounds)
-    run = RunSummary(config=config, seed=seed, game=game, sigma_m=sigma_m)
+    run = RunSummary(seed=seed, game=game, sigma_m=sigma_m)
     return _play(run, schedule, agent_configs, rounds)
 
 
@@ -506,7 +484,7 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     states = [
         # every agent is rejected and the fall-back is never played in a free period
         AgentState(id=i, fallback=MixedStrategy([1.0] + [0.0] * (game.action_counts[i] - 1)),
-                   learner=make_learner(spec, game, i), rng_seed=seed, mode=Mode.REJECTED_BY_TEST)
+                   learner=make_learner(spec, game, i), mode=Mode.REJECTED_BY_TEST)
         for i, spec in enumerate(learner_specs)
     ]
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(game.num_agents)]

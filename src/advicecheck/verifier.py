@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -94,23 +94,7 @@ class TestPlan:
     df_total: int
 
     def as_dict(self) -> dict:
-        return {
-            "p_target": self.p_target,
-            "alpha": self.alpha,
-            "critical_value": self.critical_value,
-            "delta_hat": self.delta_hat,
-            "psi": self.psi,
-            "psi_se": self.psi_se,
-            "beta": self.beta,
-            "sample_size": self.sample_size,
-            "zero_cells": list(self.zero_cells),
-            "df_total": self.df_total,
-        }
-
-
-def zeta_cells(sigma: CorrelatedStrategy) -> tuple[int, ...]:
-    """Joint-action indices the announced strategy rules out entirely."""
-    return sigma.zero_cells()
+        return {**asdict(self), "zero_cells": list(self.zero_cells)}
 
 
 def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) -> float:
@@ -266,7 +250,7 @@ def prob_zero_cell_bound(game: Game, sigma_m: CorrelatedStrategy) -> float:
     of the announcement composed with uniformly mixing deviators. Zero when
     the announced strategy has full support.
     """
-    zeta = list(zeta_cells(sigma_m))
+    zeta = list(sigma_m.zero_cells())
     if not zeta:
         return 0.0
     best = np.full(len(zeta), math.inf)
@@ -275,6 +259,18 @@ def prob_zero_cell_bound(game: Game, sigma_m: CorrelatedStrategy) -> float:
             uniform = {d: np.full(game.action_counts[d], 1.0 / game.action_counts[d]) for d in devs}
             best = np.minimum(best, compose_deviation(sigma_m, game, uniform).probs[zeta])
     return float(best.sum())
+
+
+def _tested_cells(game: Game, sigma_m: CorrelatedStrategy) -> tuple[tuple[int, ...], int]:
+    """The announced zero cells zeta and df_total = |A| - 1 - |zeta|.
+
+    Refuses an announcement that leaves fewer than two cells to test.
+    """
+    zeta = sigma_m.zero_cells()
+    df_total = len(joint_distribution(sigma_m, game)) - 1 - len(zeta)
+    if df_total < 1:
+        raise InvalidInputError("announced strategy leaves fewer than two cells; no test possible")
+    return zeta, df_total
 
 
 def plan_test(
@@ -294,11 +290,7 @@ def plan_test(
         raise InvalidInputError(f"p must be in (0, 1), got {p}")
     if not math.isfinite(delta_hat) or delta_hat <= 0.0:
         raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
-    probs = joint_distribution(sigma_m, game)
-    zeta = zeta_cells(sigma_m)
-    df_total = len(probs) - 1 - len(zeta)
-    if df_total < 1:
-        raise InvalidInputError("announced strategy leaves fewer than two cells; no test possible")
+    zeta, df_total = _tested_cells(game, sigma_m)
     est = estimate_psi(game, sigma_m, delta_hat, mc_samples=mc_samples, seed=seed)
     if p <= est.psi:
         raise InfeasiblePlanError(p, est.psi)
@@ -331,16 +323,8 @@ def manual_plan(
     Used by toy schedules for fast runs; beta reports the achieved Type-2
     probability at the given length and psi is left unset.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
-    probs = joint_distribution(sigma_m, game)
-    zeta = zeta_cells(sigma_m)
-    df_total = len(probs) - 1 - len(zeta)
-    if df_total < 1:
-        raise InvalidInputError("announced strategy leaves fewer than two cells; no test possible")
-    beta = chi2.power_beta(
-        chi2.PowerQuery(alpha=alpha, delta_hat=delta_hat, df_total=df_total, sample_size=sample_size)
-    )
+    zeta, df_total = _tested_cells(game, sigma_m)
+    beta = chi2.power_beta(alpha, delta_hat, df_total, sample_size)
     return TestPlan(
         p_target=alpha,
         alpha=alpha,

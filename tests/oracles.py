@@ -178,7 +178,7 @@ def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=N
         screened = agent_incentive_violations(game, sigma_m, i)
         states.append(AgentState(
             id=i, fallback=fallback, learner=make_learner(cfg.get("learner"), game, i),
-            rng_seed=seed, mode=Mode.REJECTED_BY_EQ2 if screened else Mode.FOLLOWING_MEDIATOR,
+            mode=Mode.REJECTED_BY_EQ2 if screened else Mode.FOLLOWING_MEDIATOR,
         ))
     modes = {Outcome.FOLLOW_MEDIATOR: Mode.FOLLOWING_MEDIATOR, Outcome.REJECT_BY_EQ2: Mode.REJECTED_BY_EQ2}
     horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
@@ -225,7 +225,7 @@ def per_round_pure_learning(game, learner_specs, rounds, seed=0):
     """
     states = [
         AgentState(id=i, fallback=MixedStrategy([1.0] + [0.0] * (game.action_counts[i] - 1)),
-                   learner=make_learner(spec, game, i), rng_seed=seed, mode=Mode.REJECTED_BY_TEST)
+                   learner=make_learner(spec, game, i), mode=Mode.REJECTED_BY_TEST)
         for i, spec in enumerate(learner_specs)
     ]
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(game.num_agents)]

@@ -53,7 +53,6 @@ def _state(game, mode, fallback=(0.75, 0.25), learner=None):
         id=1,
         fallback=MixedStrategy(fallback),
         learner=learner or UniformLearner(2),
-        rng_seed=0,
         mode=mode,
     )
 

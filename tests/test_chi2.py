@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from advicecheck import (
     InvalidInputError,
     NonConvergenceError,
-    PowerQuery,
     chi2_cdf,
     chi2_quantile,
     noncentral_chi2_cdf,
@@ -124,20 +123,15 @@ def test_monte_carlo_oracle_agreement():
 
 
 def test_power_beta_worked_band():
-    q = PowerQuery(alpha=0.1, delta_hat=0.01, df_total=3, sample_size=2100)
-    assert 0.004 <= power_beta(q) <= 0.009
+    assert 0.004 <= power_beta(0.1, 0.01, 3, 2100) <= 0.009
 
 
 def test_power_beta_huge_effect_vanishes():
-    q = PowerQuery(alpha=0.1, delta_hat=1.0, df_total=3, sample_size=2100)
-    assert power_beta(q) < 1e-12
+    assert power_beta(0.1, 1.0, 3, 2100) < 1e-12
 
 
 def test_power_beta_monotone_in_sample_size():
-    betas = [
-        power_beta(PowerQuery(alpha=0.1, delta_hat=0.01, df_total=3, sample_size=n))
-        for n in (100, 300, 900, 2100, 5000)
-    ]
+    betas = [power_beta(0.1, 0.01, 3, n) for n in (100, 300, 900, 2100, 5000)]
     assert all(b <= a + 1e-12 for a, b in zip(betas, betas[1:]))
 
 
@@ -171,18 +165,18 @@ def test_sample_size_degenerate_target_reports_one():
 )
 def test_solver_consistency(alpha, delta, df, n):
     # solving for the power achieved at n can never need more than n samples
-    beta_at_n = power_beta(PowerQuery(alpha=alpha, delta_hat=delta, df_total=df, sample_size=n))
+    beta_at_n = power_beta(alpha, delta, df, n)
     if 0.0 < beta_at_n < 1.0:
         assert sample_size(alpha, beta_at_n, delta, df) <= n
 
 
-def test_power_query_validation():
+def test_power_beta_validation():
     with pytest.raises(InvalidInputError):
-        PowerQuery(alpha=0.0, delta_hat=0.01, df_total=3, sample_size=10)
+        power_beta(alpha=0.0, delta_hat=0.01, df_total=3, sample_size=10)
     with pytest.raises(InvalidInputError):
-        PowerQuery(alpha=0.1, delta_hat=-1.0, df_total=3, sample_size=10)
+        power_beta(alpha=0.1, delta_hat=-1.0, df_total=3, sample_size=10)
     with pytest.raises(InvalidInputError):
-        PowerQuery(alpha=0.1, delta_hat=0.01, df_total=0, sample_size=10)
+        power_beta(alpha=0.1, delta_hat=0.01, df_total=0, sample_size=10)
 
 
 # Accuracy over the whole documented domain: df up to 2e5, ncp up to 1e8 and

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advicecheck import NonConvergenceError, verifier
+from advicecheck import NonConvergenceError, sim, verifier
 from advicecheck.cli import main
 
 GAME = "fixtures/small_game.json"
@@ -29,6 +29,14 @@ def test_check_ce_rejects_citing_agent(capsys):
     out = capsys.readouterr().out
     assert "correlated equilibrium: no" in out
     assert "agent 2" in out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_check_ce_bad_tolerance_exits_2(capsys, tolerance):
+    code = main(["check-ce", "--game", GAME, "--strategy", NON_CE, "--tolerance", tolerance])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tolerance" in err
 
 
 def test_check_ce_malformed_strategy(tmp_path, capsys):
@@ -106,6 +114,30 @@ def test_cmd_test_simulated_under_deviation(tmp_path, capsys):
     ])
     assert code == 1
     assert "reject" in capsys.readouterr().out
+
+
+def test_cmd_test_profile_not_an_object_exits_2(tmp_path, capsys):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps([[0.75, 0.25]]))
+    code = main([
+        "test", "--game", GAME, "--strategy", NON_CE,
+        "--p", "0.1", "--delta-hat", "0.01",
+        "--mc-samples", "20000", "--seed", "5", "--simulate-under", str(profile),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--simulate-under" in err
+
+
+@pytest.mark.parametrize("agent", ["0", "5", "-1"])
+def test_cmd_test_agent_outside_the_game_exits_2(capsys, agent):
+    code = main([
+        "test", "--game", GAME, "--strategy", CE,
+        "--counts", "fixtures/accept_counts.json", "--agent", agent,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--agent" in err
 
 
 def test_cmd_schedule_emits_csv(capsys):
@@ -283,6 +315,16 @@ def test_numerics_failure_exits_2(monkeypatch, capsys):
     code = main(["plan", "--game", GAME, "--strategy", CE, "--p", "0.1", "--delta-hat", "0.01"])
     assert code == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_simulate_out_of_memory_exits_2(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.49 TiB for an array with shape (200000000000,)")
+
+    monkeypatch.setattr(sim, "run_game", fail)
+    assert _simulate(tmp_path, {"game": GAME, "strategy": CE, "schedule": TOY}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 def _simulate(tmp_path, cfg, *extra):

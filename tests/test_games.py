@@ -21,6 +21,7 @@ from advicecheck import (
     marginal_excluding,
     signal_marginal,
 )
+from advicecheck.games import agent_incentive_violations
 
 
 def test_game_validation_rejects_negative_utilities():
@@ -154,6 +155,20 @@ def test_check_ce_rejects_with_gap(game, non_ce_strategy):
     assert v.signal == 0
     assert v.deviation == 1
     assert v.gap == pytest.approx(2.0, abs=1e-9)  # 10/3 - 4/3
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
+def test_check_ce_refuses_bad_tolerance(game, non_ce_strategy, tolerance):
+    # NaN and inf let a non-equilibrium pass; a negative one lists zero-gain
+    # "violations", though equality counts as satisfied
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        check_correlated_equilibrium(game, non_ce_strategy, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("agent", [-1, 2])
+def test_incentive_violations_refuse_agent_outside_the_game(game, ce_strategy, agent):
+    with pytest.raises(InvalidInputError, match="out of range"):
+        agent_incentive_violations(game, ce_strategy, agent)
 
 
 def test_check_ce_point_mass_pure_equilibrium(game):

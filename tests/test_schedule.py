@@ -5,7 +5,6 @@ from advicecheck import (
     InfeasibleScheduleError,
     InvalidInputError,
     PhaseKind,
-    PowerQuery,
     ScheduleRules,
     build_schedule,
     geometric_rules,
@@ -105,14 +104,7 @@ def test_test_lengths_nondecreasing(fixture_schedule):
 
 def test_generated_plans_meet_their_budgets(fixture_schedule):
     for plan in fixture_schedule.plans:
-        achieved = power_beta(
-            PowerQuery(
-                alpha=plan.alpha,
-                delta_hat=plan.delta_hat,
-                df_total=plan.df_total,
-                sample_size=plan.sample_size,
-            )
-        )
+        achieved = power_beta(plan.alpha, plan.delta_hat, plan.df_total, plan.sample_size)
         assert achieved <= plan.beta + 1e-12
 
 

@@ -23,11 +23,12 @@ from advicecheck import (
     run_game,
     run_game_counts,
     run_pure_learning,
+    run_sampling_decision,
     single_test_schedule,
     toy_schedule,
     tv_distance,
 )
-from advicecheck import sim
+from advicecheck import sim, verifier
 from advicecheck.sim import run_summary_dict, transcript_to_csv
 
 from oracles import per_round_game, per_round_pure_learning, write_rows_csv
@@ -123,6 +124,42 @@ def test_non_ce_agent_always_screened_out(game, non_ce_strategy, small_toy):
     for seed in range(8):
         tr = run_game(game, non_ce_strategy, sched, seed=seed)
         assert tr.decisions[(1, 1)].outcome is Outcome.REJECT_BY_EQ2
+
+
+@pytest.mark.parametrize("runner", [run_game, run_game_counts], ids=["rounds", "counts"])
+def test_screen_runs_once_per_agent(game, non_ce_strategy, monkeypatch, runner):
+    # agent 2 fails its incentive check at set-up, and that verdict is final:
+    # it never reaches the sampling decision or a second screen
+    sched = toy_schedule(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[100, 150], free_lengths=[200, 0])
+    calls = {"sim": [], "verifier": [], "decision": []}
+
+    def counting(key, original, agent_arg):
+        def wrapper(*args, **kwargs):
+            calls[key].append(args[agent_arg])
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "agent_incentive_violations",
+                        counting("sim", sim.agent_incentive_violations, 2))
+    monkeypatch.setattr(verifier, "agent_incentive_violations",
+                        counting("verifier", verifier.agent_incentive_violations, 2))
+    monkeypatch.setattr(sim, "run_sampling_decision",
+                        counting("decision", sim.run_sampling_decision, 3))
+    run = runner(game, non_ce_strategy, sched, seed=3)
+    monkeypatch.undo()
+    assert calls == {"sim": [0, 1], "verifier": [0, 0], "decision": [0, 0]}
+    # each decision is the full procedure's, screen included, on its test's counts
+    tests = [pr for pr in run.phase_results if pr.phase.kind is PhaseKind.SAMPLING_TEST]
+    assert run.decisions == {
+        (agent, pr.phase.index): run_sampling_decision(
+            sched.plan_for(pr.phase.index), game, non_ce_strategy, agent, pr.counts)
+        for pr in tests for agent in (0, 1)
+    }
+    assert [run.decisions[(1, j)].outcome for j in (1, 2)] == [Outcome.REJECT_BY_EQ2] * 2
+    if runner is run_game:
+        # the counts runner draws each test as one multinomial, not the oracle's rounds
+        assert run.decisions == per_round_game(game, non_ce_strategy, sched, seed=3)[1]
 
 
 def test_empirical_frequency_windows(game, ce_strategy, small_toy):
@@ -386,8 +423,7 @@ def test_transcript_phase_results_match_rows(game, non_ce_strategy):
 def test_counts_and_transcript_agree_when_every_phase_is_stepped(game, non_ce_strategy, configs):
     # agent 2 fails its incentive check, so it learns from round 1; a learner
     # that is not stationary makes the counts runner step every round too
-    lone_free = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 500),), (), rules=None,
-                         conforming=False)
+    lone_free = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 500),), (), rules=None)
     for seed in range(3):
         tr = run_game(game, non_ce_strategy, lone_free, configs, seed=seed)
         rs = run_game_counts(game, non_ce_strategy, lone_free, configs, seed=seed)
@@ -428,8 +464,7 @@ def test_run_game_counts_matches_per_round_oracle_when_stepped(case, configs, re
     # free periods only: every phase is stepped in counts mode too
     game, sigma = request.getfixturevalue(case)
     frees = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 300), Phase(PhaseKind.FREE_PERIOD, 2, 301, 400),
-                      Phase(PhaseKind.FREE_PERIOD, 3, 701, 500)), (None, None, None), rules=None,
-                     conforming=False)
+                      Phase(PhaseKind.FREE_PERIOD, 3, 701, 500)), (None, None, None), rules=None)
     for rounds in (None, 0, 100, 300, 700):
         for seed in range(3):
             rs = run_game_counts(game, sigma, frees, configs, seed=seed, rounds=rounds)

@@ -15,17 +15,16 @@ from advicecheck import (
     InfeasiblePlanError,
     InvalidInputError,
     Outcome,
-    PowerQuery,
     ZeroCellObserved,
     estimate_psi,
     manual_plan,
     pearson_statistic,
     plan_test,
+    power_beta,
     prob_zero_cell_bound,
     run_sampling_decision,
     sample_size,
     sensitivity_delta,
-    zeta_cells,
 )
 from advicecheck import verifier
 
@@ -173,7 +172,7 @@ def test_power_entry_points_refuse_bad_delta_hat(game, ce_strategy, delta_hat):
     with pytest.raises(InvalidInputError):
         manual_plan(game, ce_strategy, 0.1, delta_hat, 100)
     with pytest.raises(InvalidInputError):
-        PowerQuery(alpha=0.1, delta_hat=delta_hat, df_total=3, sample_size=100)
+        power_beta(0.1, delta_hat, 3, 100)
     with pytest.raises(InvalidInputError):
         sample_size(0.1, 0.1, delta_hat, 3)
 
@@ -251,7 +250,7 @@ def test_prob_zero_cell_bound_matches_per_cell_oracle():
 
 def test_prob_zero_cell_bound_full_support(game, ce_strategy):
     assert prob_zero_cell_bound(game, ce_strategy) == 0.0
-    assert zeta_cells(ce_strategy) == ()
+    assert ce_strategy.zero_cells() == ()
 
 
 def test_plan_test_worked_example(game, ce_strategy):
