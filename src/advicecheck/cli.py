@@ -222,21 +222,23 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        raise InvalidInputError(f"--seeds must be at least 1, got {args.seeds}")
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise InvalidInputError("simulate config must be a JSON object")
     where = "simulate config"
     seed = args.seed if args.seed is not None else _entry(cfg, "seed", where, int, 0)
-    mc_samples = args.mc_samples or _entry(cfg, "mc_samples", where, int,
-                                           verifier.DEFAULT_MC_SAMPLES)
+    mc_samples = (args.mc_samples if args.mc_samples is not None
+                  else _entry(cfg, "mc_samples", where, int, verifier.DEFAULT_MC_SAMPLES))
     game, sigma = _load_inputs(_entry(cfg, "game", where, str), _entry(cfg, "strategy", where, str))
     schedule = _schedule_from_config(game, sigma, cfg.get("schedule", {}), mc_samples, seed)
     agent_configs = cfg.get("agents")
     rounds = cfg.get("rounds")
     outdir = Path(args.out or _entry(cfg, "output_dir", where, str, "out"))
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.seeds:
+    if args.seeds is not None:
         # batch mode: independent generators per seed, order-free aggregation
         runs = [
             sim.run_game_counts(game, sigma, schedule, agent_configs, seed=s, rounds=rounds)

@@ -14,7 +14,8 @@ every round that is not drawn in bulk:
 
 * ``run_game`` steps every round and returns a ``Transcript``, whose phase
   results also keep each round's joint signal and joint action index: rows,
-  windows, the CSV and mid-phase ledger averages are read from these columns;
+  windows, the CSV and mid-phase ledger averages are read from these columns
+  (the CSV through per-joint-index row tables, see ``transcript_to_csv``);
 * ``run_game_counts`` returns a ``RunSummary`` and draws one exact
   multinomial per phase whenever every active behavior is i.i.d. within the
   phase, which makes astronomically long phases cheap;
@@ -28,13 +29,15 @@ randomness the per-round loop would consume, so every output is
 bit-identical to playing round by round; a round after which some strategy
 may change is stepped singly through ``agent_act``.
 
-Utility ledgers sum exact rationals (joint-action counts times Fractions of
-the binary-exact float payoffs), so phase segments partition totals exactly.
+Utility ledgers sum exact rationals (joint-action counts times the
+binary-exact float payoffs, summed as integer numerators over one power of
+two), so phase segments partition totals exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -103,17 +106,15 @@ class Transcript(RunSummary):
     @property
     def rounds(self) -> list[RoundRecord]:
         """Every round's record, materialised from the phase columns."""
-        return [RoundRecord(*row) for row in self._rows()]
-
-    def _rows(self):
-        """(t, kind, j, signals, joint, actions, utilities) of each round."""
         decode = list(self.game.all_joint_actions())
         utilities = [tuple(row) for row in self.game.utilities.tolist()]
-        for pr in self.phase_results:
-            kind, j, begin = pr.phase.kind.value, pr.phase.index, pr.phase.begin
-            for t, signal, joint in zip(range(begin, begin + pr.rounds_run),
-                                        pr.signals.tolist(), pr.joints.tolist()):
-                yield t, kind, j, decode[signal], joint, decode[joint], utilities[joint]
+        return [
+            RoundRecord(t, pr.phase.kind.value, pr.phase.index, decode[signal], joint,
+                        decode[joint], utilities[joint])
+            for pr in self.phase_results
+            for t, signal, joint in zip(range(pr.phase.begin, pr.phase.begin + pr.rounds_run),
+                                        pr.signals.tolist(), pr.joints.tolist())
+        ]
 
 
 @dataclass(frozen=True)
@@ -288,13 +289,18 @@ def _iid_deviators(states, phase) -> dict | None:
 
 
 def _exact_utility_totals(game: Game, counts: np.ndarray) -> tuple[Fraction, ...]:
+    """Each agent's sum of count times payoff, exactly.
+
+    A finite float is n / 2^k, so every numerator is scaled to the largest
+    denominator and the sum is taken in Python ints (counts reach 1e18).
+    """
+    cells = np.flatnonzero(counts)
+    weights = counts[cells].tolist()
     out = []
-    for agent in range(game.num_agents):
-        total = Fraction(0)
-        col = game.utilities[:, agent]
-        for idx in np.flatnonzero(counts):
-            total += int(counts[idx]) * Fraction(float(col[idx]))
-        out.append(total)
+    for column in game.utilities[cells].T.tolist():
+        ratios = [u.as_integer_ratio() for u in column]
+        den = max((d for _, d in ratios), default=1)
+        out.append(Fraction(sum(w * n * (den // d) for w, (n, d) in zip(weights, ratios)), den))
     return tuple(out)
 
 
@@ -545,21 +551,49 @@ def exact_window_expectation(
 # --- exports ----------------------------------------------------------------
 
 
+def _csv_lines(rows) -> list[str]:
+    """Each row as ``csv.writer`` formats it, line terminator included."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    lines = []
+    for row in rows:
+        writer.writerow(row)
+        lines.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    return lines
+
+
 def transcript_to_csv(transcript: Transcript, path) -> None:
-    """One row per round: t, phase, signals, actions, utilities."""
-    n = transcript.game.num_agents
+    """One row per round: t, phase, j, signals, actions, utilities.
+
+    Past t, phase and j a row depends only on its joint signal and joint
+    action index, so both parts are formatted once per joint index and each
+    phase is written in slices of at most ``_BLOCK_ROUNDS`` rows: memory is
+    O(|A| + _BLOCK_ROUNDS) whatever the run's length.
+    """
+    game = transcript.game
+    n = game.num_agents
+    decode = list(game.all_joint_actions())
+    signal_part = [line[:-2] + "," for line in _csv_lines(decode)]  # "\r\n" -> ","
+    action_part = _csv_lines([*actions, *map(repr, utilities)]
+                             for actions, utilities in zip(decode, game.utilities.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             ["t", "phase", "j"]
             + [f"signal_{i+1}" for i in range(n)]
             + [f"action_{i+1}" for i in range(n)]
             + [f"utility_{i+1}" for i in range(n)]
         )
-        writer.writerows(
-            [t, kind, j, *signals, *actions, *map(repr, utilities)]
-            for t, kind, j, signals, _, actions, utilities in transcript._rows()
-        )
+        for pr in transcript.phase_results:
+            head = f"{pr.phase.kind.value},{pr.phase.index},"
+            for lo in range(0, pr.rounds_run, _BLOCK_ROUNDS):
+                hi = min(lo + _BLOCK_ROUNDS, pr.rounds_run)
+                fh.write("".join([
+                    f"{t},{head}{signal_part[s]}{action_part[a]}"
+                    for t, s, a in zip(range(pr.phase.begin + lo, pr.phase.begin + hi),
+                                       pr.signals[lo:hi].tolist(), pr.joints[lo:hi].tolist())
+                ]))
 
 
 def run_summary_dict(run: RunSummary) -> dict:

@@ -373,6 +373,27 @@ def test_simulate_batch_of_zero_round_runs_exits_2(tmp_path, capsys):
     assert "no rounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_simulate_seeds_below_one_exits_2(tmp_path, capsys, seeds):
+    # 0 is a value, not an absent flag: it must not fall through to a full-record run
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", "fixtures/sim_config.json", "--out", str(out),
+                 "--seeds", seeds])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seeds" in err
+    assert not out.exists()
+
+
+def test_simulate_mc_samples_flag_of_0_overrides_the_config(tmp_path, capsys):
+    # the config's 2000 samples would plan (and find the test infeasible);
+    # the flag's 0 must be refused instead of replaced by the config's value
+    cfg = {"game": GAME, "strategy": CE, "mc_samples": 2000, "record": "counts",
+           "schedule": {"kind": "harmonic", "horizon_tests": 1}}
+    assert _simulate(tmp_path, cfg, "--mc-samples", "0") == 2
+    assert "mc_samples must be at least 1000" in capsys.readouterr().err
+
+
 # replacement values for mutated configs: every JSON type, small numbers only,
 # and paths to files of the wrong kind
 _VALUES = st.sampled_from([None, True, -1, 0, 3, 0.5, "x", ".", GAME, NON_CE, [], [0], [0.5, 0.5],

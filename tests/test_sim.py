@@ -1,10 +1,14 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advicecheck import (
     CorrelatedStrategy,
+    Game,
     InvalidInputError,
     NoDataError,
     Outcome,
@@ -237,6 +241,88 @@ def test_transcript_csv_matches_per_record_writer(game, announcement, configs, r
             transcript_to_csv(tr, tmp_path / "got.csv")
             write_rows_csv(rows, game.num_agents, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case, configs", BEYOND_2X2, ids=BEYOND_IDS)
+def test_transcript_csv_matches_per_record_writer_beyond_2x2(case, configs, request, tmp_path):
+    game, sigma = request.getfixturevalue(case)
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[150, 200], free_lengths=[400, 300])
+    for rounds in (None, 700):
+        for seed in range(2):
+            tr = run_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            rows, _ = per_round_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
+            transcript_to_csv(tr, tmp_path / "got.csv")
+            write_rows_csv(rows, game.num_agents, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# payoffs whose repr is not a plain decimal: a signed zero, a subnormal,
+# exponents, long digit strings (a Game refuses negative payoffs)
+AWKWARD = [-0.0, 0.0, 5e-324, 1e-300, 2.5e-08, 0.1 + 0.2, 1 / 3, 3.5, 123456789.125, 1e16, 1e300]
+
+
+@st.composite
+def awkward_games(draw):
+    shape = draw(st.sampled_from([(2, 2), (3, 2), (2, 2, 2)]))
+    n_joint = int(np.prod(shape))
+    payoffs = draw(st.lists(st.sampled_from(AWKWARD), min_size=n_joint * len(shape),
+                            max_size=n_joint * len(shape)))
+    return Game(list(shape), np.array(payoffs).reshape(n_joint, len(shape)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(game=awkward_games(), seed=st.integers(0, 2**16))
+def test_transcript_csv_matches_per_record_writer_on_awkward_payoffs(game, seed, tmp_path_factory):
+    rng = np.random.default_rng(seed)
+    sigma = CorrelatedStrategy(rng.dirichlet(np.ones(game.num_joint_actions)))
+    sched = Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 1, 30),
+                      Phase(PhaseKind.FREE_PERIOD, 1, 31, 50)), (None,), rules=None)
+    configs = [{"learner": UNIFORM}] * game.num_agents
+    tr = run_game(game, sigma, sched, configs, seed=seed)
+    rows, _ = per_round_game(game, sigma, sched, configs, seed=seed)
+    out = tmp_path_factory.mktemp("csv")
+    transcript_to_csv(tr, out / "got.csv")
+    write_rows_csv(rows, game.num_agents, out / "want.csv")
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(game=awkward_games(), data=st.data())
+def test_exact_utility_totals_match_fraction_sums(game, data):
+    counts = np.array(data.draw(st.lists(st.sampled_from([0, 1, 7, 2**40 + 1, 10**18]),
+                                         min_size=game.num_joint_actions,
+                                         max_size=game.num_joint_actions)), dtype=np.int64)
+    want = tuple(
+        sum((int(c) * Fraction(float(u)) for c, u in zip(counts, game.utilities[:, agent])),
+            Fraction(0))
+        for agent in range(game.num_agents)
+    )
+    assert sim._exact_utility_totals(game, counts) == want
+
+
+def _export_peak_mib(tr, path) -> float:
+    tracemalloc.start()
+    try:
+        transcript_to_csv(tr, path)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_transcript_csv_memory_is_bounded(game, ce_strategy, tmp_path):
+    # 3^6 game: the row tables hold 729 entries each, where a table of
+    # (signal, action) pairs would hold 531441 strings
+    rng = np.random.default_rng(6)
+    big = Game([3] * 6, rng.uniform(0, 5, size=(729, 6)))
+    sigma = CorrelatedStrategy(rng.dirichlet(np.ones(729)))
+    lone_free = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 300),), (), rules=None)
+    tr = run_game(big, sigma, lone_free, [{"learner": UNIFORM}] * 6, seed=0)
+    assert _export_peak_mib(tr, tmp_path / "big.csv") < 2
+    # a 200k-round phase is written in slices, so the peak does not grow with it
+    long_free = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 200_000),), (), rules=None)
+    tr = run_game(game, ce_strategy, long_free, seed=0)
+    assert _export_peak_mib(tr, tmp_path / "long.csv") < 4
 
 
 def test_pure_learning_needs_one_spec_per_agent(game):
