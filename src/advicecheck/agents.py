@@ -132,13 +132,11 @@ class FictitiousPlayLearner(Learner):
             self._counts[i] = [x + y for x, y in zip(self._counts[i], seen)]
 
     def _opponent_joint(self) -> list[float]:
-        qs = []
+        joint = [1.0]  # the empty profile: with no opponents, the only one
         for i in self._opponents:
             c = self._counts[i]
             total = sum(c)
-            qs.append([x / total for x in c] if total else self._uniform_opp[i])
-        joint = qs[0]
-        for q in qs[1:]:
+            q = [x / total for x in c] if total else self._uniform_opp[i]
             joint = [a * b for a in joint for b in q]
         return joint
 
@@ -212,7 +210,7 @@ class TriggerLearner(Learner):
             self.triggered = True
 
     def observe_block(self, actions) -> None:
-        if np.any(actions[self.watch_agent] == self.watch_action):
+        if (actions[self.watch_agent] == self.watch_action).any():
             self.triggered = True
 
     def next_strategy(self) -> np.ndarray:
@@ -320,31 +318,19 @@ def sample_block(probs, rng: np.random.Generator, k: int) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, rng.random(k), side="right"), len(probs) - 1)
 
 
-def agent_act(state: AgentState, phase: Phase, signal: int | None, rng: np.random.Generator) -> int:
-    """Choose this round's action.
-
-    Following agents play the signal. Rejected agents play the fall-back
-    during sampling tests and sample the learner's strategy during free
-    periods (the learner has been reset at the period's start).
-    """
-    if state.mode is Mode.FOLLOWING_MEDIATOR:
-        if signal is None:
-            raise InvalidInputError("a following agent needs a signal")
-        return int(signal)
-    if phase.kind is PhaseKind.SAMPLING_TEST:
-        probs = state.fallback.probs
-    else:
-        probs = state.learner.next_strategy()
-    return sample_strategy(probs, rng)
-
-
-def act_block(state: AgentState, phase: Phase, signals: np.ndarray | None,
+def agent_act(state: AgentState, phase: Phase, signals: np.ndarray | None,
               rng: np.random.Generator, k: int) -> np.ndarray:
-    """``k`` consecutive rounds of ``agent_act`` while the learner's strategy holds.
+    """The agent's actions over ``k`` consecutive rounds in which its strategy holds.
 
-    ``signals`` is the agent's signal column over the block.
+    Following agents play ``signals``, their own signal column over the
+    rounds. Rejected agents play the fall-back during sampling tests and the
+    learner's strategy during free periods (the learner has been reset at the
+    period's start), drawn by ``sample_block``: exactly the randomness of ``k``
+    per-round ``sample_strategy`` draws. A round is a block of one.
     """
     if state.mode is Mode.FOLLOWING_MEDIATOR:
+        if signals is None:
+            raise InvalidInputError("a following agent needs a signal")
         return signals
     if phase.kind is PhaseKind.SAMPLING_TEST:
         probs = state.fallback.probs

@@ -22,12 +22,14 @@ every round that is not drawn in bulk:
 * ``run_pure_learning`` steps its horizon as one free period in which every
   agent learns.
 
-The stepper plays rounds in skip-ahead blocks: as many rounds as every
-learning agent's ``Learner.stable_rounds()`` guarantees its strategy holds.
-Within a block each agent's actions are drawn as one array from exactly the
-randomness the per-round loop would consume, so every output is
-bit-identical to playing round by round; a round after which some strategy
-may change is stepped singly through ``agent_act``.
+The stepper has one path: it plays rounds in skip-ahead blocks of as many
+rounds as every learning agent's ``Learner.stable_rounds()`` guarantees its
+strategy holds. Within a block each agent's actions come from one
+``agent_act`` call, drawn as one array from exactly the randomness the
+per-round loop would consume, so every output is bit-identical to playing
+round by round; a round after which some strategy may change is a block of
+one. The mediator's signals are drawn per chunk of ``_BLOCK_ROUNDS`` rounds,
+so a stepped phase's memory does not grow with its length.
 
 Utility ledgers sum exact rationals (joint-action counts times the
 binary-exact float payoffs, summed as integer numerators over one power of
@@ -45,8 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .agents import (AgentState, Mode, _bounded_int, _simplex_draw, act_block, agent_act,
-                     make_learner)
+from .agents import AgentState, Mode, _bounded_int, _simplex_draw, agent_act, make_learner
 from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
 from .errors import InvalidInputError, NoDataError
 from .games import (
@@ -309,61 +310,55 @@ def _exact_utility_totals(game: Game, counts: np.ndarray) -> tuple[Fraction, ...
 _BLOCK_ROUNDS = 1 << 14
 
 
-def _step(game, phase, states, rngs, length, signals=None, joints_out=None) -> np.ndarray:
+def _step(game, phase, states, rngs, length, signals=None, signals_out=None,
+          joints_out=None) -> np.ndarray:
     """Play ``length`` rounds of a phase; returns their joint-action counts.
 
-    ``signals`` holds each round's joint signal index (None when no agent
-    follows). Rounds go in blocks of the least ``stable_rounds()`` over the
-    learners that observe: each agent's block of actions is its signal
-    column, a constant, or one vector draw (``act_block``), consuming the
-    randomness of the per-round loop exactly. A block of one round is stepped
-    through ``agent_act``. Rejected agents' learners observe every
-    free-period round. With ``joints_out`` given, each round's joint action
-    index is written to it.
+    ``signals(lo, hi)`` gives the joint signals of the run's rounds lo + 1..hi
+    (None when no agent follows); they are taken in chunks of ``_BLOCK_ROUNDS``
+    rounds, so memory does not grow with the phase. Within a chunk, rounds go
+    in blocks of the least ``stable_rounds()`` over the observing learners
+    (rejected agents', in free periods), one ``agent_act`` call per agent and
+    block; a one-round block is just a small block. ``signals_out`` and
+    ``joints_out``, when given, receive each round's joint signal and joint
+    action index.
     """
     shape = game.action_counts
-    index = {joint: i for i, joint in enumerate(game.all_joint_actions())}
-    decode = list(index)
     observers = (
         [st.learner for st in states if st.mode.rejected]
         if phase.kind is PhaseKind.FREE_PERIOD else []
     )
-    counts = [0] * game.num_joint_actions
-    bulk = np.zeros(game.num_joint_actions, dtype=np.int64)
-    no_signal = (None,) * game.num_agents
     bounds = [learner.stable_rounds for learner in observers]
-    pos = 0
-    while pos < length:
-        k = length - pos
-        for stable_rounds in bounds:
-            stable = stable_rounds()
-            if stable < k:
-                k = stable
-                if k == 1:
-                    break
-        if k == 1:
-            signal = no_signal if signals is None else decode[signals[pos]]
-            actions = tuple(agent_act(st, phase, signal[st.id], rngs[st.id]) for st in states)
-            joint = index[actions]
-            counts[joint] += 1
+    counts = np.zeros(game.num_joint_actions, dtype=np.int64)
+    columns = [None] * game.num_agents
+    for lo in range(0, length, _BLOCK_ROUNDS):
+        size = min(_BLOCK_ROUNDS, length - lo)
+        if signals is not None:
+            chunk = signals(phase.begin - 1 + lo, phase.begin - 1 + lo + size)
+            if signals_out is not None:
+                signals_out[lo : lo + size] = chunk
+            columns = np.unravel_index(chunk, shape)
+        played = np.empty((game.num_agents, size), dtype=np.int64)
+        pos = 0
+        while pos < size:
+            k = size - pos
+            for stable_rounds in bounds:
+                stable = stable_rounds()
+                if stable < k:
+                    k = int(stable)
+                    if k == 1:
+                        break
+            actions = [agent_act(st, phase, None if col is None else col[pos : pos + k],
+                                 rngs[st.id], k) for st, col in zip(states, columns)]
+            played[:, pos : pos + k] = actions
             for learner in observers:
-                learner.observe(actions)
-            if joints_out is not None:
-                joints_out[pos] = joint
-            pos += 1
-            continue
-        k = min(int(k), _BLOCK_ROUNDS)
-        block = None if signals is None else signals[pos : pos + k]
-        columns = no_signal if block is None else np.unravel_index(block, shape)
-        actions = [act_block(st, phase, columns[st.id], rngs[st.id], k) for st in states]
-        joints = np.ravel_multi_index(actions, shape)
-        bulk += np.bincount(joints, minlength=game.num_joint_actions)
-        for learner in observers:
-            learner.observe_block(actions)
+                learner.observe_block(actions)
+            pos += k
+        joints = np.ravel_multi_index(played, shape)
+        counts += np.bincount(joints, minlength=game.num_joint_actions)
         if joints_out is not None:
-            joints_out[pos : pos + k] = joints
-        pos += k
-    return np.array(counts, dtype=np.int64) + bulk
+            joints_out[lo : lo + size] = joints
+    return counts
 
 
 def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_override=None):
@@ -374,7 +369,8 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
     active behavior is i.i.d. (followers track the signal; rejected agents
     play fixed strategies) is one exact multinomial draw from the
     announcement composed with the deviators' mixes, and a phase with a
-    sequential learner is stepped (``_step``).
+    sequential learner is stepped (``_step``). Its signals are drawn (or sliced
+    from ``signal_override``) a chunk at a time: the same draws as one call.
     """
     game, sigma_m = run.game, run.sigma_m
     probs = joint_distribution(sigma_m, game)
@@ -387,7 +383,12 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
         raise InvalidInputError(f"signal_override covers fewer than {horizon} rounds")
     mediator_rng, agent_rngs, states = _setup_agents(game, sigma_m, agent_configs, run.seed)
     record = isinstance(run, Transcript)
-    n_joint = game.num_joint_actions
+    if signal_override is not None:
+        def draw_signals(lo, hi):
+            return np.asarray(signal_override[lo:hi], dtype=np.int64)
+    else:
+        def draw_signals(lo, hi):
+            return mediator_rng.choice(game.num_joint_actions, size=hi - lo, p=probs)
     for phase in schedule.phases:
         if phase.begin > horizon:
             break
@@ -401,16 +402,13 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
             dist = compose_deviation(sigma_m, game, deviators).probs if deviators else probs
             counts = mediator_rng.multinomial(length, dist).astype(np.int64)
         else:
-            if signal_override is not None:
-                signals = np.array(signal_override[phase.begin - 1 : phase.begin - 1 + length],
-                                   dtype=np.int64)
-            else:
-                signals = mediator_rng.choice(n_joint, size=length, p=probs)
-            joints = np.empty(length, dtype=np.int64) if record else None
-            counts = _step(game, phase, states, agent_rngs, length, signals, joints)
+            if record:
+                signals = np.empty(length, dtype=np.int64)
+                joints = np.empty(length, dtype=np.int64)
+            counts = _step(game, phase, states, agent_rngs, length, draw_signals, signals, joints)
         run.phase_results.append(PhaseResult(
             phase, length, counts, _exact_utility_totals(game, counts),
-            signals=None if joints is None else signals, joints=joints,
+            signals=signals, joints=joints,
         ))
         if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
             plan = schedule.plan_for(phase.index)

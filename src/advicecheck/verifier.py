@@ -44,6 +44,7 @@ from .games import (
 )
 
 DEFAULT_MC_SAMPLES = 200_000
+MIN_MC_SAMPLES = 1000
 MAX_PSI_AGENTS = 12  # 2^n subsets
 _CHUNK_ELEMENTS = 1 << 15  # cells of the per-sample outer product held at once
 
@@ -217,8 +218,8 @@ def estimate_psi(
     """
     if not math.isfinite(delta_hat) or delta_hat <= 0:
         raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
-    if mc_samples < 1000:
-        raise InvalidInputError("mc_samples must be at least 1000")
+    if mc_samples < MIN_MC_SAMPLES:
+        raise InvalidInputError(f"mc_samples must be at least {MIN_MC_SAMPLES}")
     if game.num_agents > MAX_PSI_AGENTS:
         raise InvalidInputError(
             f"psi estimation enumerates 2^n subsets; {game.num_agents} agents exceed "

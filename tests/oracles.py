@@ -5,8 +5,10 @@ is a direct triple loop over (agent, signal, deviation) computed from raw
 arrays, deviations are composed cell by cell, the zero-cell bound is taken one
 cell and one deviating subset at a time, psi is estimated from dense
 composed distributions, and the repeated game is replayed by a plain
-per-round loop over the public agent and decision primitives, as is the
-pure-learning baseline; the transcript CSV is written one record at a time.
+per-round loop that draws each action with the scalar ``sample_strategy``
+(not the engine's block sampler) and decides through the public decision
+primitive, as is the pure-learning baseline; the transcript CSV is written
+one record at a time.
 """
 
 import csv
@@ -25,10 +27,10 @@ from advicecheck import (
     Outcome,
     Phase,
     PhaseKind,
-    agent_act,
     make_learner,
     run_sampling_decision,
 )
+from advicecheck.agents import sample_strategy
 from advicecheck.games import agent_incentive_violations, joint_distribution, marginal_excluding
 from advicecheck.sim import RoundRecord
 
@@ -151,6 +153,17 @@ def dense_psi(game, sigma_m, delta_hat, mc_samples, seed=0):
     return per_subset
 
 
+def act(state, phase, signal, rng):
+    """One round of an agent's play: its signal component when following,
+    else one ``sample_strategy`` draw from its fall-back (sampling tests) or
+    its learner's strategy (free periods)."""
+    if state.mode is Mode.FOLLOWING_MEDIATOR:
+        return signal
+    if phase.kind is PhaseKind.SAMPLING_TEST:
+        return sample_strategy(state.fallback.probs, rng)
+    return sample_strategy(state.learner.next_strategy(), rng)
+
+
 def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=None):
     """Round-by-round reference for ``run_game``: (rows, decisions).
 
@@ -195,7 +208,7 @@ def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=N
         counts = np.zeros(game.num_joint_actions, dtype=np.int64)
         for off in range(length):
             components = game.joint_action(int(signals[off]))
-            actions = tuple(agent_act(st, phase, components[st.id], rngs[st.id]) for st in states)
+            actions = tuple(act(st, phase, components[st.id], rngs[st.id]) for st in states)
             joint = game.joint_index(actions)
             counts[joint] += 1
             if free:
@@ -221,7 +234,7 @@ def per_round_pure_learning(game, learner_specs, rounds, seed=0):
 
     Every agent is rejected, with a fresh learner and its own generator from
     SeedSequence(seed).spawn(n). Each round every agent samples its learner's
-    strategy through ``agent_act`` and every learner observes the joint action.
+    strategy through ``act`` and every learner observes the joint action.
     """
     states = [
         AgentState(id=i, fallback=MixedStrategy([1.0] + [0.0] * (game.action_counts[i] - 1)),
@@ -232,7 +245,7 @@ def per_round_pure_learning(game, learner_specs, rounds, seed=0):
     phase = Phase(PhaseKind.FREE_PERIOD, 1, 1, max(rounds, 1))
     counts = np.zeros(game.num_joint_actions, dtype=np.int64)
     for _ in range(rounds):
-        actions = tuple(agent_act(st, phase, None, rngs[st.id]) for st in states)
+        actions = tuple(act(st, phase, None, rngs[st.id]) for st in states)
         counts[game.joint_index(actions)] += 1
         for st in states:
             st.learner.observe(actions)

@@ -60,21 +60,22 @@ def _state(game, mode, fallback=(0.75, 0.25), learner=None):
 def test_agent_act_obedience(game):
     st_ = _state(game, Mode.FOLLOWING_MEDIATOR)
     rng = np.random.default_rng(0)
-    assert agent_act(st_, TEST_PHASE, 1, rng) == 1
-    assert agent_act(st_, FREE_PHASE, 0, rng) == 0
+    assert agent_act(st_, TEST_PHASE, np.array([1, 0, 1]), rng, 3).tolist() == [1, 0, 1]
+    assert agent_act(st_, FREE_PHASE, np.array([0]), rng, 1).tolist() == [0]
 
 
 def test_agent_act_requires_signal_when_following(game):
     st_ = _state(game, Mode.FOLLOWING_MEDIATOR)
-    with pytest.raises(InvalidInputError):
-        agent_act(st_, TEST_PHASE, None, np.random.default_rng(0))
+    for k in (1, 5):
+        with pytest.raises(InvalidInputError):
+            agent_act(st_, TEST_PHASE, None, np.random.default_rng(0), k)
 
 
 def test_agent_act_fallback_frequencies(game):
     # a rejected agent in a sampling test samples its fixed fall-back
     st_ = _state(game, Mode.REJECTED_BY_EQ2, fallback=(0.75, 0.25))
     rng = np.random.default_rng(42)
-    actions = [agent_act(st_, TEST_PHASE, 0, rng) for _ in range(10_000)]
+    actions = agent_act(st_, TEST_PHASE, np.zeros(10_000, dtype=np.int64), rng, 10_000)
     freq = np.bincount(actions, minlength=2) / len(actions)
     assert freq == pytest.approx([0.75, 0.25], abs=0.02)
 
@@ -83,17 +84,18 @@ def test_agent_act_uses_learner_in_free_periods(game):
     learner = TriggerLearner(2, initial_action=0, switch_action=1, watch_agent=0, watch_action=1)
     st_ = _state(game, Mode.REJECTED_BY_TEST, learner=learner)
     rng = np.random.default_rng(0)
-    assert agent_act(st_, FREE_PHASE, 0, rng) == 0
+    signals = np.zeros(3, dtype=np.int64)
+    assert agent_act(st_, FREE_PHASE, signals, rng, 3).tolist() == [0, 0, 0]
     learner.observe((1, 0))
-    assert agent_act(st_, FREE_PHASE, 0, rng) == 1
+    assert agent_act(st_, FREE_PHASE, signals, rng, 3).tolist() == [1, 1, 1]
 
 
 def test_fallback_immutable_across_run(game):
     st_ = _state(game, Mode.REJECTED_BY_TEST)
     rng = np.random.default_rng(1)
     for phase in (TEST_PHASE, FREE_PHASE, TEST_PHASE):
-        for _ in range(50):
-            agent_act(st_, phase, 0, rng)
+        for k in (1, 49):
+            agent_act(st_, phase, np.zeros(k, dtype=np.int64), rng, k)
         st_.begin_free_period()
     assert st_.fallback_unchanged()
     with pytest.raises(ValueError):
@@ -187,8 +189,10 @@ def test_agent_act_deterministic_given_state(game):
     st_a = _state(game, Mode.REJECTED_BY_TEST)
     st_b = _state(game, Mode.REJECTED_BY_TEST)
     ra, rb = np.random.default_rng(9), np.random.default_rng(9)
-    for _ in range(200):
-        assert agent_act(st_a, TEST_PHASE, 0, ra) == agent_act(st_b, TEST_PHASE, 0, rb)
+    for k in [1, 7, 1, 1, 64, 127]:
+        signals = np.zeros(k, dtype=np.int64)
+        assert np.array_equal(agent_act(st_a, TEST_PHASE, signals, ra, k),
+                              agent_act(st_b, TEST_PHASE, signals, rb, k))
 
 
 @settings(max_examples=200, deadline=None)

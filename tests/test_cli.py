@@ -394,6 +394,35 @@ def test_simulate_mc_samples_flag_of_0_overrides_the_config(tmp_path, capsys):
     assert "mc_samples must be at least 1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule", [TOY, GEOMETRIC, {"kind": "harmonic", "horizon_tests": 1}],
+                         ids=["toy", "geometric", "harmonic"])
+def test_simulate_refuses_mc_samples_below_the_bound_for_every_schedule_kind(tmp_path, capsys,
+                                                                             schedule):
+    # a toy schedule never estimates psi, so the bound must be checked up front
+    cfg = {"game": GAME, "strategy": CE, "record": "counts", "schedule": schedule}
+    low = str(verifier.MIN_MC_SAMPLES - 1)
+    for cfg_, extra in [(cfg, ("--mc-samples", "5", "--seeds", "1")), (cfg, ("--mc-samples", low)),
+                        ({**cfg, "mc_samples": 5}, ())]:
+        assert _simulate(tmp_path, cfg_, *extra) == 2
+        assert f"mc_samples must be at least {verifier.MIN_MC_SAMPLES}" in capsys.readouterr().err
+    if schedule is TOY:
+        assert _simulate(tmp_path, cfg, "--mc-samples", str(verifier.MIN_MC_SAMPLES)) == 0
+
+
+def test_simulate_one_agent_fictitious_play_exits_0(tmp_path):
+    # with no opponents, fictitious play best-responds to the empty profile
+    (tmp_path / "game.json").write_text(json.dumps({"action_counts": [2],
+                                                    "utilities": [[1.0], [2.0]]}))
+    (tmp_path / "sigma.json").write_text("[0.5, 0.5]")
+    cfg = {"game": str(tmp_path / "game.json"), "strategy": str(tmp_path / "sigma.json"),
+           "agents": [{"learner": {"name": "fictitious-play"}}], "schedule": TOY}
+    assert _simulate(tmp_path, cfg) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    # screened out (uniform advice is no equilibrium), it plays its better action
+    assert summary["decisions"]["agent1.test1"]["outcome"] == "RejectByEq2"
+    assert summary["phases"][1]["avg_utility"] == [2.0]
+
+
 # replacement values for mutated configs: every JSON type, small numbers only,
 # and paths to files of the wrong kind
 _VALUES = st.sampled_from([None, True, -1, 0, 3, 0.5, "x", ".", GAME, NON_CE, [], [0], [0.5, 0.5],

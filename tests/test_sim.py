@@ -610,6 +610,55 @@ def test_run_pure_learning_matches_per_round_oracle(case, learners, request):
             assert run.utility_totals == totals
 
 
+def test_one_agent_fictitious_play_matches_per_round_oracle():
+    # no opponents: the best response to the empty profile, from the first round
+    game = Game([3], np.array([[1.0], [3.0], [2.0]]))
+    for rounds in (0, 1, 50):
+        for seed in range(2):
+            run = run_pure_learning(game, [FP], rounds=rounds, seed=seed)
+            counts, totals = per_round_pure_learning(game, [FP], rounds, seed=seed)
+            assert np.array_equal(run.counts, counts)
+            assert run.utility_totals == totals
+    assert run.counts.tolist() == [0, 50, 0]
+
+
+def test_stepped_phase_spanning_signal_chunks_matches_per_round_oracle(game, non_ce_strategy):
+    # a free period over three signal chunks (agent 1 follows, agent 2 learns):
+    # chunked draws give the oracle's one-call signals, and an override is
+    # read chunk by chunk into the same transcript
+    long_free = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 2 * sim._BLOCK_ROUNDS + 300),),
+                         (None,), rules=None)
+    configs = [{"learner": FP}, {"learner": FP}]
+    tr = run_game(game, non_ce_strategy, long_free, configs, seed=2)
+    rows, _ = per_round_game(game, non_ce_strategy, long_free, configs, seed=2)
+    assert tr.rounds == rows
+    signals = tr.phase_results[0].signals.tolist()
+    again = run_game(game, non_ce_strategy, long_free, configs, seed=2, signal_override=signals)
+    assert again.rounds == rows
+
+
+def _stepped_peak_mib(game, sigma, free_rounds) -> float:
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[100], free_lengths=[free_rounds])
+    tracemalloc.start()
+    try:
+        run = run_game_counts(game, sigma, sched, [{"learner": FP}] * 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert run.phase_results[-1].rounds_run == free_rounds
+    return peak
+
+
+def test_stepped_phase_memory_is_flat_in_its_length(game, non_ce_strategy):
+    # the free period's learners are sequential, so it is stepped in counts
+    # mode; its signals are drawn per chunk, so ten times the rounds adds
+    # no memory (drawn whole, 2e6 rounds peak near 30 MiB)
+    short = _stepped_peak_mib(game, non_ce_strategy, 200_000)
+    long = _stepped_peak_mib(game, non_ce_strategy, 2_000_000)
+    assert long < short + 1
+
+
 def test_long_free_periods_are_not_stepped_per_round(game, non_ce_strategy, monkeypatch):
     # criterion 9's paired runs: per-round play would call agent_act 2 x 500k times
     calls = []
