@@ -43,10 +43,8 @@ from .games import (
     expected_utility,
     load_game,
     load_strategy,
-    marginal_excluding,
     save_game,
     save_strategy,
-    signal_marginal,
 )
 from .schedule import (
     Phase,

@@ -163,9 +163,12 @@ class FictitiousPlayLearner(Learner):
         included, for floor((gap_a - eps) / drop_a) rounds, where eps dominates
         the float error of next_strategy's sums. A block stops after total + 1
         rounds, so that error at most doubles within it. Utilities are
-        nonnegative, so values never fall to the argmax's -1.0 start. Several
-        opponents, or none observed yet: 1.
+        nonnegative, so values never fall to the argmax's -1.0 start. No
+        opponents: the strategy never changes, so inf. Several opponents, or
+        none observed yet: 1.
         """
+        if not self._opponents:
+            return math.inf
         if self._single is None:
             return 1
         c = self._counts[self._single]

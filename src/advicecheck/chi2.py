@@ -247,7 +247,8 @@ def sample_size(alpha: float, beta_target: float, delta_hat: float, df_total: in
 
     beta is monotone nonincreasing in the sample size (the noncentrality
     grows linearly with it), so exponential bracketing plus binary search is
-    exact. Degenerate targets that are met at a single sample report 1.
+    exact. Degenerate targets that are met at a single sample report 1; a
+    target that no sample size up to 2^62 meets is refused.
     """
     _check_alpha_delta(alpha, delta_hat)
     if not 0.0 < beta_target < 1.0:
@@ -262,8 +263,11 @@ def sample_size(alpha: float, beta_target: float, delta_hat: float, df_total: in
     hi = 2
     while beta_at(hi) > beta_target:
         hi *= 2
-        if hi > 2 ** 62:  # pragma: no cover - safety valve
-            raise RuntimeError("sample size search exceeded 2^62")
+        if hi > 2 ** 62:
+            raise InvalidInputError(
+                f"no sample size up to 2^62 meets beta={beta_target} at alpha={alpha}, "
+                f"delta_hat={delta_hat}"
+            )
     lo = hi // 2 + 1
     while lo < hi:
         mid = (lo + hi) // 2

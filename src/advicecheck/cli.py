@@ -21,7 +21,13 @@ import numpy as np
 from . import schedule as sched
 from . import sim, verifier
 from .errors import InvalidInputError, NonConvergenceError, ZeroCellObserved
-from .games import check_correlated_equilibrium, compose_deviation, load_game, load_strategy
+from .games import (
+    agent_incentive_violations,
+    check_correlated_equilibrium,
+    compose_deviation,
+    load_game,
+    load_strategy,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -103,7 +109,10 @@ def cmd_test(args) -> int:
             mc_samples=args.mc_samples, seed=args.seed,
         )
         counts = _simulated_counts(args, game, sigma, plan.sample_size)
-    decision = verifier.run_sampling_decision(plan, game, sigma, args.agent - 1, counts)
+    if agent_incentive_violations(game, sigma, args.agent - 1):
+        decision = verifier.Decision(verifier.Outcome.REJECT_BY_EQ2)  # it never tests
+    else:
+        decision = verifier.run_sampling_decision(plan, sigma, counts)
     out = {
         "outcome": decision.outcome.value,
         "statistic": decision.statistic,

@@ -206,11 +206,6 @@ def conditional_given_signal(
     return row / total
 
 
-def signal_marginal(sigma: CorrelatedStrategy, game: Game, agent: int) -> np.ndarray:
-    """Marginal distribution of one agent's signal under sigma."""
-    return _agent_view(joint_distribution(sigma, game), game, agent).sum(axis=1)
-
-
 def agent_incentive_violations(
     game: Game, sigma: CorrelatedStrategy, agent: int, tolerance: float = GAP_TOL
 ) -> list[CeViolation]:
@@ -250,31 +245,6 @@ def check_correlated_equilibrium(
     for agent in range(game.num_agents):
         violations.extend(agent_incentive_violations(game, sigma, agent, tolerance))
     return CeVerdict(is_equilibrium=not violations, violations=tuple(violations))
-
-
-def marginal_excluding(
-    sigma: CorrelatedStrategy, game: Game, excluded_agents, partial_action
-) -> float:
-    """Marginal probability of the non-excluded agents' partial joint action.
-
-    Sums sigma over all actions of the excluded agents. With every agent
-    excluded the result is 1; with none excluded it is sigma at the full
-    joint action.
-    """
-    excluded = sorted(set(int(i) for i in excluded_agents))
-    if any(i < 0 or i >= game.num_agents for i in excluded):
-        raise InvalidInputError("excluded agent index out of range")
-    keep = [i for i in range(game.num_agents) if i not in excluded]
-    partial = tuple(int(a) for a in partial_action)
-    if len(partial) != len(keep):
-        raise InvalidInputError("partial_action must index exactly the non-excluded agents")
-    for a, i in zip(partial, keep):
-        if not 0 <= a < game.action_counts[i]:
-            raise InvalidInputError(f"action {a} out of range for agent {i}")
-    tensor = joint_distribution(sigma, game).reshape(game.action_counts)
-    if excluded:
-        tensor = tensor.sum(axis=tuple(excluded))
-    return float(tensor[partial]) if keep else float(tensor)
 
 
 def _composed(base, game: Game, mixes: dict) -> np.ndarray:

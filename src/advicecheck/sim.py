@@ -5,9 +5,10 @@ delivers each agent its own component privately. Agents act according to
 their mode: following agents play the signal; rejected agents play their
 fixed fall-back during sampling tests and their (reset) learner during free
 periods. An agent whose own incentive constraints fail is screened out once,
-at set-up, and rejects every test without testing; at the end of every
-sampling test each other agent runs the decision on that test's public
-counts, and the outcomes set modes for the following free period.
+at set-up, and rejects every test without testing. At the end of every
+sampling test the verdict on that test's public counts is computed once, if
+some agent is unscreened, and is every unscreened agent's decision; it sets
+their modes for the following free period.
 
 One phase loop plays the schedule for both runners, and one stepper plays
 every round that is not drawn in bulk:
@@ -371,6 +372,9 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
     announcement composed with the deviators' mixes, and a phase with a
     sequential learner is stepped (``_step``). Its signals are drawn (or sliced
     from ``signal_override``) a chunk at a time: the same draws as one call.
+    At a completed planned test, agents screened at set-up record
+    ``REJECT_BY_EQ2``; the others share one ``run_sampling_decision`` verdict,
+    computed only when there is such an agent.
     """
     game, sigma_m = run.game, run.sigma_m
     probs = joint_distribution(sigma_m, game)
@@ -413,12 +417,13 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
         if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
             plan = schedule.plan_for(phase.index)
             if plan is not None:
+                verdict = None
                 for st in states:
                     # the set-up screen is final: a screened agent never tests
                     if st.mode is Mode.REJECTED_BY_EQ2:
                         decision = Decision(Outcome.REJECT_BY_EQ2)
                     else:
-                        decision = run_sampling_decision(plan, game, sigma_m, st.id, counts)
+                        decision = verdict = verdict or run_sampling_decision(plan, sigma_m, counts)
                         st.mode = (Mode.REJECTED_BY_TEST if decision.rejected
                                    else Mode.FOLLOWING_MEDIATOR)
                     run.decisions[(st.id, phase.index)] = decision

@@ -38,10 +38,10 @@ from .games import (
     CorrelatedStrategy,
     Game,
     _others_marginal,
-    agent_incentive_violations,
     compose_deviation,
     joint_distribution,
 )
+from .games import agent_incentive_violations  # noqa: F401 (bench/tracing.py wraps it here)
 
 DEFAULT_MC_SAMPLES = 200_000
 MIN_MC_SAMPLES = 1000
@@ -340,23 +340,15 @@ def manual_plan(
     )
 
 
-def run_sampling_decision(
-    plan: TestPlan,
-    game: Game,
-    sigma_m: CorrelatedStrategy,
-    agent: int,
-    observed_counts,
-) -> Decision:
-    """One agent's accept/reject decision at the end of a sampling test.
+def run_sampling_decision(plan: TestPlan, sigma_m: CorrelatedStrategy, observed_counts) -> Decision:
+    """The verdict of a sampling test on its public counts, the same for every agent.
 
-    The incentive screen comes first: an agent whose own constraints fail
-    rejects without testing (it played its fall-back throughout). Otherwise a
-    count on an announced-zero cell rejects outright; otherwise the statistic
-    decides against the critical value, with its survival probability
-    attached as a p-value.
+    A count on an announced-zero cell rejects outright; otherwise the
+    statistic decides against the critical value, with its survival
+    probability attached as a p-value. It does not run the incentive screen:
+    an agent whose own constraints fail (``agent_incentive_violations``)
+    rejects without testing, and a caller holding an agent screens it first.
     """
-    if agent_incentive_violations(game, sigma_m, agent):
-        return Decision(outcome=Outcome.REJECT_BY_EQ2)
     try:
         stat = pearson_statistic(observed_counts, sigma_m, plan.sample_size)
     except ZeroCellObserved:

@@ -4,11 +4,11 @@ These deliberately avoid the library's own code paths: the equilibrium check
 is a direct triple loop over (agent, signal, deviation) computed from raw
 arrays, deviations are composed cell by cell, the zero-cell bound is taken one
 cell and one deviating subset at a time, psi is estimated from dense
-composed distributions, and the repeated game is replayed by a plain
-per-round loop that draws each action with the scalar ``sample_strategy``
-(not the engine's block sampler) and decides through the public decision
-primitive, as is the pure-learning baseline; the transcript CSV is written
-one record at a time.
+composed distributions, and the repeated game, like the pure-learning
+baseline, is replayed by a plain per-round loop that draws each action with
+the scalar ``sample_strategy`` (not the engine's block sampler); at every
+test it screens each agent's incentive constraints anew before taking the
+public verdict. The transcript CSV is written one record at a time.
 """
 
 import csv
@@ -21,6 +21,7 @@ import numpy as np
 from advicecheck import (
     AgentState,
     CorrelatedStrategy,
+    Decision,
     Game,
     MixedStrategy,
     Mode,
@@ -31,7 +32,7 @@ from advicecheck import (
     run_sampling_decision,
 )
 from advicecheck.agents import sample_strategy
-from advicecheck.games import agent_incentive_violations, joint_distribution, marginal_excluding
+from advicecheck.games import agent_incentive_violations, joint_distribution
 from advicecheck.sim import RoundRecord
 
 
@@ -110,11 +111,21 @@ def per_cell_zero_cell_bound(game, sigma_m):
         best = math.inf
         for r in range(1, game.num_agents + 1):
             for devs in itertools.combinations(agents, r):
-                keep = [i for i in agents if i not in devs]
-                marg = marginal_excluding(sigma_m, game, devs, tuple(actions[i] for i in keep))
+                marg = per_cell_marginal(sigma_m, game, devs, actions)
                 best = min(best, marg / math.prod(game.action_counts[d] for d in devs))
         total += best
     return total
+
+
+def per_cell_marginal(sigma, game, devs, actions):
+    """sigma's probability that every agent outside ``devs`` plays its
+    component of ``actions``, summed one joint action at a time (1.0 when
+    every agent deviates)."""
+    keep = [i for i in range(game.num_agents) if i not in devs]
+    if not keep:
+        return 1.0
+    return math.fsum(float(p) for p, idx in zip(sigma.probs, np.ndindex(*game.action_counts))
+                     if all(idx[i] == actions[i] for i in keep))
 
 
 def dense_psi(game, sigma_m, delta_hat, mc_samples, seed=0):
@@ -223,7 +234,11 @@ def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=N
         plan = schedule.plan_for(phase.index) if phase.kind is PhaseKind.SAMPLING_TEST else None
         if plan is not None and length == phase.length:
             for st in states:
-                decision = run_sampling_decision(plan, game, sigma_m, st.id, counts)
+                # each agent screens its own constraints, then takes the verdict
+                if agent_incentive_violations(game, sigma_m, st.id):
+                    decision = Decision(Outcome.REJECT_BY_EQ2)
+                else:
+                    decision = run_sampling_decision(plan, sigma_m, counts)
                 decisions[(st.id, phase.index)] = decision
                 st.mode = modes.get(decision.outcome, Mode.REJECTED_BY_TEST)
     return rows, decisions

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the pass/fail lines.
 Every criterion runs at a fixed seed and its stated tolerance.
 """
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -14,6 +15,7 @@ import pytest
 
 import advicecheck as ac
 from advicecheck.cli import main as cli_main
+from advicecheck.games import agent_incentive_violations
 from oracles import brute_force_ce, random_game_and_strategy
 
 GAME = "fixtures/small_game.json"
@@ -68,7 +70,8 @@ def test_criterion_01_worked_example_accept_end_to_end(game, ce_strategy, capsys
         # the worked counts (2100 rounds) decide "do not reject"
         plan2100 = ac.manual_plan(game, ce_strategy, alpha=0.1, delta_hat=0.01,
                                   sample_size=2100)
-        decision = ac.run_sampling_decision(plan2100, game, ce_strategy, 0, ACCEPT_COUNTS)
+        assert not agent_incentive_violations(game, ce_strategy, 0)
+        decision = ac.run_sampling_decision(plan2100, ce_strategy, ACCEPT_COUNTS)
         assert 4.63 <= decision.statistic <= 4.75
         assert decision.outcome is ac.Outcome.FOLLOW_MEDIATOR
         assert cli_main(["test", "--game", GAME, "--strategy", CE,
@@ -86,11 +89,17 @@ def test_criterion_02_worked_example_reject_end_to_end(game, non_ce_strategy, ca
 
         plan2100 = ac.manual_plan(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
                                   sample_size=2100)
-        d2 = ac.run_sampling_decision(plan2100, game, non_ce_strategy, 1, REJECT_COUNTS)
-        assert d2.outcome is ac.Outcome.REJECT_BY_EQ2
-        assert d2.statistic is None
+        # agent 2's own incentive check fails, so it rejects without testing
+        assert agent_incentive_violations(game, non_ce_strategy, 1)
+        assert cli_main(["test", "--game", GAME, "--strategy", NON_CE, "--agent", "2",
+                         "--counts", "fixtures/reject_counts.json"]) == 1
+        out = capsys.readouterr().out
+        d2 = json.loads(out[: out.rindex("}") + 1])
+        assert d2["outcome"] == ac.Outcome.REJECT_BY_EQ2.value
+        assert d2["statistic"] is None
 
-        d1 = ac.run_sampling_decision(plan2100, game, non_ce_strategy, 0, REJECT_COUNTS)
+        assert not agent_incentive_violations(game, non_ce_strategy, 0)
+        d1 = ac.run_sampling_decision(plan2100, non_ce_strategy, REJECT_COUNTS)
         assert d1.outcome is ac.Outcome.REJECT_BY_STATISTIC
         assert d1.statistic == pytest.approx(5145.0, abs=1.0)
         assert d1.statistic > plan2100.critical_value

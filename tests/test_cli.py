@@ -94,6 +94,22 @@ def test_cmd_test_rejects_worked_counts(capsys):
     assert abs(payload["statistic"] - 5145.0) < 1.0
 
 
+@pytest.mark.parametrize("agent, outcome", [("2", "RejectByEq2"), ("1", "RejectByStatistic")])
+def test_cmd_test_screens_the_agent_before_the_verdict(capsys, agent, outcome):
+    # agent 2 fails its own incentive check on the non-CE announcement and
+    # rejects without a statistic; agent 1 passes it and rejects on the counts
+    code = main([
+        "test", "--game", GAME, "--strategy", NON_CE,
+        "--counts", "fixtures/reject_counts.json", "--agent", agent,
+    ])
+    assert code == 1
+    out = capsys.readouterr().out
+    payload = json.loads(out[: out.rindex("}") + 1])
+    assert payload["outcome"] == outcome
+    assert (payload["statistic"] is None) == (outcome == "RejectByEq2")
+    assert out.splitlines()[-1] == "reject"
+
+
 def test_cmd_test_simulated_under_mediator(capsys):
     code = main([
         "test", "--game", GAME, "--strategy", CE,
@@ -159,6 +175,18 @@ def test_cmd_schedule_infeasible_exits_2(capsys):
         "--rules", "harmonic", "--tests", "2", "--mc-samples", "20000",
     ])
     assert code == 2
+
+
+def test_cmd_schedule_beyond_the_sample_size_search_exits_2(capsys):
+    # geometric test 12 needs more than 2^62 rounds
+    code = main([
+        "schedule", "--game", GAME, "--strategy", "fixtures/correlated_strategy.json",
+        "--rules", "geometric", "--tests", "12", "--mc-samples", "1000",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert all(name in err[0] for name in ("alpha", "beta", "delta_hat"))
 
 
 def test_simulate_writes_outputs_and_is_idempotent(tmp_path, capsys):

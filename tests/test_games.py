@@ -18,8 +18,6 @@ from advicecheck import (
     expected_utility,
     load_game,
     load_strategy,
-    marginal_excluding,
-    signal_marginal,
 )
 from advicecheck.games import agent_incentive_violations
 
@@ -177,24 +175,28 @@ def test_check_ce_point_mass_pure_equilibrium(game):
     assert check_correlated_equilibrium(game, point).is_equilibrium
 
 
-def test_marginal_excluding_worked_values(game, ce_strategy):
-    assert marginal_excluding(ce_strategy, game, [1], (0,)) == pytest.approx(6 / 18, abs=1e-12)
-    assert marginal_excluding(ce_strategy, game, [0, 1], ()) == pytest.approx(1.0, abs=1e-12)
+def test_compose_deviation_point_mass_worked_values(game, ce_strategy):
+    # every agent deviating to a point mass puts all the mass on that cell
     for idx in range(4):
-        got = marginal_excluding(ce_strategy, game, [], game.joint_action(idx))
-        assert got == pytest.approx(ce_strategy.probs[idx], abs=1e-15)
+        points = {i: np.eye(2)[a] for i, a in enumerate(game.joint_action(idx))}
+        assert compose_deviation(ce_strategy, game, points).probs == pytest.approx(
+            np.eye(4)[idx], abs=1e-15)
 
 
-def test_marginal_excluding_invalid_inputs(game, ce_strategy):
+def test_compose_deviation_invalid_inputs(game, ce_strategy):
     with pytest.raises(InvalidInputError):
-        marginal_excluding(ce_strategy, game, [5], (0,))
+        compose_deviation(ce_strategy, game, {5: [1.0, 0.0]})
     with pytest.raises(InvalidInputError):
-        marginal_excluding(ce_strategy, game, [1], (0, 1))
+        compose_deviation(ce_strategy, game, {1: [1.0, 0.0, 0.0]})
 
 
-def test_signal_marginal(game, ce_strategy):
-    assert signal_marginal(ce_strategy, game, 0) == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
-    assert signal_marginal(ce_strategy, game, 1) == pytest.approx([1 / 6, 5 / 6], abs=1e-12)
+def test_compose_deviation_point_mass_gives_signal_marginals(game, ce_strategy):
+    # agent 2 always plays action 0: cells 0 and 2 carry agent 1's marginal
+    one = compose_deviation(ce_strategy, game, {1: [1.0, 0.0]}).probs
+    assert one == pytest.approx([1 / 3, 0.0, 2 / 3, 0.0], abs=1e-12)
+    # and the other way round, cells 0 and 1 carry agent 2's
+    two = compose_deviation(ce_strategy, game, {0: [1.0, 0.0]}).probs
+    assert two[[0, 1]] == pytest.approx([1 / 6, 5 / 6], abs=1e-12)
 
 
 def test_compose_deviation_product(game, ce_strategy):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from advicecheck import (
     CorrelatedStrategy,
+    Decision,
     Game,
     InvalidInputError,
     NoDataError,
@@ -131,39 +132,46 @@ def test_non_ce_agent_always_screened_out(game, non_ce_strategy, small_toy):
 
 
 @pytest.mark.parametrize("runner", [run_game, run_game_counts], ids=["rounds", "counts"])
-def test_screen_runs_once_per_agent(game, non_ce_strategy, monkeypatch, runner):
-    # agent 2 fails its incentive check at set-up, and that verdict is final:
-    # it never reaches the sampling decision or a second screen
-    sched = toy_schedule(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
-                         test_lengths=[100, 150], free_lengths=[200, 0])
-    calls = {"sim": [], "verifier": [], "decision": []}
+def test_screen_runs_once_per_agent(game, ce_strategy, non_ce_strategy, game_2x2x2, monkeypatch,
+                                    runner):
+    # every agent is screened once, at set-up, and a failed screen is final;
+    # the verifier screens nobody, and each completed test has one verdict on
+    # its counts, shared by the unscreened agents (none if all are screened)
+    cases = [(game, non_ce_strategy, {1}), (game, ce_strategy, set()), (*game_2x2x2, {0, 1, 2})]
+    for g, sigma, screened in cases:
+        sched = toy_schedule(g, sigma, alpha=0.1, delta_hat=0.01,
+                             test_lengths=[100, 150], free_lengths=[200, 0])
+        calls = {"sim": [], "verifier": [], "decision": []}
 
-    def counting(key, original, agent_arg):
-        def wrapper(*args, **kwargs):
-            calls[key].append(args[agent_arg])
-            return original(*args, **kwargs)
-        return wrapper
+        def counting(key, original, arg):
+            def wrapper(*args, **kwargs):
+                calls[key].append(args[arg])
+                return original(*args, **kwargs)
+            return wrapper
 
-    monkeypatch.setattr(sim, "agent_incentive_violations",
-                        counting("sim", sim.agent_incentive_violations, 2))
-    monkeypatch.setattr(verifier, "agent_incentive_violations",
-                        counting("verifier", verifier.agent_incentive_violations, 2))
-    monkeypatch.setattr(sim, "run_sampling_decision",
-                        counting("decision", sim.run_sampling_decision, 3))
-    run = runner(game, non_ce_strategy, sched, seed=3)
-    monkeypatch.undo()
-    assert calls == {"sim": [0, 1], "verifier": [0, 0], "decision": [0, 0]}
-    # each decision is the full procedure's, screen included, on its test's counts
-    tests = [pr for pr in run.phase_results if pr.phase.kind is PhaseKind.SAMPLING_TEST]
-    assert run.decisions == {
-        (agent, pr.phase.index): run_sampling_decision(
-            sched.plan_for(pr.phase.index), game, non_ce_strategy, agent, pr.counts)
-        for pr in tests for agent in (0, 1)
-    }
-    assert [run.decisions[(1, j)].outcome for j in (1, 2)] == [Outcome.REJECT_BY_EQ2] * 2
-    if runner is run_game:
-        # the counts runner draws each test as one multinomial, not the oracle's rounds
-        assert run.decisions == per_round_game(game, non_ce_strategy, sched, seed=3)[1]
+        monkeypatch.setattr(sim, "agent_incentive_violations",
+                            counting("sim", sim.agent_incentive_violations, 2))
+        monkeypatch.setattr(verifier, "agent_incentive_violations",
+                            counting("verifier", verifier.agent_incentive_violations, 2))
+        monkeypatch.setattr(sim, "run_sampling_decision",
+                            counting("decision", sim.run_sampling_decision, 2))
+        run = runner(g, sigma, sched, seed=3)
+        monkeypatch.undo()
+        tests = [pr for pr in run.phase_results if pr.phase.kind is PhaseKind.SAMPLING_TEST]
+        assert len(tests) == 2
+        assert calls["sim"] == list(range(g.num_agents))
+        assert calls["verifier"] == []
+        verdicts = [] if len(screened) == g.num_agents else [pr.counts.tolist() for pr in tests]
+        assert [counts.tolist() for counts in calls["decision"]] == verdicts
+        # screened agents reject by the screen; the others hold their test's verdict
+        assert run.decisions == {
+            (agent, pr.phase.index): Decision(Outcome.REJECT_BY_EQ2) if agent in screened
+            else run_sampling_decision(sched.plan_for(pr.phase.index), sigma, pr.counts)
+            for pr in tests for agent in range(g.num_agents)
+        }
+        if runner is run_game:
+            # the counts runner draws each test as one multinomial, not the oracle's rounds
+            assert run.decisions == per_round_game(g, sigma, sched, seed=3)[1]
 
 
 def test_empirical_frequency_windows(game, ce_strategy, small_toy):
@@ -620,6 +628,22 @@ def test_one_agent_fictitious_play_matches_per_round_oracle():
             assert np.array_equal(run.counts, counts)
             assert run.utility_totals == totals
     assert run.counts.tolist() == [0, 50, 0]
+
+
+def test_one_agent_fictitious_play_is_one_block_per_signal_chunk(monkeypatch):
+    # with no opponents the strategy never changes, so no round ends a block
+    game = Game([3], np.array([[1.0], [3.0], [2.0]]))
+    rounds = 2 * sim._BLOCK_ROUNDS + 300
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return agent_act(*args)
+
+    monkeypatch.setattr(sim, "agent_act", counted)
+    run = run_pure_learning(game, [FP], rounds=rounds, seed=0)
+    assert len(calls) <= -(-rounds // sim._BLOCK_ROUNDS)
+    assert run.counts.tolist() == [0, rounds, 0]
 
 
 def test_stepped_phase_spanning_signal_chunks_matches_per_round_oracle(game, non_ce_strategy):

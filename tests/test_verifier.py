@@ -11,6 +11,7 @@ from oracles import dense_psi, per_cell_zero_cell_bound
 
 from advicecheck import (
     CorrelatedStrategy,
+    Decision,
     Game,
     InfeasiblePlanError,
     InvalidInputError,
@@ -27,6 +28,7 @@ from advicecheck import (
     sensitivity_delta,
 )
 from advicecheck import verifier
+from advicecheck.games import agent_incentive_violations
 
 ACCEPT_COUNTS = [96, 601, 224, 1179]
 REJECT_COUNTS = [1050, 350, 525, 175]
@@ -290,7 +292,7 @@ def test_plans_identical_across_agents(game, ce_strategy):
 
 def test_decision_accept_worked_example(game, ce_strategy):
     plan = manual_plan(game, ce_strategy, alpha=0.1, delta_hat=0.01, sample_size=2100)
-    d = run_sampling_decision(plan, game, ce_strategy, 0, ACCEPT_COUNTS)
+    d = run_sampling_decision(plan, ce_strategy, ACCEPT_COUNTS)
     assert d.outcome is Outcome.FOLLOW_MEDIATOR
     assert d.statistic == pytest.approx(4.6997, abs=0.05)
     assert d.p_value == pytest.approx(0.1952, abs=0.01)
@@ -299,16 +301,20 @@ def test_decision_accept_worked_example(game, ce_strategy):
 
 def test_decision_reject_by_statistic(game, non_ce_strategy):
     plan = manual_plan(game, non_ce_strategy, alpha=0.1, delta_hat=0.01, sample_size=2100)
-    d = run_sampling_decision(plan, game, non_ce_strategy, 0, REJECT_COUNTS)
+    d = run_sampling_decision(plan, non_ce_strategy, REJECT_COUNTS)
     assert d.outcome is Outcome.REJECT_BY_STATISTIC
     assert d.statistic > plan.critical_value
     assert d.p_value < 1e-12
 
 
 def test_decision_reject_by_incentive_screen(game, non_ce_strategy):
-    plan = manual_plan(game, non_ce_strategy, alpha=0.1, delta_hat=0.01, sample_size=2100)
-    d = run_sampling_decision(plan, game, non_ce_strategy, 1, REJECT_COUNTS)
-    assert d.outcome is Outcome.REJECT_BY_EQ2
+    # the screen runs before, and apart from, the verdict on the counts: agent
+    # 2's own constraints fail, so it rejects without a statistic (CLI `test`
+    # checks the whole path), while agent 1's hold and it takes the verdict
+    assert agent_incentive_violations(game, non_ce_strategy, 1)
+    assert not agent_incentive_violations(game, non_ce_strategy, 0)
+    d = Decision(Outcome.REJECT_BY_EQ2)
+    assert d.rejected
     assert d.statistic is None
     assert d.p_value is None
 
@@ -316,7 +322,7 @@ def test_decision_reject_by_incentive_screen(game, non_ce_strategy):
 def test_decision_reject_by_zero_cell(game):
     sigma = CorrelatedStrategy([0.0, 0.5, 0.25, 0.25])
     plan = manual_plan(game, sigma, alpha=0.1, delta_hat=0.01, sample_size=100)
-    d = run_sampling_decision(plan, game, sigma, 0, [2, 49, 25, 24])
+    d = run_sampling_decision(plan, sigma, [2, 49, 25, 24])
     assert d.outcome is Outcome.REJECT_BY_ZERO_CELL
     assert d.statistic is None
     # zero-cell strategies drop a degree of freedom
@@ -328,5 +334,5 @@ def test_decision_outcome_matches_critical_value(game, ce_strategy):
     rng = np.random.default_rng(12)
     for _ in range(25):
         counts = rng.multinomial(2100, ce_strategy.probs)
-        d = run_sampling_decision(plan, game, ce_strategy, 0, counts)
+        d = run_sampling_decision(plan, ce_strategy, counts)
         assert (d.outcome is Outcome.REJECT_BY_STATISTIC) == (d.statistic >= plan.critical_value)
