@@ -81,6 +81,7 @@ from .sim import (
 from .verifier import (
     Decision,
     Outcome,
+    PsiCurve,
     PsiEstimate,
     TestPlan,
     estimate_psi,

@@ -241,8 +241,7 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _entry(cfg, "seed", where, int, 0)
     mc_samples = (args.mc_samples if args.mc_samples is not None
                   else _entry(cfg, "mc_samples", where, int, verifier.DEFAULT_MC_SAMPLES))
-    if mc_samples < verifier.MIN_MC_SAMPLES:  # toy schedules never estimate psi
-        raise InvalidInputError(f"mc_samples must be at least {verifier.MIN_MC_SAMPLES}")
+    verifier.check_draws(mc_samples, seed)  # toy schedules never estimate psi
     game, sigma = _load_inputs(_entry(cfg, "game", where, str), _entry(cfg, "strategy", where, str))
     schedule = _schedule_from_config(game, sigma, cfg.get("schedule", {}), mc_samples, seed)
     agent_configs = cfg.get("agents")

@@ -12,10 +12,13 @@ monotonicity surrogates, not proofs.
 from __future__ import annotations
 
 import bisect
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
+from . import verifier
 from .errors import (
     HorizonExceededError,
     InfeasiblePlanError,
@@ -100,8 +103,13 @@ def geometric_rules(
     every test to stay feasible; the defaults (16 vs 2) satisfy that with
     margin. l_F = l_R^2 as in the example rules.
     """
-    if delta_decay <= 1.0 or p_decay <= 1.0:
-        raise InvalidInputError("decay factors must exceed 1")
+    if not (math.isfinite(delta0) and delta0 > 0.0):
+        raise InvalidInputError(f"delta0 must be positive and finite, got {delta0}")
+    if not 0.0 < p0 < 1.0:
+        raise InvalidInputError(f"p0 must be in (0, 1), got {p0}")
+    if not all(math.isfinite(x) and x > 1.0 for x in (delta_decay, p_decay)):
+        raise InvalidInputError(
+            f"decay factors must be finite and exceed 1, got {delta_decay} and {p_decay}")
     return ScheduleRules(
         delta_rule=lambda j: delta0 / delta_decay ** (j - 1),
         p_rule=lambda j: p0 / p_decay ** (j - 1),
@@ -172,25 +180,39 @@ def build_schedule(
 
     Test j's plan uses p(j) and delta(j); its length is the planned sample
     size and the free period's length follows from the free-length rule.
-    Raises InfeasibleScheduleError naming the first test whose target error
-    does not exceed the estimated undetectable-deviation measure.
+    psi is estimated once, as a curve over delta(1), ..., delta(J) from one
+    set of draws at seed ``seed + 1`` (so test 1 is planned exactly as
+    ``plan_test(..., seed=seed + 1)`` plans it); the per-test estimates are
+    therefore dependent, each still unbiased. Raises InfeasibleScheduleError
+    naming the first test whose target error does not exceed its estimated
+    undetectable-deviation measure.
     """
-    if horizon_tests < 1:
-        raise InvalidInputError("horizon_tests must be >= 1")
+    if isinstance(horizon_tests, bool) or not isinstance(horizon_tests, numbers.Integral) \
+            or horizon_tests < 1:
+        raise InvalidInputError(f"horizon_tests must be an integer >= 1, got {horizon_tests!r}")
+    verifier.check_draws(mc_samples, seed)
+    targets = [(rules.p_rule(j), rules.delta_rule(j)) for j in range(1, horizon_tests + 1)]
+    for j, (p_j, delta_j) in enumerate(targets, start=1):
+        try:
+            verifier.check_target(p_j, delta_j)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"test {j}: {exc}") from None
+    curve = verifier.estimate_psi(game, sigma_m, [delta_j for _, delta_j in targets],
+                                  mc_samples=mc_samples, seed=seed + 1)
     plans: list[TestPlan] = []
     free_lengths: list[int] = []
-    for j in range(1, horizon_tests + 1):
-        p_j = rules.p_rule(j)
-        delta_j = rules.delta_rule(j)
+    for j, ((p_j, delta_j), est) in enumerate(zip(targets, curve.estimates), start=1):
         try:
-            plan = plan_test(game, sigma_m, p_j, delta_j, mc_samples=mc_samples, seed=seed + j)
+            plan = plan_test(game, sigma_m, p_j, delta_j, psi=est)
         except InfeasiblePlanError as exc:
             raise InfeasibleScheduleError(j, p_j, exc.psi) from exc
-        l_f = int(rules.free_length_rule(plan.sample_size))
-        if l_f < 1:
-            raise InvalidInputError(f"free length rule produced {l_f} at test {j}")
+        l_f = rules.free_length_rule(plan.sample_size)
+        whole = isinstance(l_f, numbers.Integral) or (math.isfinite(l_f) and l_f == int(l_f))
+        if not whole or l_f < 1:
+            raise InvalidInputError(
+                f"free length rule produced {l_f!r} at test {j}; need an integer >= 1")
         plans.append(plan)
-        free_lengths.append(l_f)
+        free_lengths.append(int(l_f))
     layout = literal_layout([plan.sample_size for plan in plans], free_lengths)
     return Schedule(layout.phases, tuple(plans), rules)
 

@@ -15,7 +15,9 @@ works backward from a single target error probability p:
     distribution, so each subset D reduces to two arrays W and L on the
     deviators' joint grid, and a sample costs O(prod_{d in D} |A_d|) rather
     than O(|A|); samples are contracted a fixed-size block at a time, so
-    memory beyond the drawn fall-backs does not grow with mc_samples;
+    memory beyond the drawn fall-backs does not grow with mc_samples. One
+    set of draws serves any number of thresholds (a schedule's delta_j):
+    each sample's sensitivity is counted against all of them at once;
   * the Type-2 budget solves p = (1 - psi) * beta + psi, i.e.
     beta = (p - psi) / (1 - psi) (the (1-P)^l_T zero-cell factor is <= 1 and
     is dropped, which only makes the plan more conservative);
@@ -26,9 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from .games import agent_incentive_violations  # noqa: F401 (bench/tracing.py wr
 DEFAULT_MC_SAMPLES = 200_000
 MIN_MC_SAMPLES = 1000
 MAX_PSI_AGENTS = 12  # 2^n subsets
-_CHUNK_ELEMENTS = 1 << 15  # cells of the per-sample outer product held at once
+_CHUNK_ELEMENTS = 1 << 15  # cells of a block's first contraction held at once
 
 
 class Outcome(Enum):
@@ -77,6 +81,24 @@ class PsiEstimate:
     std_error: float
     per_subset: dict[tuple[int, ...], float]
     mc_samples: int
+
+
+@dataclass(frozen=True)
+class PsiCurve:
+    """psi at several thresholds, counted from one set of draws.
+
+    ``estimates[k]`` is, bit for bit, what ``estimate_psi`` gives for the
+    k-th threshold alone at the same seed.
+    """
+
+    estimates: tuple[PsiEstimate, ...]
+    mc_samples: int
+
+    @property
+    def per_subset(self) -> dict[tuple[int, ...], tuple[float, ...]]:
+        """Each deviating subset's undetectable fraction at every threshold."""
+        return {devs: tuple(est.per_subset[devs] for est in self.estimates)
+                for devs in self.estimates[0].per_subset}
 
 
 @dataclass(frozen=True)
@@ -152,7 +174,8 @@ def sensitivity_delta(sigma_m, sigma_tilde) -> float | Fraction:
 
 def _uniform_simplex(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     g = rng.exponential(size=(n, dim))
-    return g / g.sum(axis=1, keepdims=True)
+    g /= g.sum(axis=1, keepdims=True)
+    return g
 
 
 def _subset_forms(tensor: np.ndarray, devs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -170,32 +193,63 @@ def _subset_forms(tensor: np.ndarray, devs: tuple[int, ...]) -> tuple[np.ndarray
 
 
 def _count_below(gammas: list[np.ndarray], w: np.ndarray, lin: np.ndarray,
-                 offset: float, delta_hat: float) -> int:
-    """Samples whose sensitivity <P*P, W> - 2 <P, L> + offset is below delta_hat.
+                 offset: float, thresholds: np.ndarray) -> np.ndarray:
+    """Per ascending threshold, the samples whose sensitivity is below it.
 
-    P is the per-sample outer product of the deviators' gammas; it is formed
-    a block of rows at a time so that memory stays bounded in the sample count.
+    The sensitivity <W, (x)_d gamma_d^2> - 2 <L, (x)_d gamma_d> + offset is
+    contracted one deviator at a time, never forming the outer product: the
+    last deviator's axis by one GEMM each against W and L reshaped to
+    (-1, |A_d|), every other axis by a per-sample multiply-sum. Rows go a
+    block at a time, sized so that the GEMM output holds at most
+    _CHUNK_ELEMENTS cells, so memory stays bounded in the sample count.
     """
-    n = gammas[0].shape[0]
-    rows = max(1, _CHUNK_ELEMENTS // w.size)
-    below = 0
+    n, last = gammas[-1].shape
+    w, lin = w.reshape(-1, last), lin.reshape(-1, last)
+    rows = max(1, _CHUNK_ELEMENTS // len(w))
+    ranks = np.zeros(len(thresholds) + 1, dtype=np.int64)
     for start in range(0, n, rows):
-        block = [g[start:start + rows] for g in gammas]
-        outer = block[0]
-        for g in block[1:]:
-            outer = (outer[:, :, None] * g[:, None, :]).reshape(len(outer), -1)
-        delta = (outer * outer) @ w - 2.0 * (outer @ lin) + offset
-        below += int(np.count_nonzero(delta < delta_hat))
-    return below
+        g = gammas[-1][start:start + rows]
+        quad, line = (g * g) @ w.T, g @ lin.T
+        for gamma in reversed(gammas[:-1]):
+            g = gamma[start:start + rows]
+            quad = np.einsum("npc,nc->np", quad.reshape(len(g), -1, g.shape[1]), g * g)
+            line = np.einsum("npc,nc->np", line.reshape(len(g), -1, g.shape[1]), g)
+        delta = quad[:, 0] - 2.0 * line[:, 0] + offset
+        # a sample of rank k (thresholds at or below it) is below thresholds[k:]
+        ranks += np.bincount(np.searchsorted(thresholds, delta, side="right"),
+                             minlength=len(ranks))
+    return np.cumsum(ranks)[:-1]
+
+
+def check_draws(mc_samples: int, seed: int) -> None:
+    """Refuse a Monte-Carlo sample count or seed that ``estimate_psi`` cannot use."""
+    if isinstance(mc_samples, bool) or not isinstance(mc_samples, numbers.Integral):
+        raise InvalidInputError(f"mc_samples must be an integer, got {mc_samples!r}")
+    if mc_samples < MIN_MC_SAMPLES:
+        raise InvalidInputError(f"mc_samples must be at least {MIN_MC_SAMPLES}, got {mc_samples}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_delta_hat(delta_hat, name: str = "delta_hat") -> None:
+    if not math.isfinite(delta_hat) or delta_hat <= 0:
+        raise InvalidInputError(f"{name} must be positive and finite, got {delta_hat}")
+
+
+def check_target(p: float, delta_hat: float) -> None:
+    """Refuse a test's target error p outside (0, 1) or a bad threshold delta_hat."""
+    if not 0.0 < p < 1.0:
+        raise InvalidInputError(f"p must be in (0, 1), got {p}")
+    _check_delta_hat(delta_hat)
 
 
 def estimate_psi(
     game: Game,
     sigma_m: CorrelatedStrategy,
-    delta_hat: float,
+    delta_hat: float | Sequence[float],
     mc_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
-) -> PsiEstimate:
+) -> PsiEstimate | PsiCurve:
     """Worst case over deviating subsets of the undetectable-deviation measure.
 
     For each nonempty subset D of agents, draws their fall-back strategies
@@ -206,20 +260,29 @@ def estimate_psi(
     use sub-seeds derived from (seed, subset rank), so results do not depend on
     evaluation order.
 
+    ``delta_hat`` may also be a sequence of thresholds. No draw depends on
+    the threshold, so every threshold is counted in the same pass over the
+    same draws, and the result is a PsiCurve with one PsiEstimate per
+    threshold, in the given order.
+
     The composed distributions are never formed. Over the announced support S,
 
       delta = <W, (x)_d gamma_d^2> - 2 <L, (x)_d gamma_d> + sum_S sigma
 
     with W(a_D) = sum_{a_K: sigma(a)>0} m(a_K)^2 / sigma(a) and
-    L(a_D) = sum_{a_K: sigma(a)>0} m(a_K), built once per subset. Each sample
-    then costs O(prod_d |A_d|) instead of O(|A|), and beyond the gammas
-    (mc_samples x |A_d| per deviator) memory is one fixed-size block of rows,
-    whatever mc_samples is.
+    L(a_D) = sum_{a_K: sigma(a)>0} m(a_K), built once per subset and
+    contracted one deviator at a time. Each sample then costs one GEMM row
+    over the deviators' grid, O(prod_d |A_d|), instead of O(|A|), and beyond
+    the gammas (mc_samples x |A_d| per deviator) memory is one fixed-size
+    block of rows plus one counter per threshold, whatever mc_samples is.
     """
-    if not math.isfinite(delta_hat) or delta_hat <= 0:
-        raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
-    if mc_samples < MIN_MC_SAMPLES:
-        raise InvalidInputError(f"mc_samples must be at least {MIN_MC_SAMPLES}")
+    curve = np.ndim(delta_hat) > 0
+    thresholds = np.asarray(delta_hat, dtype=float).reshape(-1)
+    if curve and not len(thresholds):
+        raise InvalidInputError("delta_hat must hold at least one threshold")
+    for k, d in enumerate(thresholds):
+        _check_delta_hat(d, f"delta_hat[{k}]" if curve else "delta_hat")
+    check_draws(mc_samples, seed)
     if game.num_agents > MAX_PSI_AGENTS:
         raise InvalidInputError(
             f"psi estimation enumerates 2^n subsets; {game.num_agents} agents exceed "
@@ -228,20 +291,28 @@ def estimate_psi(
     probs = joint_distribution(sigma_m, game)
     tensor = probs.reshape(game.action_counts)
     offset = float(probs[probs > 0].sum())
-    per_subset: dict[tuple[int, ...], float] = {}
-    best = (0.0, 0.0)
+    order = np.argsort(thresholds, kind="stable")
+    below: dict[tuple[int, ...], list[int]] = {}
     rank = 0
     for r in range(1, game.num_agents + 1):
         for devs in itertools.combinations(range(game.num_agents), r):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
             gammas = [_uniform_simplex(rng, mc_samples, game.action_counts[d]) for d in devs]
             w, lin = _subset_forms(tensor, devs)
-            frac = _count_below(gammas, w, lin, offset, delta_hat) / mc_samples
-            per_subset[devs] = frac
-            if frac >= best[0]:
-                best = (frac, math.sqrt(frac * (1.0 - frac) / mc_samples))
+            counts = np.empty(len(thresholds), dtype=np.int64)
+            counts[order] = _count_below(gammas, w, lin, offset, thresholds[order])
+            below[devs] = counts.tolist()
             rank += 1
-    return PsiEstimate(psi=best[0], std_error=best[1], per_subset=per_subset, mc_samples=mc_samples)
+    estimates = []
+    for k in range(len(thresholds)):
+        per_subset = {devs: n[k] / mc_samples for devs, n in below.items()}
+        psi = max(per_subset.values())
+        se = math.sqrt(psi * (1.0 - psi) / mc_samples)
+        estimates.append(PsiEstimate(psi=psi, std_error=se, per_subset=per_subset,
+                                     mc_samples=mc_samples))
+    if curve:
+        return PsiCurve(estimates=tuple(estimates), mc_samples=mc_samples)
+    return estimates[0]
 
 
 def prob_zero_cell_bound(game: Game, sigma_m: CorrelatedStrategy) -> float:
@@ -281,18 +352,20 @@ def plan_test(
     delta_hat: float,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
+    psi: PsiEstimate | None = None,
 ) -> TestPlan:
     """Derive one sampling test's parameters from a target error probability.
 
     Both error types are budgeted at p: alpha = p, and the Type-2 budget is
     beta = (p - psi)/(1 - psi). Infeasible when psi (estimated) reaches p.
+    An estimate already drawn at delta_hat (one point of a schedule's
+    PsiCurve) is passed as ``psi``; then nothing is drawn and ``mc_samples``
+    and ``seed`` are unused.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidInputError(f"p must be in (0, 1), got {p}")
-    if not math.isfinite(delta_hat) or delta_hat <= 0.0:
-        raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
+    check_target(p, delta_hat)
     zeta, df_total = _tested_cells(game, sigma_m)
-    est = estimate_psi(game, sigma_m, delta_hat, mc_samples=mc_samples, seed=seed)
+    est = psi if psi is not None else estimate_psi(game, sigma_m, delta_hat,
+                                                   mc_samples=mc_samples, seed=seed)
     if p <= est.psi:
         raise InfeasiblePlanError(p, est.psi)
     beta = (p - est.psi) / (1.0 - est.psi)

@@ -177,6 +177,32 @@ def test_cmd_schedule_infeasible_exits_2(capsys):
     assert code == 2
 
 
+def test_cmd_schedule_negative_delta0_exits_2_naming_it(capsys):
+    code = main(["schedule", "--game", GAME, "--strategy", CE, "--rules", "geometric",
+                 "--delta0", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "delta0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--p", "0.1", "--delta-hat", "0.01"],
+    ["schedule", "--rules", "harmonic"],
+])
+def test_negative_seed_exits_2_naming_it(capsys, argv):
+    # SeedSequence's "expected non-negative integer" named no flag
+    code = main([*argv, "--game", GAME, "--strategy", CE, "--mc-samples", "1000", "--seed", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed") and err.count("\n") == 1
+
+
+def test_simulate_negative_seed_exits_2_naming_it(tmp_path, capsys):
+    assert _simulate(tmp_path, {"game": GAME, "strategy": CE, "schedule": TOY}, "--seed", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed") and err.count("\n") == 1
+
+
 def test_cmd_schedule_beyond_the_sample_size_search_exits_2(capsys):
     # geometric test 12 needs more than 2^62 rounds
     code = main([

@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import pytest
 
 from advicecheck import (
@@ -11,12 +14,13 @@ from advicecheck import (
     harmonic_rules,
     literal_layout,
     locate,
+    plan_test,
     power_beta,
     single_test_schedule,
     toy_schedule,
     validate_schedule,
 )
-from advicecheck import manual_plan
+from advicecheck import manual_plan, verifier
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +184,77 @@ def test_geometric_rules_satisfy_asymptotic_conditions(game, ce_strategy):
     )
     report = validate_schedule(sched, prefix_tests=4)
     assert report.all_passed, {k: v.detail for k, v in report.checks.items()}
+
+
+def _harmonic_with(**rule):
+    return ScheduleRules(**{"delta_rule": lambda j: 1.0 / j, "p_rule": lambda j: 2.0 ** -j,
+                            "free_length_rule": lambda l: l * l, "p_series_bound": 1.0, **rule})
+
+
+def test_build_schedule_draws_psi_once_and_plans_test_1_as_plan_test(game, ce_strategy):
+    rules = geometric_rules(1e-4, 0.1)
+    with mock.patch.object(verifier, "estimate_psi", wraps=verifier.estimate_psi) as spy:
+        sched = build_schedule(game, ce_strategy, rules, 3, mc_samples=5000, seed=4)
+    assert spy.call_count == 1
+    assert sched.plans[0] == plan_test(game, ce_strategy, rules.p_rule(1), rules.delta_rule(1),
+                                       mc_samples=5000, seed=5)
+
+
+def test_schedule_psi_non_increasing_under_decreasing_delta(game, ce_strategy):
+    # one set of draws: each sample below delta(j + 1) is below delta(j) too
+    rules = geometric_rules(1e-2, 0.3, delta_decay=4.0, p_decay=1.5)
+    sched = build_schedule(game, ce_strategy, rules, 6, mc_samples=5000, seed=8)
+    psis = [plan.psi for plan in sched.plans]
+    assert all(b <= a for a, b in zip(psis, psis[1:]))
+    assert psis[-1] < psis[0]
+
+
+@pytest.mark.parametrize("horizon", [2.5, True, 0, "3"])
+def test_build_schedule_refuses_a_horizon_that_is_not_a_positive_int(game, ce_strategy, horizon):
+    with mock.patch.object(verifier, "estimate_psi", side_effect=AssertionError("psi estimated")):
+        with pytest.raises(InvalidInputError, match="horizon_tests"):
+            build_schedule(game, ce_strategy, harmonic_rules(), horizon, mc_samples=1000)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"), ({"mc_samples": 2000.0}, "mc_samples"),
+])
+def test_build_schedule_refuses_bad_samples_and_seed(game, ce_strategy, kwargs, name):
+    # seed -1 used to be accepted: the draws used seed + j
+    with mock.patch.object(verifier, "estimate_psi", side_effect=AssertionError("psi estimated")):
+        with pytest.raises(InvalidInputError, match=name):
+            build_schedule(game, ce_strategy, harmonic_rules(), 2, **{"mc_samples": 1000, **kwargs})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_build_schedule_refuses_a_bad_delta_before_drawing(game, ce_strategy, bad):
+    rules = _harmonic_with(delta_rule=lambda j: bad if j == 3 else 1.0 / j)
+    with mock.patch.object(verifier, "estimate_psi", side_effect=AssertionError("psi estimated")):
+        with pytest.raises(InvalidInputError, match="test 3: delta_hat"):
+            build_schedule(game, ce_strategy, rules, 4, mc_samples=1000)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.7, 0, -4])
+def test_build_schedule_refuses_a_bad_free_length(game, correlated_strategy, bad):
+    results = iter([4, bad])
+    rules = _harmonic_with(free_length_rule=lambda l: next(results))
+    with pytest.raises(InvalidInputError, match="at test 2"):
+        build_schedule(game, correlated_strategy, rules, 2, mc_samples=2000, seed=1)
+
+
+def test_build_schedule_accepts_a_whole_float_free_length(game, correlated_strategy):
+    whole = build_schedule(game, correlated_strategy, _harmonic_with(
+        free_length_rule=lambda l: float(l * l)), 3, mc_samples=2000, seed=1)
+    ints = build_schedule(game, correlated_strategy, harmonic_rules(), 3, mc_samples=2000, seed=1)
+    assert whole.phases == ints.phases
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"delta0": -1.0}, "delta0"), ({"delta0": 0.0}, "delta0"), ({"delta0": math.inf}, "delta0"),
+    ({"delta0": math.nan}, "delta0"), ({"p0": 0.0}, "p0"), ({"p0": 1.0}, "p0"),
+    ({"p0": math.nan}, "p0"), ({"delta_decay": math.nan}, "decay"), ({"p_decay": math.nan}, "decay"),
+    ({"delta_decay": math.inf}, "decay"), ({"p_decay": 1.0}, "decay"),
+])
+def test_geometric_rules_refuse_bad_parameters(kwargs, name):
+    with pytest.raises(InvalidInputError, match=name):
+        geometric_rules(**{"delta0": 1e-4, "p0": 0.1, **kwargs})

@@ -16,6 +16,7 @@ from advicecheck import (
     InfeasiblePlanError,
     InvalidInputError,
     Outcome,
+    PsiCurve,
     ZeroCellObserved,
     estimate_psi,
     manual_plan,
@@ -226,6 +227,69 @@ def test_estimate_psi_memory_bounded_in_samples():
         tracemalloc.stop()
     # a dense (mc_samples, |A|) matrix alone would be 185 MiB
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("counts", [(2, 2), (3, 2), (2, 2, 2), (3, 3, 2)])
+def test_estimate_psi_curve_equals_each_threshold_alone(counts):
+    # the thresholds are out of order and repeat one: the curve keeps the given order
+    deltas = [0.05, 0.002, 0.3, 0.01, 0.002]
+    rng = np.random.default_rng(sum(counts) * 10 + len(counts))
+    interior = 0
+    for eps in (0.0, 0.3, 1.0):
+        probs = _near_product(rng, counts, eps)
+        g = Game(counts, rng.uniform(0, 5, size=(probs.size, len(counts))))
+        sigma = CorrelatedStrategy(probs / probs.sum())
+        seed = int(rng.integers(2**31))
+        curve = estimate_psi(g, sigma, deltas, mc_samples=1000, seed=seed)
+        assert isinstance(curve, PsiCurve) and curve.mc_samples == 1000
+        assert len(curve.estimates) == len(deltas)
+        for k, (d, est) in enumerate(zip(deltas, curve.estimates)):
+            assert est == estimate_psi(g, sigma, d, mc_samples=1000, seed=seed)
+            assert est.per_subset == dense_psi(g, sigma, d, 1000, seed=seed)
+            assert all(curve.per_subset[devs][k] == f for devs, f in est.per_subset.items())
+            interior += sum(0.0 < f < 1.0 for f in est.per_subset.values())
+        assert len(curve.per_subset) == 2 ** len(counts) - 1
+    assert interior > 0
+
+
+def test_estimate_psi_curve_refuses_a_bad_threshold_before_drawing(game, ce_strategy):
+    with mock.patch.object(verifier, "_uniform_simplex", side_effect=AssertionError("drawn")):
+        with pytest.raises(InvalidInputError, match=r"delta_hat\[2\]"):
+            estimate_psi(game, ce_strategy, [0.1, 0.01, math.nan], mc_samples=1000)
+        with pytest.raises(InvalidInputError, match="at least one threshold"):
+            estimate_psi(game, ce_strategy, [], mc_samples=1000)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"mc_samples": 2000.0}, "mc_samples"), ({"mc_samples": True}, "mc_samples"),
+    ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": "3"}, "seed"),
+])
+def test_psi_entry_points_refuse_bad_samples_and_seed(game, ce_strategy, kwargs, name):
+    # these used to leak TypeError or SeedSequence's ValueError
+    with pytest.raises(InvalidInputError, match=name):
+        estimate_psi(game, ce_strategy, 0.01, **{"mc_samples": 1000, **kwargs})
+    with pytest.raises(InvalidInputError, match=name):
+        plan_test(game, ce_strategy, 0.3, 0.01, **{"mc_samples": 1000, **kwargs})
+
+
+def test_estimate_psi_contraction_memory_flat_in_samples():
+    rng = np.random.default_rng(6)
+    counts = (3,) * 7
+    probs = _near_product(rng, counts, 0.02)
+    g = Game(counts, rng.uniform(0, 5, size=(probs.size, len(counts))))
+    sigma = CorrelatedStrategy(probs / probs.sum())
+    peaks = []
+    for mc in (2000, 8000):
+        tracemalloc.start()
+        try:
+            estimate_psi(g, sigma, 0.01, mc_samples=mc, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # only the drawn gammas grow: 7 deviators x 3 actions x 8 bytes per sample,
+    # where the outer product over the 2187-cell grid would add 17 KiB per sample
+    assert peaks[1] - peaks[0] < 6000 * 7 * 3 * 8 + 2**20
+    assert peaks[1] < 8 * 2**20
 
 
 def test_prob_zero_cell_bound_worked_value(game):
