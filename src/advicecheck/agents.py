@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_int
 from .games import Game, MixedStrategy, _agent_view
 from .schedule import Phase, PhaseKind
 
@@ -27,13 +27,6 @@ class Mode(Enum):
     @property
     def rejected(self) -> bool:
         return self is not Mode.FOLLOWING_MEDIATOR
-
-
-def _bounded_int(value, what: str, bound) -> int:
-    """``value`` as an integer in [0, bound), else InvalidInputError naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < bound:
-        raise InvalidInputError(f"{what} must be an integer in [0, {bound}), got {value!r}")
-    return int(value)
 
 
 class Learner:
@@ -199,8 +192,8 @@ class TriggerLearner(Learner):
     def __init__(self, action_count: int, initial_action: int, switch_action: int,
                  watch_agent: int, watch_action: int):
         self.action_count = action_count
-        self.initial_action = _bounded_int(initial_action, "trigger initial_action", action_count)
-        self.switch_action = _bounded_int(switch_action, "trigger switch_action", action_count)
+        self.initial_action = check_int(initial_action, "trigger initial_action", hi=action_count)
+        self.switch_action = check_int(switch_action, "trigger switch_action", hi=action_count)
         self.watch_agent = watch_agent
         self.watch_action = watch_action
         self.triggered = False
@@ -237,12 +230,12 @@ def make_learner(spec: dict | None, game: Game, agent: int) -> Learner:
         return FictitiousPlayLearner(game, agent)
     if name == "trigger":
         counts = game.action_counts
-        watch = _bounded_int(spec.get("watch_agent", (agent + 1) % len(counts)),
-                             "trigger watch_agent", len(counts))
+        watch = check_int(spec.get("watch_agent", (agent + 1) % len(counts)),
+                          "trigger watch_agent", hi=len(counts))
         return TriggerLearner(counts[agent], spec.get("initial_action", 0),
                               spec.get("switch_action", 0), watch,
-                              _bounded_int(spec.get("watch_action", 0), "trigger watch_action",
-                                           counts[watch]))
+                              check_int(spec.get("watch_action", 0), "trigger watch_action",
+                                        hi=counts[watch]))
     raise InvalidInputError(f"unknown learner {name!r}")
 
 
@@ -251,9 +244,8 @@ def draw_fallback(action_count: int, seed: int) -> MixedStrategy:
 
     Uniformity comes from normalized exponential variates.
     """
-    if action_count < 1:
-        raise InvalidInputError("action_count must be positive")
-    return _simplex_draw(action_count, np.random.default_rng(seed))
+    check_int(action_count, "action_count", 1)
+    return _simplex_draw(action_count, np.random.default_rng(check_int(seed, "seed")))
 
 
 def _simplex_draw(action_count: int, rng: np.random.Generator) -> MixedStrategy:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidInputError, NonConvergenceError
+from .errors import InvalidInputError, NonConvergenceError, check_int, check_positive, check_unit
 
 _GAMMA_EPS = 1e-14
 _GAMMA_ITMAX = 500
@@ -130,11 +130,6 @@ def _gamma_p(a: float, x: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _check_df(df) -> None:
-    if not math.isfinite(df) or df < 1 or df != int(df):
-        raise InvalidInputError(f"df must be a positive integer, got {df}")
-
-
 def _check_x(x: float) -> None:
     if math.isnan(x) or x < 0:
         raise InvalidInputError(f"x must be nonnegative and not NaN, got {x}")
@@ -142,7 +137,7 @@ def _check_x(x: float) -> None:
 
 def chi2_cdf(x: float, df: int) -> float:
     """P(chi2_df <= x). Monotone in x, in [0, 1]; 1 at x = +inf."""
-    _check_df(df)
+    check_int(df, "df", 1)
     _check_x(x)
     if math.isinf(x):
         return 1.0
@@ -154,7 +149,7 @@ def chi2_quantile(p: float, df: int) -> float:
 
     Bracketing then bisection to 1e-8 relative tolerance.
     """
-    _check_df(df)
+    check_int(df, "df", 1)
     if not 0.0 <= p < 1.0:
         raise InvalidInputError(f"p must be in [0, 1), got {p}")
     if p == 0.0:
@@ -174,7 +169,7 @@ def chi2_quantile(p: float, df: int) -> float:
 
 def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
     """P(X <= x) for X noncentral chi-square with df dof and noncentrality ncp."""
-    _check_df(df)
+    check_int(df, "df", 1)
     _check_x(x)
     if not math.isfinite(ncp) or ncp < 0:
         raise InvalidInputError(f"ncp must be nonnegative and finite, got {ncp}")
@@ -221,13 +216,6 @@ def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def _check_alpha_delta(alpha: float, delta_hat: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
-    if not math.isfinite(delta_hat) or delta_hat <= 0.0:
-        raise InvalidInputError(f"delta_hat must be positive and finite, got {delta_hat}")
-
-
 def power_beta(alpha: float, delta_hat: float, df_total: int, sample_size: int) -> float:
     """Type-2 probability: mass the alternative leaves below the critical value.
 
@@ -235,9 +223,9 @@ def power_beta(alpha: float, delta_hat: float, df_total: int, sample_size: int) 
     c(alpha) = chi2_quantile(1 - alpha, df_total); df_total is the
     statistic's degrees of freedom under the null (retained cells minus one).
     """
-    _check_alpha_delta(alpha, delta_hat)
-    if sample_size < 1:
-        raise InvalidInputError(f"sample_size must be >= 1, got {sample_size}")
+    check_unit(alpha, "alpha")
+    check_positive(delta_hat, "delta_hat")
+    check_int(sample_size, "sample_size", 1)
     c = chi2_quantile(1.0 - alpha, df_total)
     return noncentral_chi2_cdf(c, df_total, sample_size * delta_hat)
 
@@ -250,9 +238,9 @@ def sample_size(alpha: float, beta_target: float, delta_hat: float, df_total: in
     exact. Degenerate targets that are met at a single sample report 1; a
     target that no sample size up to 2^62 meets is refused.
     """
-    _check_alpha_delta(alpha, delta_hat)
-    if not 0.0 < beta_target < 1.0:
-        raise InvalidInputError(f"beta_target must be in (0, 1), got {beta_target}")
+    check_unit(alpha, "alpha")
+    check_positive(delta_hat, "delta_hat")
+    check_unit(beta_target, "beta_target")
     c = chi2_quantile(1.0 - alpha, df_total)
 
     def beta_at(n: int) -> float:

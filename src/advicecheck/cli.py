@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import schedule as sched
 from . import sim, verifier
-from .errors import InvalidInputError, NonConvergenceError, ZeroCellObserved
+from .errors import InvalidInputError, NonConvergenceError, ZeroCellObserved, check_int
 from .games import (
     agent_incentive_violations,
     check_correlated_equilibrium,
@@ -90,15 +91,15 @@ def _simulated_counts(args, game, sigma, sample_size):
 
 def cmd_test(args) -> int:
     game, sigma = _load_inputs(args.game, args.strategy)
-    if not 1 <= args.agent <= game.num_agents:
-        raise InvalidInputError(f"--agent must be in 1..{game.num_agents}, got {args.agent}")
+    check_int(args.agent, "--agent", 1, game.num_agents + 1)
     if args.counts:
         # the counts are the sample: size the test from them
         with open(args.counts) as fh:
             counts = json.load(fh)
         if not isinstance(counts, list):
             raise InvalidInputError("counts file must be a flat JSON array")
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray([check_int(c, f"counts[{i}]") for i, c in enumerate(counts)],
+                            dtype=np.int64)
         plan = verifier.manual_plan(
             game, sigma, alpha=args.p, delta_hat=args.delta_hat,
             sample_size=int(counts.sum()),
@@ -213,26 +214,23 @@ def cmd_schedule(args) -> int:
     if args.rules == "geometric":
         cfg.update(delta0=args.delta0, p0=args.p0)
     schedule = _schedule_from_config(game, sigma, cfg, args.mc_samples, args.seed)
-    fieldnames = ["kind", "j", "begin", "length", "delta", "p", "alpha", "beta", "psi", "l_T"]
-    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=[
+        "kind", "j", "begin", "length", "delta", "p", "alpha", "beta", "psi", "l_T"])
     writer.writeheader()
-    for row in _schedule_rows(schedule):
-        writer.writerow(row)
+    writer.writerows(_schedule_rows(schedule))
+    sys.stdout.write(buf.getvalue())
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "schedule.csv", "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fieldnames)
-            w.writeheader()
-            for row in _schedule_rows(schedule):
-                w.writerow(row)
+        _write(outdir / "schedule.csv", buf.getvalue())
         _manifest(args, outdir)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    if args.seeds is not None and args.seeds < 1:
-        raise InvalidInputError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.seeds is not None:
+        check_int(args.seeds, "--seeds", 1)
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -273,7 +271,7 @@ def cmd_simulate(args) -> int:
 
 
 def _write(path: Path, text: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:  # as given: a CSV keeps its CRLFs
         fh.write(text)
 
 

@@ -1,8 +1,40 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one rule for each kind of
+argument (a count or index, a probability in (0, 1), a positive threshold)."""
+
+import math
+
+import numpy as np
+
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 class InvalidInputError(ValueError):
     """Inputs violate a documented precondition (shapes, ranges, sums)."""
+
+
+def check_int(value, name: str, lo=0, hi=math.inf) -> int:
+    """``value`` as a Python int in [lo, hi), else InvalidInputError naming ``name``;
+    a bool is not an integer, nor is a whole float such as 2.0."""
+    if type(value) is not int:  # a plain int skips this: chi2_cdf checks df on every call
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if lo <= value < hi:
+        return value
+    rule = f"must be at least {lo}" if hi == math.inf else f"out of range [{lo}, {hi})"
+    raise InvalidInputError(f"{name} {rule}, got {value}")
+
+
+def check_unit(value, name: str) -> None:
+    """Refuse ``value`` unless it is a number in the open interval (0, 1); a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS) or not 0.0 < value < 1.0:
+        raise InvalidInputError(f"{name} must be in (0, 1), got {value!r}")
+
+
+def check_positive(value, name: str) -> None:
+    """Refuse ``value`` unless it is a positive finite number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS) or not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
 
 
 class UndefinedConditionalError(InvalidInputError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedConditionalError
+from .errors import InvalidInputError, UndefinedConditionalError, check_int
 
 PROB_TOL = 1e-9
 GAP_TOL = 1e-9
@@ -84,9 +84,9 @@ class Game:
     action_names: tuple[tuple[str, ...], ...] | None = None
 
     def __init__(self, action_counts, utilities, action_names=None):
-        counts = tuple(int(c) for c in action_counts)
-        if not counts or any(c < 1 for c in counts):
-            raise InvalidInputError("action_counts must be positive integers")
+        counts = tuple(check_int(c, f"action_counts[{i}]", 1) for i, c in enumerate(action_counts))
+        if not counts:
+            raise InvalidInputError("action_counts must name at least one agent")
         u = np.array(utilities, dtype=float)  # copy: the game owns its storage
         expected = (math.prod(counts), len(counts))
         if u.shape != expected:
@@ -114,20 +114,17 @@ class Game:
 
     def joint_index(self, actions) -> int:
         """Row-major index of a joint action given per-agent action indices."""
-        actions = tuple(int(a) for a in actions)
+        actions = tuple(actions)
         if len(actions) != self.num_agents:
             raise InvalidInputError("joint action has wrong number of components")
         idx = 0
         for a, c in zip(actions, self.action_counts):
-            if not 0 <= a < c:
-                raise InvalidInputError(f"action index {a} out of range [0, {c})")
-            idx = idx * c + a
+            idx = idx * c + check_int(a, "action index", hi=c)
         return idx
 
     def joint_action(self, index: int) -> tuple[int, ...]:
         """Per-agent action indices of a row-major joint index."""
-        if not 0 <= index < self.num_joint_actions:
-            raise InvalidInputError(f"joint index {index} out of range")
+        index = check_int(index, "joint index", hi=self.num_joint_actions)
         out = []
         for c in reversed(self.action_counts):
             out.append(index % c)
@@ -193,10 +190,8 @@ def conditional_given_signal(
     Raises UndefinedConditionalError when the signal has zero marginal.
     """
     probs = joint_distribution(sigma, game)
-    if not 0 <= agent < game.num_agents:
-        raise InvalidInputError(f"agent {agent} out of range")
-    if not 0 <= signal < game.action_counts[agent]:
-        raise InvalidInputError(f"signal {signal} out of range for agent {agent}")
+    check_int(agent, "agent", hi=game.num_agents)
+    check_int(signal, f"signal of agent {agent}", hi=game.action_counts[agent])
     row = _agent_view(probs, game, agent)[signal]
     total = float(row.sum())
     if total <= 0.0:
@@ -216,8 +211,7 @@ def agent_incentive_violations(
     Refuses an agent outside the game and a tolerance that is not finite and
     nonnegative.
     """
-    if not 0 <= agent < game.num_agents:
-        raise InvalidInputError(f"agent {agent} out of range")
+    check_int(agent, "agent", hi=game.num_agents)
     if not math.isfinite(tolerance) or tolerance < 0:
         raise InvalidInputError(f"tolerance must be finite and nonnegative, got {tolerance}")
     weights = _agent_view(joint_distribution(sigma, game), game, agent)
@@ -266,9 +260,7 @@ def compose_deviation(sigma: CorrelatedStrategy, game: Game, deviations: dict) -
     Deviators' play is independent of everything else; the remaining agents'
     joint behavior is sigma's marginal on their action sets.
     """
-    devs = {int(i): s for i, s in deviations.items()}
-    if not all(0 <= i < game.num_agents for i in devs):
-        raise InvalidInputError(f"deviating agents {sorted(devs)} out of range")
+    devs = {check_int(i, "deviating agent", hi=game.num_agents): s for i, s in deviations.items()}
     tensor = joint_distribution(sigma, game).reshape(game.action_counts)
     return CorrelatedStrategy(_composed(_others_marginal(tensor, tuple(devs)), game, devs))
 
@@ -289,7 +281,7 @@ def load_game(path) -> Game:
         utilities = data["utilities"]
     except (TypeError, KeyError) as exc:
         raise InvalidInputError(f"game file {path} is missing field {exc}") from exc
-    if "num_agents" in data and int(data["num_agents"]) != len(counts):
+    if "num_agents" in data and check_int(data["num_agents"], "num_agents") != len(counts):
         raise InvalidInputError("num_agents does not match action_counts")
     return Game(counts, utilities, data.get("action_names"))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -24,6 +23,9 @@ from .errors import (
     InfeasiblePlanError,
     InfeasibleScheduleError,
     InvalidInputError,
+    check_int,
+    check_positive,
+    check_unit,
 )
 from .games import CorrelatedStrategy, Game
 from .verifier import DEFAULT_MC_SAMPLES, TestPlan, manual_plan, plan_test
@@ -44,10 +46,8 @@ class Phase:
     length: int
 
     def __post_init__(self):
-        if self.length < 1:
-            raise InvalidInputError("phase length must be >= 1")
-        if self.begin < 1:
-            raise InvalidInputError("phase begin must be >= 1")
+        check_int(self.length, "phase length", 1)
+        check_int(self.begin, "phase begin", 1)
 
     @property
     def end(self) -> int:
@@ -103,10 +103,8 @@ def geometric_rules(
     every test to stay feasible; the defaults (16 vs 2) satisfy that with
     margin. l_F = l_R^2 as in the example rules.
     """
-    if not (math.isfinite(delta0) and delta0 > 0.0):
-        raise InvalidInputError(f"delta0 must be positive and finite, got {delta0}")
-    if not 0.0 < p0 < 1.0:
-        raise InvalidInputError(f"p0 must be in (0, 1), got {p0}")
+    check_positive(delta0, "delta0")
+    check_unit(p0, "p0")
     if not all(math.isfinite(x) and x > 1.0 for x in (delta_decay, p_decay)):
         raise InvalidInputError(
             f"decay factors must be finite and exceed 1, got {delta_decay} and {p_decay}")
@@ -159,8 +157,7 @@ class Schedule:
 
 def locate(schedule: Schedule, t: int) -> tuple[Phase, int]:
     """The unique phase containing round t, and t's 0-based offset within it."""
-    if t < 1:
-        raise InvalidInputError(f"time index must be >= 1, got {t}")
+    check_int(t, "time index t", 1)
     if t > schedule.horizon:
         raise HorizonExceededError(f"t={t} beyond generated horizon {schedule.horizon}")
     i = bisect.bisect_right(schedule._begins, t) - 1
@@ -187,9 +184,7 @@ def build_schedule(
     naming the first test whose target error does not exceed its estimated
     undetectable-deviation measure.
     """
-    if isinstance(horizon_tests, bool) or not isinstance(horizon_tests, numbers.Integral) \
-            or horizon_tests < 1:
-        raise InvalidInputError(f"horizon_tests must be an integer >= 1, got {horizon_tests!r}")
+    check_int(horizon_tests, "horizon_tests", 1)
     verifier.check_draws(mc_samples, seed)
     targets = [(rules.p_rule(j), rules.delta_rule(j)) for j in range(1, horizon_tests + 1)]
     for j, (p_j, delta_j) in enumerate(targets, start=1):
@@ -207,12 +202,10 @@ def build_schedule(
         except InfeasiblePlanError as exc:
             raise InfeasibleScheduleError(j, p_j, exc.psi) from exc
         l_f = rules.free_length_rule(plan.sample_size)
-        whole = isinstance(l_f, numbers.Integral) or (math.isfinite(l_f) and l_f == int(l_f))
-        if not whole or l_f < 1:
-            raise InvalidInputError(
-                f"free length rule produced {l_f!r} at test {j}; need an integer >= 1")
+        if isinstance(l_f, float) and l_f.is_integer():  # the rule may give a whole float
+            l_f = int(l_f)
         plans.append(plan)
-        free_lengths.append(int(l_f))
+        free_lengths.append(check_int(l_f, f"free length rule at test {j}", 1))
     layout = literal_layout([plan.sample_size for plan in plans], free_lengths)
     return Schedule(layout.phases, tuple(plans), rules)
 
@@ -224,11 +217,12 @@ def literal_layout(test_lengths: Sequence[int], free_lengths: Sequence[int]) -> 
     phases: list[Phase] = []
     t = 1
     for j, (l_r, l_f) in enumerate(zip(test_lengths, free_lengths), start=1):
-        phases.append(Phase(PhaseKind.SAMPLING_TEST, j, t, int(l_r)))
-        t += int(l_r)
-        if int(l_f) > 0:
-            phases.append(Phase(PhaseKind.FREE_PERIOD, j, t, int(l_f)))
-            t += int(l_f)
+        l_r, l_f = check_int(l_r, f"test {j} length", 1), check_int(l_f, f"test {j} free length")
+        phases.append(Phase(PhaseKind.SAMPLING_TEST, j, t, l_r))
+        t += l_r
+        if l_f > 0:
+            phases.append(Phase(PhaseKind.FREE_PERIOD, j, t, l_f))
+            t += l_f
     return Schedule(tuple(phases), tuple([None] * len(test_lengths)), rules=None)
 
 
@@ -307,8 +301,7 @@ def validate_schedule(
     (c) delta(j) strictly decreasing over the prefix;
     (d) the p(j) partial sum stays below the rule's series bound.
     """
-    if prefix_tests < 2:
-        raise InvalidInputError("prefix_tests must be >= 2")
+    check_int(prefix_tests, "prefix_tests", 2)
     if not schedule.conforming:
         raise InvalidInputError("schedule is non-conforming; validation does not apply")
     tests = schedule.tests()

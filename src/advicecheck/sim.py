@@ -48,9 +48,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .agents import AgentState, Mode, _bounded_int, _simplex_draw, agent_act, make_learner
+from .agents import AgentState, Mode, _simplex_draw, agent_act, make_learner
 from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
-from .errors import InvalidInputError, NoDataError
+from .errors import InvalidInputError, NoDataError, check_int
 from .games import (
     CorrelatedStrategy,
     Game,
@@ -182,8 +182,7 @@ def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
     Round-resolved ledgers support any t; phase-resolved ledgers support
     phase boundaries only.
     """
-    if up_to_t < 1:
-        raise InvalidInputError("up_to_t must be >= 1")
+    check_int(up_to_t, "up_to_t", 1)
     if up_to_t > ledger.num_rounds:
         raise InvalidInputError(f"up_to_t={up_to_t} beyond recorded {ledger.num_rounds} rounds")
     total = Fraction(0)
@@ -219,10 +218,8 @@ def phase_average(ledger: UtilityLedger, agent: int, kind: str) -> float:
 
 def empirical_frequency(transcript: Transcript, from_t: int, to_t: int) -> EmpiricalFrequency:
     """Counts of each joint action over the inclusive round window."""
-    if not 1 <= from_t <= to_t <= transcript.num_rounds:
-        raise InvalidInputError(
-            f"window [{from_t}, {to_t}] invalid for {transcript.num_rounds} rounds"
-        )
+    from_t = check_int(from_t, "from_t", 1, transcript.num_rounds + 1)
+    to_t = check_int(to_t, "to_t", from_t, transcript.num_rounds + 1)
     joints = np.concatenate([pr.joints for pr in transcript.phase_results])
     counts = np.bincount(joints[from_t - 1 : to_t], minlength=transcript.game.num_joint_actions)
     return EmpiricalFrequency(counts=counts, total=to_t - from_t + 1)
@@ -379,7 +376,7 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
     game, sigma_m = run.game, run.sigma_m
     probs = joint_distribution(sigma_m, game)
     if rounds is not None:
-        _bounded_int(rounds, "rounds", math.inf)
+        check_int(rounds, "rounds")
     horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
     if any(min(ph.end, horizon) - ph.begin >= 2**63 - 1 for ph in schedule.phases):
         raise InvalidInputError("numpy draws a phase in int64: phases must be < 2**63 rounds")
@@ -446,7 +443,7 @@ def run_game(
     the cap. ``signal_override`` (a sequence of joint indices) replaces the
     mediator's draws; it exists for tests.
     """
-    run = Transcript(seed=seed, game=game, sigma_m=sigma_m)
+    run = Transcript(seed=check_int(seed, "seed"), game=game, sigma_m=sigma_m)
     return _play(run, schedule, agent_configs, rounds, signal_override)
 
 
@@ -463,7 +460,7 @@ def run_game_counts(
     Phases where every active behavior is i.i.d. cost one multinomial draw
     whatever their length; phases with sequential learners step per round.
     """
-    run = RunSummary(seed=seed, game=game, sigma_m=sigma_m)
+    run = RunSummary(seed=check_int(seed, "seed"), game=game, sigma_m=sigma_m)
     return _play(run, schedule, agent_configs, rounds)
 
 
@@ -487,7 +484,8 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     No mediator, no tests, no resets: the baseline an agent would have earned
     by learning alone, played as one free period in which every agent learns.
     """
-    _bounded_int(rounds, "rounds", math.inf)
+    check_int(rounds, "rounds")
+    check_int(seed, "seed")
     if len(learner_specs) != game.num_agents:
         raise InvalidInputError("need one learner spec per agent")
     states = [
@@ -517,7 +515,7 @@ def exact_window_expectation(
     exercise reset machinery by feeding a pre-period history and resetting.
     Exponential in ``rounds``; intended for micro-horizons.
     """
-    _bounded_int(rounds, "rounds", math.inf)
+    check_int(rounds, "rounds")
     n_joint = game.num_joint_actions
     totals: list[list[Fraction]] = [[Fraction(0)] * n_joint for _ in range(rounds)]
     joint_actions = list(game.all_joint_actions())

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +37,7 @@ import numpy as np
 
 from . import chi2
 from .errors import InfeasiblePlanError, InvalidInputError, ZeroCellObserved
+from .errors import check_int, check_positive, check_unit
 from .games import (
     CorrelatedStrategy,
     Game,
@@ -135,7 +135,7 @@ def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) ->
     if np.any(counts < 0):
         raise InvalidInputError("observed_counts must be nonnegative")
     total = int(counts.sum())
-    if total != int(l_t):
+    if total != check_int(l_t, "l_t"):
         raise InvalidInputError(f"observed_counts sum to {total}, expected l_t={l_t}")
     zero = probs == 0.0
     if np.any(counts[zero] > 0):
@@ -223,24 +223,14 @@ def _count_below(gammas: list[np.ndarray], w: np.ndarray, lin: np.ndarray,
 
 def check_draws(mc_samples: int, seed: int) -> None:
     """Refuse a Monte-Carlo sample count or seed that ``estimate_psi`` cannot use."""
-    if isinstance(mc_samples, bool) or not isinstance(mc_samples, numbers.Integral):
-        raise InvalidInputError(f"mc_samples must be an integer, got {mc_samples!r}")
-    if mc_samples < MIN_MC_SAMPLES:
-        raise InvalidInputError(f"mc_samples must be at least {MIN_MC_SAMPLES}, got {mc_samples}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def _check_delta_hat(delta_hat, name: str = "delta_hat") -> None:
-    if not math.isfinite(delta_hat) or delta_hat <= 0:
-        raise InvalidInputError(f"{name} must be positive and finite, got {delta_hat}")
+    check_int(mc_samples, "mc_samples", MIN_MC_SAMPLES)
+    check_int(seed, "seed")
 
 
 def check_target(p: float, delta_hat: float) -> None:
     """Refuse a test's target error p outside (0, 1) or a bad threshold delta_hat."""
-    if not 0.0 < p < 1.0:
-        raise InvalidInputError(f"p must be in (0, 1), got {p}")
-    _check_delta_hat(delta_hat)
+    check_unit(p, "p")
+    check_positive(delta_hat, "delta_hat")
 
 
 def estimate_psi(
@@ -277,11 +267,12 @@ def estimate_psi(
     block of rows plus one counter per threshold, whatever mc_samples is.
     """
     curve = np.ndim(delta_hat) > 0
-    thresholds = np.asarray(delta_hat, dtype=float).reshape(-1)
-    if curve and not len(thresholds):
+    given = np.asarray(delta_hat, dtype=object).reshape(-1)  # as given: a bool stays one
+    if curve and not len(given):
         raise InvalidInputError("delta_hat must hold at least one threshold")
-    for k, d in enumerate(thresholds):
-        _check_delta_hat(d, f"delta_hat[{k}]" if curve else "delta_hat")
+    for k, d in enumerate(given):
+        check_positive(d, f"delta_hat[{k}]" if curve else "delta_hat")
+    thresholds = given.astype(float)
     check_draws(mc_samples, seed)
     if game.num_agents > MAX_PSI_AGENTS:
         raise InvalidInputError(

@@ -156,6 +156,43 @@ def test_cmd_test_agent_outside_the_game_exits_2(capsys, agent):
     assert err.startswith("error:") and "--agent" in err
 
 
+@pytest.mark.parametrize("entry", [10.5, True, "10"])
+def test_cmd_test_counts_that_are_not_integers_exit_2(tmp_path, capsys, entry):
+    # the int64 array used to truncate 10.5 to 10 and read true as 1
+    counts = json.loads(Path("fixtures/accept_counts.json").read_text())
+    counts[2] = entry
+    (tmp_path / "counts.json").write_text(json.dumps(counts))
+    code = main(["test", "--game", GAME, "--strategy", CE,
+                 "--counts", str(tmp_path / "counts.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "counts[2]" in err
+
+
+@pytest.mark.parametrize("counts", [[2.5, 2], [True, 2], [2, "2"], [2, 0]])
+def test_game_file_with_action_counts_that_are_not_positive_integers_exits_2(tmp_path, capsys,
+                                                                            counts):
+    # int() used to truncate [2.5, 2] to a 2x2 game and read true or "2" as a count
+    game = json.loads(Path(GAME).read_text())
+    game["action_counts"] = counts
+    (tmp_path / "game.json").write_text(json.dumps(game))
+    assert main(["check-ce", "--game", str(tmp_path / "game.json"), "--strategy", CE]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "action_counts" in err
+
+
+def test_cmd_schedule_writes_its_stdout_to_schedule_csv(tmp_path, capsysbinary):
+    code = main([
+        "schedule", "--game", GAME, "--strategy", "fixtures/correlated_strategy.json",
+        "--rules", "harmonic", "--tests", "2", "--mc-samples", "1000", "--seed", "11",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    out = capsysbinary.readouterr().out
+    assert out.startswith(b"kind,j,begin,") and out.count(b"\r\n") == 5
+    assert out == (tmp_path / "schedule.csv").read_bytes()
+
+
 def test_cmd_schedule_emits_csv(capsys):
     code = main([
         "schedule", "--game", GAME, "--strategy", "fixtures/correlated_strategy.json",

@@ -1,0 +1,158 @@
+"""One refusal table over the public entry points.
+
+Every entry point that takes a count, index, seed, probability or threshold
+refuses a bad one with InvalidInputError whose message names the argument.
+The checks live in ``advicecheck.errors``; this table keeps every caller on
+them. Integers and probabilities are fed True, 2.5, -1 and NaN. Thresholds
+are fed True, -1, NaN and inf, since 2.5 is a valid threshold.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from advicecheck import (
+    Game,
+    InvalidInputError,
+    Phase,
+    PhaseKind,
+    average_utility,
+    build_ledger,
+    build_schedule,
+    chi2_cdf,
+    chi2_quantile,
+    compose_deviation,
+    conditional_given_signal,
+    draw_fallback,
+    empirical_frequency,
+    estimate_psi,
+    exact_window_expectation,
+    geometric_rules,
+    harmonic_rules,
+    literal_layout,
+    locate,
+    make_learner,
+    manual_plan,
+    noncentral_chi2_cdf,
+    pearson_statistic,
+    plan_test,
+    power_beta,
+    run_game,
+    run_game_counts,
+    run_pure_learning,
+    sample_size,
+    toy_schedule,
+    validate_schedule,
+)
+from advicecheck.games import agent_incentive_violations
+
+BAD_INTEGERS = [True, 2.5, -1, math.nan]
+BAD_PROBABILITIES = [True, 2.5, -1, math.nan]
+BAD_THRESHOLDS = [True, -1, math.nan, math.inf]
+UNIFORM = {"name": "uniform"}
+
+# (entry point, argument named in the message, call with the bad value v)
+INTEGERS = [
+    ("chi2_cdf", "df", lambda e, v: chi2_cdf(1.0, v)),
+    ("chi2_quantile", "df", lambda e, v: chi2_quantile(0.5, v)),
+    ("noncentral_chi2_cdf", "df", lambda e, v: noncentral_chi2_cdf(1.0, v, 1.0)),
+    ("power_beta", "sample_size", lambda e, v: power_beta(0.1, 0.01, 3, v)),
+    ("manual_plan", "sample_size", lambda e, v: manual_plan(e["game"], e["sigma"], 0.1, 0.01, v)),
+    ("estimate_psi", "mc_samples",
+     lambda e, v: estimate_psi(e["game"], e["sigma"], 0.01, mc_samples=v)),
+    ("estimate_psi", "seed",
+     lambda e, v: estimate_psi(e["game"], e["sigma"], 0.01, mc_samples=1000, seed=v)),
+    ("plan_test", "mc_samples",
+     lambda e, v: plan_test(e["game"], e["sigma"], 0.3, 0.01, mc_samples=v)),
+    ("plan_test", "seed",
+     lambda e, v: plan_test(e["game"], e["sigma"], 0.3, 0.01, mc_samples=1000, seed=v)),
+    ("build_schedule", "horizon_tests",
+     lambda e, v: build_schedule(e["game"], e["sigma"], harmonic_rules(), v, mc_samples=1000)),
+    ("build_schedule", "mc_samples",
+     lambda e, v: build_schedule(e["game"], e["sigma"], harmonic_rules(), 2, mc_samples=v)),
+    ("build_schedule", "seed",
+     lambda e, v: build_schedule(e["game"], e["sigma"], harmonic_rules(), 2, mc_samples=1000,
+                                 seed=v)),
+    ("literal_layout", "test 1 length", lambda e, v: literal_layout([v], [4])),
+    ("literal_layout", "test 2 free length", lambda e, v: literal_layout([4, 4], [4, v])),
+    ("toy_schedule", "test 1 length",
+     lambda e, v: toy_schedule(e["game"], e["sigma"], 0.1, 0.01, [v], [4])),
+    ("toy_schedule", "test 1 free length",
+     lambda e, v: toy_schedule(e["game"], e["sigma"], 0.1, 0.01, [4], [v])),
+    ("Phase", "phase length", lambda e, v: Phase(PhaseKind.FREE_PERIOD, 1, 1, v)),
+    ("Phase", "phase begin", lambda e, v: Phase(PhaseKind.FREE_PERIOD, 1, v, 1)),
+    ("locate", "time index t", lambda e, v: locate(e["schedule"], v)),
+    ("validate_schedule", "prefix_tests", lambda e, v: validate_schedule(e["schedule"], v)),
+    ("Game", "action_counts[0]", lambda e, v: Game([v, 2], np.ones((4, 2)))),
+    ("Game.joint_index", "action index", lambda e, v: e["game"].joint_index((v, 0))),
+    ("Game.joint_action", "joint index", lambda e, v: e["game"].joint_action(v)),
+    ("conditional_given_signal", "agent",
+     lambda e, v: conditional_given_signal(e["sigma"], e["game"], v, 0)),
+    ("conditional_given_signal", "signal",
+     lambda e, v: conditional_given_signal(e["sigma"], e["game"], 0, v)),
+    ("agent_incentive_violations", "agent",
+     lambda e, v: agent_incentive_violations(e["game"], e["sigma"], v)),
+    ("compose_deviation", "deviating agent",
+     lambda e, v: compose_deviation(e["sigma"], e["game"], {v: [0.5, 0.5]})),
+    ("draw_fallback", "action_count", lambda e, v: draw_fallback(v, seed=0)),
+    ("draw_fallback", "seed", lambda e, v: draw_fallback(2, seed=v)),
+    ("make_learner", "trigger watch_action",
+     lambda e, v: make_learner({"name": "trigger", "watch_action": v}, e["game"], 0)),
+    ("run_game", "seed", lambda e, v: run_game(e["game"], e["sigma"], e["schedule"], seed=v)),
+    ("run_game", "rounds", lambda e, v: run_game(e["game"], e["sigma"], e["schedule"], rounds=v)),
+    ("run_game_counts", "seed",
+     lambda e, v: run_game_counts(e["game"], e["sigma"], e["schedule"], seed=v)),
+    ("run_pure_learning", "seed",
+     lambda e, v: run_pure_learning(e["game"], [UNIFORM] * 2, rounds=10, seed=v)),
+    ("run_pure_learning", "rounds",
+     lambda e, v: run_pure_learning(e["game"], [UNIFORM] * 2, rounds=v)),
+    ("exact_window_expectation", "rounds",
+     lambda e, v: exact_window_expectation(e["game"], [UNIFORM] * 2, v)),
+    ("average_utility", "up_to_t", lambda e, v: average_utility(e["ledger"], 0, v)),
+    ("empirical_frequency", "from_t", lambda e, v: empirical_frequency(e["transcript"], v, 10)),
+    ("empirical_frequency", "to_t", lambda e, v: empirical_frequency(e["transcript"], 1, v)),
+    ("pearson_statistic", "l_t", lambda e, v: pearson_statistic([2, 0, 0, 2], e["sigma"], v)),
+]
+PROBABILITIES = [
+    ("power_beta", "alpha", lambda e, v: power_beta(v, 0.01, 3, 10)),
+    ("sample_size", "alpha", lambda e, v: sample_size(v, 0.1, 0.01, 3)),
+    ("sample_size", "beta_target", lambda e, v: sample_size(0.1, v, 0.01, 3)),
+    ("manual_plan", "alpha", lambda e, v: manual_plan(e["game"], e["sigma"], v, 0.01, 10)),
+    ("plan_test", "p", lambda e, v: plan_test(e["game"], e["sigma"], v, 0.01, mc_samples=1000)),
+    ("geometric_rules", "p0", lambda e, v: geometric_rules(1e-4, v)),
+]
+THRESHOLDS = [
+    ("power_beta", "delta_hat", lambda e, v: power_beta(0.1, v, 3, 10)),
+    ("sample_size", "delta_hat", lambda e, v: sample_size(0.1, 0.1, v, 3)),
+    ("manual_plan", "delta_hat", lambda e, v: manual_plan(e["game"], e["sigma"], 0.1, v, 10)),
+    ("plan_test", "delta_hat",
+     lambda e, v: plan_test(e["game"], e["sigma"], 0.3, v, mc_samples=1000)),
+    ("estimate_psi", "delta_hat",
+     lambda e, v: estimate_psi(e["game"], e["sigma"], v, mc_samples=1000)),
+    ("estimate_psi", "delta_hat[1]",
+     lambda e, v: estimate_psi(e["game"], e["sigma"], [0.1, v], mc_samples=1000)),
+    ("geometric_rules", "delta0", lambda e, v: geometric_rules(v, 0.1)),
+]
+CASES = [
+    pytest.param(call, name, bad, id=f"{entry}-{name}-{bad!r}")
+    for table, bads in [(INTEGERS, BAD_INTEGERS), (PROBABILITIES, BAD_PROBABILITIES),
+                        (THRESHOLDS, BAD_THRESHOLDS)]
+    for entry, name, call in table
+    for bad in bads
+]
+
+
+@pytest.fixture(scope="module")
+def env(game, ce_strategy):
+    schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20, 20], [20, 20])
+    transcript = run_game(game, ce_strategy, schedule, seed=0)
+    return {"game": game, "sigma": ce_strategy, "schedule": schedule,
+            "transcript": transcript, "ledger": build_ledger(transcript)}
+
+
+@pytest.mark.parametrize("call, name, bad", CASES)
+def test_entry_point_refuses_a_bad_argument_naming_it(env, call, name, bad):
+    with pytest.raises(InvalidInputError, match=re.escape(name)):
+        call(env, bad)

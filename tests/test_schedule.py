@@ -63,6 +63,22 @@ def test_literal_layout_refuses_mismatched_lengths(game, ce_strategy):
                      test_lengths=[10, 20], free_lengths=[30])
 
 
+@pytest.mark.parametrize("tests, frees, name", [
+    ([2.7], [3.5], "test 1 length"), ([True], [4], "test 1 length"),
+    ([4, "4"], [4, 4], "test 2 length"),
+    ([3], [0.9], "test 1 free length"), ([3, 3], [4, False], "test 2 free length"),
+    ([3], [4.0], "test 1 free length"),
+])
+def test_layouts_refuse_lengths_that_are_not_integers(game, ce_strategy, tests, frees, name):
+    # int() used to truncate them: [2.7], [3.5] laid out phases of 2 and 3
+    # rounds, a free length of 0.9 or False dropped the free period, True was 1
+    with pytest.raises(InvalidInputError, match=name):
+        literal_layout(tests, frees)
+    with pytest.raises(InvalidInputError, match=name):
+        toy_schedule(game, ce_strategy, alpha=0.1, delta_hat=0.01,
+                     test_lengths=tests, free_lengths=frees)
+
+
 def test_locate_bounds():
     lay = literal_layout([1, 2], [2, 2])
     with pytest.raises(InvalidInputError):

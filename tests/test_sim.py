@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -431,6 +432,22 @@ def test_run_game_refuses_malformed_agents_and_rounds(game, ce_strategy, configs
     schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20], [20])
     with pytest.raises(InvalidInputError):
         run_game(game, ce_strategy, schedule, configs, seed=1, rounds=rounds)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize("runner", ["run_game", "run_game_counts", "run_pure_learning"])
+def test_runners_refuse_a_bad_seed_before_drawing(game, ce_strategy, runner, seed):
+    # -1 and 1.5 used to leak SeedSequence's ValueError or TypeError, and True
+    # was taken as seed 1 and recorded as the run's seed
+    schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20], [20])
+    calls = {
+        "run_game": lambda: run_game(game, ce_strategy, schedule, seed=seed),
+        "run_game_counts": lambda: run_game_counts(game, ce_strategy, schedule, seed=seed),
+        "run_pure_learning": lambda: run_pure_learning(game, [UNIFORM, UNIFORM], 20, seed=seed),
+    }
+    with mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")):
+        with pytest.raises(InvalidInputError, match="seed"):
+            calls[runner]()
 
 
 def test_pure_learning_locks_pure_equilibrium(game):

@@ -180,6 +180,15 @@ def test_power_entry_points_refuse_bad_delta_hat(game, ce_strategy, delta_hat):
         sample_size(0.1, 0.1, delta_hat, 3)
 
 
+@pytest.mark.parametrize("n", [2.5, True, 100.0, "100"])
+def test_power_entry_points_refuse_a_sample_size_that_is_not_an_integer(game, ce_strategy, n):
+    # 2.5 and True used to be taken as sample sizes
+    with pytest.raises(InvalidInputError, match="sample_size"):
+        power_beta(0.1, 0.01, 3, n)
+    with pytest.raises(InvalidInputError, match="sample_size"):
+        manual_plan(game, ce_strategy, 0.1, 0.01, n)
+
+
 def _near_product(rng, counts, eps):
     """A product of random marginals mixed with eps of arbitrary correlated mass."""
     joint = np.ones(1)
