@@ -20,7 +20,8 @@ from .agents import (
     draw_fallback,
     make_learner,
 )
-from .chi2 import chi2_cdf, chi2_quantile, noncentral_chi2_cdf, power_beta, sample_size
+from .chi2 import chi2_cdf, chi2_isf, chi2_quantile, chi2_sf, noncentral_chi2_cdf
+from .chi2 import power_beta, sample_size
 from .errors import (
     HorizonExceededError,
     InfeasiblePlanError,

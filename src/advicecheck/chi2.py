@@ -39,6 +39,7 @@ noncentrality; the remaining df_total - 1 are central).
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import InvalidInputError, NonConvergenceError, check_int, check_positive, check_unit
@@ -48,6 +49,7 @@ _GAMMA_ITMAX = 500
 _MIXTURE_TAIL = 1e-12
 _STIRLING_MIN = 10.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_ISF_CACHE = 1024  # distinct (alpha, df) pairs whose critical value is kept
 
 
 def _iteration_cap(a: float) -> int:
@@ -216,35 +218,44 @@ def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """P(chi2_df > x): the p-value of a statistic x."""
+    return 1.0 - chi2_cdf(x, df)
+
+
+@functools.lru_cache(maxsize=_ISF_CACHE, typed=True)
+def chi2_isf(alpha: float, df: int) -> float:
+    """The level-alpha critical value ``chi2_quantile(1 - alpha, df)``, solved once per
+    (alpha, df); the memo is typed, so a cached (0.1, 3) never answers for (0.1, 3.0)."""
+    check_unit(alpha, "alpha")
+    return chi2_quantile(1.0 - alpha, df)
+
+
 def power_beta(alpha: float, delta_hat: float, df_total: int, sample_size: int) -> float:
     """Type-2 probability: mass the alternative leaves below the critical value.
 
     beta = F_nc(c(alpha); df_total, sample_size * delta_hat) with
-    c(alpha) = chi2_quantile(1 - alpha, df_total); df_total is the
+    c(alpha) = chi2_isf(alpha, df_total); df_total is the
     statistic's degrees of freedom under the null (retained cells minus one).
     """
     check_unit(alpha, "alpha")
     check_positive(delta_hat, "delta_hat")
     check_int(sample_size, "sample_size", 1)
-    c = chi2_quantile(1.0 - alpha, df_total)
-    return noncentral_chi2_cdf(c, df_total, sample_size * delta_hat)
+    return noncentral_chi2_cdf(chi2_isf(alpha, df_total), df_total, sample_size * delta_hat)
 
 
 def sample_size(alpha: float, beta_target: float, delta_hat: float, df_total: int) -> int:
-    """Smallest sample size whose Type-2 probability is <= beta_target.
+    """The least sample size whose ``power_beta`` is <= beta_target.
 
     beta is monotone nonincreasing in the sample size (the noncentrality
     grows linearly with it), so exponential bracketing plus binary search is
     exact. Degenerate targets that are met at a single sample report 1; a
     target that no sample size up to 2^62 meets is refused.
     """
-    check_unit(alpha, "alpha")
-    check_positive(delta_hat, "delta_hat")
     check_unit(beta_target, "beta_target")
-    c = chi2_quantile(1.0 - alpha, df_total)
 
     def beta_at(n: int) -> float:
-        return noncentral_chi2_cdf(c, df_total, n * delta_hat)
+        return power_beta(alpha, delta_hat, df_total, n)
 
     if beta_at(1) <= beta_target:
         return 1

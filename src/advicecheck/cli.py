@@ -98,11 +98,12 @@ def cmd_test(args) -> int:
             counts = json.load(fh)
         if not isinstance(counts, list):
             raise InvalidInputError("counts file must be a flat JSON array")
-        counts = np.asarray([check_int(c, f"counts[{i}]") for i, c in enumerate(counts)],
-                            dtype=np.int64)
+        # the counts become an int64 array: each entry and the total must fit one
+        counts = [check_int(c, f"counts[{i}]", 0, 2**63) for i, c in enumerate(counts)]
+        total = check_int(sum(counts), "total of counts", 0, 2**63)
+        counts = np.asarray(counts, dtype=np.int64)
         plan = verifier.manual_plan(
-            game, sigma, alpha=args.p, delta_hat=args.delta_hat,
-            sample_size=int(counts.sum()),
+            game, sigma, alpha=args.p, delta_hat=args.delta_hat, sample_size=total,
         )
     else:
         plan = verifier.plan_test(
@@ -179,31 +180,14 @@ def _schedule_from_config(game, sigma, cfg, mc_samples, seed):
 
 
 def _schedule_rows(schedule: sched.Schedule):
+    """One row per phase; csv blanks the plan columns a row lacks and a psi of None."""
     rows = []
     for ph in schedule.phases:
-        row = {
-            "kind": ph.kind.value,
-            "j": ph.index,
-            "begin": ph.begin,
-            "length": ph.length,
-            "delta": "",
-            "p": "",
-            "alpha": "",
-            "beta": "",
-            "psi": "",
-            "l_T": "",
-        }
-        if ph.kind is sched.PhaseKind.SAMPLING_TEST:
-            plan = schedule.plan_for(ph.index)
-            if plan is not None:
-                row.update(
-                    delta=plan.delta_hat,
-                    p=plan.p_target,
-                    alpha=plan.alpha,
-                    beta=plan.beta,
-                    psi="" if plan.psi is None else plan.psi,
-                    l_T=plan.sample_size,
-                )
+        row = {"kind": ph.kind.value, "j": ph.index, "begin": ph.begin, "length": ph.length}
+        plan = schedule.plan_for(ph.index) if ph.kind is sched.PhaseKind.SAMPLING_TEST else None
+        if plan is not None:
+            row.update(delta=plan.delta_hat, p=plan.p_target, alpha=plan.alpha, beta=plan.beta,
+                       psi=plan.psi, l_T=plan.sample_size)
         rows.append(row)
     return rows
 
@@ -215,7 +199,7 @@ def cmd_schedule(args) -> int:
         cfg.update(delta0=args.delta0, p0=args.p0)
     schedule = _schedule_from_config(game, sigma, cfg, args.mc_samples, args.seed)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=[
+    writer = csv.DictWriter(buf, restval="", fieldnames=[
         "kind", "j", "begin", "length", "delta", "p", "alpha", "beta", "psi", "l_T"])
     writer.writeheader()
     writer.writerows(_schedule_rows(schedule))
@@ -236,6 +220,10 @@ def cmd_simulate(args) -> int:
     if not isinstance(cfg, dict):
         raise InvalidInputError("simulate config must be a JSON object")
     where = "simulate config"
+    record = _entry(cfg, "record", where, str, "full")
+    if record not in ("full", "counts"):
+        raise InvalidInputError(
+            f"{where} entry 'record' is neither 'full' nor 'counts': {record!r}")
     seed = args.seed if args.seed is not None else _entry(cfg, "seed", where, int, 0)
     mc_samples = (args.mc_samples if args.mc_samples is not None
                   else _entry(cfg, "mc_samples", where, int, verifier.DEFAULT_MC_SAMPLES))
@@ -259,7 +247,7 @@ def cmd_simulate(args) -> int:
         _manifest(args, outdir, cfg, seed)
         print(f"wrote {outdir}/batch_summary.json")
         return EXIT_OK
-    if cfg.get("record", "full") == "counts":
+    if record == "counts":
         run = sim.run_game_counts(game, sigma, schedule, agent_configs, seed=seed, rounds=rounds)
     else:
         run = sim.run_game(game, sigma, schedule, agent_configs, seed=seed, rounds=rounds)

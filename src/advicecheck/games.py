@@ -281,9 +281,14 @@ def load_game(path) -> Game:
         utilities = data["utilities"]
     except (TypeError, KeyError) as exc:
         raise InvalidInputError(f"game file {path} is missing field {exc}") from exc
+    names = data.get("action_names")
+    if not isinstance(counts, list):
+        raise InvalidInputError(f"game file {path}: action_counts must be a JSON array")
+    if not (names is None or isinstance(names, list) and all(isinstance(n, list) for n in names)):
+        raise InvalidInputError(f"game file {path}: action_names must be a JSON array of arrays")
     if "num_agents" in data and check_int(data["num_agents"], "num_agents") != len(counts):
         raise InvalidInputError("num_agents does not match action_counts")
-    return Game(counts, utilities, data.get("action_names"))
+    return Game(counts, utilities, names)
 
 
 def load_strategy(path) -> CorrelatedStrategy:

@@ -30,6 +30,8 @@ from .errors import (
 from .games import CorrelatedStrategy, Game
 from .verifier import DEFAULT_MC_SAMPLES, TestPlan, manual_plan, plan_test
 
+RATIO_THRESHOLD = 0.05  # the cumulative test-to-free ratio validation requires at the prefix end
+
 
 class PhaseKind(Enum):
     SAMPLING_TEST = "R"
@@ -67,7 +69,6 @@ class ScheduleRules:
     p_rule: Callable[[int], float]
     free_length_rule: Callable[[int], int]
     p_series_bound: float
-    name: str = "custom"
 
 
 def harmonic_rules() -> ScheduleRules:
@@ -86,7 +87,6 @@ def harmonic_rules() -> ScheduleRules:
         p_rule=lambda j: 2.0 ** -j,
         free_length_rule=lambda l_r: l_r * l_r,
         p_series_bound=1.0,
-        name="harmonic",
     )
 
 
@@ -113,7 +113,6 @@ def geometric_rules(
         p_rule=lambda j: p0 / p_decay ** (j - 1),
         free_length_rule=lambda l_r: l_r * l_r,
         p_series_bound=p0 * p_decay / (p_decay - 1.0),
-        name=f"geometric({delta0},{p0})",
     )
 
 
@@ -289,13 +288,11 @@ def _strictly_decreasing_suffix(xs: Sequence[float]) -> int:
     return n
 
 
-def validate_schedule(
-    schedule: Schedule, prefix_tests: int, ratio_threshold: float = 0.05
-) -> ValidationReport:
+def validate_schedule(schedule: Schedule, prefix_tests: int) -> ValidationReport:
     """Check the growth/summability conditions over a schedule prefix.
 
     (a) cumulative test-to-free length ratio strictly decreasing from some
-        test onward and below ``ratio_threshold`` at the prefix end;
+        test onward and below ``RATIO_THRESHOLD`` at the prefix end;
     (b) l_R(j)/j strictly increasing from some test onward (superlinear
         growth surrogate);
     (c) delta(j) strictly decreasing over the prefix;
@@ -318,11 +315,11 @@ def validate_schedule(
         cf += b
         ratios.append(cr / cf)
     dec = _strictly_decreasing_suffix(ratios)
-    a_ok = dec >= 2 and ratios[-1] < ratio_threshold
+    a_ok = dec >= 2 and ratios[-1] < RATIO_THRESHOLD
     check_a = CheckResult(
         a_ok,
         f"cumulative ratio strictly decreasing over final {dec}/{prefix_tests} tests; "
-        f"end value {ratios[-1]:.6g} vs threshold {ratio_threshold}",
+        f"end value {ratios[-1]:.6g} vs threshold {RATIO_THRESHOLD}",
     )
 
     per_j = [l / (j + 1) for j, l in enumerate(l_r)]

@@ -336,6 +336,15 @@ def _tested_cells(game: Game, sigma_m: CorrelatedStrategy) -> tuple[tuple[int, .
     return zeta, df_total
 
 
+def _assemble_plan(alpha: float, delta_hat: float, beta: float, l_t: int, zeta: tuple[int, ...],
+                   df_total: int, est: PsiEstimate | None = None) -> TestPlan:
+    """The one TestPlan assembly: p_target is alpha and the critical value is chi2_isf's."""
+    return TestPlan(p_target=alpha, alpha=alpha, critical_value=chi2.chi2_isf(alpha, df_total),
+                    delta_hat=delta_hat, psi=None if est is None else est.psi,
+                    psi_se=None if est is None else est.std_error, beta=beta, sample_size=l_t,
+                    zero_cells=zeta, df_total=df_total)
+
+
 def plan_test(
     game: Game,
     sigma_m: CorrelatedStrategy,
@@ -360,20 +369,8 @@ def plan_test(
     if p <= est.psi:
         raise InfeasiblePlanError(p, est.psi)
     beta = (p - est.psi) / (1.0 - est.psi)
-    alpha = p
-    l_t = chi2.sample_size(alpha, beta, delta_hat, df_total)
-    return TestPlan(
-        p_target=p,
-        alpha=alpha,
-        critical_value=chi2.chi2_quantile(1.0 - alpha, df_total),
-        delta_hat=delta_hat,
-        psi=est.psi,
-        psi_se=est.std_error,
-        beta=beta,
-        sample_size=l_t,
-        zero_cells=zeta,
-        df_total=df_total,
-    )
+    l_t = chi2.sample_size(p, beta, delta_hat, df_total)
+    return _assemble_plan(p, delta_hat, beta, l_t, zeta, df_total, est)
 
 
 def manual_plan(
@@ -390,18 +387,7 @@ def manual_plan(
     """
     zeta, df_total = _tested_cells(game, sigma_m)
     beta = chi2.power_beta(alpha, delta_hat, df_total, sample_size)
-    return TestPlan(
-        p_target=alpha,
-        alpha=alpha,
-        critical_value=chi2.chi2_quantile(1.0 - alpha, df_total),
-        delta_hat=delta_hat,
-        psi=None,
-        psi_se=None,
-        beta=beta,
-        sample_size=sample_size,
-        zero_cells=zeta,
-        df_total=df_total,
-    )
+    return _assemble_plan(alpha, delta_hat, beta, sample_size, zeta, df_total)
 
 
 def run_sampling_decision(plan: TestPlan, sigma_m: CorrelatedStrategy, observed_counts) -> Decision:
@@ -417,7 +403,7 @@ def run_sampling_decision(plan: TestPlan, sigma_m: CorrelatedStrategy, observed_
         stat = pearson_statistic(observed_counts, sigma_m, plan.sample_size)
     except ZeroCellObserved:
         return Decision(outcome=Outcome.REJECT_BY_ZERO_CELL)
-    p_value = 1.0 - chi2.chi2_cdf(stat, plan.df_total)
+    p_value = chi2.chi2_sf(stat, plan.df_total)
     if stat >= plan.critical_value:
         return Decision(outcome=Outcome.REJECT_BY_STATISTIC, statistic=stat, p_value=p_value)
     return Decision(outcome=Outcome.FOLLOW_MEDIATOR, statistic=stat, p_value=p_value)

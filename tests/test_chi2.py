@@ -254,3 +254,14 @@ def test_incomplete_gamma_raises_instead_of_stopping(monkeypatch):
         chi2_cdf(100.0, 200)
     with pytest.raises(NonConvergenceError):
         chi2_cdf(300.0, 200)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 7, 26, 242])
+def test_tails_equal_the_lower_tail_forms_bit_for_bit(df):
+    chi2.chi2_isf.cache_clear()
+    for alpha in (0.5, 0.15, 0.1, 0.05, 1e-3, 1e-6, 1e-12):
+        expected = chi2_quantile(1.0 - alpha, df).hex()
+        assert chi2.chi2_isf(alpha, df).hex() == expected
+        assert chi2.chi2_isf(alpha, df).hex() == expected  # from the memo
+    for x in (0.0, 0.3, 1.0, float(df), 3.0 * df, 50.0, 80.0, math.inf):
+        assert chi2.chi2_sf(x, df).hex() == (1.0 - chi2_cdf(x, df)).hex()

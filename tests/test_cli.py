@@ -181,6 +181,30 @@ def test_game_file_with_action_counts_that_are_not_positive_integers_exits_2(tmp
     assert err.startswith("error:") and err.count("\n") == 1 and "action_counts" in err
 
 
+@pytest.mark.parametrize("key, value", [("action_counts", 3), ("action_names", 5),
+                                        ("action_names", [5, 6])])
+def test_game_file_with_fields_that_are_not_arrays_exits_2(tmp_path, capsys, key, value):
+    # these died with a TypeError traceback and exit 1
+    game = json.loads(Path(GAME).read_text())
+    game[key] = value
+    (tmp_path / "game.json").write_text(json.dumps(game))
+    assert main(["check-ce", "--game", str(tmp_path / "game.json"), "--strategy", CE]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("counts, name", [([2**64, 0, 0, 0], "counts[0]"),
+                                          ([0, 2**63 - 1, 2**63 - 1, 0], "total of counts")])
+def test_cmd_test_counts_beyond_int64_exit_2(tmp_path, capsys, counts, name):
+    # 2**64 died with an OverflowError traceback; the two 2**63 - 1 wrapped to a total of -2
+    (tmp_path / "counts.json").write_text(json.dumps(counts))
+    code = main(["test", "--game", GAME, "--strategy", CE,
+                 "--counts", str(tmp_path / "counts.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and name in err
+
+
 def test_cmd_schedule_writes_its_stdout_to_schedule_csv(tmp_path, capsysbinary):
     code = main([
         "schedule", "--game", GAME, "--strategy", "fixtures/correlated_strategy.json",
@@ -435,6 +459,16 @@ def test_simulate_config_of_wrong_shape_exits_2(tmp_path, capsys, key, value):
     assert _simulate(tmp_path, cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("record", ["count", True, 3])
+def test_simulate_record_other_than_full_or_counts_exits_2(tmp_path, capsys, record):
+    # any value but "counts" used to run and write a full transcript
+    cfg = {"game": GAME, "strategy": CE, "schedule": TOY, "record": record}
+    assert _simulate(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "record" in err
+    assert not (tmp_path / "o" / "transcript.csv").exists()
 
 
 @pytest.mark.parametrize("strategy", [CE, NON_CE])

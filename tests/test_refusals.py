@@ -22,7 +22,9 @@ from advicecheck import (
     build_ledger,
     build_schedule,
     chi2_cdf,
+    chi2_isf,
     chi2_quantile,
+    chi2_sf,
     compose_deviation,
     conditional_given_signal,
     draw_fallback,
@@ -53,10 +55,20 @@ BAD_PROBABILITIES = [True, 2.5, -1, math.nan]
 BAD_THRESHOLDS = [True, -1, math.nan, math.inf]
 UNIFORM = {"name": "uniform"}
 
+
+def _isf_after_caching(alpha, df):
+    # the critical-value memo must never answer for a bad pair equal to a cached one
+    chi2_isf(0.1, 1)
+    chi2_isf(0.1, 3)
+    return chi2_isf(alpha, df)
+
+
 # (entry point, argument named in the message, call with the bad value v)
 INTEGERS = [
     ("chi2_cdf", "df", lambda e, v: chi2_cdf(1.0, v)),
     ("chi2_quantile", "df", lambda e, v: chi2_quantile(0.5, v)),
+    ("chi2_isf", "df", lambda e, v: _isf_after_caching(0.1, v)),
+    ("chi2_sf", "df", lambda e, v: chi2_sf(1.0, v)),
     ("noncentral_chi2_cdf", "df", lambda e, v: noncentral_chi2_cdf(1.0, v, 1.0)),
     ("power_beta", "sample_size", lambda e, v: power_beta(0.1, 0.01, 3, v)),
     ("manual_plan", "sample_size", lambda e, v: manual_plan(e["game"], e["sigma"], 0.1, 0.01, v)),
@@ -116,6 +128,7 @@ INTEGERS = [
     ("pearson_statistic", "l_t", lambda e, v: pearson_statistic([2, 0, 0, 2], e["sigma"], v)),
 ]
 PROBABILITIES = [
+    ("chi2_isf", "alpha", lambda e, v: _isf_after_caching(v, 3)),
     ("power_beta", "alpha", lambda e, v: power_beta(v, 0.01, 3, 10)),
     ("sample_size", "alpha", lambda e, v: sample_size(v, 0.1, 0.01, 3)),
     ("sample_size", "beta_target", lambda e, v: sample_size(0.1, v, 0.01, 3)),
@@ -156,3 +169,8 @@ def env(game, ce_strategy):
 def test_entry_point_refuses_a_bad_argument_naming_it(env, call, name, bad):
     with pytest.raises(InvalidInputError, match=re.escape(name)):
         call(env, bad)
+
+
+def test_chi2_isf_refuses_a_whole_float_df_after_the_int_is_cached():
+    with pytest.raises(InvalidInputError, match="df"):
+        _isf_after_caching(0.1, 3.0)

@@ -20,7 +20,7 @@ from advicecheck import (
     toy_schedule,
     validate_schedule,
 )
-from advicecheck import manual_plan, verifier
+from advicecheck import PsiEstimate, chi2, manual_plan, verifier
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,6 @@ def test_validation_constant_delta_fails(game, correlated_strategy):
         p_rule=lambda j: 2.0 ** -j,
         free_length_rule=lambda l: l * l,
         p_series_bound=1.0,
-        name="constant-delta",
     )
     sched = build_schedule(game, correlated_strategy, rules, 3, mc_samples=20_000, seed=2)
     report = validate_schedule(sched, prefix_tests=3)
@@ -153,7 +152,6 @@ def test_validation_linear_free_rule_fails(game, correlated_strategy):
         p_rule=lambda j: 2.0 ** -j,
         free_length_rule=lambda l: l,
         p_series_bound=1.0,
-        name="linear-free",
     )
     sched = build_schedule(game, correlated_strategy, rules, 4, mc_samples=20_000, seed=2)
     report = validate_schedule(sched, prefix_tests=4)
@@ -274,3 +272,31 @@ def test_build_schedule_accepts_a_whole_float_free_length(game, correlated_strat
 def test_geometric_rules_refuse_bad_parameters(kwargs, name):
     with pytest.raises(InvalidInputError, match=name):
         geometric_rules(**{"delta0": 1e-4, "p0": 0.1, **kwargs})
+
+
+@pytest.fixture
+def quantile_solves(monkeypatch):
+    """The chi2_quantile solves made from here on, with the critical-value memo emptied."""
+    chi2.chi2_isf.cache_clear()
+    solves = []
+    solve = chi2.chi2_quantile
+    monkeypatch.setattr(chi2, "chi2_quantile", lambda p, df: solves.append((p, df)) or solve(p, df))
+    return solves
+
+
+def test_a_plan_solves_its_critical_value_once(game, ce_strategy, quantile_solves):
+    est = PsiEstimate(psi=0.0, std_error=0.0, per_subset={(0,): 0.0}, mc_samples=1000)
+    plan = plan_test(game, ce_strategy, 0.1, 0.01, psi=est)
+    assert len(quantile_solves) == 1
+    assert plan.psi == 0.0 and plan.psi_se == 0.0  # a psi of 0 is kept, not taken for unset
+    assert plan.critical_value == chi2.chi2_quantile(0.9, plan.df_total)
+
+
+def test_a_toy_schedule_solves_each_alpha_once(game, ce_strategy, quantile_solves):
+    toy_schedule(game, ce_strategy, 0.1, 0.01, [300, 300], [900, 900])
+    assert len(quantile_solves) == 1
+
+
+def test_a_harmonic_schedule_solves_each_test_once(game, correlated_strategy, quantile_solves):
+    sched = build_schedule(game, correlated_strategy, harmonic_rules(), 4, mc_samples=1000, seed=1)
+    assert [p for p, _ in quantile_solves] == [1.0 - plan.alpha for plan in sched.plans]
