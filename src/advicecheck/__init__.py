@@ -73,6 +73,7 @@ from .sim import (
     empirical_frequency,
     exact_window_expectation,
     phase_average,
+    run_batch,
     run_game,
     run_game_counts,
     run_pure_learning,

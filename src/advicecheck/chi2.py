@@ -19,8 +19,10 @@ w_{k+1}/w_k = lam/(k+1) and the recurrence
 P(a+1, y) = P(a, y) - y^a e^-y / Gamma(a+1). Each side stops when a rigorous
 bound on its discarded terms is below 1e-12. Above the mode the bound is the
 geometric bound on the Poisson tail times the current P, since P falls as k
-grows. Below the mode it is the Poisson tail times 1. The walk takes
-O(sqrt(ncp)) steps plus one incomplete-gamma evaluation.
+grows. Below the mode it is the Poisson tail times 1, and the walk also
+stops once P and its recurrence term are both 0 (x far below ncp): every
+lower term is then exactly 0 as the walk computes it, so stopping changes no
+bit. The walk takes O(sqrt(ncp)) steps plus one incomplete-gamma evaluation.
 
 Accuracy against scipy.stats over df up to 2e5, ncp up to 1e8 and quantiles
 1e-6..1-1e-6: the worst absolute error measured was 2e-13 for the central CDF
@@ -210,7 +212,8 @@ def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
         w *= k / lam
         total += w * p
         s = (k - 1) / lam
-        if w * s / (1.0 - s) < _MIXTURE_TAIL:
+        # once p and d are both 0, every lower term is exactly 0 as computed here
+        if p == d == 0.0 or w * s / (1.0 - s) < _MIXTURE_TAIL:
             break
     else:
         if lowest > 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -236,10 +237,8 @@ def cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     if args.seeds is not None:
         # batch mode: independent generators per seed, order-free aggregation
-        runs = [
-            sim.run_game_counts(game, sigma, schedule, agent_configs, seed=s, rounds=rounds)
-            for s in range(seed, seed + args.seeds)
-        ]
+        runs = sim.run_batch(game, sigma, schedule, agent_configs,
+                             range(seed, seed + args.seeds), rounds=rounds)
         batch = sim.batch_summary_dict(runs)
         with open(outdir / "batch_summary.json", "w") as fh:
             json.dump(batch, fh, indent=2, sort_keys=True)
@@ -289,7 +288,10 @@ def _add_common(p, strategy=True):
     p.add_argument("--mc-samples", type=int, default=verifier.DEFAULT_MC_SAMPLES)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    each ``parse_args`` returns a fresh namespace, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="advicecheck",
         description="Verify a mediator's correlated-strategy advice statistically.",

@@ -11,6 +11,7 @@ the non-deviators) by one routine (``_composed``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -133,6 +134,20 @@ class Game:
 
     def all_joint_actions(self):
         return itertools.product(*(range(c) for c in self.action_counts))
+
+    @functools.cached_property
+    def payoff_table(self) -> tuple[tuple[list[int], int], ...]:
+        """Each agent's payoffs as (integer numerators, one power-of-two denominator).
+
+        A finite float is n / 2^k, so every payoff is scaled to the agent's
+        largest denominator; built once per game, on first use.
+        """
+        table = []
+        for column in self.utilities.T.tolist():
+            ratios = [u.as_integer_ratio() for u in column]
+            den = max(d for _, d in ratios)
+            table.append(([n * (den // d) for n, d in ratios], den))
+        return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ every round that is not drawn in bulk:
 * ``run_game_counts`` returns a ``RunSummary`` and draws one exact
   multinomial per phase whenever every active behavior is i.i.d. within the
   phase, which makes astronomically long phases cheap;
+* ``run_batch`` plays ``run_game_counts`` for many seeds on one set-up: the
+  arguments are checked, every agent is screened and the announcement is
+  shaped into its joint tensor once per batch, and each i.i.d. phase
+  composes its deviators on that checked tensor; a seed pays only for its
+  own generators, fall-back draws, fresh learners and phases
+  (``run_game_counts`` is the one-seed batch);
 * ``run_pure_learning`` steps its horizon as one free period in which every
   agent learns.
 
@@ -34,7 +40,8 @@ so a stepped phase's memory does not grow with its length.
 
 Utility ledgers sum exact rationals (joint-action counts times the
 binary-exact float payoffs, summed as integer numerators over one power of
-two), so phase segments partition totals exactly.
+two from the game's ``payoff_table``), so phase segments partition totals
+exactly.
 """
 
 from __future__ import annotations
@@ -55,10 +62,12 @@ from .games import (
     CorrelatedStrategy,
     Game,
     MixedStrategy,
+    _composed,
+    _others_marginal,
     agent_incentive_violations,
-    compose_deviation,
     joint_distribution,
 )
+from .games import compose_deviation  # noqa: F401 (bench/tracing.py wraps sim.compose_deviation)
 from .schedule import Phase, PhaseKind, Schedule
 from .verifier import Decision, Outcome, run_sampling_decision
 
@@ -237,32 +246,61 @@ def tv_distance(p, q) -> float:
 # --- engine -----------------------------------------------------------------
 
 
-def _setup_agents(game, sigma_m, agent_configs, seed):
+@dataclass(frozen=True)
+class _Setup:
+    """A run's set-up that no seed changes, checked once and shared by a batch."""
+
+    schedule: Schedule
+    horizon: int
+    probs: np.ndarray  # the announcement over joint actions
+    tensor: np.ndarray  # the same, shaped by the action counts
+    fallbacks: tuple  # each agent's configured MixedStrategy, or None: drawn per seed
+    learner_specs: tuple
+    modes: tuple  # each agent's starting mode: the incentive screen's verdict
+
+
+def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
+    """Check a run's arguments and screen every agent once, before any seed is played."""
+    probs = joint_distribution(sigma_m, game)
+    if rounds is not None:
+        check_int(rounds, "rounds")
+    horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
+    if any(min(ph.end, horizon) - ph.begin >= 2**63 - 1 for ph in schedule.phases):
+        raise InvalidInputError("numpy draws a phase in int64: phases must be < 2**63 rounds")
     configs = agent_configs or [{} for _ in range(game.num_agents)]
     if (not isinstance(configs, (list, tuple)) or len(configs) != game.num_agents
             or not all(isinstance(cfg, dict) for cfg in configs)):
         raise InvalidInputError(f"need one agent config object per agent, got {configs!r}")
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(1 + game.num_agents)
-    mediator_rng = np.random.default_rng(children[0])
-    states = []
-    agent_rngs = []
+    fallbacks = []
     for i, cfg in enumerate(configs):
-        rng = np.random.default_rng(children[1 + i])
-        agent_rngs.append(rng)
+        fallback = None
         if cfg.get("fallback") is not None:
             fallback = MixedStrategy(cfg["fallback"])
             if len(fallback) != game.action_counts[i]:
                 raise InvalidInputError(f"fallback for agent {i} has wrong length")
-        else:
+        fallbacks.append(fallback)
+        make_learner(cfg.get("learner"), game, i)  # refuses a bad spec before any seed
+    modes = tuple(
+        Mode.REJECTED_BY_EQ2 if agent_incentive_violations(game, sigma_m, i)
+        else Mode.FOLLOWING_MEDIATOR
+        for i in range(game.num_agents)
+    )
+    return _Setup(schedule, horizon, probs, probs.reshape(game.action_counts), tuple(fallbacks),
+                  tuple(cfg.get("learner") for cfg in configs), modes)
+
+
+def _seed_agents(game, setup: _Setup, seed):
+    """One seed's generators and fresh agents: the mediator's stream, then one per agent."""
+    children = np.random.SeedSequence(seed).spawn(1 + game.num_agents)
+    mediator_rng = np.random.default_rng(children[0])
+    agent_rngs = [np.random.default_rng(child) for child in children[1:]]
+    states = []
+    for i, (fallback, spec, mode, rng) in enumerate(
+            zip(setup.fallbacks, setup.learner_specs, setup.modes, agent_rngs)):
+        if fallback is None:
             fallback = _simplex_draw(game.action_counts[i], rng)
-        learner = make_learner(cfg.get("learner"), game, i)
-        mode = (
-            Mode.REJECTED_BY_EQ2
-            if agent_incentive_violations(game, sigma_m, i)
-            else Mode.FOLLOWING_MEDIATOR
-        )
-        states.append(AgentState(id=i, fallback=fallback, learner=learner, mode=mode))
+        states.append(AgentState(id=i, fallback=fallback, learner=make_learner(spec, game, i),
+                                 mode=mode))
     return mediator_rng, agent_rngs, states
 
 
@@ -279,7 +317,7 @@ def _iid_deviators(states, phase) -> dict | None:
         if st.mode is Mode.FOLLOWING_MEDIATOR:
             continue
         if phase.kind is PhaseKind.SAMPLING_TEST:
-            deviators[st.id] = st.fallback.probs
+            deviators[st.id] = st.fallback
         elif st.learner.stable_rounds() == math.inf:
             deviators[st.id] = st.learner.next_strategy()
         else:
@@ -290,17 +328,13 @@ def _iid_deviators(states, phase) -> dict | None:
 def _exact_utility_totals(game: Game, counts: np.ndarray) -> tuple[Fraction, ...]:
     """Each agent's sum of count times payoff, exactly.
 
-    A finite float is n / 2^k, so every numerator is scaled to the largest
-    denominator and the sum is taken in Python ints (counts reach 1e18).
+    The sum is taken in Python ints over the game's ``payoff_table`` (integer
+    numerators over one power of two per agent), since counts reach 1e18.
     """
-    cells = np.flatnonzero(counts)
+    cells = np.flatnonzero(counts).tolist()
     weights = counts[cells].tolist()
-    out = []
-    for column in game.utilities[cells].T.tolist():
-        ratios = [u.as_integer_ratio() for u in column]
-        den = max((d for _, d in ratios), default=1)
-        out.append(Fraction(sum(w * n * (den // d) for w, (n, d) in zip(weights, ratios)), den))
-    return tuple(out)
+    return tuple(Fraction(sum(w * nums[c] for w, c in zip(weights, cells)), den)
+                 for nums, den in game.payoff_table)
 
 
 # the most rounds in one block, which bounds its arrays; splitting a block
@@ -359,30 +393,24 @@ def _step(game, phase, states, rngs, length, signals=None, signals_out=None,
     return counts
 
 
-def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_override=None):
+def _play(run: RunSummary, setup: _Setup, signal_override=None):
     """Play the schedule into ``run``: the phase loop behind both runners.
 
     A Transcript steps every phase and keeps its columns (the signals copied,
     never a view of ``signal_override``). Otherwise a phase in which every
     active behavior is i.i.d. (followers track the signal; rejected agents
     play fixed strategies) is one exact multinomial draw from the
-    announcement composed with the deviators' mixes, and a phase with a
-    sequential learner is stepped (``_step``). Its signals are drawn (or sliced
-    from ``signal_override``) a chunk at a time: the same draws as one call.
+    announcement's marginal on the followers times the deviators' mixes
+    (composed on the set-up's checked tensor), and a phase with a sequential
+    learner is stepped (``_step``). Its signals are drawn (or sliced from
+    ``signal_override``) a chunk at a time: the same draws as one call.
     At a completed planned test, agents screened at set-up record
     ``REJECT_BY_EQ2``; the others share one ``run_sampling_decision`` verdict,
     computed only when there is such an agent.
     """
-    game, sigma_m = run.game, run.sigma_m
-    probs = joint_distribution(sigma_m, game)
-    if rounds is not None:
-        check_int(rounds, "rounds")
-    horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
-    if any(min(ph.end, horizon) - ph.begin >= 2**63 - 1 for ph in schedule.phases):
-        raise InvalidInputError("numpy draws a phase in int64: phases must be < 2**63 rounds")
-    if signal_override is not None and len(signal_override) < horizon:
-        raise InvalidInputError(f"signal_override covers fewer than {horizon} rounds")
-    mediator_rng, agent_rngs, states = _setup_agents(game, sigma_m, agent_configs, run.seed)
+    game, sigma_m, schedule = run.game, run.sigma_m, setup.schedule
+    probs, horizon = setup.probs, setup.horizon
+    mediator_rng, agent_rngs, states = _seed_agents(game, setup, run.seed)
     record = isinstance(run, Transcript)
     if signal_override is not None:
         def draw_signals(lo, hi):
@@ -400,7 +428,8 @@ def _play(run: RunSummary, schedule: Schedule, agent_configs, rounds, signal_ove
         deviators = None if record else _iid_deviators(states, phase)
         signals = joints = None
         if deviators is not None:
-            dist = compose_deviation(sigma_m, game, deviators).probs if deviators else probs
+            dist = (_composed(_others_marginal(setup.tensor, tuple(deviators)), game, deviators)
+                    if deviators else probs)
             counts = mediator_rng.multinomial(length, dist).astype(np.int64)
         else:
             if record:
@@ -444,7 +473,33 @@ def run_game(
     mediator's draws; it exists for tests.
     """
     run = Transcript(seed=check_int(seed, "seed"), game=game, sigma_m=sigma_m)
-    return _play(run, schedule, agent_configs, rounds, signal_override)
+    setup = _setup(game, sigma_m, schedule, agent_configs, rounds)
+    if signal_override is not None and len(signal_override) < setup.horizon:
+        raise InvalidInputError(f"signal_override covers fewer than {setup.horizon} rounds")
+    return _play(run, setup, signal_override)
+
+
+def run_batch(
+    game: Game,
+    sigma_m: CorrelatedStrategy,
+    schedule: Schedule,
+    agent_configs: list[dict] | None,
+    seeds,
+    rounds: int | None = None,
+) -> list[RunSummary]:
+    """``run_game_counts`` for each seed, in order, sharing one set-up.
+
+    The arguments are checked and every agent is screened once per batch,
+    before any seed is played; each seed then spawns its own generators,
+    draws its own fall-backs and plays with fresh learners, so each run
+    equals ``run_game_counts(..., seed=s)``.
+    """
+    try:
+        seeds = [check_int(s, "seed") for s in seeds]
+    except TypeError as exc:
+        raise InvalidInputError(f"seeds must be a sequence of integers, got {seeds!r}") from exc
+    setup = _setup(game, sigma_m, schedule, agent_configs, rounds)
+    return [_play(RunSummary(seed=s, game=game, sigma_m=sigma_m), setup) for s in seeds]
 
 
 def run_game_counts(
@@ -459,9 +514,9 @@ def run_game_counts(
 
     Phases where every active behavior is i.i.d. cost one multinomial draw
     whatever their length; phases with sequential learners step per round.
+    It is the one-seed ``run_batch``.
     """
-    run = RunSummary(seed=check_int(seed, "seed"), game=game, sigma_m=sigma_m)
-    return _play(run, schedule, agent_configs, rounds)
+    return run_batch(game, sigma_m, schedule, agent_configs, [seed], rounds)[0]
 
 
 @dataclass

@@ -91,6 +91,15 @@ def test_extreme_ncp_underflows_to_zero():
     assert noncentral_chi2_cdf(6.2514, 3, 2100.0) < 1e-12
 
 
+@pytest.mark.parametrize("ncp", [1e8, 1e10, 1e12, 1e16])
+def test_walk_below_the_mode_stops_where_every_term_is_zero(ncp):
+    # x far below ncp: P and its recurrence term are both 0 at the mode, so the
+    # walk below it stops at once instead of taking ~7 sqrt(ncp / 2) steps
+    # (1e16 used to take minutes); the result is exactly the full walk's 0
+    assert noncentral_chi2_cdf(6.25, 3, ncp) == 0.0
+    assert power_beta(0.1, 0.01, 3, 2**62) == 0.0
+
+
 def test_quantile_worked_value_and_edges():
     assert chi2_quantile(0.9, 3) == pytest.approx(6.251, abs=0.005)
     assert chi2_quantile(0.0, 7) == 0.0

@@ -2,6 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import advicecheck
 from advicecheck import NonConvergenceError, sim, verifier
-from advicecheck.cli import main
+from advicecheck.cli import build_parser, main
 
 GAME = "fixtures/small_game.json"
 CE = "fixtures/ce_strategy.json"
@@ -205,6 +209,17 @@ def test_cmd_test_counts_beyond_int64_exit_2(tmp_path, capsys, counts, name):
     assert err.startswith("error:") and err.count("\n") == 1 and name in err
 
 
+def test_cmd_test_counts_of_a_huge_valid_total_finish(tmp_path, capsys):
+    # a total of 2^56 puts the noncentrality at 7.2e14; sizing its power used
+    # to walk ~1.3e8 all-zero Poisson terms below the mode and ran for minutes
+    (tmp_path / "counts.json").write_text(json.dumps([2**56, 0, 0, 0]))
+    code = main(["test", "--game", GAME, "--strategy", CE,
+                 "--counts", str(tmp_path / "counts.json")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out.rsplit("}", 1)[0] + "}")
+    assert payload["sample_size"] == 2**56 and payload["outcome"] == "RejectByStatistic"
+
+
 def test_cmd_schedule_writes_its_stdout_to_schedule_csv(tmp_path, capsysbinary):
     code = main([
         "schedule", "--game", GAME, "--strategy", "fixtures/correlated_strategy.json",
@@ -358,6 +373,30 @@ def test_simulate_batch_mode(tmp_path, capsys):
     assert sum(tally.values()) == 12
     assert batch["final_free_period_tv"]["max"] < 0.2
     assert len(batch["mean_average_utility"]) == 2
+
+
+def test_successive_main_calls_match_fresh_processes(tmp_path):
+    # the parser is built once per process; a batch call must leave no flag
+    # (--seeds, --seed) behind for the plain call that follows it
+    cfg = {"game": GAME, "strategy": CE, "seed": 5, "schedule": TOY,
+           "agents": [{"learner": {"name": "fictitious-play"}}] * 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(advicecheck.__file__).parent.parent))
+    assert build_parser() is build_parser()
+    for where in ("same", "fresh"):
+        for name, extra in (("batch", ["--seeds", "3", "--seed", "9"]), ("plain", [])):
+            argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / where / name),
+                    *extra]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = (main(argv) if where == "same" else subprocess.run(
+                    [sys.executable, "-m", "advicecheck.cli", *argv], env=env).returncode)
+            assert code == 0
+    for name in ("batch/batch_summary.json", "plain/summary.json", "plain/transcript.csv"):
+        assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "same" / "plain").iterdir()) == [
+        "manifest.json", "summary.json", "transcript.csv"]
+    assert json.loads((tmp_path / "same" / "plain" / "summary.json").read_text())["seed"] == 5
 
 
 def test_batch_summary_order_independent(game, ce_strategy):

@@ -26,6 +26,7 @@ from advicecheck import (
     manual_plan,
     pearson_statistic,
     phase_average,
+    run_batch,
     run_game,
     run_game_counts,
     run_pure_learning,
@@ -132,12 +133,18 @@ def test_non_ce_agent_always_screened_out(game, non_ce_strategy, small_toy):
         assert tr.decisions[(1, 1)].outcome is Outcome.REJECT_BY_EQ2
 
 
-@pytest.mark.parametrize("runner", [run_game, run_game_counts], ids=["rounds", "counts"])
+@pytest.mark.parametrize("runner", ["rounds", "counts", "batch"])
 def test_screen_runs_once_per_agent(game, ce_strategy, non_ce_strategy, game_2x2x2, monkeypatch,
                                     runner):
-    # every agent is screened once, at set-up, and a failed screen is final;
-    # the verifier screens nobody, and each completed test has one verdict on
-    # its counts, shared by the unscreened agents (none if all are screened)
+    # every agent is screened once, at set-up (once per batch of seeds), and a
+    # failed screen is final; the verifier screens nobody, and each completed
+    # test has one verdict on its counts, shared by the unscreened agents (none
+    # if all are screened)
+    play = {
+        "rounds": lambda *args: [run_game(*args, seed=3)],
+        "counts": lambda *args: [run_game_counts(*args, seed=3)],
+        "batch": lambda *args: run_batch(*args, None, [3, 4, 5, 6]),
+    }[runner]
     cases = [(game, non_ce_strategy, {1}), (game, ce_strategy, set()), (*game_2x2x2, {0, 1, 2})]
     for g, sigma, screened in cases:
         sched = toy_schedule(g, sigma, alpha=0.1, delta_hat=0.01,
@@ -156,23 +163,75 @@ def test_screen_runs_once_per_agent(game, ce_strategy, non_ce_strategy, game_2x2
                             counting("verifier", verifier.agent_incentive_violations, 2))
         monkeypatch.setattr(sim, "run_sampling_decision",
                             counting("decision", sim.run_sampling_decision, 2))
-        run = runner(g, sigma, sched, seed=3)
+        runs = play(g, sigma, sched)
         monkeypatch.undo()
-        tests = [pr for pr in run.phase_results if pr.phase.kind is PhaseKind.SAMPLING_TEST]
-        assert len(tests) == 2
         assert calls["sim"] == list(range(g.num_agents))
         assert calls["verifier"] == []
-        verdicts = [] if len(screened) == g.num_agents else [pr.counts.tolist() for pr in tests]
+        tests = [[pr for pr in run.phase_results if pr.phase.kind is PhaseKind.SAMPLING_TEST]
+                 for run in runs]
+        assert [len(t) for t in tests] == [2] * len(runs)
+        verdicts = ([] if len(screened) == g.num_agents
+                    else [pr.counts.tolist() for run_tests in tests for pr in run_tests])
         assert [counts.tolist() for counts in calls["decision"]] == verdicts
-        # screened agents reject by the screen; the others hold their test's verdict
-        assert run.decisions == {
-            (agent, pr.phase.index): Decision(Outcome.REJECT_BY_EQ2) if agent in screened
-            else run_sampling_decision(sched.plan_for(pr.phase.index), sigma, pr.counts)
-            for pr in tests for agent in range(g.num_agents)
-        }
-        if runner is run_game:
+        for run, run_tests in zip(runs, tests):
+            # screened agents reject by the screen; the others hold their test's verdict
+            assert run.decisions == {
+                (agent, pr.phase.index): Decision(Outcome.REJECT_BY_EQ2) if agent in screened
+                else run_sampling_decision(sched.plan_for(pr.phase.index), sigma, pr.counts)
+                for pr in run_tests for agent in range(g.num_agents)
+            }
+        if runner == "rounds":
             # the counts runner draws each test as one multinomial, not the oracle's rounds
-            assert run.decisions == per_round_game(g, sigma, sched, seed=3)[1]
+            assert runs[0].decisions == per_round_game(g, sigma, sched, seed=3)[1]
+
+
+def _same_run(got, want) -> bool:
+    """Equal seeds, phases, counts, exact totals and decisions."""
+    return (got.seed == want.seed and got.decisions == want.decisions
+            and [(pr.phase, pr.rounds_run, pr.counts.tolist(), pr.utility_totals)
+                 for pr in got.phase_results]
+            == [(pr.phase, pr.rounds_run, pr.counts.tolist(), pr.utility_totals)
+                for pr in want.phase_results])
+
+
+@pytest.mark.parametrize("rounds", [None, 450], ids=["whole", "capped"])
+@pytest.mark.parametrize("configs", [
+    [{"learner": FP}, {"learner": FP}],
+    [{"learner": UNIFORM}, {"learner": TRIGGER, "fallback": [0.3, 0.7]}],
+    [{"learner": TRIGGER}, {"learner": UNIFORM}],
+], ids=["fp", "uniform-trigger", "trigger-uniform"])
+@pytest.mark.parametrize("announcement", ["ce_strategy", "non_ce_strategy"])
+def test_run_batch_equals_one_run_per_seed(game, announcement, configs, rounds, request):
+    # one shared set-up leaks nothing between seeds: fresh learners, modes and
+    # fall-back draws per seed, the same streams as one run per seed
+    sigma = request.getfixturevalue(announcement)
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[100, 150], free_lengths=[300, 200])
+    seeds = [3, 0, 11, 3, 7, 8]
+    runs = run_batch(game, sigma, sched, configs, seeds, rounds=rounds)
+    assert [run.seed for run in runs] == seeds
+    for run, seed in zip(runs, seeds):
+        assert _same_run(run, run_game_counts(game, sigma, sched, configs, seed=seed, rounds=rounds))
+    assert len({run.decisions[(0, 1)].statistic for run in runs}) > 1  # the seeds differ
+
+
+@pytest.mark.parametrize("configs, seeds", [
+    ([{"learner": {"name": "no-such"}}, {}], [0, 1]),
+    ([{}, {"learner": {"name": "trigger", "watch_agent": 5}}], [0, 1]),
+    ([{"fallback": [0.5, 0.6]}, {}], [0, 1]),
+    ([{}, {"fallback": [1.0]}], [0, 1]),
+    ([{}], [0, 1]),
+    (None, [0, 1, -1]),
+    (None, [0, 1.5]),
+    (None, [0, True]),
+    (None, 3),
+], ids=["learner", "trigger", "fallback-sum", "fallback-length", "one-config", "seed--1",
+        "seed-1.5", "seed-True", "seeds-int"])
+def test_run_batch_refuses_before_any_seed_is_played(game, ce_strategy, configs, seeds):
+    schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20], [20])
+    with mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")):
+        with pytest.raises(InvalidInputError):
+            run_batch(game, ce_strategy, schedule, configs, seeds)
 
 
 def test_empirical_frequency_windows(game, ce_strategy, small_toy):
@@ -308,6 +367,22 @@ def test_exact_utility_totals_match_fraction_sums(game, data):
         for agent in range(game.num_agents)
     )
     assert sim._exact_utility_totals(game, counts) == want
+
+
+def test_exact_utility_totals_mix_binary_exponents_at_counts_near_2_62():
+    # denominators 2^55 (0.1), 1 (3.0) and 2^40 in every agent's column, and
+    # counts whose products with the numerators pass 2^115
+    g = Game([2, 2], [[0.1, 3.0], [3.0, 2.0**-40], [2.0**-40, 0.1], [0.0, 0.1 + 2.0**-40]])
+    counts = np.array([2**62 - 1, 2**62 + 2**61 + 5, 0, 2**62 - 3], dtype=np.int64)
+    want = tuple(
+        sum((int(c) * Fraction(float(u)) for c, u in zip(counts, g.utilities[:, agent])),
+            Fraction(0))
+        for agent in range(g.num_agents)
+    )
+    assert sim._exact_utility_totals(g, counts) == want
+    assert g.payoff_table is g.payoff_table  # built once per game
+    nums, den = g.payoff_table[0]
+    assert [Fraction(n, den) for n in nums] == [Fraction(u) for u in g.utilities[:, 0].tolist()]
 
 
 def _export_peak_mib(tr, path) -> float:
