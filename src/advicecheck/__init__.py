@@ -71,7 +71,6 @@ from .sim import (
     batch_summary_dict,
     build_ledger,
     empirical_frequency,
-    exact_window_expectation,
     phase_average,
     run_batch,
     run_game,

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidInputError, check_int
 from .games import Game, MixedStrategy, _agent_view
 from .schedule import Phase, PhaseKind
+from .verifier import Decision, Outcome, _uniform_simplex
 
 
 class Mode(Enum):
@@ -27,6 +28,12 @@ class Mode(Enum):
     @property
     def rejected(self) -> bool:
         return self is not Mode.FOLLOWING_MEDIATOR
+
+    @classmethod
+    def from_screen(cls, violations) -> Mode:
+        """The starting mode: screened out for good if the agent's own incentive
+        constraints fail (``violations`` is not empty), else following."""
+        return cls.REJECTED_BY_EQ2 if violations else cls.FOLLOWING_MEDIATOR
 
 
 class Learner:
@@ -249,19 +256,21 @@ def draw_fallback(action_count: int, seed: int) -> MixedStrategy:
 
 
 def _simplex_draw(action_count: int, rng: np.random.Generator) -> MixedStrategy:
-    """Uniform draw from the simplex; a single action consumes no randomness."""
+    """Uniform draw from the simplex, as psi's measure draws its deviators; a
+    single action consumes no randomness."""
     if action_count == 1:
         return MixedStrategy([1.0])
-    g = rng.exponential(size=action_count)
-    return MixedStrategy(g / g.sum())
+    return MixedStrategy(_uniform_simplex(rng, 1, action_count)[0])
 
 
 @dataclass
 class AgentState:
     """One agent's run state: mode, fixed fall-back, and learner.
 
-    The fall-back never changes after construction; mode transitions happen
-    only at sampling-test boundaries (the engine owns them).
+    It owns the agent's policy: what it plays in a phase (``strategy``),
+    whether it learns from the phase's rounds (``learns``) and how a test's
+    verdict sets its mode (``conclude``, the only mode transition). The
+    fall-back never changes after construction.
     """
 
     id: int
@@ -279,6 +288,29 @@ class AgentState:
     def begin_free_period(self) -> None:
         """Flexibility hook: wipe the learner at every free-period start."""
         self.learner.reset()
+
+    def strategy(self, phase: Phase):
+        """What the agent plays in ``phase``: None while following (it plays its
+        signal), the fall-back ``MixedStrategy`` in sampling tests, and the
+        learner's current strategy in free periods."""
+        if self.mode is Mode.FOLLOWING_MEDIATOR:
+            return None
+        if phase.kind is PhaseKind.SAMPLING_TEST:
+            return self.fallback
+        return self.learner.next_strategy()
+
+    def learns(self, phase: Phase) -> bool:
+        """Whether the learner observes the phase's rounds: rejected, in a free period."""
+        return phase.kind is PhaseKind.FREE_PERIOD and self.mode is not Mode.FOLLOWING_MEDIATOR
+
+    def conclude(self, verdict: Decision | None) -> Decision:
+        """The agent's decision on a completed test's public ``verdict``, which
+        sets its mode; a screened agent rejects without testing (``verdict`` may
+        then be None)."""
+        if self.mode is Mode.REJECTED_BY_EQ2:
+            return Decision(Outcome.REJECT_BY_EQ2)
+        self.mode = Mode.REJECTED_BY_TEST if verdict.rejected else Mode.FOLLOWING_MEDIATOR
+        return verdict
 
 
 def sample_strategy(probs, rng: np.random.Generator) -> int:
@@ -317,18 +349,14 @@ def agent_act(state: AgentState, phase: Phase, signals: np.ndarray | None,
               rng: np.random.Generator, k: int) -> np.ndarray:
     """The agent's actions over ``k`` consecutive rounds in which its strategy holds.
 
-    Following agents play ``signals``, their own signal column over the
-    rounds. Rejected agents play the fall-back during sampling tests and the
-    learner's strategy during free periods (the learner has been reset at the
-    period's start), drawn by ``sample_block``: exactly the randomness of ``k``
-    per-round ``sample_strategy`` draws. A round is a block of one.
+    A following agent plays ``signals``, its own signal column over the
+    rounds. Otherwise ``state.strategy(phase)`` is drawn by ``sample_block``:
+    exactly the randomness of ``k`` per-round ``sample_strategy`` draws. A
+    round is a block of one.
     """
-    if state.mode is Mode.FOLLOWING_MEDIATOR:
+    strategy = state.strategy(phase)
+    if strategy is None:
         if signals is None:
             raise InvalidInputError("a following agent needs a signal")
         return signals
-    if phase.kind is PhaseKind.SAMPLING_TEST:
-        probs = state.fallback.probs
-    else:
-        probs = state.learner.next_strategy()
-    return sample_block(probs, rng, k)
+    return sample_block(strategy.probs if isinstance(strategy, MixedStrategy) else strategy, rng, k)

@@ -1,14 +1,14 @@
 """Repeated-game engine: signals, actions, histories, ledgers, decisions.
 
 Each round the mediator draws a joint signal from the announced strategy and
-delivers each agent its own component privately. Agents act according to
-their mode: following agents play the signal; rejected agents play their
-fixed fall-back during sampling tests and their (reset) learner during free
-periods. An agent whose own incentive constraints fail is screened out once,
-at set-up, and rejects every test without testing. At the end of every
-sampling test the verdict on that test's public counts is computed once, if
-some agent is unscreened, and is every unscreened agent's decision; it sets
-their modes for the following free period.
+delivers each agent its own component privately. What an agent plays, and
+how a verdict moves its mode, is ``AgentState``'s policy (``strategy``,
+``learns``, ``conclude``): following agents play the signal; rejected agents
+play their fixed fall-back during sampling tests and their (reset) learner
+during free periods. An agent whose own incentive constraints fail is
+screened out once, at set-up, and rejects every test without testing. At the
+end of every sampling test the verdict on that test's public counts is
+computed once, if some agent is unscreened, and every agent concludes from it.
 
 One phase loop plays the schedule for both runners, and one stepper plays
 every round that is not drawn in bulk:
@@ -69,18 +69,7 @@ from .games import (
 )
 from .games import compose_deviation  # noqa: F401 (bench/tracing.py wraps sim.compose_deviation)
 from .schedule import Phase, PhaseKind, Schedule
-from .verifier import Decision, Outcome, run_sampling_decision
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    t: int
-    phase_kind: str
-    phase_index: int
-    signals: tuple[int, ...]
-    joint_index: int
-    actions: tuple[int, ...]
-    utilities: tuple[float, ...]
+from .verifier import Decision, run_sampling_decision
 
 
 @dataclass(frozen=True)
@@ -113,19 +102,6 @@ class Transcript(RunSummary):
     @property
     def num_rounds(self) -> int:
         return sum(pr.rounds_run for pr in self.phase_results)
-
-    @property
-    def rounds(self) -> list[RoundRecord]:
-        """Every round's record, materialised from the phase columns."""
-        decode = list(self.game.all_joint_actions())
-        utilities = [tuple(row) for row in self.game.utilities.tolist()]
-        return [
-            RoundRecord(t, pr.phase.kind.value, pr.phase.index, decode[signal], joint,
-                        decode[joint], utilities[joint])
-            for pr in self.phase_results
-            for t, signal, joint in zip(range(pr.phase.begin, pr.phase.begin + pr.rounds_run),
-                                        pr.signals.tolist(), pr.joints.tolist())
-        ]
 
 
 @dataclass(frozen=True)
@@ -191,6 +167,7 @@ def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
     Round-resolved ledgers support any t; phase-resolved ledgers support
     phase boundaries only.
     """
+    check_int(agent, "agent", hi=ledger.num_agents)
     check_int(up_to_t, "up_to_t", 1)
     if up_to_t > ledger.num_rounds:
         raise InvalidInputError(f"up_to_t={up_to_t} beyond recorded {ledger.num_rounds} rounds")
@@ -214,6 +191,7 @@ def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
 
 def phase_average(ledger: UtilityLedger, agent: int, kind: str) -> float:
     """Average utility restricted to phases of one kind ("R" or "F")."""
+    check_int(agent, "agent", hi=ledger.num_agents)
     total = Fraction(0)
     rounds = 0
     for seg in ledger.segments:
@@ -267,7 +245,7 @@ def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
     horizon = schedule.horizon if rounds is None else min(rounds, schedule.horizon)
     if any(min(ph.end, horizon) - ph.begin >= 2**63 - 1 for ph in schedule.phases):
         raise InvalidInputError("numpy draws a phase in int64: phases must be < 2**63 rounds")
-    configs = agent_configs or [{} for _ in range(game.num_agents)]
+    configs = [{} for _ in range(game.num_agents)] if agent_configs is None else agent_configs
     if (not isinstance(configs, (list, tuple)) or len(configs) != game.num_agents
             or not all(isinstance(cfg, dict) for cfg in configs)):
         raise InvalidInputError(f"need one agent config object per agent, got {configs!r}")
@@ -280,11 +258,8 @@ def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
                 raise InvalidInputError(f"fallback for agent {i} has wrong length")
         fallbacks.append(fallback)
         make_learner(cfg.get("learner"), game, i)  # refuses a bad spec before any seed
-    modes = tuple(
-        Mode.REJECTED_BY_EQ2 if agent_incentive_violations(game, sigma_m, i)
-        else Mode.FOLLOWING_MEDIATOR
-        for i in range(game.num_agents)
-    )
+    modes = tuple(Mode.from_screen(agent_incentive_violations(game, sigma_m, i))
+                  for i in range(game.num_agents))
     return _Setup(schedule, horizon, probs, probs.reshape(game.action_counts), tuple(fallbacks),
                   tuple(cfg.get("learner") for cfg in configs), modes)
 
@@ -305,23 +280,19 @@ def _seed_agents(game, setup: _Setup, seed):
 
 
 def _iid_deviators(states, phase) -> dict | None:
-    """Each rejected agent's i.i.d. strategy for the phase, or None if one is sequential.
+    """Each deviating agent's ``strategy(phase)``, or None if one is sequential.
 
-    A following agent plays its signal component (not a deviator). Rejected
-    agents are i.i.d. with their fall-back in tests; in free periods they are
-    i.i.d. only when the learner's strategy holds for ever (``stable_rounds()``
-    is infinite).
+    A following agent plays its signal component (not a deviator). A learning
+    agent is i.i.d. only when its learner's strategy holds for ever
+    (``stable_rounds()`` is infinite).
     """
     deviators = {}
     for st in states:
-        if st.mode is Mode.FOLLOWING_MEDIATOR:
-            continue
-        if phase.kind is PhaseKind.SAMPLING_TEST:
-            deviators[st.id] = st.fallback
-        elif st.learner.stable_rounds() == math.inf:
-            deviators[st.id] = st.learner.next_strategy()
-        else:
+        if st.learns(phase) and st.learner.stable_rounds() != math.inf:
             return None
+        strategy = st.strategy(phase)
+        if strategy is not None:
+            deviators[st.id] = strategy
     return deviators
 
 
@@ -349,17 +320,13 @@ def _step(game, phase, states, rngs, length, signals=None, signals_out=None,
     ``signals(lo, hi)`` gives the joint signals of the run's rounds lo + 1..hi
     (None when no agent follows); they are taken in chunks of ``_BLOCK_ROUNDS``
     rounds, so memory does not grow with the phase. Within a chunk, rounds go
-    in blocks of the least ``stable_rounds()`` over the observing learners
-    (rejected agents', in free periods), one ``agent_act`` call per agent and
-    block; a one-round block is just a small block. ``signals_out`` and
-    ``joints_out``, when given, receive each round's joint signal and joint
-    action index.
+    in blocks of the least ``stable_rounds()`` over the learning agents'
+    learners, one ``agent_act`` call per agent and block; a one-round block is
+    just a small block. ``signals_out`` and ``joints_out``, when given,
+    receive each round's joint signal and joint action index.
     """
     shape = game.action_counts
-    observers = (
-        [st.learner for st in states if st.mode.rejected]
-        if phase.kind is PhaseKind.FREE_PERIOD else []
-    )
+    observers = [st.learner for st in states if st.learns(phase)]
     bounds = [learner.stable_rounds for learner in observers]
     counts = np.zeros(game.num_joint_actions, dtype=np.int64)
     columns = [None] * game.num_agents
@@ -404,9 +371,9 @@ def _play(run: RunSummary, setup: _Setup, signal_override=None):
     (composed on the set-up's checked tensor), and a phase with a sequential
     learner is stepped (``_step``). Its signals are drawn (or sliced from
     ``signal_override``) a chunk at a time: the same draws as one call.
-    At a completed planned test, agents screened at set-up record
-    ``REJECT_BY_EQ2``; the others share one ``run_sampling_decision`` verdict,
-    computed only when there is such an agent.
+    At a completed planned test every agent concludes from one
+    ``run_sampling_decision`` verdict, computed only when some agent is
+    unscreened (a screened agent records ``REJECT_BY_EQ2`` without it).
     """
     game, sigma_m, schedule = run.game, run.sigma_m, setup.schedule
     probs, horizon = setup.probs, setup.horizon
@@ -443,16 +410,10 @@ def _play(run: RunSummary, setup: _Setup, signal_override=None):
         if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
             plan = schedule.plan_for(phase.index)
             if plan is not None:
-                verdict = None
+                verdict = (run_sampling_decision(plan, sigma_m, counts)
+                           if any(st.mode is not Mode.REJECTED_BY_EQ2 for st in states) else None)
                 for st in states:
-                    # the set-up screen is final: a screened agent never tests
-                    if st.mode is Mode.REJECTED_BY_EQ2:
-                        decision = Decision(Outcome.REJECT_BY_EQ2)
-                    else:
-                        decision = verdict = verdict or run_sampling_decision(plan, sigma_m, counts)
-                        st.mode = (Mode.REJECTED_BY_TEST if decision.rejected
-                                   else Mode.FOLLOWING_MEDIATOR)
-                    run.decisions[(st.id, phase.index)] = decision
+                    run.decisions[(st.id, phase.index)] = st.conclude(verdict)
     return run
 
 
@@ -528,6 +489,7 @@ class PureLearningRun:
     rounds: int
 
     def average_utility(self, agent: int) -> float:
+        check_int(agent, "agent", hi=len(self.utility_totals))
         if self.rounds == 0:
             raise NoDataError("zero-round run has no averages")
         return float(self.utility_totals[agent] / self.rounds)
@@ -556,52 +518,6 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     return PureLearningRun(
         counts=counts, utility_totals=_exact_utility_totals(game, counts), rounds=rounds
     )
-
-
-def exact_window_expectation(
-    game: Game, learner_specs, rounds: int, prepare=None
-) -> list[list[Fraction]]:
-    """Exact per-round expected joint-action distribution under joint learning.
-
-    Enumerates every joint-action history of the given length, weighting by
-    the product of the learners' strategies (all agents run their learners
-    from a fresh start, as at a free period's beginning). ``prepare``, when
-    given, replaces the default construction of fresh learners - e.g. to
-    exercise reset machinery by feeding a pre-period history and resetting.
-    Exponential in ``rounds``; intended for micro-horizons.
-    """
-    check_int(rounds, "rounds")
-    n_joint = game.num_joint_actions
-    totals: list[list[Fraction]] = [[Fraction(0)] * n_joint for _ in range(rounds)]
-    joint_actions = list(game.all_joint_actions())
-    if prepare is None:
-        def prepare():
-            return [make_learner(spec, game, i) for i, spec in enumerate(learner_specs)]
-
-    def strategies_after(history):
-        learners = prepare()
-        for joint in history:
-            for ln in learners:
-                ln.observe(joint)
-        return [ln.next_strategy() for ln in learners]
-
-    def recurse(history, prob, depth):
-        if depth == rounds:
-            return
-        strats = strategies_after(history)
-        for flat, idx in enumerate(joint_actions):
-            p = prob
-            for i, s in enumerate(strats):
-                p *= Fraction(float(s[idx[i]]))
-                if p == 0:
-                    break
-            if p == 0:
-                continue
-            totals[depth][flat] += p
-            recurse(history + [idx], p, depth + 1)
-
-    recurse([], Fraction(1), 0)
-    return totals
 
 
 # --- exports ----------------------------------------------------------------

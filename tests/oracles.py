@@ -8,13 +8,16 @@ composed distributions, and the repeated game, like the pure-learning
 baseline, is replayed by a plain per-round loop that draws each action with
 the scalar ``sample_strategy`` (not the engine's block sampler); at every
 test it screens each agent's incentive constraints anew before taking the
-public verdict. The transcript CSV is written one record at a time.
+public verdict. The transcript CSV is written one record at a time, and the
+expected play of a free period's first rounds is enumerated exactly, history
+by history.
 """
 
 import csv
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +35,20 @@ from advicecheck import (
     run_sampling_decision,
 )
 from advicecheck.agents import sample_strategy
+from advicecheck.errors import check_int
 from advicecheck.games import agent_incentive_violations, joint_distribution
-from advicecheck.sim import RoundRecord
+
+
+class Row(NamedTuple):
+    """One round of ``per_round_game``: what the transcript CSV writes for it."""
+
+    t: int
+    phase_kind: str
+    phase_index: int
+    signals: tuple[int, ...]
+    joint_index: int
+    actions: tuple[int, ...]
+    utilities: tuple[float, ...]
 
 
 def brute_force_violations(action_counts, utilities, probs, tol=1e-9):
@@ -226,7 +241,7 @@ def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=N
                 for st in states:
                     if st.mode.rejected:
                         st.learner.observe(actions)
-            rows.append(RoundRecord(
+            rows.append(Row(
                 t=phase.begin + off, phase_kind=phase.kind.value, phase_index=phase.index,
                 signals=components, joint_index=joint, actions=actions,
                 utilities=tuple(float(u) for u in game.utilities[joint]),
@@ -242,6 +257,64 @@ def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=N
                 decisions[(st.id, phase.index)] = decision
                 st.mode = modes.get(decision.outcome, Mode.REJECTED_BY_TEST)
     return rows, decisions
+
+
+def exact_window_expectation(
+    game: Game, learner_specs, rounds: int, prepare=None
+) -> list[list[Fraction]]:
+    """Exact per-round expected joint-action distribution under joint learning.
+
+    Enumerates every joint-action history of the given length, weighting by
+    the product of the learners' strategies (all agents run their learners
+    from a fresh start, as at a free period's beginning). ``prepare``, when
+    given, replaces the default construction of fresh learners - e.g. to
+    exercise reset machinery by feeding a pre-period history and resetting.
+    Exponential in ``rounds``; intended for micro-horizons.
+    """
+    check_int(rounds, "rounds")
+    n_joint = game.num_joint_actions
+    totals: list[list[Fraction]] = [[Fraction(0)] * n_joint for _ in range(rounds)]
+    joint_actions = list(game.all_joint_actions())
+    if prepare is None:
+        def prepare():
+            return [make_learner(spec, game, i) for i, spec in enumerate(learner_specs)]
+
+    def strategies_after(history):
+        learners = prepare()
+        for joint in history:
+            for ln in learners:
+                ln.observe(joint)
+        return [ln.next_strategy() for ln in learners]
+
+    def recurse(history, prob, depth):
+        if depth == rounds:
+            return
+        strats = strategies_after(history)
+        for flat, idx in enumerate(joint_actions):
+            p = prob
+            for i, s in enumerate(strats):
+                p *= Fraction(float(s[idx[i]]))
+                if p == 0:
+                    break
+            if p == 0:
+                continue
+            totals[depth][flat] += p
+            recurse(history + [idx], p, depth + 1)
+
+    recurse([], Fraction(1), 0)
+    return totals
+
+
+def phase_columns(game, rows):
+    """Per phase of ``per_round_game``'s rows, in order: (kind, index, begin,
+    joint signal indices, joint action indices), as a transcript's phase
+    results store them."""
+    return [
+        (kind, index, mine[0].t, [game.joint_index(r.signals) for r in mine],
+         [r.joint_index for r in mine])
+        for (kind, index), group in itertools.groupby(rows, lambda r: (r.phase_kind, r.phase_index))
+        for mine in [list(group)]
+    ]
 
 
 def per_round_pure_learning(game, learner_specs, rounds, seed=0):
@@ -273,7 +346,7 @@ def per_round_pure_learning(game, learner_specs, rounds, seed=0):
 
 
 def write_rows_csv(rows, num_agents, path):
-    """Reference for ``transcript_to_csv``: one CSV row per RoundRecord."""
+    """Reference for ``transcript_to_csv``: one CSV row per ``Row``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -492,6 +492,8 @@ def _simulate(tmp_path, cfg, *extra):
     ("seed", None), ("game", 3), ("schedule", {**TOY, "alpha": "0.1"}),
     ("schedule", {**TOY, "test_lengths": [None]}), ("schedule", {**TOY, "free_lengths": 200}),
     ("agents", [{"fallback": {"a": 1}}, {}]), ("agents", [{"learner": 3}, {}]),
+    # falsy values used to run with the default agents; only an absent key means those
+    ("agents", []), ("agents", {}), ("agents", 0), ("agents", False), ("agents", ""),
 ])
 def test_simulate_config_of_wrong_shape_exits_2(tmp_path, capsys, key, value):
     cfg = {"game": GAME, "strategy": CE, "schedule": TOY, key: value}

@@ -30,7 +30,6 @@ from advicecheck import (
     draw_fallback,
     empirical_frequency,
     estimate_psi,
-    exact_window_expectation,
     geometric_rules,
     harmonic_rules,
     literal_layout,
@@ -39,6 +38,7 @@ from advicecheck import (
     manual_plan,
     noncentral_chi2_cdf,
     pearson_statistic,
+    phase_average,
     plan_test,
     power_beta,
     run_game,
@@ -49,6 +49,8 @@ from advicecheck import (
     validate_schedule,
 )
 from advicecheck.games import agent_incentive_violations
+
+from oracles import exact_window_expectation
 
 BAD_INTEGERS = [True, 2.5, -1, math.nan]
 BAD_PROBABILITIES = [True, 2.5, -1, math.nan]
@@ -120,9 +122,13 @@ INTEGERS = [
      lambda e, v: run_pure_learning(e["game"], [UNIFORM] * 2, rounds=10, seed=v)),
     ("run_pure_learning", "rounds",
      lambda e, v: run_pure_learning(e["game"], [UNIFORM] * 2, rounds=v)),
+    # the exact-enumeration oracle in tests/oracles.py checks its horizon the same way
     ("exact_window_expectation", "rounds",
      lambda e, v: exact_window_expectation(e["game"], [UNIFORM] * 2, v)),
     ("average_utility", "up_to_t", lambda e, v: average_utility(e["ledger"], 0, v)),
+    ("average_utility", "agent", lambda e, v: average_utility(e["ledger"], v, 10)),
+    ("phase_average", "agent", lambda e, v: phase_average(e["ledger"], v, "F")),
+    ("PureLearningRun.average_utility", "agent", lambda e, v: e["pure"].average_utility(v)),
     ("empirical_frequency", "from_t", lambda e, v: empirical_frequency(e["transcript"], v, 10)),
     ("empirical_frequency", "to_t", lambda e, v: empirical_frequency(e["transcript"], 1, v)),
     ("pearson_statistic", "l_t", lambda e, v: pearson_statistic([2, 0, 0, 2], e["sigma"], v)),
@@ -162,7 +168,8 @@ def env(game, ce_strategy):
     schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20, 20], [20, 20])
     transcript = run_game(game, ce_strategy, schedule, seed=0)
     return {"game": game, "sigma": ce_strategy, "schedule": schedule,
-            "transcript": transcript, "ledger": build_ledger(transcript)}
+            "transcript": transcript, "ledger": build_ledger(transcript),
+            "pure": run_pure_learning(game, [UNIFORM] * 2, rounds=10)}
 
 
 @pytest.mark.parametrize("call, name, bad", CASES)
@@ -174,3 +181,13 @@ def test_entry_point_refuses_a_bad_argument_naming_it(env, call, name, bad):
 def test_chi2_isf_refuses_a_whole_float_df_after_the_int_is_cached():
     with pytest.raises(InvalidInputError, match="df"):
         _isf_after_caching(0.1, 3.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=entry) for entry, name, call in INTEGERS
+    if name == "agent" and "average" in entry
+])
+def test_ledger_queries_refuse_an_agent_past_the_last(env, call):
+    # agent 2 of two used to leak a bare IndexError, and -1 read agent 2's average
+    with pytest.raises(InvalidInputError, match=re.escape("agent out of range [0, 2)")):
+        call(env, 2)

@@ -8,21 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advicecheck import (
+    AgentState,
     CorrelatedStrategy,
     Decision,
     Game,
     InvalidInputError,
+    Learner,
+    MixedStrategy,
+    Mode,
     NoDataError,
     Outcome,
     Phase,
     PhaseKind,
     Schedule,
+    UniformLearner,
     agent_act,
     average_utility,
     build_ledger,
     chi2_quantile,
     empirical_frequency,
-    exact_window_expectation,
     manual_plan,
     pearson_statistic,
     phase_average,
@@ -36,9 +40,16 @@ from advicecheck import (
     tv_distance,
 )
 from advicecheck import sim, verifier
+from advicecheck.agents import sample_block
 from advicecheck.sim import run_summary_dict, transcript_to_csv
 
-from oracles import per_round_game, per_round_pure_learning, write_rows_csv
+from oracles import (
+    exact_window_expectation,
+    per_round_game,
+    per_round_pure_learning,
+    phase_columns,
+    write_rows_csv,
+)
 
 FP = {"name": "fictitious-play"}
 UNIFORM = {"name": "uniform"}
@@ -70,6 +81,19 @@ STEPPED = [("fixture_2x2", ORACLE_CONFIGS[0]), ("fixture_2x2", [{}, {"learner": 
 STEPPED_IDS = ["2x2-fp-fp", "2x2-follow-trigger"] + BEYOND_IDS
 
 
+def _columns(tr):
+    """Each phase's (kind, index, begin, joint signals, joint actions), as
+    ``phase_columns`` gives them for the oracle's rows."""
+    return [(pr.phase.kind.value, pr.phase.index, pr.phase.begin, pr.signals.tolist(),
+             pr.joints.tolist()) for pr in tr.phase_results]
+
+
+def _round_utilities(tr, agent):
+    """Agent's exact payoff in each round of a transcript, in round order."""
+    return [Fraction(tr.game.utilities[joint, agent])
+            for pr in tr.phase_results for joint in pr.joints.tolist()]
+
+
 @pytest.fixture(scope="module")
 def fixture_2x2(game, non_ce_strategy):
     return game, non_ce_strategy
@@ -84,9 +108,11 @@ def small_toy(game, ce_strategy):
 def test_run_game_records_every_round(game, ce_strategy, small_toy):
     tr = run_game(game, ce_strategy, small_toy, seed=1)
     assert tr.num_rounds == small_toy.horizon
-    for i, rec in enumerate(tr.rounds, start=1):
-        assert rec.t == i
-        assert rec.joint_index == game.joint_index(rec.actions)
+    t = 1
+    for pr in tr.phase_results:
+        assert pr.phase.begin == t and len(pr.signals) == len(pr.joints) == pr.rounds_run
+        assert np.array_equal(np.bincount(pr.joints, minlength=game.num_joint_actions), pr.counts)
+        t += pr.rounds_run
     assert set(tr.decisions) == {(0, 1), (1, 1), (0, 2), (1, 2)}
 
 
@@ -105,7 +131,7 @@ def test_incomplete_test_makes_no_decision(game, ce_strategy, small_toy):
 def test_reproducibility_bit_identical(game, ce_strategy, small_toy):
     a = run_game(game, ce_strategy, small_toy, seed=7)
     b = run_game(game, ce_strategy, small_toy, seed=7)
-    assert a.rounds == b.rounds
+    assert _columns(a) == _columns(b)
     assert a.decisions == b.decisions
     ca = run_game_counts(game, ce_strategy, small_toy, seed=7)
     cb = run_game_counts(game, ce_strategy, small_toy, seed=7)
@@ -257,7 +283,7 @@ def test_ledger_partitions_total_exactly(game, ce_strategy, small_toy):
     ledger = build_ledger(tr)
     totals = ledger.totals()
     for agent in range(2):
-        per_round_sum = sum((Fraction(rec.utilities[agent]) for rec in tr.rounds), Fraction(0))
+        per_round_sum = sum(_round_utilities(tr, agent), Fraction(0))
         assert totals[agent] == per_round_sum  # exact rational equality
     assert ledger.num_rounds == tr.num_rounds
     assert len(ledger.segments) == 4
@@ -443,13 +469,15 @@ def test_signal_privacy(game):
     # fall-back/learner driven; its action stream may not depend on agent 1's
     # signals
     assert tr_a.decisions[(1, 1)].outcome is Outcome.REJECT_BY_EQ2
-    acts_a = [rec.actions[1] for rec in tr_a.rounds]
-    acts_b = [rec.actions[1] for rec in tr_b.rounds]
-    assert acts_a == acts_b
+    def agent_2_actions(tr):
+        joints = np.concatenate([pr.joints for pr in tr.phase_results])
+        return np.unravel_index(joints, game.action_counts)[1].tolist()
+
+    assert agent_2_actions(tr_a) == agent_2_actions(tr_b)
     # the transcript owns its signal column: the override may change afterwards
-    rows_a = tr_a.rounds
+    columns_a = _columns(tr_a)
     base[:] = 3
-    assert tr_a.rounds == rows_a
+    assert _columns(tr_a) == columns_a
 
 
 def test_short_signal_override_refused(game, ce_strategy, small_toy):
@@ -479,9 +507,7 @@ def test_counts_engine_matches_full_engine_distributionally(game, ce_strategy):
     sched = toy_schedule(game, ce_strategy, alpha=0.1, delta_hat=0.01,
                          test_lengths=[400], free_lengths=[400])
     full = run_game(game, ce_strategy, sched, seed=21)
-    counts = np.zeros(4, dtype=np.int64)
-    for rec in full.rounds:
-        counts[rec.joint_index] += 1
+    counts = np.bincount(np.concatenate([pr.joints for pr in full.phase_results]), minlength=4)
     agg = run_game_counts(game, ce_strategy, sched, seed=21)
     agg_counts = sum(pr.counts for pr in agg.phase_results)
     assert tv_distance(counts / counts.sum(), agg_counts / agg_counts.sum()) < 0.1
@@ -502,6 +528,8 @@ def test_phases_longer_than_int64_are_refused_before_drawing(game, ce_strategy):
 @pytest.mark.parametrize("configs, rounds", [
     (3, None), (["x", "y"], None), ([{}, 3], None), ([{}], None), (None, "x"), (None, 2.0),
     (None, True), (None, -1),
+    # falsy configs used to mean the defaults, which only None does
+    ([], None), ({}, None), (0, None), (False, None), ("", None),
 ])
 def test_run_game_refuses_malformed_agents_and_rounds(game, ce_strategy, configs, rounds):
     schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20], [20])
@@ -570,7 +598,7 @@ def test_run_game_matches_per_round_oracle(game, announcement, configs, request)
         for seed in range(3):
             tr = run_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
             rows, decisions = per_round_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
-            assert tr.rounds == rows
+            assert _columns(tr) == phase_columns(game, rows)
             assert tr.decisions == decisions
 
 
@@ -579,28 +607,24 @@ def test_transcript_phase_results_match_rows(game, non_ce_strategy):
                          test_lengths=[120, 120], free_lengths=[300, 200])
     tr = run_game(game, non_ce_strategy, sched, ORACLE_CONFIGS[2], seed=3, rounds=600)
     assert sum(pr.rounds_run for pr in tr.phase_results) == tr.num_rounds == 600
+    per_round = [_round_utilities(tr, agent) for agent in range(game.num_agents)]
     pos = 0
     for pr in tr.phase_results:
-        rows = tr.rounds[pos : pos + pr.rounds_run]
-        pos += pr.rounds_run
-        assert {(rec.phase_kind, rec.phase_index) for rec in rows} == {
-            (pr.phase.kind.value, pr.phase.index)
-        }
         counts = np.zeros(game.num_joint_actions, dtype=np.int64)
-        for rec in rows:
-            counts[rec.joint_index] += 1
+        for joint in pr.joints.tolist():
+            counts[joint] += 1
         assert np.array_equal(pr.counts, counts)
         for agent in range(game.num_agents):
-            exact = sum((Fraction(rec.utilities[agent]) for rec in rows), Fraction(0))
+            exact = sum(per_round[agent][pos : pos + pr.rounds_run], Fraction(0))
             assert pr.utility_totals[agent] == exact
+        pos += pr.rounds_run
     ledger = build_ledger(tr)
     # a transcript's ledger answers any t, mid-phase too, exactly as its rows do
     ends = np.cumsum([pr.rounds_run for pr in tr.phase_results]).tolist()
     checked = {1, 200, tr.num_rounds} | {t + d for t in ends for d in (-1, 0, 1)}
-    rows = tr.rounds
     for t in sorted(x for x in checked if 1 <= x <= tr.num_rounds):
         for agent in range(game.num_agents):
-            exact = sum((Fraction(rec.utilities[agent]) for rec in rows[:t]), Fraction(0))
+            exact = sum(per_round[agent][:t], Fraction(0))
             assert average_utility(ledger, agent, t) == float(exact / t)
 
 
@@ -631,7 +655,7 @@ def test_run_game_matches_per_round_oracle_beyond_2x2(case, configs, request):
         for seed in range(3):
             tr = run_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
             rows, decisions = per_round_game(game, sigma, sched, configs, seed=seed, rounds=rounds)
-            assert tr.rounds == rows
+            assert _columns(tr) == phase_columns(game, rows)
             assert tr.decisions == decisions
 
 
@@ -722,6 +746,56 @@ def test_one_agent_fictitious_play_matches_per_round_oracle():
     assert run.counts.tolist() == [0, 50, 0]
 
 
+class _Mixing(Learner):
+    """A mixed strategy that may change after any round (``stable_rounds()`` is 1)."""
+
+    def reset(self):
+        pass
+
+    def observe(self, joint_action):
+        pass
+
+    def next_strategy(self):
+        return np.array([0.4, 0.6])
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "sequential"])
+@pytest.mark.parametrize("kind", list(PhaseKind))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_play_policy_table(mode, kind, stable):
+    # the counts engine's i.i.d. mix is what agent_act samples from, and a
+    # verdict moves every agent but a screened one
+    phase = Phase(kind, 1, 1, 8)
+    fallback = MixedStrategy([0.75, 0.25])
+    learner = UniformLearner(2) if stable else _Mixing()
+    follower = AgentState(id=0, fallback=fallback, learner=UniformLearner(2))
+    agent = AgentState(id=1, fallback=fallback, learner=learner, mode=mode)
+    deviators = sim._iid_deviators([follower, agent], phase)
+    signals = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+    played = agent_act(agent, phase, signals, np.random.default_rng(5), 8)
+    learning = mode.rejected and kind is PhaseKind.FREE_PERIOD
+    assert agent.learns(phase) == learning
+    assert (deviators is None) == (learning and not stable)
+    if not mode.rejected:
+        assert deviators == {} and played is signals
+    else:
+        mix = fallback.probs if kind is PhaseKind.SAMPLING_TEST else learner.next_strategy()
+        if deviators is not None:
+            assert set(deviators) == {1}
+            assert np.array_equal(getattr(deviators[1], "probs", deviators[1]), mix)
+        assert played.tolist() == sample_block(mix, np.random.default_rng(5), 8).tolist()
+    for outcome in Outcome:
+        verdict = Decision(outcome, 1.0, 0.5)
+        decision = agent.conclude(verdict)
+        if mode is Mode.REJECTED_BY_EQ2:
+            assert decision == agent.conclude(None) == Decision(Outcome.REJECT_BY_EQ2)
+            assert agent.mode is Mode.REJECTED_BY_EQ2
+        else:
+            assert decision is verdict
+            assert agent.mode is (Mode.REJECTED_BY_TEST if verdict.rejected
+                                  else Mode.FOLLOWING_MEDIATOR)
+
+
 def test_one_agent_fictitious_play_is_one_block_per_signal_chunk(monkeypatch):
     # with no opponents the strategy never changes, so no round ends a block
     game = Game([3], np.array([[1.0], [3.0], [2.0]]))
@@ -747,10 +821,10 @@ def test_stepped_phase_spanning_signal_chunks_matches_per_round_oracle(game, non
     configs = [{"learner": FP}, {"learner": FP}]
     tr = run_game(game, non_ce_strategy, long_free, configs, seed=2)
     rows, _ = per_round_game(game, non_ce_strategy, long_free, configs, seed=2)
-    assert tr.rounds == rows
+    assert _columns(tr) == phase_columns(game, rows)
     signals = tr.phase_results[0].signals.tolist()
     again = run_game(game, non_ce_strategy, long_free, configs, seed=2, signal_override=signals)
-    assert again.rounds == rows
+    assert _columns(again) == phase_columns(game, rows)
 
 
 def _stepped_peak_mib(game, sigma, free_rounds) -> float:
