@@ -257,10 +257,11 @@ def draw_fallback(action_count: int, seed: int) -> MixedStrategy:
 
 def _simplex_draw(action_count: int, rng: np.random.Generator) -> MixedStrategy:
     """Uniform draw from the simplex, as psi's measure draws its deviators; a
-    single action consumes no randomness."""
+    single action consumes no randomness. The draw is a distribution by
+    construction, so it is not re-checked."""
     if action_count == 1:
-        return MixedStrategy([1.0])
-    return MixedStrategy(_uniform_simplex(rng, 1, action_count)[0])
+        return MixedStrategy._trusted(np.ones(1))
+    return MixedStrategy._trusted(_uniform_simplex(rng, 1, action_count)[0])
 
 
 @dataclass

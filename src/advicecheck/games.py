@@ -6,7 +6,9 @@ this order. Utilities must be nonnegative.
 Joint vectors are seen per agent through one view (``_agent_view``: rows are
 that agent's actions, columns the others' joint actions), and deviators are
 composed with one factor (``_others_marginal``: the announcement's marginal on
-the non-deviators) by one routine (``_composed``).
+the non-deviators) by one routine (``_composed``). The public entry points
+check each mix once (``_checked_mixes``); ``_composed`` itself trusts its
+inputs, so the engine composes strategies it built valid without re-checking.
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ class MixedStrategy:
     def __init__(self, probs):
         object.__setattr__(self, "probs", _as_prob_vector(probs, "strategy"))
 
+    @classmethod
+    def _trusted(cls, probs: np.ndarray) -> MixedStrategy:
+        """A strategy over ``probs``, a float vector that is a distribution by
+        construction (the engine's own draws): not re-checked or copied, only
+        made read-only."""
+        probs.setflags(write=False)
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "probs", probs)
+        return strategy
+
     def __len__(self) -> int:
         return len(self.probs)
 
@@ -69,7 +81,14 @@ class CorrelatedStrategy:
 
     def zero_cells(self) -> tuple[int, ...]:
         """Joint-action indices carrying exactly zero probability."""
-        return tuple(int(i) for i in np.flatnonzero(self.probs == 0.0))
+        zero = self._zero_mask
+        return () if zero is None else tuple(int(i) for i in np.flatnonzero(zero))
+
+    @functools.cached_property
+    def _zero_mask(self) -> np.ndarray | None:
+        """Where the announcement is exactly zero, or None when it has full support."""
+        zero = self.probs == 0.0
+        return zero if zero.any() else None
 
 
 @dataclass(frozen=True)
@@ -174,7 +193,7 @@ def expected_utility(game: Game, profile) -> np.ndarray:
     """
     if len(profile) != game.num_agents:
         raise InvalidInputError("profile must have one strategy per agent")
-    return _composed(1.0, game, dict(enumerate(profile))) @ game.utilities
+    return _composed(1.0, game, _checked_mixes(game, dict(enumerate(profile)))) @ game.utilities
 
 
 def joint_distribution(sigma: CorrelatedStrategy | np.ndarray, game: Game) -> np.ndarray:
@@ -256,14 +275,25 @@ def check_correlated_equilibrium(
     return CeVerdict(is_equilibrium=not violations, violations=tuple(violations))
 
 
-def _composed(base, game: Game, mixes: dict) -> np.ndarray:
-    """``base`` times each agent's independent mix along that agent's axis, in
-    the dict's order, flat row-major. ``mixes`` maps agent -> MixedStrategy or
-    probability vector."""
+def _checked_mixes(game: Game, mixes: dict) -> dict:
+    """``mixes`` (agent -> MixedStrategy or probability vector) with each raw
+    vector checked as a distribution over that agent's actions."""
+    checked = {}
     for i, s in mixes.items():
         v = s.probs if isinstance(s, MixedStrategy) else _as_prob_vector(s, f"strategy of agent {i}")
         if len(v) != game.action_counts[i]:
             raise InvalidInputError(f"strategy of agent {i} has the wrong action count")
+        checked[i] = v
+    return checked
+
+
+def _composed(base, game: Game, mixes: dict) -> np.ndarray:
+    """``base`` times each agent's independent mix along that agent's axis, in
+    the dict's order, flat row-major. ``mixes`` maps agent -> MixedStrategy or
+    probability vector, trusted to be a distribution of the agent's length:
+    public callers pass it through ``_checked_mixes`` first."""
+    for i, s in mixes.items():
+        v = np.asarray(s.probs if isinstance(s, MixedStrategy) else s, dtype=float)
         base = base * v.reshape([-1 if j == i else 1 for j in range(game.num_agents)])
     return base.ravel()
 
@@ -277,7 +307,8 @@ def compose_deviation(sigma: CorrelatedStrategy, game: Game, deviations: dict) -
     """
     devs = {check_int(i, "deviating agent", hi=game.num_agents): s for i, s in deviations.items()}
     tensor = joint_distribution(sigma, game).reshape(game.action_counts)
-    return CorrelatedStrategy(_composed(_others_marginal(tensor, tuple(devs)), game, devs))
+    return CorrelatedStrategy(_composed(_others_marginal(tensor, tuple(devs)), game,
+                                        _checked_mixes(game, devs)))
 
 
 # --- file formats -----------------------------------------------------------

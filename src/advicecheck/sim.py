@@ -38,6 +38,14 @@ round by round; a round after which some strategy may change is a block of
 one. The mediator's signals are drawn per chunk of ``_BLOCK_ROUNDS`` rounds,
 so a stepped phase's memory does not grow with its length.
 
+Inputs are checked once, at the public entry points (``_setup`` for the
+runners); values the engine built valid are trusted inside. A seed's
+fall-back draws are wrapped without a second check
+(``MixedStrategy._trusted``), deviators are composed without re-checking
+their mixes (``games._composed``), and a phase's utility totals are one
+integer dot product, so a seed of a batch pays for its generators, its
+draws and, where some agent is unscreened, one verdict per completed test.
+
 Utility ledgers sum exact rationals (joint-action counts times the
 binary-exact float payoffs, summed as integer numerators over one power of
 two from the game's ``payoff_table``), so phase segments partition totals
@@ -50,6 +58,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -189,9 +198,14 @@ def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
     return float((total + _exact_utility_totals(game, counts)[agent]) / up_to_t)
 
 
+_PHASE_KINDS = tuple(k.value for k in PhaseKind)
+
+
 def phase_average(ledger: UtilityLedger, agent: int, kind: str) -> float:
     """Average utility restricted to phases of one kind ("R" or "F")."""
     check_int(agent, "agent", hi=ledger.num_agents)
+    if kind not in _PHASE_KINDS:
+        raise InvalidInputError(f"kind must be one of {_PHASE_KINDS}, got {kind!r}")
     total = Fraction(0)
     rounds = 0
     for seg in ledger.segments:
@@ -299,12 +313,12 @@ def _iid_deviators(states, phase) -> dict | None:
 def _exact_utility_totals(game: Game, counts: np.ndarray) -> tuple[Fraction, ...]:
     """Each agent's sum of count times payoff, exactly.
 
-    The sum is taken in Python ints over the game's ``payoff_table`` (integer
-    numerators over one power of two per agent), since counts reach 1e18.
+    The sum is one dot product in Python ints over the game's
+    ``payoff_table`` (integer numerators over one power of two per agent),
+    since counts reach 1e18.
     """
-    cells = np.flatnonzero(counts).tolist()
-    weights = counts[cells].tolist()
-    return tuple(Fraction(sum(w * nums[c] for w, c in zip(weights, cells)), den)
+    weights = counts.tolist()
+    return tuple(Fraction(sum(map(operator.mul, weights, nums)), den)
                  for nums, den in game.payoff_table)
 
 
@@ -503,8 +517,9 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     """
     check_int(rounds, "rounds")
     check_int(seed, "seed")
-    if len(learner_specs) != game.num_agents:
-        raise InvalidInputError("need one learner spec per agent")
+    if not isinstance(learner_specs, (list, tuple)) or len(learner_specs) != game.num_agents:
+        raise InvalidInputError(f"learner_specs must be a list of one learner spec per agent, "
+                                f"got {learner_specs!r}")
     states = [
         # every agent is rejected and the fall-back is never played in a free period
         AgentState(id=i, fallback=MixedStrategy([1.0] + [0.0] * (game.action_counts[i] - 1)),
@@ -605,12 +620,18 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
     Reports per-test decision tallies, mean whole-run average utilities, and
     the mean/max distance of each run's final free period (when present) to
     the announcement. The result is independent of run order.
+
+    A run's utility totals are the engine's: multiples of one over the
+    agent's ``payoff_table`` denominator. So each run adds integer numerators
+    over that denominator to the sums for its length, and the mean is one
+    exact Fraction per agent at the end.
     """
     if not runs:
         raise InvalidInputError("need at least one run")
     game = runs[0].game
+    dens = [den for _, den in game.payoff_table]
     tallies: dict[str, dict[str, int]] = {}
-    util_sums = [Fraction(0)] * game.num_agents
+    by_length: dict[int, list[int]] = {}  # run length -> each agent's summed numerators
     tvs = []
     for run in runs:
         for (agent, j), d in run.decisions.items():
@@ -620,18 +641,24 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
         total_rounds = sum(pr.rounds_run for pr in run.phase_results)
         if not total_rounds:
             raise NoDataError(f"run with seed {run.seed} has no rounds to average")
-        for a in range(game.num_agents):
-            total = sum((pr.utility_totals[a] for pr in run.phase_results), Fraction(0))
-            util_sums[a] += total / total_rounds
+        sums = by_length.setdefault(total_rounds, [0] * game.num_agents)
+        for pr in run.phase_results:
+            for a, (total, den) in enumerate(zip(pr.utility_totals, dens)):
+                sums[a] += total.numerator * (den // total.denominator)
         frees = [pr for pr in run.phase_results if pr.phase.kind is PhaseKind.FREE_PERIOD]
         if frees:
             final = frees[-1]
             tvs.append(tv_distance(final.counts / final.rounds_run, run.sigma_m))
+    # mean over runs of total / length: over the lengths' lcm, one Fraction per agent
+    lcm = math.lcm(*by_length)
+    means = [float(Fraction(sum(nums[a] * (lcm // length) for length, nums in by_length.items()),
+                            den * lcm * len(runs)))
+             for a, den in enumerate(dens)]
     out = {
         "num_seeds": len(runs),
         "seeds": sorted(run.seed for run in runs),
         "decision_tallies": {k: dict(sorted(v.items())) for k, v in sorted(tallies.items())},
-        "mean_average_utility": [float(s / len(runs)) for s in util_sums],
+        "mean_average_utility": means,
     }
     if tvs:
         out["final_free_period_tv"] = {

@@ -132,16 +132,18 @@ def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) ->
     probs = sigma_m.probs
     if counts.shape != probs.shape:
         raise InvalidInputError("observed_counts and strategy have different lengths")
-    if np.any(counts < 0):
+    if counts.min() < 0:
         raise InvalidInputError("observed_counts must be nonnegative")
     total = int(counts.sum())
     if total != check_int(l_t, "l_t"):
         raise InvalidInputError(f"observed_counts sum to {total}, expected l_t={l_t}")
-    zero = probs == 0.0
-    if np.any(counts[zero] > 0):
-        raise ZeroCellObserved(np.flatnonzero(zero & (counts > 0)))
-    expected = l_t * probs[~zero]
-    resid = counts[~zero] - expected
+    zero = sigma_m._zero_mask
+    if zero is not None:  # only an announcement with zero cells pays for this pass
+        if counts[zero].any():
+            raise ZeroCellObserved(np.flatnonzero(zero & (counts > 0)))
+        counts, probs = counts[~zero], probs[~zero]
+    expected = l_t * probs
+    resid = counts - expected
     return float((resid * resid / expected).sum())
 
 

@@ -22,7 +22,8 @@ from advicecheck import (
     draw_fallback,
     make_learner,
 )
-from advicecheck.agents import sample_block, sample_strategy
+from advicecheck.agents import _simplex_draw, sample_block, sample_strategy
+from advicecheck.verifier import _uniform_simplex
 
 TEST_PHASE = Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10)
 FREE_PHASE = Phase(PhaseKind.FREE_PERIOD, 1, 11, 10)
@@ -46,6 +47,22 @@ def test_draw_fallback_uniform_on_simplex():
     assert np.allclose(draws.mean(axis=0), 1 / 3, atol=0.01)
     assert np.all(draws >= 0)
     assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_engine_drawn_fallback_equals_the_checked_strategy_and_is_read_only():
+    # the engine's fall-back draw skips MixedStrategy's re-check, bit for bit
+    for k in range(2, 11):
+        for seed in range(25):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = _simplex_draw(k, rng)
+            ref = MixedStrategy(_uniform_simplex(ref_rng, 1, k)[0])
+            assert isinstance(drawn, MixedStrategy)
+            assert drawn.probs.dtype == ref.probs.dtype
+            assert drawn.probs.tobytes() == ref.probs.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert not drawn.probs.flags.writeable
+            with pytest.raises(ValueError):
+                drawn.probs[0] = 0.5
 
 
 def _state(game, mode, fallback=(0.75, 0.25), learner=None):

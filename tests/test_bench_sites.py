@@ -16,6 +16,7 @@ from advicecheck import (
     Game,
     load_strategy,
     plan_test,
+    run_batch,
     run_game,
     run_pure_learning,
     toy_schedule,
@@ -76,3 +77,16 @@ def test_tracer_counts_every_psi_draw_of_a_plan(tracing, game, ce_strategy):
     assert tracer.values["verifier.psi_draws"] == mc * (2**2 - 1) + mc * (2**3 - 1)
     assert [span[0] for span in tracer.spans].count("verifier.estimate_psi") == 2
     assert tracing.verifier.plan_test is plan_test
+
+
+def test_tracer_counts_one_verdict_per_seed_of_a_batch(tracing, game, ce_strategy):
+    # the engine's verdict goes through sim.run_sampling_decision, where the
+    # traced run counts it: once per completed test and seed, not per agent
+    seeds = 7
+    sched = toy_schedule(game, ce_strategy, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[50], free_lengths=[70])
+    with tracing.Tracer() as tracer:
+        runs = tracing.sim.run_batch(game, ce_strategy, sched, None, range(seeds))
+    assert tracer.tallies["verifier.decision"][0] == seeds
+    assert all(sorted(run.decisions) == [(0, 1), (1, 1)] for run in runs)
+    assert tracing.sim.run_batch is run_batch

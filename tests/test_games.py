@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,29 @@ def test_compose_deviation_invalid_inputs(game, ce_strategy):
         compose_deviation(ce_strategy, game, {5: [1.0, 0.0]})
     with pytest.raises(InvalidInputError):
         compose_deviation(ce_strategy, game, {1: [1.0, 0.0, 0.0]})
+
+
+BAD_MIXES = [
+    ([math.nan, 1.0], "has non-finite entries"),
+    ([1.5, -0.5], "has negative entries"),
+    ([0.5, 0.6], "sums to"),
+    ([0.2, 0.3, 0.5], "has the wrong action count"),
+    (MixedStrategy([0.2, 0.3, 0.5]), "has the wrong action count"),
+    ([[0.5, 0.5]], "must be one-dimensional"),
+    (["a", "b"], "is not a vector of numbers"),
+]
+
+
+@pytest.mark.parametrize("entry", ["expected_utility", "compose_deviation"])
+@pytest.mark.parametrize("mix, message", BAD_MIXES,
+                         ids=["nan", "negative", "sum", "length", "mixed-length", "2d", "text"])
+def test_public_composers_refuse_a_bad_mix(game, ce_strategy, entry, mix, message):
+    # the shared composition trusts its mixes; both public callers check them first
+    with pytest.raises(InvalidInputError, match=re.escape(f"strategy of agent 1 {message}")):
+        if entry == "expected_utility":
+            expected_utility(game, [[0.5, 0.5], mix])
+        else:
+            compose_deviation(ce_strategy, game, {0: [0.5, 0.5], 1: mix})
 
 
 def test_compose_deviation_point_mass_gives_signal_marginals(game, ce_strategy):

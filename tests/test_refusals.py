@@ -16,6 +16,7 @@ import pytest
 from advicecheck import (
     Game,
     InvalidInputError,
+    NoDataError,
     Phase,
     PhaseKind,
     average_utility,
@@ -154,6 +155,16 @@ THRESHOLDS = [
      lambda e, v: estimate_psi(e["game"], e["sigma"], [0.1, v], mc_samples=1000)),
     ("geometric_rules", "delta0", lambda e, v: geometric_rules(v, 0.1)),
 ]
+# arguments refused for their type or value, not a number: (entry point, name, call)
+OTHERS = [
+    ("run_pure_learning", "learner_specs", lambda e: run_pure_learning(e["game"], 3, rounds=10)),
+    ("run_pure_learning", "learner_specs",
+     lambda e: run_pure_learning(e["game"], {0: UNIFORM, 1: UNIFORM}, rounds=10)),
+    ("run_pure_learning", "learner_specs",
+     lambda e: run_pure_learning(e["game"], [UNIFORM], rounds=10)),
+    ("phase_average", "kind", lambda e: phase_average(e["ledger"], 0, "X")),
+    ("phase_average", "kind", lambda e: phase_average(e["ledger"], 0, PhaseKind.FREE_PERIOD)),
+]
 CASES = [
     pytest.param(call, name, bad, id=f"{entry}-{name}-{bad!r}")
     for table, bads in [(INTEGERS, BAD_INTEGERS), (PROBABILITIES, BAD_PROBABILITIES),
@@ -176,6 +187,23 @@ def env(game, ce_strategy):
 def test_entry_point_refuses_a_bad_argument_naming_it(env, call, name, bad):
     with pytest.raises(InvalidInputError, match=re.escape(name)):
         call(env, bad)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(call, name, id=f"{entry}-{name}-{i}")
+    for i, (entry, name, call) in enumerate(OTHERS)
+])
+def test_entry_point_refuses_a_malformed_argument_naming_it(env, call, name):
+    with pytest.raises(InvalidInputError, match=re.escape(name)):
+        call(env)
+
+
+def test_phase_average_of_a_valid_kind_without_rounds_has_no_data(env):
+    # a run capped inside its first test has no free period: no data, not a bad kind
+    capped = build_ledger(run_game(env["game"], env["sigma"], env["schedule"], rounds=10))
+    with pytest.raises(NoDataError, match="no rounds of kind 'F'"):
+        phase_average(capped, 0, "F")
+    assert phase_average(capped, 0, "R") == average_utility(capped, 0, 10)
 
 
 def test_chi2_isf_refuses_a_whole_float_df_after_the_int_is_cached():

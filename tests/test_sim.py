@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -24,6 +25,7 @@ from advicecheck import (
     UniformLearner,
     agent_act,
     average_utility,
+    batch_summary_dict,
     build_ledger,
     chi2_quantile,
     empirical_frequency,
@@ -258,6 +260,34 @@ def test_run_batch_refuses_before_any_seed_is_played(game, ce_strategy, configs,
     with mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")):
         with pytest.raises(InvalidInputError):
             run_batch(game, ce_strategy, schedule, configs, seeds)
+
+
+@pytest.mark.parametrize("announcement", ["ce_strategy", "non_ce_strategy"])
+def test_batch_summary_mean_is_exact_over_runs_of_mixed_lengths(game, announcement, request):
+    # runs are summed as integer numerators per run length: the mean must be the
+    # rational reference, whatever the lengths and the order of the runs
+    sigma = request.getfixturevalue(announcement)
+    # each agent's payoffs rescaled and shifted (incentives unchanged), so the
+    # totals carry different power-of-two denominators per agent
+    scaled = Game(game.action_counts, game.utilities * [1 / 7, 0.3] + [0.1, 0.0])
+    sched = toy_schedule(scaled, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[100, 150], free_lengths=[300, 200])
+    configs = [{"learner": {"name": "fictitious-play"}}, {"fallback": [0.75, 0.25]}]
+    runs = [run for rounds, seeds in [(450, [0, 1, 2]), (None, [3, 4]), (1, [5]), (333, [6, 7])]
+            for run in run_batch(scaled, sigma, sched, configs, seeds, rounds=rounds)]
+    assert len({sum(pr.rounds_run for pr in run.phase_results) for run in runs}) == 4
+    summary = batch_summary_dict(runs)
+    for agent, mean in enumerate(summary["mean_average_utility"]):
+        reference = sum(sum((pr.utility_totals[agent] for pr in run.phase_results), Fraction(0))
+                        / sum(pr.rounds_run for pr in run.phase_results)
+                        for run in runs) / len(runs)
+        assert reference.denominator > 1
+        assert mean == float(reference)
+    text = json.dumps(summary, sort_keys=True)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        shuffled = [runs[i] for i in rng.permutation(len(runs))]
+        assert json.dumps(batch_summary_dict(shuffled), sort_keys=True) == text
 
 
 def test_empirical_frequency_windows(game, ce_strategy, small_toy):
