@@ -9,7 +9,7 @@ free period can leak into it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -252,16 +252,17 @@ def draw_fallback(action_count: int, seed: int) -> MixedStrategy:
     Uniformity comes from normalized exponential variates.
     """
     check_int(action_count, "action_count", 1)
-    return _simplex_draw(action_count, np.random.default_rng(check_int(seed, "seed")))
+    rng = np.random.default_rng(check_int(seed, "seed"))
+    return MixedStrategy(_simplex_draw(action_count, rng))
 
 
-def _simplex_draw(action_count: int, rng: np.random.Generator) -> MixedStrategy:
-    """Uniform draw from the simplex, as psi's measure draws its deviators; a
-    single action consumes no randomness. The draw is a distribution by
-    construction, so it is not re-checked."""
-    if action_count == 1:
-        return MixedStrategy._trusted(np.ones(1))
-    return MixedStrategy._trusted(_uniform_simplex(rng, 1, action_count)[0])
+def _simplex_draw(action_count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw from the simplex, as psi's measure draws its deviators, as a
+    read-only vector; a single action consumes no randomness. The draw is a
+    distribution by construction, so it is not checked."""
+    v = np.ones(1) if action_count == 1 else _uniform_simplex(rng, 1, action_count)[0]
+    v.setflags(write=False)
+    return v
 
 
 @dataclass
@@ -271,20 +272,14 @@ class AgentState:
     It owns the agent's policy: what it plays in a phase (``strategy``),
     whether it learns from the phase's rounds (``learns``) and how a test's
     verdict sets its mode (``conclude``, the only mode transition). The
-    fall-back never changes after construction.
+    fall-back is a read-only probability vector, checked or drawn by the
+    engine, so it never changes after construction.
     """
 
     id: int
-    fallback: MixedStrategy
+    fallback: np.ndarray
     learner: Learner
     mode: Mode = Mode.FOLLOWING_MEDIATOR
-    _fallback_hash: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._fallback_hash = hash(self.fallback.probs.tobytes())
-
-    def fallback_unchanged(self) -> bool:
-        return hash(self.fallback.probs.tobytes()) == self._fallback_hash
 
     def begin_free_period(self) -> None:
         """Flexibility hook: wipe the learner at every free-period start."""
@@ -292,7 +287,7 @@ class AgentState:
 
     def strategy(self, phase: Phase):
         """What the agent plays in ``phase``: None while following (it plays its
-        signal), the fall-back ``MixedStrategy`` in sampling tests, and the
+        signal), the fall-back vector in sampling tests, and the
         learner's current strategy in free periods."""
         if self.mode is Mode.FOLLOWING_MEDIATOR:
             return None
@@ -360,4 +355,4 @@ def agent_act(state: AgentState, phase: Phase, signals: np.ndarray | None,
         if signals is None:
             raise InvalidInputError("a following agent needs a signal")
         return signals
-    return sample_block(strategy.probs if isinstance(strategy, MixedStrategy) else strategy, rng, k)
+    return sample_block(strategy, rng, k)

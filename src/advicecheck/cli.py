@@ -165,11 +165,12 @@ def _schedule_from_config(game, sigma, cfg, mc_samples, seed):
     if kind == "harmonic":
         rules = sched.harmonic_rules()
     elif kind == "geometric":
+        # a decay the config leaves out takes geometric_rules' default
         rules = sched.geometric_rules(
             delta0=_entry(cfg, "delta0", "geometric schedule", _NUMBER),
             p0=_entry(cfg, "p0", "geometric schedule", _NUMBER),
-            delta_decay=_entry(cfg, "delta_decay", "geometric schedule", _NUMBER, 16.0),
-            p_decay=_entry(cfg, "p_decay", "geometric schedule", _NUMBER, 2.0),
+            **{key: _entry(cfg, key, "geometric schedule", _NUMBER)
+               for key in ("delta_decay", "p_decay") if key in cfg},
         )
     else:
         raise InvalidInputError(f"unknown schedule rule kind {kind!r}")
@@ -279,10 +280,9 @@ def _manifest(args, outdir: Path, config: dict | None = None, seed=None) -> None
         fh.write("\n")
 
 
-def _add_common(p, strategy=True):
+def _add_common(p):
     p.add_argument("--game", required=True, help="game JSON file")
-    if strategy:
-        p.add_argument("--strategy", required=True, help="announced strategy JSON file")
+    p.add_argument("--strategy", required=True, help="announced strategy JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory")
     p.add_argument("--mc-samples", type=int, default=verifier.DEFAULT_MC_SAMPLES)

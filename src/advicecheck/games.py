@@ -6,9 +6,10 @@ this order. Utilities must be nonnegative.
 Joint vectors are seen per agent through one view (``_agent_view``: rows are
 that agent's actions, columns the others' joint actions), and deviators are
 composed with one factor (``_others_marginal``: the announcement's marginal on
-the non-deviators) by one routine (``_composed``). The public entry points
-check each mix once (``_checked_mixes``); ``_composed`` itself trusts its
-inputs, so the engine composes strategies it built valid without re-checking.
+the non-deviators) by one routine (``_composed``). Every mix is checked once,
+by one routine (``_checked_mixes``), at the public entry points and at the
+engine's set-up; ``_composed`` itself trusts its inputs, so the engine
+composes the vectors it checked or drew without re-checking.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _as_prob_vector(probs, name: str) -> np.ndarray:
     if np.any(v < 0):
         raise InvalidInputError(f"{name} has negative entries")
     if abs(float(v.sum()) - 1.0) > PROB_TOL:
-        raise InvalidInputError(f"{name} sums to {v.sum()!r}, not 1")
+        raise InvalidInputError(f"{name} sums to {float(v.sum())!r}, not 1")
     v.setflags(write=False)
     return v
 
@@ -52,16 +53,6 @@ class MixedStrategy:
 
     def __init__(self, probs):
         object.__setattr__(self, "probs", _as_prob_vector(probs, "strategy"))
-
-    @classmethod
-    def _trusted(cls, probs: np.ndarray) -> MixedStrategy:
-        """A strategy over ``probs``, a float vector that is a distribution by
-        construction (the engine's own draws): not re-checked or copied, only
-        made read-only."""
-        probs.setflags(write=False)
-        strategy = object.__new__(cls)
-        object.__setattr__(strategy, "probs", probs)
-        return strategy
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -276,8 +267,10 @@ def check_correlated_equilibrium(
 
 
 def _checked_mixes(game: Game, mixes: dict) -> dict:
-    """``mixes`` (agent -> MixedStrategy or probability vector) with each raw
-    vector checked as a distribution over that agent's actions."""
+    """``mixes`` (agent -> MixedStrategy or probability vector) as agent ->
+    read-only vector, each raw vector checked as a distribution over that
+    agent's actions: the one check of a mix, for every entry point that takes
+    one."""
     checked = {}
     for i, s in mixes.items():
         v = s.probs if isinstance(s, MixedStrategy) else _as_prob_vector(s, f"strategy of agent {i}")
@@ -289,11 +282,11 @@ def _checked_mixes(game: Game, mixes: dict) -> dict:
 
 def _composed(base, game: Game, mixes: dict) -> np.ndarray:
     """``base`` times each agent's independent mix along that agent's axis, in
-    the dict's order, flat row-major. ``mixes`` maps agent -> MixedStrategy or
-    probability vector, trusted to be a distribution of the agent's length:
-    public callers pass it through ``_checked_mixes`` first."""
+    the dict's order, flat row-major. ``mixes`` maps agent -> probability
+    vector (a list from fictitious play), trusted to be a distribution of the
+    agent's length: public callers pass it through ``_checked_mixes`` first."""
     for i, s in mixes.items():
-        v = np.asarray(s.probs if isinstance(s, MixedStrategy) else s, dtype=float)
+        v = np.asarray(s, dtype=float)
         base = base * v.reshape([-1 if j == i else 1 for j in range(game.num_agents)])
     return base.ravel()
 

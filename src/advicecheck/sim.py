@@ -39,12 +39,13 @@ one. The mediator's signals are drawn per chunk of ``_BLOCK_ROUNDS`` rounds,
 so a stepped phase's memory does not grow with its length.
 
 Inputs are checked once, at the public entry points (``_setup`` for the
-runners); values the engine built valid are trusted inside. A seed's
-fall-back draws are wrapped without a second check
-(``MixedStrategy._trusted``), deviators are composed without re-checking
-their mixes (``games._composed``), and a phase's utility totals are one
-integer dot product, so a seed of a batch pays for its generators, its
-draws and, where some agent is unscreened, one verdict per completed test.
+runners); values the engine built valid are trusted inside. Past the entry
+check a fall-back is a read-only probability vector: a configured one is
+checked by ``games._checked_mixes``, the one mix check, and a seed's drawn
+one is the draw itself. Deviators are composed without re-checking their
+mixes (``games._composed``), and a phase's utility totals are one integer
+dot product, so a seed of a batch pays for its generators, its draws and,
+where some agent is unscreened, one verdict per completed test.
 
 Utility ledgers sum exact rationals (joint-action counts times the
 binary-exact float payoffs, summed as integer numerators over one power of
@@ -70,7 +71,7 @@ from .errors import InvalidInputError, NoDataError, check_int
 from .games import (
     CorrelatedStrategy,
     Game,
-    MixedStrategy,
+    _checked_mixes,
     _composed,
     _others_marginal,
     agent_incentive_violations,
@@ -246,7 +247,7 @@ class _Setup:
     horizon: int
     probs: np.ndarray  # the announcement over joint actions
     tensor: np.ndarray  # the same, shaped by the action counts
-    fallbacks: tuple  # each agent's configured MixedStrategy, or None: drawn per seed
+    fallbacks: tuple  # each agent's configured fall-back, a checked vector, or None: drawn per seed
     learner_specs: tuple
     modes: tuple  # each agent's starting mode: the incentive screen's verdict
 
@@ -263,18 +264,14 @@ def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
     if (not isinstance(configs, (list, tuple)) or len(configs) != game.num_agents
             or not all(isinstance(cfg, dict) for cfg in configs)):
         raise InvalidInputError(f"need one agent config object per agent, got {configs!r}")
-    fallbacks = []
+    fallbacks = _checked_mixes(game, {i: cfg["fallback"] for i, cfg in enumerate(configs)
+                                      if cfg.get("fallback") is not None})
     for i, cfg in enumerate(configs):
-        fallback = None
-        if cfg.get("fallback") is not None:
-            fallback = MixedStrategy(cfg["fallback"])
-            if len(fallback) != game.action_counts[i]:
-                raise InvalidInputError(f"fallback for agent {i} has wrong length")
-        fallbacks.append(fallback)
         make_learner(cfg.get("learner"), game, i)  # refuses a bad spec before any seed
     modes = tuple(Mode.from_screen(agent_incentive_violations(game, sigma_m, i))
                   for i in range(game.num_agents))
-    return _Setup(schedule, horizon, probs, probs.reshape(game.action_counts), tuple(fallbacks),
+    return _Setup(schedule, horizon, probs, probs.reshape(game.action_counts),
+                  tuple(map(fallbacks.get, range(game.num_agents))),
                   tuple(cfg.get("learner") for cfg in configs), modes)
 
 
@@ -521,9 +518,9 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
         raise InvalidInputError(f"learner_specs must be a list of one learner spec per agent, "
                                 f"got {learner_specs!r}")
     states = [
-        # every agent is rejected and the fall-back is never played in a free period
-        AgentState(id=i, fallback=MixedStrategy([1.0] + [0.0] * (game.action_counts[i] - 1)),
-                   learner=make_learner(spec, game, i), mode=Mode.REJECTED_BY_TEST)
+        # every agent is rejected, and a free period never plays the fall-back
+        AgentState(id=i, fallback=None, learner=make_learner(spec, game, i),
+                   mode=Mode.REJECTED_BY_TEST)
         for i, spec in enumerate(learner_specs)
     ]
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(game.num_agents)]

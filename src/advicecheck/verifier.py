@@ -126,12 +126,15 @@ def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) ->
     Sums (X(a) - l_t*sigma(a))^2 / (l_t*sigma(a)) over every cell with
     positive announced probability. Counts observed on an announced-zero cell
     raise ZeroCellObserved: such an observation refutes the announced
-    strategy outright and no statistic is defined.
+    strategy outright and no statistic is defined. Counts must be finite whole
+    numbers; integer counts, such as the engine's int64, skip that check.
     """
     counts = np.asarray(observed_counts)
     probs = sigma_m.probs
     if counts.shape != probs.shape:
         raise InvalidInputError("observed_counts and strategy have different lengths")
+    if counts.dtype.kind not in "biu" and not _whole(counts):
+        raise InvalidInputError(f"observed_counts must be finite whole numbers, got {counts}")
     if counts.min() < 0:
         raise InvalidInputError("observed_counts must be nonnegative")
     total = int(counts.sum())
@@ -145,6 +148,17 @@ def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) ->
     expected = l_t * probs
     resid = counts - expected
     return float((resid * resid / expected).sum())
+
+
+def _whole(values: np.ndarray) -> bool:
+    """Whether every entry of a float or object array is a finite whole number."""
+    if values.dtype.kind not in "fO":
+        return False  # text, complex, dates
+    try:
+        v = values.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return bool(np.all(np.isfinite(v) & (v == np.floor(v))))
 
 
 def _prob_seq(sigma):

@@ -186,7 +186,7 @@ def act(state, phase, signal, rng):
     if state.mode is Mode.FOLLOWING_MEDIATOR:
         return signal
     if phase.kind is PhaseKind.SAMPLING_TEST:
-        return sample_strategy(state.fallback.probs, rng)
+        return sample_strategy(state.fallback, rng)
     return sample_strategy(state.learner.next_strategy(), rng)
 
 
@@ -208,12 +208,12 @@ def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=N
         rng = np.random.default_rng(children[1 + i])
         rngs.append(rng)
         if cfg.get("fallback") is not None:
-            fallback = MixedStrategy(cfg["fallback"])
+            fallback = MixedStrategy(cfg["fallback"]).probs
         elif game.action_counts[i] == 1:
-            fallback = MixedStrategy([1.0])
+            fallback = np.ones(1)
         else:
             g = rng.exponential(size=game.action_counts[i])
-            fallback = MixedStrategy(g / g.sum())
+            fallback = g / g.sum()
         screened = agent_incentive_violations(game, sigma_m, i)
         states.append(AgentState(
             id=i, fallback=fallback, learner=make_learner(cfg.get("learner"), game, i),
@@ -325,8 +325,8 @@ def per_round_pure_learning(game, learner_specs, rounds, seed=0):
     strategy through ``act`` and every learner observes the joint action.
     """
     states = [
-        AgentState(id=i, fallback=MixedStrategy([1.0] + [0.0] * (game.action_counts[i] - 1)),
-                   learner=make_learner(spec, game, i), mode=Mode.REJECTED_BY_TEST)
+        AgentState(id=i, fallback=None, learner=make_learner(spec, game, i),
+                   mode=Mode.REJECTED_BY_TEST)
         for i, spec in enumerate(learner_specs)
     ]
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(game.num_agents)]

@@ -50,25 +50,25 @@ def test_draw_fallback_uniform_on_simplex():
 
 
 def test_engine_drawn_fallback_equals_the_checked_strategy_and_is_read_only():
-    # the engine's fall-back draw skips MixedStrategy's re-check, bit for bit
+    # the engine's fall-back draw is a bare vector, unchecked, bit for bit the strategy's
     for k in range(2, 11):
         for seed in range(25):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             drawn = _simplex_draw(k, rng)
             ref = MixedStrategy(_uniform_simplex(ref_rng, 1, k)[0])
-            assert isinstance(drawn, MixedStrategy)
-            assert drawn.probs.dtype == ref.probs.dtype
-            assert drawn.probs.tobytes() == ref.probs.tobytes()
+            assert type(drawn) is np.ndarray
+            assert drawn.dtype == ref.probs.dtype
+            assert drawn.tobytes() == ref.probs.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-            assert not drawn.probs.flags.writeable
+            assert not drawn.flags.writeable
             with pytest.raises(ValueError):
-                drawn.probs[0] = 0.5
+                drawn[0] = 0.5
 
 
 def _state(game, mode, fallback=(0.75, 0.25), learner=None):
     return AgentState(
         id=1,
-        fallback=MixedStrategy(fallback),
+        fallback=MixedStrategy(fallback).probs,
         learner=learner or UniformLearner(2),
         mode=mode,
     )
@@ -109,14 +109,16 @@ def test_agent_act_uses_learner_in_free_periods(game):
 
 def test_fallback_immutable_across_run(game):
     st_ = _state(game, Mode.REJECTED_BY_TEST)
+    before = st_.fallback.tobytes()
     rng = np.random.default_rng(1)
     for phase in (TEST_PHASE, FREE_PHASE, TEST_PHASE):
         for k in (1, 49):
             agent_act(st_, phase, np.zeros(k, dtype=np.int64), rng, k)
         st_.begin_free_period()
-    assert st_.fallback_unchanged()
+    assert st_.fallback.tobytes() == before
+    assert not st_.fallback.flags.writeable
     with pytest.raises(ValueError):
-        st_.fallback.probs[0] = 0.5  # storage is locked
+        st_.fallback[0] = 0.5  # storage is locked
 
 
 def _learner_factories(game):
@@ -282,6 +284,22 @@ def test_fictitious_play_holds_for_stable_rounds(data):
                             [column, np.zeros_like(column)])
         assert block.next_strategy() == learner.next_strategy()
         assert block.stable_rounds() == learner.stable_rounds()
+
+
+class _ObserveOnly(Learner):
+    """Implements only ``observe``, so ``observe_block`` is the contract's default loop."""
+
+    def __init__(self):
+        self.seen = []
+
+    def observe(self, joint_action):
+        self.seen.append(tuple(int(a) for a in joint_action))
+
+
+def test_default_observe_block_observes_round_by_round():
+    learner = _ObserveOnly()
+    learner.observe_block([np.array([0, 1, 1]), np.array([1, 0, 1])])
+    assert learner.seen == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_stable_rounds_per_learner(game):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import advicecheck
 from advicecheck import NonConvergenceError, sim, verifier
-from advicecheck.cli import build_parser, main
+from advicecheck import schedule as sched
+from advicecheck.cli import _schedule_from_config, build_parser, main
 
 GAME = "fixtures/small_game.json"
 CE = "fixtures/ce_strategy.json"
@@ -45,19 +46,34 @@ def test_check_ce_bad_tolerance_exits_2(capsys, tolerance):
 
 def test_check_ce_malformed_strategy(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("[0.5, 0.2, 0.1, 0.1]")  # sums to 0.9
+    bad.write_text("[0.5, 0.4, 0.0, 0.0]")
     code = main(["check-ce", "--game", GAME, "--strategy", str(bad)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "strategy sums to 0.9, not 1" in err
 
 
-def test_plan_prints_worked_values(capsys):
+def test_check_ce_strategy_of_the_wrong_length_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[0.5, 0.5]")
+    code = main(["check-ce", "--game", GAME, "--strategy", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "strategy has 2 entries, game has 4 joint actions" in err
+
+
+def test_plan_prints_worked_values(tmp_path, capsys):
     code = main([
         "plan", "--game", GAME, "--strategy", CE,
         "--p", "0.1", "--delta-hat", "0.01", "--mc-samples", "50000", "--seed", "3",
+        "--out", str(tmp_path / "o"),
     ])
     assert code == 0
-    plan = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    # --out keeps the printed plan and a manifest of the options
+    assert (tmp_path / "o" / "plan.json").read_text() == out
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["seed"] == 3
+    plan = json.loads(out)
     assert plan["alpha"] == 0.1
     assert abs(plan["critical_value"] - 6.2514) < 0.01
     assert abs(plan["psi"] - 0.0943) < 0.01
@@ -207,6 +223,15 @@ def test_cmd_test_counts_beyond_int64_exit_2(tmp_path, capsys, counts, name):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and name in err
+
+
+def test_cmd_test_counts_file_that_is_not_an_array_exits_2(tmp_path, capsys):
+    (tmp_path / "counts.json").write_text(json.dumps({"counts": [2, 2]}))
+    code = main(["test", "--game", GAME, "--strategy", CE,
+                 "--counts", str(tmp_path / "counts.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "flat JSON array" in err
 
 
 def test_cmd_test_counts_of_a_huge_valid_total_finish(tmp_path, capsys):
@@ -454,6 +479,19 @@ def test_simulate_config_missing_key_exits_2(tmp_path, capsys, schedule, key):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("decays", [
+    {}, {"delta_decay": 16.0}, {"p_decay": 3}, {"delta_decay": 20, "p_decay": 1.5},
+])
+def test_geometric_config_decays_default_to_the_rules_own(game, correlated_strategy, decays):
+    # a decay the config leaves out is geometric_rules' default, not a copy of it
+    schedule = _schedule_from_config(game, correlated_strategy, {**GEOMETRIC, **decays}, 1000, 0)
+    reference = sched.geometric_rules(0.01, 0.2, **decays)
+    for j in (1, 2, 5):
+        assert schedule.rules.delta_rule(j) == reference.delta_rule(j)
+        assert schedule.rules.p_rule(j) == reference.p_rule(j)
+    assert schedule.rules.p_series_bound == reference.p_series_bound
+
+
 def test_simulate_config_not_an_object_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("[1, 2]")
@@ -494,6 +532,7 @@ def _simulate(tmp_path, cfg, *extra):
     ("agents", [{"fallback": {"a": 1}}, {}]), ("agents", [{"learner": 3}, {}]),
     # falsy values used to run with the default agents; only an absent key means those
     ("agents", []), ("agents", {}), ("agents", 0), ("agents", False), ("agents", ""),
+    ("schedule", {**GEOMETRIC, "p_decay": "2"}), ("schedule", {**GEOMETRIC, "delta_decay": None}),
 ])
 def test_simulate_config_of_wrong_shape_exits_2(tmp_path, capsys, key, value):
     cfg = {"game": GAME, "strategy": CE, "schedule": TOY, key: value}

@@ -34,8 +34,11 @@ def test_game_validation_rejects_wrong_tensor_shape():
 
 
 def test_strategy_validation():
-    with pytest.raises(InvalidInputError):
-        CorrelatedStrategy([0.5, 0.4])  # sums to 0.9
+    # the sum is printed as a plain float, not numpy's repr np.float64(0.9)
+    for probs, total in [([0.5, 0.4], "0.9"), ([0.5, 0.6, 0.0, 0.0], "1.1")]:
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"correlated strategy sums to {total}, not 1")):
+            CorrelatedStrategy(probs)
     with pytest.raises(InvalidInputError):
         MixedStrategy([1.5, -0.5])
 
@@ -333,6 +336,10 @@ def test_load_rejects_malformed_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"action_counts": [2, 2]}))
     with pytest.raises(InvalidInputError):
+        load_game(bad)
+    bad.write_text(json.dumps({"num_agents": 3, "action_counts": [2, 2],
+                               "utilities": [[1, 1]] * 4}))
+    with pytest.raises(InvalidInputError, match="num_agents does not match action_counts"):
         load_game(bad)
     notarray = tmp_path / "s.json"
     notarray.write_text(json.dumps({"probs": [1.0]}))

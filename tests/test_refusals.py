@@ -3,23 +3,28 @@
 Every entry point that takes a count, index, seed, probability or threshold
 refuses a bad one with InvalidInputError whose message names the argument.
 The checks live in ``advicecheck.errors``; this table keeps every caller on
-them. Integers and probabilities are fed True, 2.5, -1 and NaN. Thresholds
-are fed True, -1, NaN and inf, since 2.5 is a valid threshold.
+them. Integers and probabilities are fed True, 2.5, -1 and NaN, and integers
+also a numpy -1. Thresholds are fed True, -1, NaN and inf, since 2.5 is a
+valid threshold.
 """
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from advicecheck import (
+    CorrelatedStrategy,
     Game,
     InvalidInputError,
     NoDataError,
     Phase,
     PhaseKind,
+    Schedule,
     average_utility,
+    batch_summary_dict,
     build_ledger,
     build_schedule,
     chi2_cdf,
@@ -46,14 +51,15 @@ from advicecheck import (
     run_game_counts,
     run_pure_learning,
     sample_size,
+    sensitivity_delta,
     toy_schedule,
     validate_schedule,
 )
-from advicecheck.games import agent_incentive_violations
+from advicecheck.games import agent_incentive_violations, joint_distribution
 
 from oracles import exact_window_expectation
 
-BAD_INTEGERS = [True, 2.5, -1, math.nan]
+BAD_INTEGERS = [True, 2.5, -1, math.nan, np.int64(-1)]
 BAD_PROBABILITIES = [True, 2.5, -1, math.nan]
 BAD_THRESHOLDS = [True, -1, math.nan, math.inf]
 UNIFORM = {"name": "uniform"}
@@ -164,6 +170,36 @@ OTHERS = [
      lambda e: run_pure_learning(e["game"], [UNIFORM], rounds=10)),
     ("phase_average", "kind", lambda e: phase_average(e["ledger"], 0, "X")),
     ("phase_average", "kind", lambda e: phase_average(e["ledger"], 0, PhaseKind.FREE_PERIOD)),
+    ("pearson_statistic", "observed_counts",
+     lambda e: pearson_statistic([math.nan, 1, 1, 1], e["sigma"], 3)),
+    ("pearson_statistic", "observed_counts",
+     lambda e: pearson_statistic([math.inf, 1, 1, 1], e["sigma"], 3)),
+    ("pearson_statistic", "observed_counts",
+     lambda e: pearson_statistic([0.5, 0.5, 1, 1], e["sigma"], 3)),
+    ("pearson_statistic", "observed_counts",
+     lambda e: pearson_statistic([Fraction(1, 2), Fraction(1, 2), 1, 1], e["sigma"], 3)),
+    ("pearson_statistic", "observed_counts",
+     lambda e: pearson_statistic(["1", "1", "1", "1"], e["sigma"], 4)),
+    ("pearson_statistic", "observed_counts", lambda e: pearson_statistic([1, 1, 1], e["sigma"], 3)),
+    ("pearson_statistic", "observed_counts",
+     lambda e: pearson_statistic([-1, 2, 1, 1], e["sigma"], 3)),
+    ("Game", "action_counts", lambda e: Game([], np.ones((1, 0)))),
+    ("Game", "action_names", lambda e: Game([2, 2], np.ones((4, 2)), [["a", "b"], ["c"]])),
+    ("Game.joint_index", "joint action", lambda e: e["game"].joint_index((0,))),
+    ("joint_distribution", "strategy length",
+     lambda e: joint_distribution(CorrelatedStrategy([0.5, 0.5]), e["game"])),
+    ("Schedule", "does not tile",
+     lambda e: Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 2, 3),), (None,), None)),
+    ("validate_schedule", "0 tests, need 2",
+     lambda e: validate_schedule(Schedule((), (), harmonic_rules()), 2)),
+    ("average_utility", "beyond recorded", lambda e: average_utility(e["ledger"], 0, 10**6)),
+    ("batch_summary_dict", "at least one run", lambda e: batch_summary_dict([])),
+    ("sensitivity_delta", "different lengths", lambda e: sensitivity_delta([0.5, 0.5], [1.0])),
+    ("estimate_psi", "supported maximum of 12",
+     lambda e: estimate_psi(Game([1] * 13, np.ones((1, 13))), CorrelatedStrategy([1.0]), 0.01,
+                            mc_samples=1000)),
+    ("manual_plan", "fewer than two cells",
+     lambda e: manual_plan(e["game"], CorrelatedStrategy([1.0, 0.0, 0.0, 0.0]), 0.1, 0.01, 10)),
 ]
 CASES = [
     pytest.param(call, name, bad, id=f"{entry}-{name}-{bad!r}")
@@ -196,6 +232,11 @@ def test_entry_point_refuses_a_bad_argument_naming_it(env, call, name, bad):
 def test_entry_point_refuses_a_malformed_argument_naming_it(env, call, name):
     with pytest.raises(InvalidInputError, match=re.escape(name)):
         call(env)
+
+
+def test_pure_learning_average_of_zero_rounds_has_no_data(env):
+    with pytest.raises(NoDataError, match="zero-round run"):
+        run_pure_learning(env["game"], [UNIFORM] * 2, rounds=0).average_utility(0)
 
 
 def test_phase_average_of_a_valid_kind_without_rounds_has_no_data(env):

@@ -248,13 +248,14 @@ def test_run_batch_equals_one_run_per_seed(game, announcement, configs, rounds, 
     ([{}, {"learner": {"name": "trigger", "watch_agent": 5}}], [0, 1]),
     ([{"fallback": [0.5, 0.6]}, {}], [0, 1]),
     ([{}, {"fallback": [1.0]}], [0, 1]),
+    ([{}, {"fallback": ["a", "b"]}], [0, 1]),
     ([{}], [0, 1]),
     (None, [0, 1, -1]),
     (None, [0, 1.5]),
     (None, [0, True]),
     (None, 3),
-], ids=["learner", "trigger", "fallback-sum", "fallback-length", "one-config", "seed--1",
-        "seed-1.5", "seed-True", "seeds-int"])
+], ids=["learner", "trigger", "fallback-sum", "fallback-length", "fallback-text", "one-config",
+        "seed--1", "seed-1.5", "seed-True", "seeds-int"])
 def test_run_batch_refuses_before_any_seed_is_played(game, ce_strategy, configs, seeds):
     schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20], [20])
     with mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")):
@@ -796,7 +797,7 @@ def test_play_policy_table(mode, kind, stable):
     # the counts engine's i.i.d. mix is what agent_act samples from, and a
     # verdict moves every agent but a screened one
     phase = Phase(kind, 1, 1, 8)
-    fallback = MixedStrategy([0.75, 0.25])
+    fallback = MixedStrategy([0.75, 0.25]).probs
     learner = UniformLearner(2) if stable else _Mixing()
     follower = AgentState(id=0, fallback=fallback, learner=UniformLearner(2))
     agent = AgentState(id=1, fallback=fallback, learner=learner, mode=mode)
@@ -809,10 +810,10 @@ def test_play_policy_table(mode, kind, stable):
     if not mode.rejected:
         assert deviators == {} and played is signals
     else:
-        mix = fallback.probs if kind is PhaseKind.SAMPLING_TEST else learner.next_strategy()
+        mix = fallback if kind is PhaseKind.SAMPLING_TEST else learner.next_strategy()
         if deviators is not None:
             assert set(deviators) == {1}
-            assert np.array_equal(getattr(deviators[1], "probs", deviators[1]), mix)
+            assert np.array_equal(deviators[1], mix)
         assert played.tolist() == sample_block(mix, np.random.default_rng(5), 8).tolist()
     for outcome in Outcome:
         verdict = Decision(outcome, 1.0, 0.5)
