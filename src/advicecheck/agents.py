@@ -3,12 +3,15 @@
 Learners expose strategies rather than sampled actions; the simulation rng
 does the sampling. Every provided learner is flexible: after reset() its next
 strategy equals a freshly constructed instance's, so nothing from before a
-free period can leak into it.
+free period can leak into it. Fictitious play decides on exact values: the
+game's payoffs as integer numerators, weighted by the opponents' integer
+counts, so no float rounding can tip a near tie.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,28 +98,29 @@ class FictitiousPlayLearner(Learner):
     """Best response to each opponent's empirical action marginal since reset.
 
     Opponents are treated as independent; with no observations yet, each
-    opponent is presumed uniform. Ties break toward the lowest action index.
+    opponent is presumed uniform. The choice is made on exact values: each own
+    action's payoff numerators (``Game.payoff_table``, Python ints) weighted by
+    the product of the opponents' raw counts, all 1 before any observation,
+    which is the empirical (or uniform) expectation times one positive factor.
+    Ties break toward the lowest action index.
     """
 
     def __init__(self, game: Game, agent: int):
         self.game = game
         self.agent = agent
         self._opponents = [i for i in range(game.num_agents) if i != agent]
-        self._single = self._opponents[0] if len(self._opponents) == 1 else None
         self._counts = [[0] * c for c in game.action_counts]
-        # own-utility tensor as nested lists (hot loop avoids numpy dispatch):
+        # own payoff numerators as nested lists of ints:
         # _u[own_action][opponent joint index], row-major over opponents
         own = game.action_counts[agent]
-        self._u = _agent_view(game.utilities[:, agent], game, agent).tolist()
+        numerators = np.array(game.payoff_table[agent][0], dtype=object)
+        self._u = _agent_view(numerators, game, agent).tolist()
+        self._prior = [1] * len(self._u[0])
         # point-mass strategies, one per own action (returned read-only)
         self._points = [[1.0 if i == a else 0.0 for i in range(own)] for a in range(own)]
-        self._uniform_opp = [
-            [1.0 / game.action_counts[i]] * game.action_counts[i] for i in range(game.num_agents)
-        ]
         # skip-ahead bounds: _drops[b][a] = max_c(u[a][c] - u[b][c]), the most
-        # one observation can cut b's lead over a; _umax scales the float error
+        # one observation can cut b's lead over a
         self._drops = [[max(x - y for x, y in zip(ra, rb)) for ra in self._u] for rb in self._u]
-        self._umax = max(map(max, self._u))
 
     def reset(self) -> None:
         self._counts = [[0] * c for c in self.game.action_counts]
@@ -131,63 +135,46 @@ class FictitiousPlayLearner(Learner):
             seen = np.bincount(actions[i], minlength=len(self._counts[i])).tolist()
             self._counts[i] = [x + y for x, y in zip(self._counts[i], seen)]
 
-    def _opponent_joint(self) -> list[float]:
-        joint = [1.0]  # the empty profile: with no opponents, the only one
-        for i in self._opponents:
-            c = self._counts[i]
-            total = sum(c)
-            q = [x / total for x in c] if total else self._uniform_opp[i]
-            joint = [a * b for a in joint for b in q]
-        return joint
+    def _values(self) -> list[int]:
+        """Each own action's payoff numerators weighted by the opponents' joint
+        counts: the product of their counts, one opponent's list as it is."""
+        opponents = self._opponents
+        weights = self._counts[opponents[0]] if opponents else ()
+        if sum(weights):
+            for i in opponents[1:]:
+                weights = [a * b for a in weights for b in self._counts[i]]
+        else:  # no opponents, or nothing observed yet: uniform
+            weights = self._prior
+        return [sum(map(operator.mul, row, weights)) for row in self._u]
 
     def next_strategy(self) -> list[float]:
-        if self._single is not None:
-            c = self._counts[self._single]
-            # unnormalized empirical counts give the same argmax
-            q = c if sum(c) else self._uniform_opp[self._single]
-        else:
-            q = self._opponent_joint()
-        best, best_ev = 0, -1.0
-        for a, row in enumerate(self._u):
-            ev = sum(r * w for r, w in zip(row, q))
-            if ev > best_ev:
-                best, best_ev = a, ev
-        return self._points[best]
+        values = self._values()
+        return self._points[values.index(max(values))]
 
     def stable_rounds(self) -> float:
         """Rounds the best response b keeps against one opponent, whatever it plays.
 
         At counts n, b leads rival a by gap_a = sum_c (u[b][c] - u[a][c]) n_c,
         and one observation cuts that lead by at most
-        drop_a = max_c (u[a][c] - u[b][c]). So b stays strictly best, ties
-        included, for floor((gap_a - eps) / drop_a) rounds, where eps dominates
-        the float error of next_strategy's sums. A block stops after total + 1
-        rounds, so that error at most doubles within it. Utilities are
-        nonnegative, so values never fall to the argmax's -1.0 start. No
-        opponents: the strategy never changes, so inf. Several opponents, or
-        none observed yet: 1.
+        drop_a = max_c (u[a][c] - u[b][c]), both integers in numerator units.
+        So b stays strictly best, ties included, for (gap_a - 1) // drop_a
+        rounds; a block is capped at total + 1 rounds, so it at most doubles
+        the counts. No opponents: the strategy never changes, so inf. Several
+        opponents, or none observed yet: 1.
         """
-        if not self._opponents:
-            return math.inf
-        if self._single is None:
-            return 1
-        c = self._counts[self._single]
-        total = sum(c)
+        if len(self._opponents) != 1:
+            return 1 if self._opponents else math.inf
+        total = sum(self._counts[self._opponents[0]])
         if not total:
             return 1
-        evs = [sum(r * w for r, w in zip(row, c)) for row in self._u]
-        b = evs.index(max(evs))  # next_strategy's choice: the first maximum
-        eps = 1e-9 * (1 + self._umax * (total + 1))
+        values = self._values()
+        best = max(values)
+        b = values.index(best)  # next_strategy's choice: the first maximum
         bound = total + 1
-        for a, (ev, drop) in enumerate(zip(evs, self._drops[b])):
-            if a == b:
-                continue
-            gap = evs[b] - ev
-            if gap <= eps:
-                return 1
-            if drop > 0:
-                bound = min(bound, (gap - eps) // drop)
-        return max(1, int(bound))
+        for a, (value, drop) in enumerate(zip(values, self._drops[b])):
+            if a != b and drop > 0:
+                bound = min(bound, (best - value - 1) // drop)
+        return max(1, bound)
 
 
 class TriggerLearner(Learner):

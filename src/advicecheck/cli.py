@@ -22,7 +22,7 @@ import numpy as np
 
 from . import schedule as sched
 from . import sim, verifier
-from .errors import InvalidInputError, NonConvergenceError, ZeroCellObserved, check_int
+from .errors import InvalidInputError, NonConvergenceError, check_int
 from .games import (
     agent_incentive_violations,
     check_correlated_equilibrium,
@@ -284,7 +284,6 @@ def _add_common(p):
     p.add_argument("--game", required=True, help="game JSON file")
     p.add_argument("--strategy", required=True, help="announced strategy JSON file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output directory")
     p.add_argument("--mc-samples", type=int, default=verifier.DEFAULT_MC_SAMPLES)
 
 
@@ -306,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("plan", help="derive a sampling-test plan")
     _add_common(p)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--p", type=float, required=True, help="target error probability")
     p.add_argument("--delta-hat", type=float, required=True, help="sensitivity threshold")
     p.set_defaults(func=cmd_plan)
@@ -325,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("schedule", help="emit a repeated-testing phase table (CSV)")
     _add_common(p)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--rules", choices=["harmonic", "geometric"], default="harmonic")
     p.add_argument("--tests", type=int, default=3)
     p.add_argument("--delta0", type=float, default=1e-4)
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroCellObserved, OSError, NonConvergenceError) as exc:
+    except (ValueError, OSError, NonConvergenceError) as exc:
         # InvalidInputError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: the equilibrium check
 is a direct triple loop over (agent, signal, deviation) computed from raw
 arrays, deviations are composed cell by cell, the zero-cell bound is taken one
 cell and one deviating subset at a time, psi is estimated from dense
-composed distributions, and the repeated game, like the pure-learning
+composed distributions, fictitious play's choice is summed in Fractions over
+every joint action, and the repeated game, like the pure-learning
 baseline, is replayed by a plain per-round loop that draws each action with
 the scalar ``sample_strategy`` (not the engine's block sampler); at every
 test it screens each agent's incentive constraints anew before taking the
@@ -188,6 +189,25 @@ def act(state, phase, signal, rng):
     if phase.kind is PhaseKind.SAMPLING_TEST:
         return sample_strategy(state.fallback, rng)
     return sample_strategy(state.learner.next_strategy(), rng)
+
+
+def fictitious_play_choice(action_counts, utilities, agent, counts):
+    """Fictitious play's action in exact arithmetic, joint action by joint action.
+
+    Each own action is worth the sum, over the joint actions that contain it,
+    of ``Fraction(u_agent)`` times the product of the opponents' observation
+    counts ``counts[j][a_j]`` (an opponent never observed counts 1 on every
+    action: the uniform prior). The lowest-index maximum is returned.
+    """
+    values = [Fraction(0)] * action_counts[agent]
+    joints = itertools.product(*[range(c) for c in action_counts])
+    for joint, row in zip(joints, utilities):
+        weight = 1
+        for j, a in enumerate(joint):
+            if j != agent:
+                weight *= counts[j][a] if any(counts[j]) else 1
+        values[joint[agent]] += Fraction(float(row[agent])) * weight
+    return values.index(max(values))
 
 
 def per_round_game(game, sigma_m, schedule, agent_configs=None, seed=0, rounds=None):

@@ -24,6 +24,7 @@ from advicecheck import (
 )
 from advicecheck.agents import _simplex_draw, sample_block, sample_strategy
 from advicecheck.verifier import _uniform_simplex
+from oracles import fictitious_play_choice
 
 TEST_PHASE = Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10)
 FREE_PHASE = Phase(PhaseKind.FREE_PERIOD, 1, 11, 10)
@@ -172,6 +173,48 @@ def test_fictitious_play_three_agent_contraction():
     for _ in range(5):
         fp.observe((0, 1, 1))  # both opponents play action 1
     assert list(fp.next_strategy()) == [0.0, 1.0]
+
+
+PAYOFFS = st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fictitious_play_matches_exact_oracle(data):
+    # one to three opponents, before and after observations, one by one or as a block
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    agent = data.draw(st.integers(0, len(counts) - 1))
+    joints = math.prod(counts)
+    utilities = np.array(data.draw(st.lists(PAYOFFS, min_size=joints * len(counts),
+                                            max_size=joints * len(counts)))).reshape(joints, -1)
+    game = Game(counts, utilities)
+    history = data.draw(st.lists(st.tuples(*(st.integers(0, c - 1) for c in counts)),
+                                 max_size=12))
+    fp, block = FictitiousPlayLearner(game, agent), FictitiousPlayLearner(game, agent)
+    seen = [[0] * c for c in counts]
+    assert fp.next_strategy().index(1.0) == fictitious_play_choice(counts, utilities, agent, seen)
+    for joint in history:
+        fp.observe(joint)
+        for j, a in enumerate(joint):
+            seen[j][a] += 1
+        assert (fp.next_strategy().index(1.0)
+                == fictitious_play_choice(counts, utilities, agent, seen))
+    block.observe_block([np.array([j[i] for j in history], dtype=np.int64)
+                         for i in range(len(counts))])
+    assert block.next_strategy() == fp.next_strategy()
+
+
+def test_fictitious_play_decides_on_exact_payoffs():
+    # 0.2*2 + 0.7 + 0.3*2 sums to 1.7000000000000002 in floats and 0.2*2 + 0.1 +
+    # 0.6*2 to 1.7, but in exact values the second action leads by 2^-55
+    utilities = np.zeros((6, 2))
+    utilities[:, 0] = [0.2, 0.7, 0.3, 0.2, 0.1, 0.6]
+    game = Game([2, 3], utilities)
+    fp = FictitiousPlayLearner(game, 0)
+    fp.observe_block([np.zeros(5, dtype=np.int64), np.array([0, 0, 1, 2, 2])])
+    assert fictitious_play_choice([2, 3], utilities, 0, [[5, 0], [2, 1, 2]]) == 1
+    assert fp.next_strategy() == [0.0, 1.0]
+    assert fp.stable_rounds() == 1  # a lead of one numerator unit holds no further round
 
 
 def test_make_learner_specs(game):

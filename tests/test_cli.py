@@ -234,6 +234,16 @@ def test_cmd_test_counts_file_that_is_not_an_array_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "flat JSON array" in err
 
 
+def test_cmd_test_has_no_out_option(tmp_path, capsys):
+    # `test` writes no files, so an output directory is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "--game", GAME, "--strategy", CE, "--counts", "fixtures/accept_counts.json",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cmd_test_counts_of_a_huge_valid_total_finish(tmp_path, capsys):
     # a total of 2^56 puts the noncentrality at 7.2e14; sizing its power used
     # to walk ~1.3e8 all-zero Poisson terms below the mode and ran for minutes

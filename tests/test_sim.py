@@ -303,6 +303,11 @@ def test_empirical_frequency_windows(game, ce_strategy, small_toy):
     b = empirical_frequency(tr, 501, 900)
     c = empirical_frequency(tr, 1, 900)
     assert np.array_equal(a.counts + b.counts, c.counts)
+    # a window that cuts two phases (rounds 1-300 and 901-1200) and covers one whole
+    joints = np.concatenate([pr.joints for pr in tr.phase_results])
+    cut = empirical_frequency(tr, 250, 1000)
+    assert cut.total == 751
+    assert np.array_equal(cut.counts, np.bincount(joints[249:1000], minlength=4))
     with pytest.raises(InvalidInputError):
         empirical_frequency(tr, 0, 10)
     with pytest.raises(InvalidInputError):
