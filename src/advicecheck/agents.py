@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, check_int
+from .errors import InvalidInputError, check_int, check_keys
 from .games import Game, MixedStrategy, _agent_view
 from .schedule import Phase, PhaseKind
 from .verifier import Decision, Outcome, _uniform_simplex
@@ -212,25 +212,29 @@ class TriggerLearner(Learner):
         return math.inf if self.triggered else 1
 
 
+_TRIGGER_KEYS = ("name", "initial_action", "switch_action", "watch_agent", "watch_action")
+
+
 def make_learner(spec: dict | None, game: Game, agent: int) -> Learner:
     """Build a learner from a config spec: {"name": ..., **params}, checked against the game."""
     if spec is not None and not isinstance(spec, dict):
         raise InvalidInputError(f"learner spec must be an object, got {spec!r}")
     spec = spec or {"name": "uniform"}
     name = spec.get("name")
+    if name not in ("uniform", "fictitious-play", "trigger"):
+        raise InvalidInputError(f"unknown learner {name!r}")
+    check_keys(spec, _TRIGGER_KEYS if name == "trigger" else ("name",), f"learner {name!r}")
     if name == "uniform":
         return UniformLearner(game.action_counts[agent])
     if name == "fictitious-play":
         return FictitiousPlayLearner(game, agent)
-    if name == "trigger":
-        counts = game.action_counts
-        watch = check_int(spec.get("watch_agent", (agent + 1) % len(counts)),
-                          "trigger watch_agent", hi=len(counts))
-        return TriggerLearner(counts[agent], spec.get("initial_action", 0),
-                              spec.get("switch_action", 0), watch,
-                              check_int(spec.get("watch_action", 0), "trigger watch_action",
-                                        hi=counts[watch]))
-    raise InvalidInputError(f"unknown learner {name!r}")
+    counts = game.action_counts
+    watch = check_int(spec.get("watch_agent", (agent + 1) % len(counts)),
+                      "trigger watch_agent", hi=len(counts))
+    return TriggerLearner(counts[agent], spec.get("initial_action", 0),
+                          spec.get("switch_action", 0), watch,
+                          check_int(spec.get("watch_action", 0), "trigger watch_action",
+                                    hi=counts[watch]))
 
 
 def draw_fallback(action_count: int, seed: int) -> MixedStrategy:

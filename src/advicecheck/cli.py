@@ -22,7 +22,7 @@ import numpy as np
 
 from . import schedule as sched
 from . import sim, verifier
-from .errors import InvalidInputError, NonConvergenceError, check_int
+from .errors import InvalidInputError, NonConvergenceError, check_int, check_keys
 from .games import (
     agent_incentive_violations,
     check_correlated_equilibrium,
@@ -36,18 +36,8 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _load_inputs(game_path, strategy_path):
-    game = load_game(game_path)
-    sigma = load_strategy(strategy_path)
-    if len(sigma) != game.num_joint_actions:
-        raise InvalidInputError(
-            f"strategy has {len(sigma)} entries, game has {game.num_joint_actions} joint actions"
-        )
-    return game, sigma
-
-
 def cmd_check_ce(args) -> int:
-    game, sigma = _load_inputs(args.game, args.strategy)
+    game, sigma = load_game(args.game), load_strategy(args.strategy)
     verdict = check_correlated_equilibrium(game, sigma, tolerance=args.tolerance)
     if verdict.is_equilibrium:
         print("correlated equilibrium: yes")
@@ -62,7 +52,7 @@ def cmd_check_ce(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    game, sigma = _load_inputs(args.game, args.strategy)
+    game, sigma = load_game(args.game), load_strategy(args.strategy)
     plan = verifier.plan_test(
         game, sigma, p=args.p, delta_hat=args.delta_hat,
         mc_samples=args.mc_samples, seed=args.seed,
@@ -78,7 +68,7 @@ def cmd_plan(args) -> int:
 
 def _simulated_counts(args, game, sigma, sample_size):
     rng = np.random.default_rng(args.seed)
-    if args.simulate_under == "mediator":
+    if args.simulate_under in (None, "mediator"):
         dist = sigma.probs
     else:
         with open(args.simulate_under) as fh:
@@ -91,7 +81,7 @@ def _simulated_counts(args, game, sigma, sample_size):
 
 
 def cmd_test(args) -> int:
-    game, sigma = _load_inputs(args.game, args.strategy)
+    game, sigma = load_game(args.game), load_strategy(args.strategy)
     check_int(args.agent, "--agent", 1, game.num_agents + 1)
     if args.counts:
         # the counts are the sample: size the test from them
@@ -155,6 +145,8 @@ def _schedule_from_config(game, sigma, cfg, mc_samples, seed):
         raise InvalidInputError(f"schedule must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind", "harmonic")
     if kind == "toy":
+        check_keys(cfg, ("kind", "alpha", "delta_hat", "test_lengths", "free_lengths"),
+                   "toy schedule")
         return sched.toy_schedule(
             game, sigma,
             alpha=_entry(cfg, "alpha", "toy schedule", _NUMBER, 0.1),
@@ -163,8 +155,11 @@ def _schedule_from_config(game, sigma, cfg, mc_samples, seed):
             free_lengths=_entry(cfg, "free_lengths", "toy schedule", [int]),
         )
     if kind == "harmonic":
+        check_keys(cfg, ("kind", "horizon_tests"), "harmonic schedule")
         rules = sched.harmonic_rules()
     elif kind == "geometric":
+        check_keys(cfg, ("kind", "delta0", "p0", "delta_decay", "p_decay", "horizon_tests"),
+                   "geometric schedule")
         # a decay the config leaves out takes geometric_rules' default
         rules = sched.geometric_rules(
             delta0=_entry(cfg, "delta0", "geometric schedule", _NUMBER),
@@ -195,7 +190,7 @@ def _schedule_rows(schedule: sched.Schedule):
 
 
 def cmd_schedule(args) -> int:
-    game, sigma = _load_inputs(args.game, args.strategy)
+    game, sigma = load_game(args.game), load_strategy(args.strategy)
     cfg = {"kind": args.rules, "horizon_tests": args.tests}
     if args.rules == "geometric":
         cfg.update(delta0=args.delta0, p0=args.p0)
@@ -222,6 +217,8 @@ def cmd_simulate(args) -> int:
     if not isinstance(cfg, dict):
         raise InvalidInputError("simulate config must be a JSON object")
     where = "simulate config"
+    check_keys(cfg, ("game", "strategy", "seed", "mc_samples", "record", "schedule", "agents",
+                     "rounds", "output_dir"), where)
     record = _entry(cfg, "record", where, str, "full")
     if record not in ("full", "counts"):
         raise InvalidInputError(
@@ -230,7 +227,8 @@ def cmd_simulate(args) -> int:
     mc_samples = (args.mc_samples if args.mc_samples is not None
                   else _entry(cfg, "mc_samples", where, int, verifier.DEFAULT_MC_SAMPLES))
     verifier.check_draws(mc_samples, seed)  # toy schedules never estimate psi
-    game, sigma = _load_inputs(_entry(cfg, "game", where, str), _entry(cfg, "strategy", where, str))
+    game = load_game(_entry(cfg, "game", where, str))
+    sigma = load_strategy(_entry(cfg, "strategy", where, str))
     schedule = _schedule_from_config(game, sigma, cfg.get("schedule", {}), mc_samples, seed)
     agent_configs = cfg.get("agents")
     rounds = cfg.get("rounds")
@@ -315,11 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.1)
     p.add_argument("--delta-hat", type=float, default=0.01)
     p.add_argument("--agent", type=int, default=1, help="1-based agent index")
-    p.add_argument("--counts", help="JSON array of observed counts")
-    p.add_argument(
+    sample = p.add_mutually_exclusive_group()
+    sample.add_argument("--counts", help="JSON array of observed counts")
+    sample.add_argument(  # no default: the group lets through a value that is the default object
         "--simulate-under",
-        default="mediator",
-        help='"mediator" or a deviation-profile JSON file {agent: [probs]}',
+        help='"mediator" (the default) or a deviation-profile JSON file {agent: [probs]}',
     )
     p.set_defaults(func=cmd_test)
 

@@ -1,5 +1,6 @@
 """Exception types shared across the library, and the one rule for each kind of
-argument (a count or index, a probability in (0, 1), a positive threshold)."""
+argument (a count or index, a probability in (0, 1), a positive threshold, the
+keys of a config object)."""
 
 import math
 
@@ -35,6 +36,14 @@ def check_positive(value, name: str) -> None:
     """Refuse ``value`` unless it is a positive finite number; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, _NUMBERS) or not 0.0 < value < math.inf:
         raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_keys(cfg: dict, known, where: str) -> None:
+    """Refuse a config object with a key outside ``known``, naming the key: a
+    misspelled key would otherwise be ignored and its default used."""
+    for key in cfg:
+        if key not in known:
+            raise InvalidInputError(f"{where} has unknown key {key!r}")
 
 
 class UndefinedConditionalError(InvalidInputError):

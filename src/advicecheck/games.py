@@ -187,11 +187,14 @@ def expected_utility(game: Game, profile) -> np.ndarray:
     return _composed(1.0, game, _checked_mixes(game, dict(enumerate(profile)))) @ game.utilities
 
 
-def joint_distribution(sigma: CorrelatedStrategy | np.ndarray, game: Game) -> np.ndarray:
-    v = sigma.probs if isinstance(sigma, CorrelatedStrategy) else np.asarray(sigma, float)
-    if len(v) != game.num_joint_actions:
-        raise InvalidInputError("strategy length does not match the game's joint action set")
-    return v
+def joint_distribution(sigma: CorrelatedStrategy, game: Game) -> np.ndarray:
+    """The one read and check of an announcement: a CorrelatedStrategy of the game's length."""
+    if not isinstance(sigma, CorrelatedStrategy):
+        raise InvalidInputError(f"announcement must be a CorrelatedStrategy, got {type(sigma)}")
+    if len(sigma) != game.num_joint_actions:
+        raise InvalidInputError(f"strategy length: strategy has {len(sigma)} entries, "
+                                f"game has {game.num_joint_actions} joint actions")
+    return sigma.probs
 
 
 def _agent_view(vector: np.ndarray, game: Game, agent: int) -> np.ndarray:

@@ -67,7 +67,7 @@ import numpy as np
 
 from .agents import AgentState, Mode, _simplex_draw, agent_act, make_learner
 from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
-from .errors import InvalidInputError, NoDataError, check_int
+from .errors import InvalidInputError, NoDataError, check_int, check_keys
 from .games import (
     CorrelatedStrategy,
     Game,
@@ -264,10 +264,11 @@ def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
     if (not isinstance(configs, (list, tuple)) or len(configs) != game.num_agents
             or not all(isinstance(cfg, dict) for cfg in configs)):
         raise InvalidInputError(f"need one agent config object per agent, got {configs!r}")
+    for i, cfg in enumerate(configs):
+        check_keys(cfg, ("fallback", "learner"), f"config of agent {i + 1}")
+        make_learner(cfg.get("learner"), game, i)  # refuses a bad spec before any seed
     fallbacks = _checked_mixes(game, {i: cfg["fallback"] for i, cfg in enumerate(configs)
                                       if cfg.get("fallback") is not None})
-    for i, cfg in enumerate(configs):
-        make_learner(cfg.get("learner"), game, i)  # refuses a bad spec before any seed
     modes = tuple(Mode.from_screen(agent_incentive_violations(game, sigma_m, i))
                   for i in range(game.num_agents))
     return _Setup(schedule, horizon, probs, probs.reshape(game.action_counts),

@@ -41,8 +41,8 @@ from .errors import check_int, check_positive, check_unit
 from .games import (
     CorrelatedStrategy,
     Game,
+    _composed,
     _others_marginal,
-    compose_deviation,
     joint_distribution,
 )
 from .games import agent_incentive_violations  # noqa: F401 (bench/tracing.py wraps it here)
@@ -129,6 +129,8 @@ def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) ->
     strategy outright and no statistic is defined. Counts must be finite whole
     numbers; integer counts, such as the engine's int64, skip that check.
     """
+    if not isinstance(sigma_m, CorrelatedStrategy):
+        raise InvalidInputError(f"announcement must be a CorrelatedStrategy, got {type(sigma_m)}")
     counts = np.asarray(observed_counts)
     probs = sigma_m.probs
     if counts.shape != probs.shape:
@@ -249,6 +251,17 @@ def check_target(p: float, delta_hat: float) -> None:
     check_positive(delta_hat, "delta_hat")
 
 
+def _deviating_subsets(game: Game) -> list[tuple[int, ...]]:
+    """Nonempty subsets of agents in psi's sub-seed rank order: by size, then lexicographic."""
+    if game.num_agents > MAX_PSI_AGENTS:
+        raise InvalidInputError(
+            f"psi estimation enumerates 2^n subsets; {game.num_agents} agents exceed "
+            f"the supported maximum of {MAX_PSI_AGENTS}"
+        )
+    return [devs for r in range(1, game.num_agents + 1)
+            for devs in itertools.combinations(range(game.num_agents), r)]
+
+
 def estimate_psi(
     game: Game,
     sigma_m: CorrelatedStrategy,
@@ -290,26 +303,18 @@ def estimate_psi(
         check_positive(d, f"delta_hat[{k}]" if curve else "delta_hat")
     thresholds = given.astype(float)
     check_draws(mc_samples, seed)
-    if game.num_agents > MAX_PSI_AGENTS:
-        raise InvalidInputError(
-            f"psi estimation enumerates 2^n subsets; {game.num_agents} agents exceed "
-            f"the supported maximum of {MAX_PSI_AGENTS}"
-        )
     probs = joint_distribution(sigma_m, game)
     tensor = probs.reshape(game.action_counts)
     offset = float(probs[probs > 0].sum())
     order = np.argsort(thresholds, kind="stable")
     below: dict[tuple[int, ...], list[int]] = {}
-    rank = 0
-    for r in range(1, game.num_agents + 1):
-        for devs in itertools.combinations(range(game.num_agents), r):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
-            gammas = [_uniform_simplex(rng, mc_samples, game.action_counts[d]) for d in devs]
-            w, lin = _subset_forms(tensor, devs)
-            counts = np.empty(len(thresholds), dtype=np.int64)
-            counts[order] = _count_below(gammas, w, lin, offset, thresholds[order])
-            below[devs] = counts.tolist()
-            rank += 1
+    for rank, devs in enumerate(_deviating_subsets(game)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
+        gammas = [_uniform_simplex(rng, mc_samples, game.action_counts[d]) for d in devs]
+        w, lin = _subset_forms(tensor, devs)
+        counts = np.empty(len(thresholds), dtype=np.int64)
+        counts[order] = _count_below(gammas, w, lin, offset, thresholds[order])
+        below[devs] = counts.tolist()
     estimates = []
     for k in range(len(thresholds)):
         per_subset = {devs: n[k] / mc_samples for devs, n in below.items()}
@@ -326,17 +331,17 @@ def prob_zero_cell_bound(game: Game, sigma_m: CorrelatedStrategy) -> float:
     """Lower bound on the per-round chance of landing in an announced-zero cell.
 
     P = sum over zero cells of the minimum, over nonempty deviating subsets,
-    of the announcement composed with uniformly mixing deviators. Zero when
-    the announced strategy has full support.
+    of the announcement composed with uniformly mixing deviators (at most
+    MAX_PSI_AGENTS agents). Zero when the announced strategy has full support.
     """
+    tensor = joint_distribution(sigma_m, game).reshape(game.action_counts)
     zeta = list(sigma_m.zero_cells())
     if not zeta:
         return 0.0
     best = np.full(len(zeta), math.inf)
-    for r in range(1, game.num_agents + 1):
-        for devs in itertools.combinations(range(game.num_agents), r):
-            uniform = {d: np.full(game.action_counts[d], 1.0 / game.action_counts[d]) for d in devs}
-            best = np.minimum(best, compose_deviation(sigma_m, game, uniform).probs[zeta])
+    for devs in _deviating_subsets(game):
+        uniform = {d: np.full(game.action_counts[d], 1.0 / game.action_counts[d]) for d in devs}
+        best = np.minimum(best, _composed(_others_marginal(tensor, devs), game, uniform)[zeta])
     return float(best.sum())
 
 
@@ -345,8 +350,9 @@ def _tested_cells(game: Game, sigma_m: CorrelatedStrategy) -> tuple[tuple[int, .
 
     Refuses an announcement that leaves fewer than two cells to test.
     """
+    probs = joint_distribution(sigma_m, game)
     zeta = sigma_m.zero_cells()
-    df_total = len(joint_distribution(sigma_m, game)) - 1 - len(zeta)
+    df_total = len(probs) - 1 - len(zeta)
     if df_total < 1:
         raise InvalidInputError("announced strategy leaves fewer than two cells; no test possible")
     return zeta, df_total

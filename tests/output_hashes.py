@@ -4,6 +4,8 @@ Run from any directory:
 
     python tests/output_hashes.py            # this checkout
     python tests/output_hashes.py OTHER_DIR  # another checkout of the repository
+    python tests/output_hashes.py A B        # compare two checkouts: print only the
+                                             # outputs that differ, exit 1 if any do
     cd OTHER_DIR && PYTHONPATH=src python tests/output_hashes.py --act-counts
                                              # the counts behind the last line
 
@@ -124,14 +126,30 @@ def _act_counts() -> None:
         print(pair, per_seed)
 
 
+def hashes(root: Path) -> dict[str, str]:
+    """name -> sha256 of every output of the checkout at ``root``, in ``outputs`` order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: hashlib.sha256(data).hexdigest()
+                for name, data in outputs(root.resolve(), Path(tmp))}
+
+
 def main() -> None:
-    if sys.argv[1:] == ["--act-counts"]:
+    args = sys.argv[1:]
+    if args == ["--act-counts"]:
         _act_counts()
         return
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, data in outputs(root.resolve(), Path(tmp)):
-            print(hashlib.sha256(data).hexdigest(), name)
+    if len(args) > 2:
+        raise SystemExit("usage: output_hashes.py [CHECKOUT [OTHER_CHECKOUT]] | --act-counts")
+    if len(args) < 2:
+        root = Path(args[0] if args else Path(__file__).resolve().parent.parent)
+        for name, digest in hashes(root).items():
+            print(digest, name)
+        return
+    a, b = (hashes(Path(arg)) for arg in args)
+    differ = [name for name in {**a, **b} if a.get(name) != b.get(name)]
+    for name in differ:
+        print(a.get(name, "-"), b.get(name, "-"), name)
+    sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":

@@ -244,6 +244,16 @@ def test_cmd_test_has_no_out_option(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("under", ["mediator", "no-such-profile.json"])
+def test_cmd_test_counts_and_simulate_under_exclude_each_other(capsys, under):
+    # the counts are the sample, so a profile to simulate under was silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "--game", GAME, "--strategy", CE, "--counts", "fixtures/accept_counts.json",
+              "--simulate-under", under])
+    assert exc.value.code == 2
+    assert "not allowed with argument --counts" in capsys.readouterr().err
+
+
 def test_cmd_test_counts_of_a_huge_valid_total_finish(tmp_path, capsys):
     # a total of 2^56 puts the noncentrality at 7.2e14; sizing its power used
     # to walk ~1.3e8 all-zero Poisson terms below the mode and ran for minutes
@@ -549,6 +559,34 @@ def test_simulate_config_of_wrong_shape_exits_2(tmp_path, capsys, key, value):
     assert _simulate(tmp_path, cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where, key", [
+    ((), "round"), (("schedule",), "alhpa"), (("agents", 0), "fallbak"),
+    (("agents", 1, "learner"), "watch_agnet"),
+    (("schedule",), "horizon_tests"),  # a toy schedule's lengths are literal
+])
+def test_simulate_config_with_an_unknown_key_exits_2_naming_it(tmp_path, capsys, where, key):
+    # a misspelled key used to be ignored, and the run played on the defaults
+    cfg = {"game": GAME, "strategy": CE, "schedule": dict(TOY),
+           "agents": [{"fallback": [1, 0]}, {"learner": {"name": "trigger"}}]}
+    node = cfg
+    for step in where:
+        node = node[step]
+    node[key] = 5
+    assert _simulate(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("schedule", [GEOMETRIC, {"kind": "harmonic", "horizon_tests": 1}],
+                         ids=["geometric", "harmonic"])
+def test_planned_schedule_config_with_an_unknown_key_exits_2_naming_it(tmp_path, capsys,
+                                                                       schedule):
+    cfg = {"game": GAME, "strategy": CE, "schedule": {**schedule, "alpha": 0.1}}
+    assert _simulate(tmp_path, cfg) == 2
+    assert "unknown key 'alpha'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("record", ["count", True, 3])

@@ -27,6 +27,7 @@ from advicecheck import (
     batch_summary_dict,
     build_ledger,
     build_schedule,
+    check_correlated_equilibrium,
     chi2_cdf,
     chi2_isf,
     chi2_quantile,
@@ -47,9 +48,12 @@ from advicecheck import (
     phase_average,
     plan_test,
     power_beta,
+    prob_zero_cell_bound,
+    run_batch,
     run_game,
     run_game_counts,
     run_pure_learning,
+    run_sampling_decision,
     sample_size,
     sensitivity_delta,
     toy_schedule,
@@ -198,8 +202,36 @@ OTHERS = [
     ("estimate_psi", "supported maximum of 12",
      lambda e: estimate_psi(Game([1] * 13, np.ones((1, 13))), CorrelatedStrategy([1.0]), 0.01,
                             mc_samples=1000)),
+    ("prob_zero_cell_bound", "supported maximum of 12",
+     lambda e: prob_zero_cell_bound(Game([2] + [1] * 12, np.ones((2, 13))),
+                                    CorrelatedStrategy([1.0, 0.0]))),
+    ("make_learner", "unknown key 'watch_agnet'",
+     lambda e: make_learner({"name": "trigger", "watch_agnet": 1}, e["game"], 0)),
+    ("make_learner", "unknown key 'watch_agent'",
+     lambda e: make_learner({"name": "uniform", "watch_agent": 1}, e["game"], 0)),
+    ("run_game", "unknown key 'fallbak'",
+     lambda e: run_game(e["game"], e["sigma"], e["schedule"], [{"fallbak": [1, 0]}, {}])),
     ("manual_plan", "fewer than two cells",
      lambda e: manual_plan(e["game"], CorrelatedStrategy([1.0, 0.0, 0.0, 0.0]), 0.1, 0.01, 10)),
+]
+# every public entry point that takes an announcement, called with ``s`` as it
+ANNOUNCEMENT_READERS = [
+    ("check_correlated_equilibrium", lambda e, s: check_correlated_equilibrium(e["game"], s)),
+    ("agent_incentive_violations", lambda e, s: agent_incentive_violations(e["game"], s, 0)),
+    ("conditional_given_signal", lambda e, s: conditional_given_signal(s, e["game"], 0, 0)),
+    ("compose_deviation", lambda e, s: compose_deviation(s, e["game"], {0: [0.5, 0.5]})),
+    ("pearson_statistic", lambda e, s: pearson_statistic([1, 1, 1, 1], s, 4)),
+    ("run_sampling_decision", lambda e, s: run_sampling_decision(e["plan"], s, [1, 1, 1, 1])),
+    ("estimate_psi", lambda e, s: estimate_psi(e["game"], s, 0.01, mc_samples=1000)),
+    ("prob_zero_cell_bound", lambda e, s: prob_zero_cell_bound(e["game"], s)),
+    ("plan_test", lambda e, s: plan_test(e["game"], s, 0.3, 0.01, mc_samples=1000)),
+    ("manual_plan", lambda e, s: manual_plan(e["game"], s, 0.1, 0.01, 10)),
+    ("build_schedule",
+     lambda e, s: build_schedule(e["game"], s, harmonic_rules(), 2, mc_samples=1000)),
+    ("toy_schedule", lambda e, s: toy_schedule(e["game"], s, 0.1, 0.01, [20], [20])),
+    ("run_game", lambda e, s: run_game(e["game"], s, e["schedule"])),
+    ("run_game_counts", lambda e, s: run_game_counts(e["game"], s, e["schedule"])),
+    ("run_batch", lambda e, s: run_batch(e["game"], s, e["schedule"], None, [0])),
 ]
 CASES = [
     pytest.param(call, name, bad, id=f"{entry}-{name}-{bad!r}")
@@ -216,6 +248,7 @@ def env(game, ce_strategy):
     transcript = run_game(game, ce_strategy, schedule, seed=0)
     return {"game": game, "sigma": ce_strategy, "schedule": schedule,
             "transcript": transcript, "ledger": build_ledger(transcript),
+            "plan": schedule.plan_for(1),
             "pure": run_pure_learning(game, [UNIFORM] * 2, rounds=10)}
 
 
@@ -232,6 +265,16 @@ def test_entry_point_refuses_a_bad_argument_naming_it(env, call, name, bad):
 def test_entry_point_refuses_a_malformed_argument_naming_it(env, call, name):
     with pytest.raises(InvalidInputError, match=re.escape(name)):
         call(env)
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=entry)
+                                  for entry, call in ANNOUNCEMENT_READERS])
+@pytest.mark.parametrize("raw", ["valid", "invalid"])
+def test_entry_point_refuses_an_announcement_that_is_a_raw_array(env, call, raw):
+    # a raw array used to be read unchecked by some and to leak AttributeError from others
+    probs = env["sigma"].probs if raw == "valid" else np.array([0.9, -0.5, 0.3, 0.3])
+    with pytest.raises(InvalidInputError, match="must be a CorrelatedStrategy"):
+        call(env, probs)
 
 
 def test_pure_learning_average_of_zero_rounds_has_no_data(env):
