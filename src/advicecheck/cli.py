@@ -66,6 +66,15 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _profile_agent(key: str, num_agents: int) -> int:
+    """A deviation profile's 1-based agent key as an agent index; only the
+    plain spelling is accepted, so two keys cannot name one agent."""
+    if key not in [str(i) for i in range(1, num_agents + 1)]:
+        raise InvalidInputError(
+            f"--simulate-under: agent key {key!r} must be one of 1..{num_agents}")
+    return int(key) - 1
+
+
 def _simulated_counts(args, game, sigma, sample_size):
     rng = np.random.default_rng(args.seed)
     if args.simulate_under in (None, "mediator"):
@@ -75,7 +84,7 @@ def _simulated_counts(args, game, sigma, sample_size):
             profile = json.load(fh)
         if not isinstance(profile, dict):
             raise InvalidInputError("--simulate-under profile must be a JSON object {agent: [probs]}")
-        deviations = {int(k) - 1: v for k, v in profile.items()}
+        deviations = {_profile_agent(k, game.num_agents): v for k, v in profile.items()}
         dist = compose_deviation(sigma, game, deviations).probs
     return rng.multinomial(sample_size, dist).astype(np.int64)
 

@@ -187,14 +187,20 @@ def expected_utility(game: Game, profile) -> np.ndarray:
     return _composed(1.0, game, _checked_mixes(game, dict(enumerate(profile)))) @ game.utilities
 
 
-def joint_distribution(sigma: CorrelatedStrategy, game: Game) -> np.ndarray:
-    """The one read and check of an announcement: a CorrelatedStrategy of the game's length."""
+def _announced_probs(sigma: CorrelatedStrategy) -> np.ndarray:
+    """An announcement's probabilities; anything but a CorrelatedStrategy is refused."""
     if not isinstance(sigma, CorrelatedStrategy):
         raise InvalidInputError(f"announcement must be a CorrelatedStrategy, got {type(sigma)}")
-    if len(sigma) != game.num_joint_actions:
-        raise InvalidInputError(f"strategy length: strategy has {len(sigma)} entries, "
-                                f"game has {game.num_joint_actions} joint actions")
     return sigma.probs
+
+
+def joint_distribution(sigma: CorrelatedStrategy, game: Game) -> np.ndarray:
+    """The one read and check of an announcement: a CorrelatedStrategy of the game's length."""
+    probs = _announced_probs(sigma)
+    if len(probs) != game.num_joint_actions:
+        raise InvalidInputError(f"strategy length: strategy has {len(probs)} entries, "
+                                f"game has {game.num_joint_actions} joint actions")
+    return probs
 
 
 def _agent_view(vector: np.ndarray, game: Game, agent: int) -> np.ndarray:
@@ -355,6 +361,7 @@ def save_game(game: Game, path) -> None:
 
 
 def save_strategy(sigma: CorrelatedStrategy, path) -> None:
+    probs = _announced_probs(sigma)  # refused before the file is opened
     with open(path, "w") as fh:
-        json.dump(sigma.probs.tolist(), fh)
+        json.dump(probs.tolist(), fh)
         fh.write("\n")

@@ -15,9 +15,12 @@ works backward from a single target error probability p:
     distribution, so each subset D reduces to two arrays W and L on the
     deviators' joint grid, and a sample costs O(prod_{d in D} |A_d|) rather
     than O(|A|); samples are contracted a fixed-size block at a time, so
-    memory beyond the drawn fall-backs does not grow with mc_samples. One
-    set of draws serves any number of thresholds (a schedule's delta_j):
-    each sample's sensitivity is counted against all of them at once;
+    memory beyond the drawn fall-backs does not grow with mc_samples. Every
+    subset pays for all its draws, but only the samples within reach of the
+    largest threshold pay for the contraction: a chi-square floor from one
+    deviator's marginal, which no coarsening can raise, drops the rest
+    first. One set of draws serves any number of thresholds (a schedule's
+    delta_j): each sample's sensitivity is counted against all of them at once;
   * the Type-2 budget solves p = (1 - psi) * beta + psi, i.e.
     beta = (p - psi) / (1 - psi) (the (1-P)^l_T zero-cell factor is <= 1 and
     is dropped, which only makes the plan more conservative);
@@ -41,6 +44,7 @@ from .errors import check_int, check_positive, check_unit
 from .games import (
     CorrelatedStrategy,
     Game,
+    _announced_probs,
     _composed,
     _others_marginal,
     joint_distribution,
@@ -51,6 +55,7 @@ DEFAULT_MC_SAMPLES = 200_000
 MIN_MC_SAMPLES = 1000
 MAX_PSI_AGENTS = 12  # 2^n subsets
 _CHUNK_ELEMENTS = 1 << 15  # cells of a block's first contraction held at once
+_FLOOR_MARGIN = 1e-9  # relative slack of the screen's cut, far above the contraction's rounding
 
 
 class Outcome(Enum):
@@ -129,10 +134,8 @@ def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) ->
     strategy outright and no statistic is defined. Counts must be finite whole
     numbers; integer counts, such as the engine's int64, skip that check.
     """
-    if not isinstance(sigma_m, CorrelatedStrategy):
-        raise InvalidInputError(f"announcement must be a CorrelatedStrategy, got {type(sigma_m)}")
+    probs = _announced_probs(sigma_m)
     counts = np.asarray(observed_counts)
-    probs = sigma_m.probs
     if counts.shape != probs.shape:
         raise InvalidInputError("observed_counts and strategy have different lengths")
     if counts.dtype.kind not in "biu" and not _whole(counts):
@@ -194,6 +197,82 @@ def _uniform_simplex(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     g = rng.exponential(size=(n, dim))
     g /= g.sum(axis=1, keepdims=True)
     return g
+
+
+def _draws(rng: np.random.Generator, n: int, sizes: list[int]) -> list[np.ndarray]:
+    """Each deviator's (n, k) raw exponentials from one call: the same values,
+    and the same generator end state, as one ``exponential((n, k))`` per
+    deviator in turn."""
+    flat = rng.standard_exponential(n * sum(sizes))
+    starts = np.cumsum([0, *sizes]) * n
+    return [flat[start:start + n * k].reshape(n, k) for start, k in zip(starts, sizes)]
+
+
+def _screened(raw: list[np.ndarray], screens: list, cut: float,
+              lin: np.ndarray | None) -> list[np.ndarray]:
+    """The normalized fall-backs of the samples whose sensitivity may be below ``cut``.
+
+    Deviators are screened in turn, each on the samples still alive, from the
+    raw exponentials e and their row sums s. Coarsening the outcome to deviator
+    d's action cannot raise a chi-square divergence. With sigma_d sigma's
+    marginal on d and zmax_d(c) the largest zero-cell mass of m over the other
+    deviators' actions at a_d = c, the composed distribution puts between
+    gamma_d(c) (1 - zmax_d(c)) and gamma_d(c) on the positive cells at a_d = c,
+    so the sensitivity is at least
+
+      floor_d = sum_{c: sigma_d(c) > 0} dist(sigma_d(c), I_d(c))^2 / sigma_d(c),
+      I_d(c) = [gamma_d(c) (1 - zmax_d(c)), gamma_d(c)],
+
+    which at full support is chi2(gamma_d || sigma_d). A sample whose floor
+    exceeds ``cut`` is above every threshold and is dropped. ``screens``
+    holds each deviator's (sigma_d, 1/sigma_d); ``lin`` is the subset's L
+    (``_subset_forms``), or None at full support. Survivors are normalized
+    exactly as every sample would be, so their sensitivities are the
+    unscreened ones bit for bit.
+    """
+    grid = None if lin is None else lin.reshape([len(e[0]) for e in raw])
+    alive = None
+    for i, (e, screen) in enumerate(zip(raw, screens)):
+        x = e if alive is None else e.take(alive, axis=0)
+        # 1 - zmax_d as the least positive-cell mass L, which keeps its relative precision
+        lmin = None if grid is None else grid.min(axis=tuple(j for j in range(grid.ndim) if j != i))
+        keep = np.flatnonzero(_floor(x, *screen, lmin) <= cut)
+        if len(keep) < len(x):
+            alive = keep if alive is None else alive[keep]
+    gammas = [e if alive is None else e.take(alive, axis=0) for e in raw]
+    for g in gammas:
+        g /= g.sum(axis=1, keepdims=True)
+    return gammas
+
+
+def _floor(e: np.ndarray, marg: np.ndarray, inv: np.ndarray,
+           lmin: np.ndarray | None) -> np.ndarray:
+    """Deviator d's floor (``_screened``) for each row of its raw exponentials e.
+
+    ``marg`` and ``inv`` are sigma_d and 1/sigma_d (0 where sigma_d is 0);
+    ``lmin`` is 1 - zmax_d, or None at full support, where the floor is
+    chi2(gamma_d || sigma_d) = sum_c gamma_d(c)^2 / sigma_d(c) - 1. The row
+    sums come from a GEMV, rounded otherwise than the normalization's; the
+    cut's margin covers that.
+    """
+    s = e @ np.ones(e.shape[1])
+    if lmin is None:
+        scaled = (e * e) @ inv - s * s
+    else:
+        ms = s[:, None] * marg
+        dist = np.maximum(np.maximum(e * lmin - ms, ms - e), 0.0)
+        scaled = (dist * dist) @ inv
+    return scaled / (s * s)
+
+
+def _screens(tensor: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per agent d, sigma_d and 1/sigma_d (0 where sigma_d is 0), for ``_floor``."""
+    screens = []
+    for d in range(tensor.ndim):
+        marg = tensor.sum(axis=tuple(j for j in range(tensor.ndim) if j != d))
+        positive = marg > 0
+        screens.append((marg, np.where(positive, 1.0 / np.where(positive, marg, 1.0), 0.0)))
+    return screens
 
 
 def _subset_forms(tensor: np.ndarray, devs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +371,12 @@ def estimate_psi(
     L(a_D) = sum_{a_K: sigma(a)>0} m(a_K), built once per subset and
     contracted one deviator at a time. Each sample then costs one GEMM row
     over the deviators' grid, O(prod_d |A_d|), instead of O(|A|), and beyond
-    the gammas (mc_samples x |A_d| per deviator) memory is one fixed-size
+    the draws (mc_samples x |A_d| per deviator) memory is one fixed-size
     block of rows plus one counter per threshold, whatever mc_samples is.
+    Before that, each deviator's chi-square floor (``_screened``), O(|A_d|)
+    a sample, drops every sample it certifies above the largest threshold;
+    only the rest are normalized and contracted. The counts are the
+    unscreened ones exactly.
     """
     curve = np.ndim(delta_hat) > 0
     given = np.asarray(delta_hat, dtype=object).reshape(-1)  # as given: a bool stays one
@@ -307,11 +390,16 @@ def estimate_psi(
     tensor = probs.reshape(game.action_counts)
     offset = float(probs[probs > 0].sum())
     order = np.argsort(thresholds, kind="stable")
+    t_max = thresholds.max()
+    cut = t_max + _FLOOR_MARGIN * (1.0 + t_max)
+    full_support = bool((probs > 0).all())
+    screens = _screens(tensor)
     below: dict[tuple[int, ...], list[int]] = {}
     for rank, devs in enumerate(_deviating_subsets(game)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
-        gammas = [_uniform_simplex(rng, mc_samples, game.action_counts[d]) for d in devs]
+        raw = _draws(rng, mc_samples, [game.action_counts[d] for d in devs])
         w, lin = _subset_forms(tensor, devs)
+        gammas = _screened(raw, [screens[d] for d in devs], cut, None if full_support else lin)
         counts = np.empty(len(thresholds), dtype=np.int64)
         counts[order] = _count_below(gammas, w, lin, offset, thresholds[order])
         below[devs] = counts.tolist()
@@ -328,11 +416,14 @@ def estimate_psi(
 
 
 def prob_zero_cell_bound(game: Game, sigma_m: CorrelatedStrategy) -> float:
-    """Lower bound on the per-round chance of landing in an announced-zero cell.
+    """Per-round chance of an announced-zero cell when the deviators mix uniformly.
 
     P = sum over zero cells of the minimum, over nonempty deviating subsets,
-    of the announcement composed with uniformly mixing deviators (at most
-    MAX_PSI_AGENTS agents). Zero when the announced strategy has full support.
+    of the cell's probability under the announcement composed with uniformly
+    mixing deviators (at most MAX_PSI_AGENTS agents). Only uniform fall-backs
+    are evaluated, so P bounds nothing over fall-backs in general: a deviator
+    that never plays a zero cell's action puts no mass on it. Zero when the
+    announced strategy has full support.
     """
     tensor = joint_distribution(sigma_m, game).reshape(game.action_counts)
     zeta = list(sigma_m.zero_cells())

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: the equilibrium check
 is a direct triple loop over (agent, signal, deviation) computed from raw
 arrays, deviations are composed cell by cell, the zero-cell bound is taken one
 cell and one deviating subset at a time, psi is estimated from dense
-composed distributions, fictitious play's choice is summed in Fractions over
-every joint action, and the repeated game, like the pure-learning
+composed distributions (and the zero-cell mass bounding psi's screen is
+summed one joint action at a time), fictitious play's choice is summed in
+Fractions over every joint action, and the repeated game, like the pure-learning
 baseline, is replayed by a plain per-round loop that draws each action with
 the scalar ``sample_strategy`` (not the engine's block sampler); at every
 test it screens each agent's incentive constraints anew before taking the
@@ -144,8 +145,8 @@ def per_cell_marginal(sigma, game, devs, actions):
                      if all(idx[i] == actions[i] for i in keep))
 
 
-def dense_psi(game, sigma_m, delta_hat, mc_samples, seed=0):
-    """Per-subset undetectable fractions from dense composed distributions.
+def dense_sensitivities(game, sigma_m, mc_samples, seed=0):
+    """Each deviating subset's per-sample sensitivities, from dense composed distributions.
 
     Same draws as ``estimate_psi``: one generator per subset from
     SeedSequence(seed, spawn_key=(rank,)), each deviator's (mc_samples, |A_d|)
@@ -156,7 +157,7 @@ def dense_psi(game, sigma_m, delta_hat, mc_samples, seed=0):
     probs = joint_distribution(sigma_m, game)
     tensor = probs.reshape(game.action_counts)
     mask = probs > 0
-    per_subset = {}
+    out = {}
     rank = 0
     for r in range(1, game.num_agents + 1):
         for devs in itertools.combinations(range(game.num_agents), r):
@@ -174,10 +175,38 @@ def dense_psi(game, sigma_m, delta_hat, mc_samples, seed=0):
                     col = col * gammas[d][:, idx[d]]
                 composed[:, flat] = col
             diff = composed[:, mask] - probs[mask]
-            delta = (diff * diff / probs[mask]).sum(axis=1)
-            per_subset[devs] = float((delta < delta_hat).mean())
+            out[devs] = (diff * diff / probs[mask]).sum(axis=1)
             rank += 1
-    return per_subset
+    return out
+
+
+def dense_psi(game, sigma_m, delta_hat, mc_samples, seed=0):
+    """Per-subset undetectable fractions: the share of ``dense_sensitivities``
+    below delta_hat."""
+    return {devs: float((delta < delta_hat).mean())
+            for devs, delta in dense_sensitivities(game, sigma_m, mc_samples, seed).items()}
+
+
+def positive_mass_floor(game, sigma_m, devs, d):
+    """1 - zmax_d for deviator d of subset ``devs``, one joint action at a time.
+
+    zmax_d(c) is the largest, over the other deviators' actions, of the mass
+    the non-deviators' marginal m puts on announced-zero cells at a_d = c
+    (m is 1.0 when every agent deviates).
+    """
+    probs = joint_distribution(sigma_m, game)
+    marg = probs.reshape(game.action_counts).sum(axis=devs)
+    keep = [i for i in range(game.num_agents) if i not in devs]
+    zero_mass = {}
+    for flat, idx in enumerate(np.ndindex(*game.action_counts)):
+        own = tuple(idx[i] for i in devs)
+        zero_mass.setdefault(own, 0.0)
+        if probs[flat] == 0:
+            zero_mass[own] += float(marg[tuple(idx[i] for i in keep)]) if keep else 1.0
+    pos = devs.index(d)
+    zmax = [max(z for own, z in zero_mass.items() if own[pos] == c)
+            for c in range(game.action_counts[d])]
+    return 1.0 - np.array(zmax)
 
 
 def act(state, phase, signal, rng):

@@ -12,7 +12,8 @@ Run from any directory:
 Two checkouts give the same lines exactly when their outputs are byte-identical:
 the CLI's files and stdout on the bundled fixtures (``simulate`` in full and
 counts mode and with ``--seeds 5`` under several learner pairs, ``check-ce``,
-``plan``, ``test`` and ``schedule``), the stdout of every demo, and per-seed
+``plan``, ``test`` and ``schedule``), ``plan`` and ``schedule`` on a 3-agent
+announcement with zero cells, the stdout of every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
 on the bundled game. ``manifest.json`` carries a timestamp and is left out.
 Each command runs in a fresh process on the checkout's own ``src/``. The file
@@ -35,6 +36,8 @@ PAIRS = {
     "fp-uniform": [FP, {"name": "uniform"}],
     "fp-trigger": [FP, {"name": "trigger", "switch_action": 1, "watch_action": 1}],
 }
+# zero on joint actions 6 and 8 (1-based): psi's screen bounds their mass per deviator
+ZERO_CELLS = [0.24, 0.10, 0.14, 0.06, 0.09, 0, 0.15, 0, 0.09, 0.04, 0.06, 0.03]
 GAME_STRATEGY = ["--game", "fixtures/small_game.json", "--strategy", "fixtures/ce_strategy.json"]
 # `check-ce` and `test` exit 1 (the CLI's EXIT_DOMAIN) for "not a CE" and "rejected"
 DOMAIN = (0, 1)
@@ -95,6 +98,16 @@ def outputs(root: Path, tmp: Path):
         yield f"schedule {rules}", _cli(root, "schedule", "--game", "fixtures/small_game.json",
                                        "--strategy", "fixtures/correlated_strategy.json",
                                        "--rules", rules, "--tests", "3")
+    # no bundled announcement has zero cells; this 2x3x2 one has two
+    game, strategy = tmp / "zero-cells-game.json", tmp / "zero-cells-strategy.json"
+    game.write_text(json.dumps({"num_agents": 3, "action_counts": [2, 3, 2],
+                                "utilities": [[(3 * j + i) * 7 % 10 for i in range(3)]
+                                              for j in range(12)]}))
+    strategy.write_text(json.dumps(ZERO_CELLS))
+    zero = ["--game", str(game), "--strategy", str(strategy)]
+    yield "plan zero cells", _cli(root, "plan", *zero, "--p", "0.05", "--delta-hat", "0.02")
+    yield "schedule zero cells", _cli(root, "schedule", *zero, "--rules", "geometric",
+                                      "--tests", "3", "--delta0", "0.05", "--p0", "0.2")
     for demo in sorted((root / "demos").glob("*.py")):
         yield f"demo {demo.stem}", _run(root, [str(demo)])
     yield "agent_act calls per seed", _run(root, [__file__, "--act-counts"])

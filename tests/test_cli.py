@@ -165,6 +165,23 @@ def test_cmd_test_profile_not_an_object_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "--simulate-under" in err
 
 
+@pytest.mark.parametrize("key", ["0", "3", "1.5", "x", "02"])
+def test_cmd_test_profile_key_outside_the_agents_exits_2(tmp_path, capsys, key):
+    # keys are 1-based: "0" was refused in 0-based terms and "1.5" by int()'s own
+    # message, and "02" beside "2" named agent 2 twice, the later silently winning
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"2": [0.5, 0.5], key: [0.75, 0.25]}))
+    code = main([
+        "test", "--game", GAME, "--strategy", NON_CE,
+        "--p", "0.1", "--delta-hat", "0.01",
+        "--mc-samples", "20000", "--seed", "5", "--simulate-under", str(profile),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "--simulate-under" in err and repr(key) in err and "1..2" in err
+
+
 @pytest.mark.parametrize("agent", ["0", "5", "-1"])
 def test_cmd_test_agent_outside_the_game_exits_2(capsys, agent):
     code = main([

@@ -332,6 +332,18 @@ def test_game_file_round_trip(tmp_path, game):
     assert np.array_equal(load_strategy(tmp_path / "s.json").probs, sigma.probs)
 
 
+@pytest.mark.parametrize("sigma", [[0.1, 0.2, 0.3, 0.4], np.array([0.5, 0.5]), None])
+def test_save_strategy_refuses_a_non_announcement_before_opening_the_file(tmp_path, sigma):
+    from advicecheck import save_strategy
+
+    # it used to truncate the file, then leak AttributeError
+    target = tmp_path / "s.json"
+    target.write_text("keep")
+    with pytest.raises(InvalidInputError, match="CorrelatedStrategy"):
+        save_strategy(sigma, target)
+    assert target.read_text() == "keep"
+
+
 def test_load_rejects_malformed_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"action_counts": [2, 2]}))

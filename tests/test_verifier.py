@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_psi, per_cell_zero_cell_bound
+from oracles import dense_psi, dense_sensitivities, per_cell_zero_cell_bound, positive_mass_floor
 
 from advicecheck import (
     CorrelatedStrategy,
@@ -262,11 +262,80 @@ def test_estimate_psi_curve_equals_each_threshold_alone(counts):
 
 
 def test_estimate_psi_curve_refuses_a_bad_threshold_before_drawing(game, ce_strategy):
-    with mock.patch.object(verifier, "_uniform_simplex", side_effect=AssertionError("drawn")):
+    with mock.patch.object(verifier, "_draws", side_effect=AssertionError("drawn")):
         with pytest.raises(InvalidInputError, match=r"delta_hat\[2\]"):
             estimate_psi(game, ce_strategy, [0.1, 0.01, math.nan], mc_samples=1000)
         with pytest.raises(InvalidInputError, match="at least one threshold"):
             estimate_psi(game, ce_strategy, [], mc_samples=1000)
+
+
+def test_draws_are_the_per_deviator_exponentials():
+    # one call, split per deviator: the values and end state of one call each
+    sizes = [3, 1, 4]
+    one, each = np.random.default_rng(11), np.random.default_rng(11)
+    drawn = verifier._draws(one, 1000, sizes)
+    for k, e in zip(sizes, drawn):
+        assert e.shape == (1000, k)
+        assert e.tobytes() == each.exponential(size=(1000, k)).tobytes()
+    assert one.random() == each.random()
+
+
+def test_psi_screen_floor_is_a_lower_bound_on_the_dense_sensitivity():
+    rng = np.random.default_rng(77)
+    zero_cases = screened = 0
+    for _ in range(60):
+        g, sigma, _ = _random_psi_case(rng)
+        seed = int(rng.integers(2**31))
+        probs = sigma.probs
+        zero_cases += bool((probs == 0).any())
+        screens = verifier._screens(probs.reshape(g.action_counts))
+        dense = dense_sensitivities(g, sigma, 1000, seed=seed)
+        for rank, (devs, delta) in enumerate(dense.items()):
+            sub = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
+            raw = verifier._draws(sub, 1000, [g.action_counts[d] for d in devs])
+            for d, e in zip(devs, raw):
+                lmins = [positive_mass_floor(g, sigma, devs, d)]
+                if (probs > 0).all():
+                    lmins.append(None)  # the full-support form
+                for lmin in lmins:
+                    floor = verifier._floor(e, *screens[d], lmin)
+                    assert np.all(floor <= delta + verifier._FLOOR_MARGIN * (1.0 + delta))
+                    screened += 1
+    assert zero_cases >= 15 and screened >= 300
+
+
+def test_estimate_psi_matches_dense_oracle_where_the_screen_drops_some_or_none():
+    rng = np.random.default_rng(4242)
+    contracted = []  # rows that reach the contraction, per subset
+    count_below = verifier._count_below
+
+    def spy(gammas, *args):
+        contracted.append(len(gammas[0]))
+        return count_below(gammas, *args)
+
+    dropped = 0
+    for _ in range(40):
+        g, sigma, _ = _random_psi_case(rng)
+        seed = int(rng.integers(2**31))
+        dense = dense_sensitivities(g, sigma, 1000, seed=seed)
+        every = np.concatenate(list(dense.values()))
+        # thresholds at the samples' quartiles straddle the screen's cut
+        deltas = [float(q) for q in np.quantile(every, [0.25, 0.5, 0.75]) if q > 0]
+        if deltas:
+            contracted.clear()
+            with mock.patch.object(verifier, "_count_below", spy):
+                curve = estimate_psi(g, sigma, deltas, mc_samples=1000, seed=seed)
+            for d, est in zip(deltas, curve.estimates):
+                assert est.per_subset == {devs: float((x < d).mean()) for devs, x in dense.items()}
+            dropped += len(every) - sum(contracted)
+        # psi = 1: every sensitivity is at most max(1/min sigma - 1, 1), so none is dropped
+        contracted.clear()
+        with mock.patch.object(verifier, "_count_below", spy):
+            alone = estimate_psi(g, sigma, 2.0 / sigma.probs[sigma.probs > 0].min(),
+                                 mc_samples=1000, seed=seed)
+        assert alone.per_subset == dict.fromkeys(dense, 1.0)
+        assert sum(contracted) == len(every)
+    assert dropped > 10_000  # of about 60,000 samples above the largest quartile
 
 
 @pytest.mark.parametrize("kwargs, name", [
