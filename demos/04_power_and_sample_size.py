@@ -7,15 +7,7 @@ chi-square with noncentrality l_T * delta: more rounds push the statistic's
 mass above the critical value, shrinking the Type-2 probability.
 """
 
-from advicecheck import (
-    CorrelatedStrategy,
-    chi2_quantile,
-    noncentral_chi2_cdf,
-    power_beta,
-    prob_zero_cell_bound,
-    sample_size,
-    load_game,
-)
+from advicecheck import chi2_quantile, noncentral_chi2_cdf, power_beta, sample_size
 
 print("critical value at alpha = 0.1, 3 dof:", round(chi2_quantile(0.9, 3), 4))
 
@@ -33,10 +25,3 @@ print()
 print("noncentral CDF sanity: a draw with noncentrality 21 almost never")
 print("falls below 6.251:", round(noncentral_chi2_cdf(6.251, 4, 21.0), 5))
 
-# announcements with empty cells: observing a forbidden joint action refutes
-# the announcement outright, and this bound says how often deviators land there
-print()
-game = load_game("fixtures/small_game.json")
-sigma = CorrelatedStrategy([0.0, 1 / 3, 1 / 3, 1 / 3])
-print("per-round chance a uniform deviation hits the forbidden cell >=",
-      round(prob_zero_cell_bound(game, sigma), 4))

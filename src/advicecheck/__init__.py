@@ -17,7 +17,6 @@ from .agents import (
     TriggerLearner,
     UniformLearner,
     agent_act,
-    draw_fallback,
     make_learner,
 )
 from .chi2 import chi2_cdf, chi2_isf, chi2_quantile, chi2_sf, noncentral_chi2_cdf
@@ -44,8 +43,6 @@ from .games import (
     expected_utility,
     load_game,
     load_strategy,
-    save_game,
-    save_strategy,
 )
 from .schedule import (
     Phase,
@@ -89,7 +86,6 @@ from .verifier import (
     manual_plan,
     pearson_statistic,
     plan_test,
-    prob_zero_cell_bound,
     run_sampling_decision,
     sensitivity_delta,
 )

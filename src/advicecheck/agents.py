@@ -18,9 +18,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError, check_int, check_keys
-from .games import Game, MixedStrategy, _agent_view
+from .games import Game, _agent_view
 from .schedule import Phase, PhaseKind
-from .verifier import Decision, Outcome, _uniform_simplex
+from .verifier import Decision, Outcome, _draws
 
 
 class Mode(Enum):
@@ -237,21 +237,12 @@ def make_learner(spec: dict | None, game: Game, agent: int) -> Learner:
                                     hi=counts[watch]))
 
 
-def draw_fallback(action_count: int, seed: int) -> MixedStrategy:
-    """A strategy drawn uniformly from the simplex, deterministic in the seed.
-
-    Uniformity comes from normalized exponential variates.
-    """
-    check_int(action_count, "action_count", 1)
-    rng = np.random.default_rng(check_int(seed, "seed"))
-    return MixedStrategy(_simplex_draw(action_count, rng))
-
-
 def _simplex_draw(action_count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the simplex, as psi's measure draws its deviators, as a
-    read-only vector; a single action consumes no randomness. The draw is a
-    distribution by construction, so it is not checked."""
-    v = np.ones(1) if action_count == 1 else _uniform_simplex(rng, 1, action_count)[0]
+    """Uniform draw from the simplex by psi's own sampler (``_draws``' exponentials
+    over their sum), as a read-only vector; a single action consumes no
+    randomness. The draw is a distribution by construction, so it is not checked."""
+    v = np.ones(1) if action_count == 1 else _draws(rng, 1, [action_count])[0][0]
+    v /= v.sum()
     v.setflags(write=False)
     return v
 

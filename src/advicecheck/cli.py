@@ -22,8 +22,9 @@ import numpy as np
 
 from . import schedule as sched
 from . import sim, verifier
-from .errors import InvalidInputError, NonConvergenceError, check_int, check_keys
+from .errors import InvalidInputError, NonConvergenceError, check_int, check_keys, check_unit
 from .games import (
+    _checked_mixes,
     agent_incentive_violations,
     check_correlated_equilibrium,
     compose_deviation,
@@ -85,13 +86,14 @@ def _simulated_counts(args, game, sigma, sample_size):
         if not isinstance(profile, dict):
             raise InvalidInputError("--simulate-under profile must be a JSON object {agent: [probs]}")
         deviations = {_profile_agent(k, game.num_agents): v for k, v in profile.items()}
-        dist = compose_deviation(sigma, game, deviations).probs
+        dist = compose_deviation(sigma, game, _checked_mixes(game, deviations, first=1)).probs
     return rng.multinomial(sample_size, dist).astype(np.int64)
 
 
 def cmd_test(args) -> int:
     game, sigma = load_game(args.game), load_strategy(args.strategy)
     check_int(args.agent, "--agent", 1, game.num_agents + 1)
+    check_unit(args.p, "--p")  # alpha in counts mode, p in simulate mode
     if args.counts:
         # the counts are the sample: size the test from them
         with open(args.counts) as fh:

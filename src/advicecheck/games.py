@@ -275,16 +275,18 @@ def check_correlated_equilibrium(
     return CeVerdict(is_equilibrium=not violations, violations=tuple(violations))
 
 
-def _checked_mixes(game: Game, mixes: dict) -> dict:
+def _checked_mixes(game: Game, mixes: dict, first: int = 0) -> dict:
     """``mixes`` (agent -> MixedStrategy or probability vector) as agent ->
     read-only vector, each raw vector checked as a distribution over that
     agent's actions: the one check of a mix, for every entry point that takes
-    one."""
+    one. A refusal numbers agents from ``first``: 0 for the library's indices,
+    1 for a file that numbers its agents from 1."""
     checked = {}
     for i, s in mixes.items():
-        v = s.probs if isinstance(s, MixedStrategy) else _as_prob_vector(s, f"strategy of agent {i}")
+        name = f"strategy of agent {i + first}"
+        v = s.probs if isinstance(s, MixedStrategy) else _as_prob_vector(s, name)
         if len(v) != game.action_counts[i]:
-            raise InvalidInputError(f"strategy of agent {i} has the wrong action count")
+            raise InvalidInputError(f"{name} has the wrong action count")
         checked[i] = v
     return checked
 
@@ -346,22 +348,3 @@ def load_strategy(path) -> CorrelatedStrategy:
         raise InvalidInputError(f"strategy file {path} must be a flat JSON array")
     return CorrelatedStrategy(data)
 
-
-def save_game(game: Game, path) -> None:
-    data = {
-        "num_agents": game.num_agents,
-        "action_counts": list(game.action_counts),
-        "utilities": game.utilities.tolist(),
-    }
-    if game.action_names is not None:
-        data["action_names"] = [list(n) for n in game.action_names]
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def save_strategy(sigma: CorrelatedStrategy, path) -> None:
-    probs = _announced_probs(sigma)  # refused before the file is opened
-    with open(path, "w") as fh:
-        json.dump(probs.tolist(), fh)
-        fh.write("\n")

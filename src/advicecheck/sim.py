@@ -268,7 +268,7 @@ def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
         check_keys(cfg, ("fallback", "learner"), f"config of agent {i + 1}")
         make_learner(cfg.get("learner"), game, i)  # refuses a bad spec before any seed
     fallbacks = _checked_mixes(game, {i: cfg["fallback"] for i, cfg in enumerate(configs)
-                                      if cfg.get("fallback") is not None})
+                                      if cfg.get("fallback") is not None}, first=1)
     modes = tuple(Mode.from_screen(agent_incentive_violations(game, sigma_m, i))
                   for i in range(game.num_agents))
     return _Setup(schedule, horizon, probs, probs.reshape(game.action_counts),

@@ -22,8 +22,10 @@ works backward from a single target error probability p:
     first. One set of draws serves any number of thresholds (a schedule's
     delta_j): each sample's sensitivity is counted against all of them at once;
   * the Type-2 budget solves p = (1 - psi) * beta + psi, i.e.
-    beta = (p - psi) / (1 - psi) (the (1-P)^l_T zero-cell factor is <= 1 and
-    is dropped, which only makes the plan more conservative);
+    beta = (p - psi) / (1 - psi). The factor (1 - P)^l_T, the chance that a
+    deviation putting per-round mass P on announced-zero cells escapes the
+    zero-cell check, is <= 1 and is dropped, which only makes the plan more
+    conservative;
   * l_T is the smallest sample size meeting that budget.
 """
 
@@ -45,7 +47,6 @@ from .games import (
     CorrelatedStrategy,
     Game,
     _announced_probs,
-    _composed,
     _others_marginal,
     joint_distribution,
 )
@@ -193,19 +194,13 @@ def sensitivity_delta(sigma_m, sigma_tilde) -> float | Fraction:
     return total
 
 
-def _uniform_simplex(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    g = rng.exponential(size=(n, dim))
-    g /= g.sum(axis=1, keepdims=True)
-    return g
-
-
 def _draws(rng: np.random.Generator, n: int, sizes: list[int]) -> list[np.ndarray]:
     """Each deviator's (n, k) raw exponentials from one call: the same values,
     and the same generator end state, as one ``exponential((n, k))`` per
     deviator in turn."""
     flat = rng.standard_exponential(n * sum(sizes))
-    starts = np.cumsum([0, *sizes]) * n
-    return [flat[start:start + n * k].reshape(n, k) for start, k in zip(starts, sizes)]
+    starts = itertools.accumulate([0, *sizes])  # Python ints: every fall-back draw passes here
+    return [flat[n * s:n * (s + k)].reshape(n, k) for s, k in zip(starts, sizes)]
 
 
 def _screened(raw: list[np.ndarray], screens: list, cut: float,
@@ -413,27 +408,6 @@ def estimate_psi(
     if curve:
         return PsiCurve(estimates=tuple(estimates), mc_samples=mc_samples)
     return estimates[0]
-
-
-def prob_zero_cell_bound(game: Game, sigma_m: CorrelatedStrategy) -> float:
-    """Per-round chance of an announced-zero cell when the deviators mix uniformly.
-
-    P = sum over zero cells of the minimum, over nonempty deviating subsets,
-    of the cell's probability under the announcement composed with uniformly
-    mixing deviators (at most MAX_PSI_AGENTS agents). Only uniform fall-backs
-    are evaluated, so P bounds nothing over fall-backs in general: a deviator
-    that never plays a zero cell's action puts no mass on it. Zero when the
-    announced strategy has full support.
-    """
-    tensor = joint_distribution(sigma_m, game).reshape(game.action_counts)
-    zeta = list(sigma_m.zero_cells())
-    if not zeta:
-        return 0.0
-    best = np.full(len(zeta), math.inf)
-    for devs in _deviating_subsets(game):
-        uniform = {d: np.full(game.action_counts[d], 1.0 / game.action_counts[d]) for d in devs}
-        best = np.minimum(best, _composed(_others_marginal(tensor, devs), game, uniform)[zeta])
-    return float(best.sum())
 
 
 def _tested_cells(game: Game, sigma_m: CorrelatedStrategy) -> tuple[tuple[int, ...], int]:

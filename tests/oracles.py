@@ -2,22 +2,21 @@
 
 These deliberately avoid the library's own code paths: the equilibrium check
 is a direct triple loop over (agent, signal, deviation) computed from raw
-arrays, deviations are composed cell by cell, the zero-cell bound is taken one
-cell and one deviating subset at a time, psi is estimated from dense
-composed distributions (and the zero-cell mass bounding psi's screen is
-summed one joint action at a time), fictitious play's choice is summed in
-Fractions over every joint action, and the repeated game, like the pure-learning
-baseline, is replayed by a plain per-round loop that draws each action with
-the scalar ``sample_strategy`` (not the engine's block sampler); at every
-test it screens each agent's incentive constraints anew before taking the
-public verdict. The transcript CSV is written one record at a time, and the
+arrays, deviations are composed cell by cell, fall-backs are drawn as they
+first were (one ``exponential((n, k))`` call, each row over its sum), psi is
+estimated from dense composed distributions of those draws (and the
+zero-cell mass bounding psi's screen is summed one joint action at a time),
+fictitious play's choice is summed in Fractions over every joint action, and
+the repeated game, like the pure-learning baseline, is replayed by a plain
+per-round loop that draws each action with the scalar ``sample_strategy``
+(not the engine's block sampler); at every test it screens each agent's
+incentive constraints anew before taking the public verdict. The transcript CSV is written one record at a time, and the
 expected play of a free period's first rounds is enumerated exactly, history
 by history.
 """
 
 import csv
 import itertools
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -117,32 +116,12 @@ def per_cell_compose(sigma, game, deviations):
     return out.ravel()
 
 
-def per_cell_zero_cell_bound(game, sigma_m):
-    """Reference for ``prob_zero_cell_bound``: one zero cell at a time, the least
-    over deviating subsets of the non-deviators' marginal over the deviators'
-    joint action count, summed."""
-    total = 0.0
-    agents = range(game.num_agents)
-    for cell in sigma_m.zero_cells():
-        actions = game.joint_action(cell)
-        best = math.inf
-        for r in range(1, game.num_agents + 1):
-            for devs in itertools.combinations(agents, r):
-                marg = per_cell_marginal(sigma_m, game, devs, actions)
-                best = min(best, marg / math.prod(game.action_counts[d] for d in devs))
-        total += best
-    return total
-
-
-def per_cell_marginal(sigma, game, devs, actions):
-    """sigma's probability that every agent outside ``devs`` plays its
-    component of ``actions``, summed one joint action at a time (1.0 when
-    every agent deviates)."""
-    keep = [i for i in range(game.num_agents) if i not in devs]
-    if not keep:
-        return 1.0
-    return math.fsum(float(p) for p, idx in zip(sigma.probs, np.ndindex(*game.action_counts))
-                     if all(idx[i] == actions[i] for i in keep))
+def simplex_rows(rng, n, k):
+    """n points drawn uniformly from the k-simplex by one ``exponential((n, k))``
+    call, each row over its sum: the stream psi and the fall-backs were first
+    drawn from."""
+    g = rng.exponential(size=(n, k))
+    return g / g.sum(axis=1, keepdims=True)
 
 
 def dense_sensitivities(game, sigma_m, mc_samples, seed=0):
@@ -162,10 +141,7 @@ def dense_sensitivities(game, sigma_m, mc_samples, seed=0):
     for r in range(1, game.num_agents + 1):
         for devs in itertools.combinations(range(game.num_agents), r):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
-            gammas = {}
-            for d in devs:
-                g = rng.exponential(size=(mc_samples, game.action_counts[d]))
-                gammas[d] = g / g.sum(axis=1, keepdims=True)
+            gammas = {d: simplex_rows(rng, mc_samples, game.action_counts[d]) for d in devs}
             keep = [i for i in range(game.num_agents) if i not in devs]
             marg = tensor.sum(axis=devs)
             composed = np.empty((mc_samples, game.num_joint_actions))

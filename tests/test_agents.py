@@ -19,48 +19,55 @@ from advicecheck import (
     TriggerLearner,
     UniformLearner,
     agent_act,
-    draw_fallback,
     make_learner,
 )
+from advicecheck import verifier
 from advicecheck.agents import _simplex_draw, sample_block, sample_strategy
-from advicecheck.verifier import _uniform_simplex
-from oracles import fictitious_play_choice
+from oracles import fictitious_play_choice, simplex_rows
 
 TEST_PHASE = Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10)
 FREE_PHASE = Phase(PhaseKind.FREE_PERIOD, 1, 11, 10)
 
 
-def test_draw_fallback_degenerate_simplex():
-    assert draw_fallback(1, seed=0).probs.tolist() == [1.0]
+def test_fallback_draw_of_one_action_is_certain_and_draws_nothing():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert _simplex_draw(1, rng).tolist() == [1.0]
+    assert rng.bit_generator.state == before
 
 
-def test_draw_fallback_deterministic_in_seed():
-    a = draw_fallback(4, seed=123)
-    b = draw_fallback(4, seed=123)
-    assert np.array_equal(a.probs, b.probs)
-    c = draw_fallback(4, seed=124)
-    assert not np.array_equal(a.probs, c.probs)
+def test_fallback_draw_deterministic_in_seed():
+    a = _simplex_draw(4, np.random.default_rng(123))
+    b = _simplex_draw(4, np.random.default_rng(123))
+    assert np.array_equal(a, b)
+    c = _simplex_draw(4, np.random.default_rng(124))
+    assert not np.array_equal(a, c)
 
 
-def test_draw_fallback_uniform_on_simplex():
+def test_fallback_draw_uniform_on_simplex():
     # symmetry: each coordinate's mean is 1/3
-    draws = np.array([draw_fallback(3, seed=s).probs for s in range(30_000)])
+    rng = np.random.default_rng(0)
+    draws = np.array([_simplex_draw(3, rng) for _ in range(30_000)])
     assert np.allclose(draws.mean(axis=0), 1 / 3, atol=0.01)
     assert np.all(draws >= 0)
     assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_engine_drawn_fallback_equals_the_checked_strategy_and_is_read_only():
-    # the engine's fall-back draw is a bare vector, unchecked, bit for bit the strategy's
+    # the engine's fall-back draw is a bare vector, unchecked, bit for bit the
+    # strategy first drawn from this stream, and psi's sampler's row over its sum
     for k in range(2, 11):
         for seed in range(25):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng, ref_rng, psi_rng = (np.random.default_rng(seed) for _ in range(3))
             drawn = _simplex_draw(k, rng)
-            ref = MixedStrategy(_uniform_simplex(ref_rng, 1, k)[0])
+            ref = MixedStrategy(simplex_rows(ref_rng, 1, k)[0])
+            psi_row = verifier._draws(psi_rng, 1, [k])[0][0]
             assert type(drawn) is np.ndarray
             assert drawn.dtype == ref.probs.dtype
             assert drawn.tobytes() == ref.probs.tobytes()
+            assert drawn.tobytes() == (psi_row / psi_row.sum()).tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert rng.bit_generator.state == psi_rng.bit_generator.state
             assert not drawn.flags.writeable
             with pytest.raises(ValueError):
                 drawn[0] = 0.5

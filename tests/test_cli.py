@@ -182,6 +182,36 @@ def test_cmd_test_profile_key_outside_the_agents_exits_2(tmp_path, capsys, key):
     assert "--simulate-under" in err and repr(key) in err and "1..2" in err
 
 
+@pytest.mark.parametrize("profile, named", [
+    ({"1": [0.5, 0.5, 0]}, "strategy of agent 1 has the wrong action count"),
+    ({"2": [0.5, 0.75]}, "strategy of agent 2 sums to 1.25"),
+    ({"1": [0.5, 0.5], "2": [1.5, -0.5]}, "strategy of agent 2 has negative entries"),
+], ids=["length", "sum", "negative"])
+def test_cmd_test_bad_profile_strategy_names_its_1_based_key(tmp_path, capsys, profile, named):
+    # the profile's key "1" used to be refused as "strategy of agent 0"
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    code = main([
+        "test", "--game", GAME, "--strategy", NON_CE,
+        "--p", "0.1", "--delta-hat", "0.01",
+        "--mc-samples", "20000", "--seed", "5", "--simulate-under", str(path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("sample", [("--counts", "fixtures/accept_counts.json"), ()],
+                         ids=["counts", "simulated"])
+@pytest.mark.parametrize("p", ["0", "1", "nan", "-0.5"])
+def test_cmd_test_p_outside_the_unit_interval_exits_2_naming_the_option(capsys, sample, p):
+    # in counts mode --p used to be refused as "alpha", the library's name for it
+    code = main(["test", "--game", GAME, "--strategy", CE, "--p", p, *sample])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --p must be in (0, 1)")
+
+
 @pytest.mark.parametrize("agent", ["0", "5", "-1"])
 def test_cmd_test_agent_outside_the_game_exits_2(capsys, agent):
     code = main([
@@ -595,6 +625,20 @@ def test_simulate_config_with_an_unknown_key_exits_2_naming_it(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
     assert not (tmp_path / "o" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("agents, named", [
+    ([{"fallback": [1]}, {}], "strategy of agent 1 has the wrong action count"),
+    ([{}, {"fallback": [1]}], "strategy of agent 2 has the wrong action count"),
+    ([{}, {"fallback": [0.5, 0.75]}], "strategy of agent 2 sums to 1.25"),
+], ids=["first-length", "second-length", "second-sum"])
+def test_simulate_bad_fallback_names_the_agent_from_1(tmp_path, capsys, agents, named):
+    # the config numbers its agents from 1, as an unknown key's refusal does; a bad
+    # fall-back of the first agent used to be refused as "strategy of agent 0"
+    cfg = {"game": GAME, "strategy": CE, "schedule": TOY, "agents": agents}
+    assert _simulate(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and named in err
 
 
 @pytest.mark.parametrize("schedule", [GEOMETRIC, {"kind": "harmonic", "horizon_tests": 1}],

@@ -34,7 +34,6 @@ from advicecheck import (
     chi2_sf,
     compose_deviation,
     conditional_given_signal,
-    draw_fallback,
     empirical_frequency,
     estimate_psi,
     geometric_rules,
@@ -48,7 +47,6 @@ from advicecheck import (
     phase_average,
     plan_test,
     power_beta,
-    prob_zero_cell_bound,
     run_batch,
     run_game,
     run_game_counts,
@@ -121,8 +119,6 @@ INTEGERS = [
      lambda e, v: agent_incentive_violations(e["game"], e["sigma"], v)),
     ("compose_deviation", "deviating agent",
      lambda e, v: compose_deviation(e["sigma"], e["game"], {v: [0.5, 0.5]})),
-    ("draw_fallback", "action_count", lambda e, v: draw_fallback(v, seed=0)),
-    ("draw_fallback", "seed", lambda e, v: draw_fallback(2, seed=v)),
     ("make_learner", "trigger watch_action",
      lambda e, v: make_learner({"name": "trigger", "watch_action": v}, e["game"], 0)),
     ("run_game", "seed", lambda e, v: run_game(e["game"], e["sigma"], e["schedule"], seed=v)),
@@ -202,9 +198,6 @@ OTHERS = [
     ("estimate_psi", "supported maximum of 12",
      lambda e: estimate_psi(Game([1] * 13, np.ones((1, 13))), CorrelatedStrategy([1.0]), 0.01,
                             mc_samples=1000)),
-    ("prob_zero_cell_bound", "supported maximum of 12",
-     lambda e: prob_zero_cell_bound(Game([2] + [1] * 12, np.ones((2, 13))),
-                                    CorrelatedStrategy([1.0, 0.0]))),
     ("make_learner", "unknown key 'watch_agnet'",
      lambda e: make_learner({"name": "trigger", "watch_agnet": 1}, e["game"], 0)),
     ("make_learner", "unknown key 'watch_agent'",
@@ -223,7 +216,6 @@ ANNOUNCEMENT_READERS = [
     ("pearson_statistic", lambda e, s: pearson_statistic([1, 1, 1, 1], s, 4)),
     ("run_sampling_decision", lambda e, s: run_sampling_decision(e["plan"], s, [1, 1, 1, 1])),
     ("estimate_psi", lambda e, s: estimate_psi(e["game"], s, 0.01, mc_samples=1000)),
-    ("prob_zero_cell_bound", lambda e, s: prob_zero_cell_bound(e["game"], s)),
     ("plan_test", lambda e, s: plan_test(e["game"], s, 0.3, 0.01, mc_samples=1000)),
     ("manual_plan", lambda e, s: manual_plan(e["game"], s, 0.1, 0.01, 10)),
     ("build_schedule",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_psi, dense_sensitivities, per_cell_zero_cell_bound, positive_mass_floor
+from oracles import dense_psi, dense_sensitivities, positive_mass_floor
 
 from advicecheck import (
     CorrelatedStrategy,
@@ -23,7 +23,6 @@ from advicecheck import (
     pearson_statistic,
     plan_test,
     power_beta,
-    prob_zero_cell_bound,
     run_sampling_decision,
     sample_size,
     sensitivity_delta,
@@ -368,33 +367,6 @@ def test_estimate_psi_contraction_memory_flat_in_samples():
     # where the outer product over the 2187-cell grid would add 17 KiB per sample
     assert peaks[1] - peaks[0] < 6000 * 7 * 3 * 8 + 2**20
     assert peaks[1] < 8 * 2**20
-
-
-def test_prob_zero_cell_bound_worked_value(game):
-    sigma = CorrelatedStrategy([0.0, 1 / 3, 1 / 3, 1 / 3])
-    # min over {1}, {2}, {1,2} of {1/3*1/2, 1/3*1/2, 1*1/4} = 1/6
-    assert prob_zero_cell_bound(game, sigma) == pytest.approx(1 / 6, abs=1e-12)
-
-
-def test_prob_zero_cell_bound_matches_per_cell_oracle():
-    rng = np.random.default_rng(5)
-    checked = 0
-    for _ in range(300):
-        counts = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))]
-        num_joint = int(np.prod(counts))
-        raw = rng.uniform(size=num_joint) * (rng.uniform(size=num_joint) < 0.6)
-        if raw.sum() == 0:
-            continue
-        g = Game(counts, np.ones((num_joint, len(counts))))
-        sigma = CorrelatedStrategy(raw / raw.sum())
-        checked += bool(sigma.zero_cells())
-        assert abs(prob_zero_cell_bound(g, sigma) - per_cell_zero_cell_bound(g, sigma)) <= 1e-15
-    assert checked >= 200
-
-
-def test_prob_zero_cell_bound_full_support(game, ce_strategy):
-    assert prob_zero_cell_bound(game, ce_strategy) == 0.0
-    assert ce_strategy.zero_cells() == ()
 
 
 def test_plan_test_worked_example(game, ce_strategy):
