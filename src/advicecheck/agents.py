@@ -241,7 +241,7 @@ def _simplex_draw(action_count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the simplex by psi's own sampler (``_draws``' exponentials
     over their sum), as a read-only vector; a single action consumes no
     randomness. The draw is a distribution by construction, so it is not checked."""
-    v = np.ones(1) if action_count == 1 else _draws(rng, 1, [action_count])[0][0]
+    v = np.ones(1) if action_count == 1 else _draws(rng, 1, action_count)[0]
     v /= v.sum()
     v.setflags(write=False)
     return v

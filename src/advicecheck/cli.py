@@ -22,7 +22,8 @@ import numpy as np
 
 from . import schedule as sched
 from . import sim, verifier
-from .errors import InvalidInputError, NonConvergenceError, check_int, check_keys, check_unit
+from .errors import InvalidInputError, NonConvergenceError, check_int, check_keys, check_positive
+from .errors import check_unit
 from .games import (
     _checked_mixes,
     agent_incentive_violations,
@@ -52,8 +53,16 @@ def cmd_check_ce(args) -> int:
     return EXIT_DOMAIN
 
 
+def _check_mc_samples(args) -> None:
+    """Refuse --mc-samples by its own name, not the library's mc_samples."""
+    check_int(args.mc_samples, "--mc-samples", verifier.MIN_MC_SAMPLES)
+
+
 def cmd_plan(args) -> int:
     game, sigma = load_game(args.game), load_strategy(args.strategy)
+    check_unit(args.p, "--p")
+    check_positive(args.delta_hat, "--delta-hat")
+    _check_mc_samples(args)
     plan = verifier.plan_test(
         game, sigma, p=args.p, delta_hat=args.delta_hat,
         mc_samples=args.mc_samples, seed=args.seed,
@@ -94,6 +103,7 @@ def cmd_test(args) -> int:
     game, sigma = load_game(args.game), load_strategy(args.strategy)
     check_int(args.agent, "--agent", 1, game.num_agents + 1)
     check_unit(args.p, "--p")  # alpha in counts mode, p in simulate mode
+    check_positive(args.delta_hat, "--delta-hat")
     if args.counts:
         # the counts are the sample: size the test from them
         with open(args.counts) as fh:
@@ -108,6 +118,7 @@ def cmd_test(args) -> int:
             game, sigma, alpha=args.p, delta_hat=args.delta_hat, sample_size=total,
         )
     else:
+        _check_mc_samples(args)
         plan = verifier.plan_test(
             game, sigma, p=args.p, delta_hat=args.delta_hat,
             mc_samples=args.mc_samples, seed=args.seed,
@@ -202,8 +213,12 @@ def _schedule_rows(schedule: sched.Schedule):
 
 def cmd_schedule(args) -> int:
     game, sigma = load_game(args.game), load_strategy(args.strategy)
+    check_int(args.tests, "--tests", 1)
+    _check_mc_samples(args)
     cfg = {"kind": args.rules, "horizon_tests": args.tests}
     if args.rules == "geometric":
+        check_positive(args.delta0, "--delta0")
+        check_unit(args.p0, "--p0")
         cfg.update(delta0=args.delta0, p0=args.p0)
     schedule = _schedule_from_config(game, sigma, cfg, args.mc_samples, args.seed)
     buf = io.StringIO()

@@ -15,12 +15,15 @@ works backward from a single target error probability p:
     distribution, so each subset D reduces to two arrays W and L on the
     deviators' joint grid, and a sample costs O(prod_{d in D} |A_d|) rather
     than O(|A|); samples are contracted a fixed-size block at a time, so
-    memory beyond the drawn fall-backs does not grow with mc_samples. Every
-    subset pays for all its draws, but only the samples within reach of the
+    memory beyond the drawn fall-backs does not grow with mc_samples. Each
+    agent's fall-backs are drawn once, seeded by (seed, agent), and shared by
+    every subset holding that agent. Only the samples within reach of the
     largest threshold pay for the contraction: a chi-square floor from one
-    deviator's marginal, which no coarsening can raise, drops the rest
-    first. One set of draws serves any number of thresholds (a schedule's
-    delta_j): each sample's sensitivity is counted against all of them at once;
+    deviator's marginal, which no coarsening can raise, drops the rest first.
+    At full support that floor is computed once per agent, and a subset pays
+    one mask intersection plus its survivors' contraction. One set of draws
+    serves any number of thresholds (a schedule's delta_j): each sample's
+    sensitivity is counted against all of them at once;
   * the Type-2 budget solves p = (1 - psi) * beta + psi, i.e.
     beta = (p - psi) / (1 - psi). The factor (1 - P)^l_T, the chance that a
     deviation putting per-round mass P on announced-zero cells escapes the
@@ -194,18 +197,14 @@ def sensitivity_delta(sigma_m, sigma_tilde) -> float | Fraction:
     return total
 
 
-def _draws(rng: np.random.Generator, n: int, sizes: list[int]) -> list[np.ndarray]:
-    """Each deviator's (n, k) raw exponentials from one call: the same values,
-    and the same generator end state, as one ``exponential((n, k))`` per
-    deviator in turn."""
-    flat = rng.standard_exponential(n * sum(sizes))
-    starts = itertools.accumulate([0, *sizes])  # Python ints: every fall-back draw passes here
-    return [flat[n * s:n * (s + k)].reshape(n, k) for s, k in zip(starts, sizes)]
+def _draws(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """n rows of k raw exponentials: the same values, and the same generator end
+    state, as ``exponential((n, k))``. Every fall-back draw passes here."""
+    return rng.standard_exponential((n, k))
 
 
-def _screened(raw: list[np.ndarray], screens: list, cut: float,
-              lin: np.ndarray | None) -> list[np.ndarray]:
-    """The normalized fall-backs of the samples whose sensitivity may be below ``cut``.
+def _survivors(raw: list[np.ndarray], screens: list, cut: float, lin: np.ndarray) -> np.ndarray:
+    """The rows whose sensitivity may be below ``cut``, for a subset with zero cells.
 
     Deviators are screened in turn, each on the samples still alive, from the
     raw exponentials e and their row sums s. Coarsening the outcome to deviator
@@ -218,31 +217,26 @@ def _screened(raw: list[np.ndarray], screens: list, cut: float,
       floor_d = sum_{c: sigma_d(c) > 0} dist(sigma_d(c), I_d(c))^2 / sigma_d(c),
       I_d(c) = [gamma_d(c) (1 - zmax_d(c)), gamma_d(c)],
 
-    which at full support is chi2(gamma_d || sigma_d). A sample whose floor
-    exceeds ``cut`` is above every threshold and is dropped. ``screens``
-    holds each deviator's (sigma_d, 1/sigma_d); ``lin`` is the subset's L
-    (``_subset_forms``), or None at full support. Survivors are normalized
-    exactly as every sample would be, so their sensitivities are the
-    unscreened ones bit for bit.
+    which at full support is chi2(gamma_d || sigma_d), the same in every subset
+    (``estimate_psi`` floors each agent once there). A sample whose floor
+    exceeds ``cut`` is above every threshold and is dropped. ``screens`` holds
+    each deviator's (sigma_d, 1/sigma_d) and ``lin`` is the subset's L
+    (``_subset_forms``).
     """
-    grid = None if lin is None else lin.reshape([len(e[0]) for e in raw])
+    grid = lin.reshape([len(e[0]) for e in raw])
     alive = None
     for i, (e, screen) in enumerate(zip(raw, screens)):
         x = e if alive is None else e.take(alive, axis=0)
         # 1 - zmax_d as the least positive-cell mass L, which keeps its relative precision
-        lmin = None if grid is None else grid.min(axis=tuple(j for j in range(grid.ndim) if j != i))
+        lmin = grid.min(axis=tuple(j for j in range(grid.ndim) if j != i))
         keep = np.flatnonzero(_floor(x, *screen, lmin) <= cut)
-        if len(keep) < len(x):
-            alive = keep if alive is None else alive[keep]
-    gammas = [e if alive is None else e.take(alive, axis=0) for e in raw]
-    for g in gammas:
-        g /= g.sum(axis=1, keepdims=True)
-    return gammas
+        alive = keep if alive is None else alive[keep]
+    return alive
 
 
 def _floor(e: np.ndarray, marg: np.ndarray, inv: np.ndarray,
            lmin: np.ndarray | None) -> np.ndarray:
-    """Deviator d's floor (``_screened``) for each row of its raw exponentials e.
+    """Deviator d's floor (``_survivors``) for each row of its raw exponentials e.
 
     ``marg`` and ``inv`` are sigma_d and 1/sigma_d (0 where sigma_d is 0);
     ``lmin`` is 1 - zmax_d, or None at full support, where the floor is
@@ -326,7 +320,8 @@ def check_target(p: float, delta_hat: float) -> None:
 
 
 def _deviating_subsets(game: Game) -> list[tuple[int, ...]]:
-    """Nonempty subsets of agents in psi's sub-seed rank order: by size, then lexicographic."""
+    """Nonempty subsets of agents by size, then lexicographic, so subset rank d is
+    the single deviator d, whose draws psi seeds by (seed, d)."""
     if game.num_agents > MAX_PSI_AGENTS:
         raise InvalidInputError(
             f"psi estimation enumerates 2^n subsets; {game.num_agents} agents exceed "
@@ -349,9 +344,10 @@ def estimate_psi(
     gamma_d uniformly from the product of simplices, composes them with the
     announced strategy's marginal m on the rest K, and estimates the fraction
     whose sensitivity falls below delta_hat. Returns the maximum over subsets
-    with the binomial standard error of the maximizing subset. Per-subset draws
-    use sub-seeds derived from (seed, subset rank), so results do not depend on
-    evaluation order.
+    with the binomial standard error of the maximizing subset. Each agent's
+    fall-backs are drawn once, seeded by (seed, agent), and shared by every
+    subset holding that agent (common random numbers), so results do not
+    depend on evaluation order; the single deviator d is subset rank d.
 
     ``delta_hat`` may also be a sequence of thresholds. No draw depends on
     the threshold, so every threshold is counted in the same pass over the
@@ -366,12 +362,14 @@ def estimate_psi(
     L(a_D) = sum_{a_K: sigma(a)>0} m(a_K), built once per subset and
     contracted one deviator at a time. Each sample then costs one GEMM row
     over the deviators' grid, O(prod_d |A_d|), instead of O(|A|), and beyond
-    the draws (mc_samples x |A_d| per deviator) memory is one fixed-size
-    block of rows plus one counter per threshold, whatever mc_samples is.
-    Before that, each deviator's chi-square floor (``_screened``), O(|A_d|)
-    a sample, drops every sample it certifies above the largest threshold;
-    only the rest are normalized and contracted. The counts are the
-    unscreened ones exactly.
+    the draws (mc_samples x |A_d| per agent) memory is one fixed-size block
+    of rows plus one counter per threshold, whatever mc_samples is. Before
+    that, a chi-square floor (``_survivors``), O(|A_d|) a sample, drops every
+    sample it certifies above the largest threshold. At full support it is
+    each agent's own, computed once, and a subset pays one mask intersection
+    plus its survivors' contraction; with zero cells it depends on the
+    subset's L, so each subset floors its deviators' shared draws. The counts
+    are the unscreened ones exactly.
     """
     curve = np.ndim(delta_hat) > 0
     given = np.asarray(delta_hat, dtype=object).reshape(-1)  # as given: a bool stays one
@@ -389,14 +387,30 @@ def estimate_psi(
     cut = t_max + _FLOOR_MARGIN * (1.0 + t_max)
     full_support = bool((probs > 0).all())
     screens = _screens(tensor)
+    subsets = _deviating_subsets(game)
+    # agent d's fall-backs, shared read-only by every subset holding d; singleton (d,) has rank d
+    draws = [_draws(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,))),
+                    mc_samples, k) for d, k in enumerate(game.action_counts)]
+    for e in draws:
+        e.setflags(write=False)
+    if full_support:  # a sample's floor is its own deviator's, whatever the subset
+        masks = [_floor(e, *screen, None) <= cut for e, screen in zip(draws, screens)]
     below: dict[tuple[int, ...], list[int]] = {}
-    for rank, devs in enumerate(_deviating_subsets(game)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
-        raw = _draws(rng, mc_samples, [game.action_counts[d] for d in devs])
-        w, lin = _subset_forms(tensor, devs)
-        gammas = _screened(raw, [screens[d] for d in devs], cut, None if full_support else lin)
-        counts = np.empty(len(thresholds), dtype=np.int64)
-        counts[order] = _count_below(gammas, w, lin, offset, thresholds[order])
+    for devs in subsets:
+        counts = np.zeros(len(thresholds), dtype=np.int64)
+        if full_support:
+            forms = None
+            alive = np.flatnonzero(np.logical_and.reduce([masks[d] for d in devs]))
+        else:
+            forms = _subset_forms(tensor, devs)
+            alive = _survivors([draws[d] for d in devs], [screens[d] for d in devs], cut, forms[1])
+        if len(alive):
+            # normalized as every sample would be: the unscreened sensitivities bit for bit
+            gammas = [draws[d].take(alive, axis=0) for d in devs]
+            for g in gammas:
+                g /= g.sum(axis=1, keepdims=True)
+            w, lin = forms or _subset_forms(tensor, devs)
+            counts[order] = _count_below(gammas, w, lin, offset, thresholds[order])
         below[devs] = counts.tolist()
     estimates = []
     for k in range(len(thresholds)):

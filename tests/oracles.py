@@ -127,21 +127,21 @@ def simplex_rows(rng, n, k):
 def dense_sensitivities(game, sigma_m, mc_samples, seed=0):
     """Each deviating subset's per-sample sensitivities, from dense composed distributions.
 
-    Same draws as ``estimate_psi``: one generator per subset from
-    SeedSequence(seed, spawn_key=(rank,)), each deviator's (mc_samples, |A_d|)
-    normalized exponentials drawn whole in subset order. Every sample's
+    Same draws as ``estimate_psi``: agent d's (mc_samples, |A_d|) normalized
+    exponentials drawn whole from its own generator, SeedSequence(seed,
+    spawn_key=(d,)), and shared by every subset holding d. Every sample's
     composed distribution over all |A| joint actions is formed column by
     column and its sensitivity summed over the announced support.
     """
     probs = joint_distribution(sigma_m, game)
     tensor = probs.reshape(game.action_counts)
     mask = probs > 0
+    gammas = {d: simplex_rows(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,))),
+                              mc_samples, k)
+              for d, k in enumerate(game.action_counts)}
     out = {}
-    rank = 0
     for r in range(1, game.num_agents + 1):
         for devs in itertools.combinations(range(game.num_agents), r):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
-            gammas = {d: simplex_rows(rng, mc_samples, game.action_counts[d]) for d in devs}
             keep = [i for i in range(game.num_agents) if i not in devs]
             marg = tensor.sum(axis=devs)
             composed = np.empty((mc_samples, game.num_joint_actions))
@@ -152,7 +152,6 @@ def dense_sensitivities(game, sigma_m, mc_samples, seed=0):
                 composed[:, flat] = col
             diff = composed[:, mask] - probs[mask]
             out[devs] = (diff * diff / probs[mask]).sum(axis=1)
-            rank += 1
     return out
 
 

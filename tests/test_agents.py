@@ -61,7 +61,7 @@ def test_engine_drawn_fallback_equals_the_checked_strategy_and_is_read_only():
             rng, ref_rng, psi_rng = (np.random.default_rng(seed) for _ in range(3))
             drawn = _simplex_draw(k, rng)
             ref = MixedStrategy(simplex_rows(ref_rng, 1, k)[0])
-            psi_row = verifier._draws(psi_rng, 1, [k])[0][0]
+            psi_row = verifier._draws(psi_rng, 1, k)[0]
             assert type(drawn) is np.ndarray
             assert drawn.dtype == ref.probs.dtype
             assert drawn.tobytes() == ref.probs.tobytes()

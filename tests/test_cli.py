@@ -353,6 +353,26 @@ def test_cmd_schedule_negative_delta0_exits_2_naming_it(capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "delta0" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["plan", "--p", "1", "--delta-hat", "0.01"], "--p"),
+    (["plan", "--p", "0.1", "--delta-hat", "0"], "--delta-hat"),
+    (["plan", "--p", "0.1", "--delta-hat", "0.01", "--mc-samples", "999"], "--mc-samples"),
+    (["test", "--delta-hat", "nan", "--counts", "fixtures/accept_counts.json"], "--delta-hat"),
+    (["test", "--delta-hat", "-1"], "--delta-hat"),
+    (["test", "--mc-samples", "5"], "--mc-samples"),
+    (["schedule", "--tests", "0"], "--tests"),
+    (["schedule", "--mc-samples", "5"], "--mc-samples"),
+    (["schedule", "--rules", "geometric", "--delta0", "inf"], "--delta0"),
+    (["schedule", "--rules", "geometric", "--p0", "1"], "--p0"),
+])
+def test_cli_refusal_names_the_flag_as_typed(capsys, argv, flag):
+    # the library calls these horizon_tests, delta_hat, mc_samples, delta0 and p0
+    code = main([*argv, "--game", GAME, "--strategy", CE])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} ")
+
+
 @pytest.mark.parametrize("argv", [
     ["plan", "--p", "0.1", "--delta-hat", "0.01"],
     ["schedule", "--rules", "harmonic"],

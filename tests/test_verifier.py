@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_psi, dense_sensitivities, positive_mass_floor
+from oracles import dense_psi, dense_sensitivities, positive_mass_floor, simplex_rows
 
 from advicecheck import (
     CorrelatedStrategy,
@@ -221,6 +221,47 @@ def test_estimate_psi_matches_dense_oracle():
     assert interior >= 100  # the comparison is not all zeros and ones
 
 
+def test_singleton_subsets_keep_their_stream():
+    # subset rank d is the single deviator d, whose draws come from
+    # SeedSequence(seed, spawn_key=(d,)), its rank's own stream
+    rng = np.random.default_rng(913)
+    interior = 0
+    for _ in range(60):
+        g, sigma, delta_hat = _random_psi_case(rng)
+        seed = int(rng.integers(2**31))
+        est = estimate_psi(g, sigma, delta_hat, mc_samples=1000, seed=seed)
+        probs = sigma.probs.reshape(g.action_counts)
+        positive = (probs > 0).ravel()
+        for d, k in enumerate(g.action_counts):
+            assert verifier._deviating_subsets(g)[d] == (d,)
+            own = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,)))
+            shape = [1] * g.num_agents
+            shape[d] = k
+            gamma = simplex_rows(own, 1000, k).reshape(1000, *shape)
+            composed = (probs.sum(axis=d, keepdims=True) * gamma).reshape(1000, -1)
+            diff = composed[:, positive] - probs.ravel()[positive]
+            delta = (diff * diff / probs.ravel()[positive]).sum(axis=1)
+            assert est.per_subset[(d,)] == float((delta < delta_hat).mean())
+            interior += 0.0 < est.per_subset[(d,)] < 1.0
+    assert interior >= 30
+
+
+def test_multi_deviator_fractions_agree_with_an_independent_dense_estimate(game, ce_strategy,
+                                                                        game_2x2x2):
+    # subsets share their agents' draws, which correlates their estimates; each
+    # multi-deviator fraction must still match a dense estimate on other draws
+    n = 20_000
+    for (g, sigma), delta_hat in [((game, ce_strategy), 0.01), (game_2x2x2, 0.3)]:
+        est = estimate_psi(g, sigma, delta_hat, mc_samples=n, seed=5)
+        ref = dense_psi(g, sigma, delta_hat, n, seed=6)
+        multi = [devs for devs in est.per_subset if len(devs) > 1]
+        assert len(multi) == 2 ** g.num_agents - 1 - g.num_agents
+        for devs in multi:
+            f, r = est.per_subset[devs], ref[devs]
+            assert 0.0 < f < 1.0
+            assert abs(f - r) <= 4.0 * math.sqrt((f * (1.0 - f) + r * (1.0 - r)) / n)
+
+
 def test_estimate_psi_memory_bounded_in_samples():
     rng = np.random.default_rng(5)
     counts = (3,) * 5
@@ -269,14 +310,13 @@ def test_estimate_psi_curve_refuses_a_bad_threshold_before_drawing(game, ce_stra
 
 
 def test_draws_are_the_per_deviator_exponentials():
-    # one call, split per deviator: the values and end state of one call each
-    sizes = [3, 1, 4]
-    one, each = np.random.default_rng(11), np.random.default_rng(11)
-    drawn = verifier._draws(one, 1000, sizes)
-    for k, e in zip(sizes, drawn):
+    # one deviator's draws: the values and end state of one exponential((n, k)) call
+    for k in [3, 1, 4]:
+        one, each = np.random.default_rng(11), np.random.default_rng(11)
+        e = verifier._draws(one, 1000, k)
         assert e.shape == (1000, k)
         assert e.tobytes() == each.exponential(size=(1000, k)).tobytes()
-    assert one.random() == each.random()
+        assert one.random() == each.random()
 
 
 def test_psi_screen_floor_is_a_lower_bound_on_the_dense_sensitivity():
@@ -289,10 +329,10 @@ def test_psi_screen_floor_is_a_lower_bound_on_the_dense_sensitivity():
         zero_cases += bool((probs == 0).any())
         screens = verifier._screens(probs.reshape(g.action_counts))
         dense = dense_sensitivities(g, sigma, 1000, seed=seed)
-        for rank, (devs, delta) in enumerate(dense.items()):
-            sub = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rank,)))
-            raw = verifier._draws(sub, 1000, [g.action_counts[d] for d in devs])
-            for d, e in zip(devs, raw):
+        for devs, delta in dense.items():
+            for d in devs:
+                sub = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,)))
+                e = verifier._draws(sub, 1000, g.action_counts[d])
                 lmins = [positive_mass_floor(g, sigma, devs, d)]
                 if (probs > 0).all():
                     lmins.append(None)  # the full-support form
