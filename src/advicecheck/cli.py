@@ -250,9 +250,14 @@ def cmd_simulate(args) -> int:
         raise InvalidInputError(
             f"{where} entry 'record' is neither 'full' nor 'counts': {record!r}")
     seed = args.seed if args.seed is not None else _entry(cfg, "seed", where, int, 0)
-    mc_samples = (args.mc_samples if args.mc_samples is not None
-                  else _entry(cfg, "mc_samples", where, int, verifier.DEFAULT_MC_SAMPLES))
-    verifier.check_draws(mc_samples, seed)  # toy schedules never estimate psi
+    # toy schedules never estimate psi, so the draws are checked here, each by its own name
+    if args.mc_samples is not None:
+        _check_mc_samples(args)
+        mc_samples = args.mc_samples
+    else:
+        mc_samples = check_int(_entry(cfg, "mc_samples", where, int, verifier.DEFAULT_MC_SAMPLES),
+                               f"{where} entry 'mc_samples'", verifier.MIN_MC_SAMPLES)
+    verifier.check_draws(mc_samples, seed)
     game = load_game(_entry(cfg, "game", where, str))
     sigma = load_strategy(_entry(cfg, "strategy", where, str))
     schedule = _schedule_from_config(game, sigma, cfg.get("schedule", {}), mc_samples, seed)

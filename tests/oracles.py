@@ -12,7 +12,8 @@ per-round loop that draws each action with the scalar ``sample_strategy``
 (not the engine's block sampler); at every test it screens each agent's
 incentive constraints anew before taking the public verdict. The transcript CSV is written one record at a time, and the
 expected play of a free period's first rounds is enumerated exactly, history
-by history.
+by history. The least sample size meeting a Type-2 target is found by
+doubling n and bisecting the last doubling.
 """
 
 import csv
@@ -36,7 +37,8 @@ from advicecheck import (
     run_sampling_decision,
 )
 from advicecheck.agents import sample_strategy
-from advicecheck.errors import check_int
+from advicecheck.chi2 import power_beta
+from advicecheck.errors import InvalidInputError, check_int, check_unit
 from advicecheck.games import agent_incentive_violations, joint_distribution
 
 
@@ -386,3 +388,31 @@ def write_rows_csv(rows, num_agents, path):
                 + list(rec.actions)
                 + [repr(u) for u in rec.utilities]
             )
+
+
+def bisect_sample_size(alpha, beta_target, delta_hat, df_total):
+    """Reference for ``chi2.sample_size``: double n from 2 until beta meets the
+    target, then bisect the last doubling."""
+    check_unit(beta_target, "beta_target")
+
+    def beta_at(n: int) -> float:
+        return power_beta(alpha, delta_hat, df_total, n)
+
+    if beta_at(1) <= beta_target:
+        return 1
+    hi = 2
+    while beta_at(hi) > beta_target:
+        hi *= 2
+        if hi > 2 ** 62:
+            raise InvalidInputError(
+                f"no sample size up to 2^62 meets beta={beta_target} at alpha={alpha}, "
+                f"delta_hat={delta_hat}"
+            )
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if beta_at(mid) <= beta_target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

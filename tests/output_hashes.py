@@ -12,8 +12,9 @@ Run from any directory:
 Two checkouts give the same lines exactly when their outputs are byte-identical:
 the CLI's files and stdout on the bundled fixtures (``simulate`` in full and
 counts mode and with ``--seeds 5`` under several learner pairs, ``check-ce``,
-``plan``, ``test`` and ``schedule``), ``plan`` and ``schedule`` on a 3-agent
-announcement with zero cells, the stdout of every demo, and per-seed
+``plan``, ``test``, and ``schedule`` out to sample sizes of 1e14 and levels of
+1e-12), ``plan`` and ``schedule`` on a 3-agent announcement with zero cells,
+the stdout of every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
 on the bundled game. ``manifest.json`` carries a timestamp and is left out.
 Each command runs in a fresh process on the checkout's own ``src/``. The file
@@ -94,10 +95,13 @@ def outputs(root: Path, tmp: Path):
         yield f"test {counts}", _cli(root, "test", *GAME_STRATEGY,
                                      "--counts", f"fixtures/{counts}_counts.json", codes=DOMAIN)
     yield "test simulated", _cli(root, "test", *GAME_STRATEGY, "--seed", "1", codes=DOMAIN)
-    for rules in ("harmonic", "geometric"):
-        yield f"schedule {rules}", _cli(root, "schedule", "--game", "fixtures/small_game.json",
-                                       "--strategy", "fixtures/correlated_strategy.json",
-                                       "--rules", rules, "--tests", "3")
+    # geometric l_T reaches 1.3e14 at test 8, harmonic alpha 9.1e-13 at test 40
+    for rules, tests in [("harmonic", "3"), ("geometric", "3"), ("geometric", "8"),
+                         ("harmonic", "40")]:
+        yield (f"schedule {rules} --tests {tests}",
+               _cli(root, "schedule", "--game", "fixtures/small_game.json",
+                    "--strategy", "fixtures/correlated_strategy.json", "--rules", rules,
+                    "--tests", tests))
     # no bundled announcement has zero cells; this 2x3x2 one has two
     game, strategy = tmp / "zero-cells-game.json", tmp / "zero-cells-strategy.json"
     game.write_text(json.dumps({"num_agents": 3, "action_counts": [2, 3, 2],

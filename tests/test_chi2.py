@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bisect_sample_size
 
 from advicecheck import (
     InvalidInputError,
@@ -91,13 +93,22 @@ def test_extreme_ncp_underflows_to_zero():
     assert noncentral_chi2_cdf(6.2514, 3, 2100.0) < 1e-12
 
 
-@pytest.mark.parametrize("ncp", [1e8, 1e10, 1e12, 1e16])
+@pytest.mark.parametrize("ncp", [1e8, 1e10, 1e12, 1e16, 1e17, 1e20, 1e200])
 def test_walk_below_the_mode_stops_where_every_term_is_zero(ncp):
     # x far below ncp: P and its recurrence term are both 0 at the mode, so the
     # walk below it stops at once instead of taking ~7 sqrt(ncp / 2) steps
-    # (1e16 used to take minutes); the result is exactly the full walk's 0
+    # (1e16 used to take minutes); the result is exactly the full walk's 0.
+    # The walk above the mode stops too: from ~4.6e16 its tail bound divided by
+    # 1 - lam / (k + 1) == 0, and from ~1e155 Stirling's series squared an
+    # integer mode too large for a float
     assert noncentral_chi2_cdf(6.25, 3, ncp) == 0.0
     assert power_beta(0.1, 0.01, 3, 2**62) == 0.0
+
+
+def test_walk_that_cannot_bound_its_tail_raises():
+    # x just above ncp = 1e17: P at the mode is ~1, and lam / (k + 1) rounds to 1
+    with pytest.raises(NonConvergenceError, match="above the mode"):
+        noncentral_chi2_cdf(1e17 + 2e10, 3, 1e17)
 
 
 def test_quantile_worked_value_and_edges():
@@ -163,6 +174,59 @@ def test_sample_size_nonincreasing_in_delta():
 def test_sample_size_degenerate_target_reports_one():
     # a lax target met by a single observation
     assert sample_size(0.5, 0.9, 5.0, 1) == 1
+    assert sample_size(0.1, 0.01, 1e300, 3) == 1
+
+
+def test_sample_size_refuses_exactly_when_two_to_the_62_misses_the_target():
+    beta_max = power_beta(0.1, 1e-18, 3, 2**62)  # ~0.6 at noncentrality 4.6
+    assert 0.0 < beta_max < 1.0
+    n = sample_size(0.1, beta_max, 1e-18, 3)
+    assert n <= 2**62 and n == bisect_sample_size(0.1, beta_max, 1e-18, 3)
+    below = math.nextafter(beta_max, 0.0)
+    message = (f"no sample size up to 2^62 meets beta={below} at alpha=0.1, "
+               f"delta_hat=1e-18")
+    with pytest.raises(InvalidInputError) as exc:
+        sample_size(0.1, below, 1e-18, 3)
+    assert str(exc.value) == message
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        bisect_sample_size(0.1, below, 1e-18, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(1e-6, 0.5),
+    beta=st.floats(1e-6, 0.9),
+    delta=st.floats(1e-5, 1.0),
+    df=st.sampled_from([1, 3, 26, 127, 242, 1000]),
+)
+def test_sample_size_is_the_least_crossing(alpha, beta, delta, df):
+    n = sample_size(alpha, beta, delta, df)
+    assert power_beta(alpha, delta, df, n) <= beta
+    assert n == 1 or power_beta(alpha, delta, df, n - 1) > beta
+    assert n == bisect_sample_size(alpha, beta, delta, df)
+
+
+# the four solves of one rep of the benchmark's `plan` workload (seed 7) and their answers
+PLAN_SOLVES = [((0.1, 0.08814589665653497, 0.01, 242), 6477),
+               ((0.05, 0.05, 0.000625, 242), 132560),
+               ((0.025, 0.025, 3.90625e-05, 242), 2586311),
+               ((0.3, 0.2222222222222222, 0.01, 127), 2230)]
+
+
+@pytest.mark.parametrize("args, expected", PLAN_SOLVES)
+def test_sample_size_takes_few_noncentral_cdf_calls(monkeypatch, args, expected):
+    # doubling from n = 1 and bisecting took 26, 36, 44 and 24 calls here
+    calls = 0
+    cdf = chi2.noncentral_chi2_cdf
+
+    def counted(*a):
+        nonlocal calls
+        calls += 1
+        return cdf(*a)
+
+    monkeypatch.setattr(chi2, "noncentral_chi2_cdf", counted)
+    assert sample_size(*args) == expected
+    assert calls <= 10
 
 
 @settings(max_examples=25, deadline=None)

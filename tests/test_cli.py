@@ -312,6 +312,19 @@ def test_cmd_test_counts_of_a_huge_valid_total_finish(tmp_path, capsys):
     assert payload["sample_size"] == 2**56 and payload["outcome"] == "RejectByStatistic"
 
 
+def test_cmd_test_counts_of_the_largest_total_give_a_verdict(tmp_path, capsys):
+    # 2^63 - 1 puts the noncentrality at 9.2e16, where the walk above the mode
+    # divided by zero and the command exited 1 with a traceback
+    (tmp_path / "counts.json").write_text(json.dumps([2**63 - 1, 0, 0, 0]))
+    code = main(["test", "--game", GAME, "--strategy", CE,
+                 "--counts", str(tmp_path / "counts.json"), "--p", "0.1", "--delta-hat", "0.01"])
+    assert code in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out.rsplit("}", 1)[0] + "}")
+    assert payload["sample_size"] == 2**63 - 1 and payload["outcome"] == "RejectByStatistic"
+
+
 def test_cmd_schedule_writes_its_stdout_to_schedule_csv(tmp_path, capsysbinary):
     code = main([
         "schedule", "--game", GAME, "--strategy", "fixtures/correlated_strategy.json",
@@ -725,7 +738,7 @@ def test_simulate_mc_samples_flag_of_0_overrides_the_config(tmp_path, capsys):
     cfg = {"game": GAME, "strategy": CE, "mc_samples": 2000, "record": "counts",
            "schedule": {"kind": "harmonic", "horizon_tests": 1}}
     assert _simulate(tmp_path, cfg, "--mc-samples", "0") == 2
-    assert "mc_samples must be at least 1000" in capsys.readouterr().err
+    assert "--mc-samples must be at least 1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("schedule", [TOY, GEOMETRIC, {"kind": "harmonic", "horizon_tests": 1}],
@@ -733,14 +746,22 @@ def test_simulate_mc_samples_flag_of_0_overrides_the_config(tmp_path, capsys):
 def test_simulate_refuses_mc_samples_below_the_bound_for_every_schedule_kind(tmp_path, capsys,
                                                                              schedule):
     # a toy schedule never estimates psi, so the bound must be checked up front
+    # the flag is refused by its own name, the config's entry by the config's wording
     cfg = {"game": GAME, "strategy": CE, "record": "counts", "schedule": schedule}
     low = str(verifier.MIN_MC_SAMPLES - 1)
-    for cfg_, extra in [(cfg, ("--mc-samples", "5", "--seeds", "1")), (cfg, ("--mc-samples", low)),
-                        ({**cfg, "mc_samples": 5}, ())]:
+    for cfg_, extra, name in [
+        (cfg, ("--mc-samples", "5", "--seeds", "1"), "--mc-samples"),
+        (cfg, ("--mc-samples", low), "--mc-samples"),
+        ({**cfg, "mc_samples": 2000}, ("--mc-samples", low), "--mc-samples"),
+        ({**cfg, "mc_samples": 5}, (), "simulate config entry 'mc_samples'"),
+    ]:
         assert _simulate(tmp_path, cfg_, *extra) == 2
-        assert f"mc_samples must be at least {verifier.MIN_MC_SAMPLES}" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {name} must be at least {verifier.MIN_MC_SAMPLES}, got ")
     if schedule is TOY:
         assert _simulate(tmp_path, cfg, "--mc-samples", str(verifier.MIN_MC_SAMPLES)) == 0
+        # a valid flag overrides a config entry that would be refused
+        assert _simulate(tmp_path, {**cfg, "mc_samples": 5}, "--mc-samples", "1000") == 0
 
 
 def test_simulate_one_agent_fictitious_play_exits_0(tmp_path):
