@@ -255,11 +255,12 @@ class AgentState:
     whether it learns from the phase's rounds (``learns``) and how a test's
     verdict sets its mode (``conclude``, the only mode transition). The
     fall-back is a read-only probability vector, checked or drawn by the
-    engine, so it never changes after construction.
+    engine; a drawn one may be None until the engine draws it, before the
+    agent first plays it, and it never changes after that.
     """
 
     id: int
-    fallback: np.ndarray
+    fallback: np.ndarray | None
     learner: Learner
     mode: Mode = Mode.FOLLOWING_MEDIATOR
 

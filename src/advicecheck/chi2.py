@@ -115,7 +115,9 @@ def _gamma_p_series(a: float, x: float) -> float:
 def _gamma_q_contfrac(a: float, x: float) -> float:
     # Q(a, x) via modified Lentz continued fraction (upper tail).
     tiny = 1e-300
-    b = x + 1.0 - a
+    # from 2^53 on x + 1.0 rounds, and x + 1.0 - a can round to 0 (a division
+    # by zero) or miss by units; there x - a is exact when a >= x / 2 (Sterbenz)
+    b = x + 1.0 - a if x < 2.0**53 else (x - a) + 1.0
     c = 1.0 / tiny
     d = 1.0 / b
     h = d

@@ -295,11 +295,14 @@ def _composed(base, game: Game, mixes: dict) -> np.ndarray:
     """``base`` times each agent's independent mix along that agent's axis, in
     the dict's order, flat row-major. ``mixes`` maps agent -> probability
     vector (a list from fictitious play), trusted to be a distribution of the
-    agent's length: public callers pass it through ``_checked_mixes`` first."""
+    agent's length: public callers pass it through ``_checked_mixes`` first.
+    Stacked mixes, an (S, k) array per agent, give S rows, row s composed of
+    the agents' s-th vectors by the same products."""
     for i, s in mixes.items():
         v = np.asarray(s, dtype=float)
-        base = base * v.reshape([-1 if j == i else 1 for j in range(game.num_agents)])
-    return base.ravel()
+        base = base * v.reshape(v.shape[:-1] + tuple(-1 if j == i else 1
+                                                     for j in range(game.num_agents)))
+    return base.reshape(base.shape[:base.ndim - game.num_agents] + (-1,))
 
 
 def compose_deviation(sigma: CorrelatedStrategy, game: Game, deviations: dict) -> CorrelatedStrategy:

@@ -10,8 +10,9 @@ screened out once, at set-up, and rejects every test without testing. At the
 end of every sampling test the verdict on that test's public counts is
 computed once, if some agent is unscreened, and every agent concludes from it.
 
-One phase loop plays the schedule for both runners, and one stepper plays
-every round that is not drawn in bulk:
+One phase loop plays the schedule for every runner, advancing all the runs
+of a batch through a phase before the next, and one stepper plays every
+round that is not drawn in bulk:
 
 * ``run_game`` steps every round and returns a ``Transcript``, whose phase
   results also keep each round's joint signal and joint action index: rows,
@@ -22,9 +23,13 @@ every round that is not drawn in bulk:
   phase, which makes astronomically long phases cheap;
 * ``run_batch`` plays ``run_game_counts`` for many seeds on one set-up: the
   arguments are checked, every agent is screened and the announcement is
-  shaped into its joint tensor once per batch, and each i.i.d. phase
-  composes its deviators on that checked tensor; a seed pays only for its
-  own generators, fall-back draws, fresh learners and phases
+  shaped into its joint tensor once per batch; in each i.i.d. phase the
+  runs with the same deviators are composed on that checked tensor as one
+  array, and each run's row is drawn by its own mediator generator. A seed
+  builds a generator only when it may first draw from it (the mediator's
+  at its first phase; an agent's when it first plays a drawn fall-back in
+  a test or deviates in a stepped phase), so it pays for those generators,
+  fresh learners and its phases
   (``run_game_counts`` is the one-seed batch);
 * ``run_pure_learning`` steps its horizon as one free period in which every
   agent learns.
@@ -43,9 +48,10 @@ runners); values the engine built valid are trusted inside. Past the entry
 check a fall-back is a read-only probability vector: a configured one is
 checked by ``games._checked_mixes``, the one mix check, and a seed's drawn
 one is the draw itself. Deviators are composed without re-checking their
-mixes (``games._composed``), and a phase's utility totals are one integer
-dot product, so a seed of a batch pays for its generators, its draws and,
-where some agent is unscreened, one verdict per completed test.
+mixes (``games._composed``, which composes a batch's runs as rows of one
+array), and a phase's utility totals are one integer dot product, so a seed
+of a batch pays for its generators, its draws and, where some agent is
+unscreened, one verdict per completed test.
 
 Utility ledgers sum exact rationals (joint-action counts times the
 binary-exact float payoffs, summed as integer numerators over one power of
@@ -243,6 +249,8 @@ def tv_distance(p, q) -> float:
 class _Setup:
     """A run's set-up that no seed changes, checked once and shared by a batch."""
 
+    game: Game
+    sigma_m: CorrelatedStrategy
     schedule: Schedule
     horizon: int
     probs: np.ndarray  # the announcement over joint actions
@@ -271,24 +279,51 @@ def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
                                       if cfg.get("fallback") is not None}, first=1)
     modes = tuple(Mode.from_screen(agent_incentive_violations(game, sigma_m, i))
                   for i in range(game.num_agents))
-    return _Setup(schedule, horizon, probs, probs.reshape(game.action_counts),
+    return _Setup(game, sigma_m, schedule, horizon, probs, probs.reshape(game.action_counts),
                   tuple(map(fallbacks.get, range(game.num_agents))),
                   tuple(cfg.get("learner") for cfg in configs), modes)
 
 
-def _seed_agents(game, setup: _Setup, seed):
-    """One seed's generators and fresh agents: the mediator's stream, then one per agent."""
-    children = np.random.SeedSequence(seed).spawn(1 + game.num_agents)
-    mediator_rng = np.random.default_rng(children[0])
-    agent_rngs = [np.random.default_rng(child) for child in children[1:]]
-    states = []
-    for i, (fallback, spec, mode, rng) in enumerate(
-            zip(setup.fallbacks, setup.learner_specs, setup.modes, agent_rngs)):
-        if fallback is None:
-            fallback = _simplex_draw(game.action_counts[i], rng)
-        states.append(AgentState(id=i, fallback=fallback, learner=make_learner(spec, game, i),
-                                 mode=mode))
-    return mediator_rng, agent_rngs, states
+class _Run:
+    """One seed's run in play: its summary, fresh agents and generators.
+
+    Generator 0 is the mediator's and generator i + 1 agent i's, each
+    ``SeedSequence(seed, spawn_key=(i,))``: the streams of
+    ``SeedSequence(seed).spawn``, built only on first use. An agent's
+    generator is built with its fall-back, which it draws first when none is
+    configured, so each stream is consumed as if every generator and
+    fall-back had been made up front.
+    """
+
+    __slots__ = ("run", "states", "rngs", "record", "probs", "signal_override")
+
+    def __init__(self, run: RunSummary, setup: _Setup, signal_override=None):
+        game = setup.game
+        self.run = run
+        self.states = [AgentState(id=i, fallback=fallback, learner=make_learner(spec, game, i),
+                                  mode=mode)
+                       for i, (fallback, spec, mode) in enumerate(
+                           zip(setup.fallbacks, setup.learner_specs, setup.modes))]
+        self.rngs = [None] * (1 + game.num_agents)
+        self.record = isinstance(run, Transcript)
+        self.probs = setup.probs
+        self.signal_override = signal_override
+
+    def rng(self, i: int) -> np.random.Generator:
+        """Generator i, built (and, for an agent without one, its fall-back drawn) on first use."""
+        rng = self.rngs[i]
+        if rng is None:
+            rng = self.rngs[i] = np.random.default_rng(
+                np.random.SeedSequence(self.run.seed, spawn_key=(i,)))
+            if i and self.states[i - 1].fallback is None:
+                self.states[i - 1].fallback = _simplex_draw(self.run.game.action_counts[i - 1], rng)
+        return rng
+
+    def signals(self, lo: int, hi: int) -> np.ndarray:
+        """The joint signals of rounds lo + 1..hi: drawn by the mediator, or the override's."""
+        if self.signal_override is not None:
+            return np.asarray(self.signal_override[lo:hi], dtype=np.int64)
+        return self.rng(0).choice(len(self.probs), size=hi - lo, p=self.probs)
 
 
 def _iid_deviators(states, phase) -> dict | None:
@@ -308,14 +343,15 @@ def _iid_deviators(states, phase) -> dict | None:
     return deviators
 
 
-def _exact_utility_totals(game: Game, counts: np.ndarray) -> tuple[Fraction, ...]:
-    """Each agent's sum of count times payoff, exactly.
+def _exact_utility_totals(game: Game, counts) -> tuple[Fraction, ...]:
+    """Each agent's sum of count times payoff, exactly, for counts as an
+    array or as a list of ints.
 
     The sum is one dot product in Python ints over the game's
     ``payoff_table`` (integer numerators over one power of two per agent),
     since counts reach 1e18.
     """
-    weights = counts.tolist()
+    weights = counts.tolist() if isinstance(counts, np.ndarray) else counts
     return tuple(Fraction(sum(map(operator.mul, weights, nums)), den)
                  for nums, den in game.payoff_table)
 
@@ -372,61 +408,71 @@ def _step(game, phase, states, rngs, length, signals=None, signals_out=None,
     return counts
 
 
-def _play(run: RunSummary, setup: _Setup, signal_override=None):
-    """Play the schedule into ``run``: the phase loop behind both runners.
+def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[RunSummary]:
+    """Play the schedule into every run of a batch, phase by phase: the phase
+    loop behind every runner.
 
-    A Transcript steps every phase and keeps its columns (the signals copied,
-    never a view of ``signal_override``). Otherwise a phase in which every
-    active behavior is i.i.d. (followers track the signal; rejected agents
-    play fixed strategies) is one exact multinomial draw from the
-    announcement's marginal on the followers times the deviators' mixes
-    (composed on the set-up's checked tensor), and a phase with a sequential
-    learner is stepped (``_step``). Its signals are drawn (or sliced from
-    ``signal_override``) a chunk at a time: the same draws as one call.
-    At a completed planned test every agent concludes from one
-    ``run_sampling_decision`` verdict, computed only when some agent is
-    unscreened (a screened agent records ``REJECT_BY_EQ2`` without it).
+    Each phase advances every run before the next phase starts. A Transcript
+    steps every phase and keeps its columns (the signals copied, never a view
+    of ``signal_override``), and so does a run with a sequential learner in
+    the phase (``_step``, on the run's own generators; its signals are drawn,
+    or sliced from ``signal_override``, a chunk at a time: the same draws as
+    one call). The other runs play the phase as one exact multinomial draw
+    each, from the announcement's marginal on the followers times the
+    deviators' mixes: the runs with the same deviators are composed on the
+    set-up's checked tensor as one array, row by row the products a single
+    run forms, and each row is drawn by its run's mediator generator. At a
+    completed planned test every run's agents conclude from one
+    ``run_sampling_decision`` verdict on its counts, computed only when some
+    agent is unscreened (a screened agent records ``REJECT_BY_EQ2`` without
+    it). Runs never share a generator, so each equals its seed played alone.
     """
-    game, sigma_m, schedule = run.game, run.sigma_m, setup.schedule
-    probs, horizon = setup.probs, setup.horizon
-    mediator_rng, agent_rngs, states = _seed_agents(game, setup, run.seed)
-    record = isinstance(run, Transcript)
-    if signal_override is not None:
-        def draw_signals(lo, hi):
-            return np.asarray(signal_override[lo:hi], dtype=np.int64)
-    else:
-        def draw_signals(lo, hi):
-            return mediator_rng.choice(game.num_joint_actions, size=hi - lo, p=probs)
+    game, sigma_m, schedule, horizon = setup.game, setup.sigma_m, setup.schedule, setup.horizon
+    live = [_Run(run, setup, signal_override) for run in runs]
+    some_unscreened = any(mode is not Mode.REJECTED_BY_EQ2 for mode in setup.modes)
     for phase in schedule.phases:
         if phase.begin > horizon:
             break
         length = min(phase.end, horizon) - phase.begin + 1
-        if phase.kind is PhaseKind.FREE_PERIOD:
-            for st in states:
-                st.begin_free_period()
-        deviators = None if record else _iid_deviators(states, phase)
-        signals = joints = None
-        if deviators is not None:
-            dist = (_composed(_others_marginal(setup.tensor, tuple(deviators)), game, deviators)
-                    if deviators else probs)
-            counts = mediator_rng.multinomial(length, dist).astype(np.int64)
-        else:
-            if record:
+        free = phase.kind is PhaseKind.FREE_PERIOD
+        groups: dict[tuple, list] = {}  # deviators -> [(run, their mixes)]
+        for r in live:
+            for st in r.states:
+                if free:
+                    st.begin_free_period()
+                elif st.mode.rejected and st.fallback is None:
+                    r.rng(1 + st.id)  # it plays its drawn fall-back from here
+            deviators = None if r.record else _iid_deviators(r.states, phase)
+            if deviators is not None:
+                groups.setdefault(tuple(deviators), []).append((r, deviators))
+                continue
+            signals = joints = None
+            if r.record:
                 signals = np.empty(length, dtype=np.int64)
                 joints = np.empty(length, dtype=np.int64)
-            counts = _step(game, phase, states, agent_rngs, length, draw_signals, signals, joints)
-        run.phase_results.append(PhaseResult(
-            phase, length, counts, _exact_utility_totals(game, counts),
-            signals=signals, joints=joints,
-        ))
+            rngs = [r.rng(1 + st.id) if st.mode.rejected else None for st in r.states]
+            counts = _step(game, phase, r.states, rngs, length, r.signals, signals, joints)
+            r.run.phase_results.append(PhaseResult(
+                phase, length, counts, _exact_utility_totals(game, counts),
+                signals=signals, joints=joints))
+        for agents, members in groups.items():
+            dists = (_composed(_others_marginal(setup.tensor, agents), game,
+                               {i: [mix[i] for _, mix in members] for i in agents})
+                     if agents else (setup.probs,) * len(members))
+            counts = np.array([r.rng(0).multinomial(length, dist)
+                               for (r, _), dist in zip(members, dists)], dtype=np.int64)
+            for (r, _), row, weights in zip(members, counts, counts.tolist()):
+                r.run.phase_results.append(PhaseResult(
+                    phase, length, row, _exact_utility_totals(game, weights)))
         if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
             plan = schedule.plan_for(phase.index)
             if plan is not None:
-                verdict = (run_sampling_decision(plan, sigma_m, counts)
-                           if any(st.mode is not Mode.REJECTED_BY_EQ2 for st in states) else None)
-                for st in states:
-                    run.decisions[(st.id, phase.index)] = st.conclude(verdict)
-    return run
+                for r in live:
+                    verdict = (run_sampling_decision(plan, sigma_m, r.run.phase_results[-1].counts)
+                               if some_unscreened else None)
+                    for st in r.states:
+                        r.run.decisions[(st.id, phase.index)] = st.conclude(verdict)
+    return runs
 
 
 def run_game(
@@ -449,7 +495,7 @@ def run_game(
     setup = _setup(game, sigma_m, schedule, agent_configs, rounds)
     if signal_override is not None and len(signal_override) < setup.horizon:
         raise InvalidInputError(f"signal_override covers fewer than {setup.horizon} rounds")
-    return _play(run, setup, signal_override)
+    return _play([run], setup, signal_override)[0]
 
 
 def run_batch(
@@ -463,16 +509,18 @@ def run_batch(
     """``run_game_counts`` for each seed, in order, sharing one set-up.
 
     The arguments are checked and every agent is screened once per batch,
-    before any seed is played; each seed then spawns its own generators,
-    draws its own fall-backs and plays with fresh learners, so each run
-    equals ``run_game_counts(..., seed=s)``.
+    before any seed is played. The seeds are then played phase by phase,
+    each with fresh learners and its own generators, built on first use,
+    which draw its own fall-backs first: each run equals
+    ``run_game_counts(..., seed=s)``, and every seed's test j is decided
+    before any seed's test j + 1.
     """
     try:
         seeds = [check_int(s, "seed") for s in seeds]
     except TypeError as exc:
         raise InvalidInputError(f"seeds must be a sequence of integers, got {seeds!r}") from exc
     setup = _setup(game, sigma_m, schedule, agent_configs, rounds)
-    return [_play(RunSummary(seed=s, game=game, sigma_m=sigma_m), setup) for s in seeds]
+    return _play([RunSummary(seed=s, game=game, sigma_m=sigma_m) for s in seeds], setup)
 
 
 def run_game_counts(
@@ -622,31 +670,32 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
     A run's utility totals are the engine's: multiples of one over the
     agent's ``payoff_table`` denominator. So each run adds integer numerators
     over that denominator to the sums for its length, and the mean is one
-    exact Fraction per agent at the end.
+    exact Fraction per agent at the end. The final free periods' distances
+    are taken together, one row per run, each row the sum ``tv_distance``
+    forms.
     """
     if not runs:
         raise InvalidInputError("need at least one run")
-    game = runs[0].game
-    dens = [den for _, den in game.payoff_table]
-    tallies: dict[str, dict[str, int]] = {}
+    dens = [den for _, den in runs[0].game.payoff_table]
+    tallies: dict[tuple[int, int], dict] = {}  # (agent, j) -> outcome -> runs
     by_length: dict[int, list[int]] = {}  # run length -> each agent's summed numerators
-    tvs = []
+    finals = []  # each run's final free period, and its announcement
     for run in runs:
-        for (agent, j), d in run.decisions.items():
-            key = f"agent{agent+1}.test{j}"
-            tallies.setdefault(key, {})
-            tallies[key][d.outcome.value] = tallies[key].get(d.outcome.value, 0) + 1
+        for key, d in run.decisions.items():
+            tally = tallies.setdefault(key, {})
+            tally[d.outcome] = tally.get(d.outcome, 0) + 1
         total_rounds = sum(pr.rounds_run for pr in run.phase_results)
         if not total_rounds:
             raise NoDataError(f"run with seed {run.seed} has no rounds to average")
-        sums = by_length.setdefault(total_rounds, [0] * game.num_agents)
+        sums = by_length.setdefault(total_rounds, [0] * len(dens))
+        final = None
         for pr in run.phase_results:
-            for a, (total, den) in enumerate(zip(pr.utility_totals, dens)):
-                sums[a] += total.numerator * (den // total.denominator)
-        frees = [pr for pr in run.phase_results if pr.phase.kind is PhaseKind.FREE_PERIOD]
-        if frees:
-            final = frees[-1]
-            tvs.append(tv_distance(final.counts / final.rounds_run, run.sigma_m))
+            for a, total in enumerate(pr.utility_totals):
+                sums[a] += total.numerator * (dens[a] // total.denominator)
+            if pr.phase.kind is PhaseKind.FREE_PERIOD:
+                final = pr
+        if final is not None:
+            finals.append((final, run.sigma_m.probs))
     # mean over runs of total / length: over the lengths' lcm, one Fraction per agent
     lcm = math.lcm(*by_length)
     means = [float(Fraction(sum(nums[a] * (lcm // length) for length, nums in by_length.items()),
@@ -655,10 +704,15 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
     out = {
         "num_seeds": len(runs),
         "seeds": sorted(run.seed for run in runs),
-        "decision_tallies": {k: dict(sorted(v.items())) for k, v in sorted(tallies.items())},
+        "decision_tallies": dict(sorted(
+            (f"agent{agent + 1}.test{j}", dict(sorted((o.value, n) for o, n in tally.items())))
+            for (agent, j), tally in tallies.items())),
         "mean_average_utility": means,
     }
-    if tvs:
+    if finals:
+        freqs = (np.array([pr.counts for pr, _ in finals])
+                 / np.array([[pr.rounds_run] for pr, _ in finals]))
+        tvs = (0.5 * np.abs(freqs - np.array([probs for _, probs in finals])).sum(axis=1)).tolist()
         out["final_free_period_tv"] = {
             "mean": math.fsum(tvs) / len(tvs),  # exact rounding: order-free
             "max": max(tvs),

@@ -13,7 +13,9 @@ per-round loop that draws each action with the scalar ``sample_strategy``
 incentive constraints anew before taking the public verdict. The transcript CSV is written one record at a time, and the
 expected play of a free period's first rounds is enumerated exactly, history
 by history. The least sample size meeting a Type-2 target is found by
-doubling n and bisecting the last doubling.
+doubling n and bisecting the last doubling. A batch of seeded runs is
+played one seed after another, with every generator and fall-back made up
+front.
 """
 
 import csv
@@ -36,10 +38,16 @@ from advicecheck import (
     make_learner,
     run_sampling_decision,
 )
-from advicecheck.agents import sample_strategy
+from advicecheck import sim
+from advicecheck.agents import _simplex_draw, sample_strategy
 from advicecheck.chi2 import power_beta
 from advicecheck.errors import InvalidInputError, check_int, check_unit
-from advicecheck.games import agent_incentive_violations, joint_distribution
+from advicecheck.games import (
+    _composed,
+    _others_marginal,
+    agent_incentive_violations,
+    joint_distribution,
+)
 
 
 class Row(NamedTuple):
@@ -416,3 +424,61 @@ def bisect_sample_size(alpha, beta_target, delta_hat, df_total):
         else:
             lo = mid + 1
     return lo
+
+
+def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
+    """Reference for ``run_batch``: one seed after another, every generator and
+    drawn fall-back made up front.
+
+    Each seed spawns the mediator's and every agent's generator from
+    ``SeedSequence(seed).spawn``, draws each missing fall-back at once, then
+    plays its whole schedule before the next seed starts: an i.i.d. phase is
+    one multinomial from the deviators composed one run at a time, any other
+    phase is stepped, and utility totals are Fraction sums over the counts.
+    """
+    setup = sim._setup(game, sigma_m, schedule, agent_configs, rounds)
+    columns = game.utilities.T.tolist()
+    runs = []
+    for seed in seeds:
+        run = sim.RunSummary(seed=seed, game=game, sigma_m=sigma_m)
+        children = np.random.SeedSequence(seed).spawn(1 + game.num_agents)
+        mediator_rng = np.random.default_rng(children[0])
+        agent_rngs = [np.random.default_rng(child) for child in children[1:]]
+        states = []
+        for i, (fallback, spec, mode, rng) in enumerate(
+                zip(setup.fallbacks, setup.learner_specs, setup.modes, agent_rngs)):
+            if fallback is None:
+                fallback = _simplex_draw(game.action_counts[i], rng)
+            states.append(AgentState(id=i, fallback=fallback, learner=make_learner(spec, game, i),
+                                     mode=mode))
+
+        def draw_signals(lo, hi):
+            return mediator_rng.choice(game.num_joint_actions, size=hi - lo, p=setup.probs)
+
+        for phase in schedule.phases:
+            if phase.begin > setup.horizon:
+                break
+            length = min(phase.end, setup.horizon) - phase.begin + 1
+            if phase.kind is PhaseKind.FREE_PERIOD:
+                for st in states:
+                    st.begin_free_period()
+            deviators = sim._iid_deviators(states, phase)
+            if deviators is not None:
+                dist = (_composed(_others_marginal(setup.tensor, tuple(deviators)), game, deviators)
+                        if deviators else setup.probs)
+                counts = mediator_rng.multinomial(length, dist).astype(np.int64)
+            else:
+                counts = sim._step(game, phase, states, agent_rngs, length, draw_signals)
+            totals = tuple(sum((c * Fraction(u) for c, u in zip(counts.tolist(), column)),
+                               Fraction(0)) for column in columns)
+            run.phase_results.append(sim.PhaseResult(phase, length, counts, totals))
+            if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
+                plan = schedule.plan_for(phase.index)
+                if plan is not None:
+                    verdict = (run_sampling_decision(plan, sigma_m, counts)
+                               if any(st.mode is not Mode.REJECTED_BY_EQ2 for st in states)
+                               else None)
+                    for st in states:
+                        run.decisions[(st.id, phase.index)] = st.conclude(verdict)
+        runs.append(run)
+    return runs

@@ -11,7 +11,8 @@ Run from any directory:
 
 Two checkouts give the same lines exactly when their outputs are byte-identical:
 the CLI's files and stdout on the bundled fixtures (``simulate`` in full and
-counts mode and with ``--seeds 5`` under several learner pairs, ``check-ce``,
+counts mode and with ``--seeds 5`` under several learner pairs, one of them
+playing a drawn fall-back only after a stepped free period, ``check-ce``,
 ``plan``, ``test``, and ``schedule`` out to sample sizes of 1e14 and levels of
 1e-12), ``plan`` and ``schedule`` on a 3-agent announcement with zero cells,
 the stdout of every demo, and per-seed
@@ -86,6 +87,14 @@ def outputs(root: Path, tmp: Path):
             _cli(root, "simulate", "--config", cfg, "--seeds", "5", "--out", str(out / name))
             yield (f"simulate --seeds 5 {strategy} {pair} batch_summary.json",
                    (out / name / "batch_summary.json").read_bytes())
+    # agent 1 is rejected at test 1 (seeds 1, 3, 5), samples its uniform learner in
+    # a stepped free period (agent 2's FP is sequential), then first plays its
+    # drawn fall-back at test 2: its fall-back is drawn before those samples
+    cfg = _config(root, tmp, "non-ce-uniform-fp", strategy=non_ce,
+                  agents=[{"learner": {"name": "uniform"}}, {"learner": FP}])
+    _cli(root, "simulate", "--config", cfg, "--seeds", "5", "--out", str(out / "uniform-fp"))
+    yield ("simulate --seeds 5 non_ce uniform-fp batch_summary.json",
+           (out / "uniform-fp" / "batch_summary.json").read_bytes())
     for strategy in ("ce", "non_ce"):
         yield f"check-ce {strategy}", _cli(root, "check-ce", "--game", "fixtures/small_game.json",
                                           "--strategy", f"fixtures/{strategy}_strategy.json",

@@ -111,6 +111,18 @@ def test_walk_that_cannot_bound_its_tail_raises():
         noncentral_chi2_cdf(1e17 + 2e10, 3, 1e17)
 
 
+@pytest.mark.parametrize("x, df", [(1e17 + 4, 10**17), (2.0**54, 2**54), (2.0**54 + 8, 2**54)])
+def test_continued_fraction_start_past_2_to_the_53(x, df):
+    # x + 1 - a rounded to 0 at the first two points (a division by zero) and
+    # to 4 instead of 5 at the third (off by 4e-9); it is formed from x - a there
+    assert chi2_cdf(x, df) == pytest.approx(scipy.stats.chi2.cdf(x, df), abs=1e-12)
+
+
+def test_noncentral_walk_at_the_continued_fraction_zero_raises():
+    with pytest.raises(NonConvergenceError, match="above the mode"):
+        noncentral_chi2_cdf(1e17, 3, 1e17)
+
+
 def test_quantile_worked_value_and_edges():
     assert chi2_quantile(0.9, 3) == pytest.approx(6.251, abs=0.005)
     assert chi2_quantile(0.0, 7) == 0.0

@@ -20,7 +20,7 @@ from advicecheck import (
     load_game,
     load_strategy,
 )
-from advicecheck.games import agent_incentive_violations
+from advicecheck.games import _composed, _others_marginal, agent_incentive_violations
 
 
 def test_game_validation_rejects_negative_utilities():
@@ -350,3 +350,18 @@ def test_load_rejects_malformed_files(tmp_path):
     notarray.write_text(json.dumps({"probs": [1.0]}))
     with pytest.raises(InvalidInputError):
         load_strategy(notarray)
+
+
+@pytest.mark.parametrize("agents", [(0,), (1, 2), (2, 0), (0, 1, 2)])
+def test_composed_stacked_mixes_give_each_row_bit_for_bit(agents):
+    # a batch composes its runs as rows of one array: each row must be the
+    # single composition of that run's mixes, to the last bit
+    rng = np.random.default_rng(3)
+    game = Game([2, 3, 2], rng.uniform(0, 5, size=(12, 3)))
+    tensor = rng.dirichlet(np.ones(12)).reshape(game.action_counts)
+    runs = [{i: rng.dirichlet(np.ones(game.action_counts[i])) for i in agents} for _ in range(5)]
+    base = _others_marginal(tensor, agents)
+    stacked = _composed(base, game, {i: [mixes[i] for mixes in runs] for i in agents})
+    assert stacked.shape == (5, 12)
+    for row, mixes in zip(stacked, runs):
+        assert row.tolist() == _composed(base, game, mixes).tolist()

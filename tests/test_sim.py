@@ -49,6 +49,7 @@ from oracles import (
     exact_window_expectation,
     per_round_game,
     per_round_pure_learning,
+    per_seed_counts,
     phase_columns,
     write_rows_csv,
 )
@@ -198,8 +199,9 @@ def test_screen_runs_once_per_agent(game, ce_strategy, non_ce_strategy, game_2x2
         tests = [[pr for pr in run.phase_results if pr.phase.kind is PhaseKind.SAMPLING_TEST]
                  for run in runs]
         assert [len(t) for t in tests] == [2] * len(runs)
+        # a batch plays phase by phase: test j of every seed, then test j + 1
         verdicts = ([] if len(screened) == g.num_agents
-                    else [pr.counts.tolist() for run_tests in tests for pr in run_tests])
+                    else [run_tests[j].counts.tolist() for j in range(2) for run_tests in tests])
         assert [counts.tolist() for counts in calls["decision"]] == verdicts
         for run, run_tests in zip(runs, tests):
             # screened agents reject by the screen; the others hold their test's verdict
@@ -241,6 +243,79 @@ def test_run_batch_equals_one_run_per_seed(game, announcement, configs, rounds, 
     for run, seed in zip(runs, seeds):
         assert _same_run(run, run_game_counts(game, sigma, sched, configs, seed=seed, rounds=rounds))
     assert len({run.decisions[(0, 1)].statistic for run in runs}) > 1  # the seeds differ
+
+
+@pytest.mark.parametrize("rounds", [None, 250, 450], ids=["whole", "cap-in-free", "cap-in-test"])
+@pytest.mark.parametrize("configs", [
+    [{"learner": FP}, {"learner": FP}],
+    [{"learner": FP}, {"learner": UNIFORM}],
+    [{"learner": UNIFORM}, {"learner": FP}],
+    [{"learner": UNIFORM}, {"learner": UNIFORM}],
+    [{"learner": UNIFORM}, {"learner": TRIGGER, "fallback": [0.3, 0.7]}],
+    [{"learner": TRIGGER, "fallback": [1.0, 0.0]}, {"learner": UNIFORM}],
+], ids=["fp-fp", "fp-uniform", "uniform-fp", "uniform-uniform", "uniform-trigger",
+        "trigger-uniform"])
+@pytest.mark.parametrize("announcement", ["ce_strategy", "non_ce_strategy"])
+def test_run_batch_equals_per_seed_oracle(game, announcement, configs, rounds, request):
+    # phase by phase with lazy generators plays each seed as the frozen
+    # seed-major loop does with every generator made up front
+    sigma = request.getfixturevalue(announcement)
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[100, 150], free_lengths=[300, 200])
+    seeds = list(range(12)) + [3]
+    got = run_batch(game, sigma, sched, configs, seeds, rounds=rounds)
+    want = per_seed_counts(game, sigma, sched, configs, seeds, rounds=rounds)
+    assert all(_same_run(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_run_batch_equals_per_seed_oracle_with_a_one_action_agent():
+    # agent 2 has one action: its drawn fall-back is the point mass and draws nothing
+    rng = np.random.default_rng(4)
+    g = Game([2, 1, 3], rng.uniform(0, 5, size=(6, 3)))
+    sigma = CorrelatedStrategy(rng.dirichlet(np.full(6, 2.0)))
+    sched = toy_schedule(g, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[80, 120], free_lengths=[200, 100])
+    for configs in ([{"learner": FP}, {}, {"learner": UNIFORM}],
+                    [{"learner": UNIFORM}, {"learner": UNIFORM}, {"fallback": [0.2, 0.3, 0.5]}]):
+        got = run_batch(g, sigma, sched, configs, range(8))
+        want = per_seed_counts(g, sigma, sched, configs, range(8))
+        assert all(_same_run(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_lazy_fallback_is_drawn_before_free_period_sampling(game, non_ce_strategy):
+    # agent 1 is unscreened: rejected at test 1, it samples its uniform learner
+    # in free period 1 (stepped, since agent 2's FP is sequential), and first
+    # plays its drawn fall-back at test 2; its generator must draw the
+    # fall-back before the free period's samples, as it did up front
+    configs = [{"learner": UNIFORM}, {"learner": FP}]
+    sched = toy_schedule(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[100, 150], free_lengths=[300, 200])
+    seeds = range(10)
+    got = run_batch(game, non_ce_strategy, sched, configs, seeds)
+    want = per_seed_counts(game, non_ce_strategy, sched, configs, seeds)
+    assert all(_same_run(a, b) for a, b in zip(got, want, strict=True))
+    assert sum(run.decisions[(0, 1)].rejected for run in got) >= 5
+    assert {run.decisions[(1, 1)].outcome for run in got} == {Outcome.REJECT_BY_EQ2}
+
+
+@pytest.mark.parametrize("announcement, per_seed", [("ce_strategy", 1), ("non_ce_strategy", 2)])
+def test_run_batch_builds_only_the_generators_a_seed_draws_from(game, announcement, per_seed,
+                                                                 request):
+    # i.i.d. phases draw from the mediator's generator alone; an agent's is
+    # built only to draw its fall-back for a test it plays it in (the screened
+    # agent of the non-CE announcement), or when it deviates in a stepped phase
+    sigma = request.getfixturevalue(announcement)
+    configs = [{"learner": UNIFORM}, {"learner": UNIFORM}]
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[500], free_lengths=[10**12])
+    seeds = range(20)
+    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as built:
+        runs = run_batch(game, sigma, sched, configs, seeds)
+    assert built.call_count == per_seed * len(seeds)
+    assert all(_same_run(a, b) for a, b in zip(
+        runs, per_seed_counts(game, sigma, sched, configs, seeds), strict=True))
+    if announcement == "ce_strategy":
+        assert any(run.decisions[(0, 1)].rejected for run in runs)  # and learned i.i.d.
 
 
 @pytest.mark.parametrize("configs, seeds", [
