@@ -20,7 +20,7 @@ works backward from a single target error probability p:
     every subset holding that agent. Only the samples within reach of the
     largest threshold pay for the contraction: a chi-square floor from one
     deviator's marginal, which no coarsening can raise, drops the rest first.
-    At full support that floor is computed once per agent, and a subset pays
+    It holds in every subset, so each agent is floored once and a subset pays
     one mask intersection plus its survivors' contraction. One set of draws
     serves any number of thresholds (a schedule's delta_j): each sample's
     sensitivity is counted against all of them at once;
@@ -203,46 +203,23 @@ def _draws(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return rng.standard_exponential((n, k))
 
 
-def _survivors(raw: list[np.ndarray], screens: list, cut: float, lin: np.ndarray) -> np.ndarray:
-    """The rows whose sensitivity may be below ``cut``, for a subset with zero cells.
-
-    Deviators are screened in turn, each on the samples still alive, from the
-    raw exponentials e and their row sums s. Coarsening the outcome to deviator
-    d's action cannot raise a chi-square divergence. With sigma_d sigma's
-    marginal on d and zmax_d(c) the largest zero-cell mass of m over the other
-    deviators' actions at a_d = c, the composed distribution puts between
-    gamma_d(c) (1 - zmax_d(c)) and gamma_d(c) on the positive cells at a_d = c,
-    so the sensitivity is at least
-
-      floor_d = sum_{c: sigma_d(c) > 0} dist(sigma_d(c), I_d(c))^2 / sigma_d(c),
-      I_d(c) = [gamma_d(c) (1 - zmax_d(c)), gamma_d(c)],
-
-    which at full support is chi2(gamma_d || sigma_d), the same in every subset
-    (``estimate_psi`` floors each agent once there). A sample whose floor
-    exceeds ``cut`` is above every threshold and is dropped. ``screens`` holds
-    each deviator's (sigma_d, 1/sigma_d) and ``lin`` is the subset's L
-    (``_subset_forms``).
-    """
-    grid = lin.reshape([len(e[0]) for e in raw])
-    alive = None
-    for i, (e, screen) in enumerate(zip(raw, screens)):
-        x = e if alive is None else e.take(alive, axis=0)
-        # 1 - zmax_d as the least positive-cell mass L, which keeps its relative precision
-        lmin = grid.min(axis=tuple(j for j in range(grid.ndim) if j != i))
-        keep = np.flatnonzero(_floor(x, *screen, lmin) <= cut)
-        alive = keep if alive is None else alive[keep]
-    return alive
-
-
 def _floor(e: np.ndarray, marg: np.ndarray, inv: np.ndarray,
            lmin: np.ndarray | None) -> np.ndarray:
-    """Deviator d's floor (``_survivors``) for each row of its raw exponentials e.
+    """Agent d's chi-square floor for each row of its raw exponentials e.
 
-    ``marg`` and ``inv`` are sigma_d and 1/sigma_d (0 where sigma_d is 0);
-    ``lmin`` is 1 - zmax_d, or None at full support, where the floor is
-    chi2(gamma_d || sigma_d) = sum_c gamma_d(c)^2 / sigma_d(c) - 1. The row
-    sums come from a GEMV, rounded otherwise than the normalization's; the
-    cut's margin covers that.
+    Coarsening the outcome to deviator d's action cannot raise a chi-square
+    divergence. In any subset holding d, the composed distribution puts
+    between gamma_d(c) lmin(c) and gamma_d(c) on the positive cells at
+    a_d = c, so the sensitivity is at least
+
+      floor_d = sum_{c: sigma_d(c) > 0} dist(sigma_d(c), I_d(c))^2 / sigma_d(c),
+      I_d(c) = [gamma_d(c) lmin(c), gamma_d(c)],
+
+    with gamma_d = e / s, s the row sums. ``marg`` and ``inv`` are sigma_d and
+    1/sigma_d (0 where sigma_d is 0); ``lmin`` (``_screens``) is None at full
+    support, where the floor is chi2(gamma_d || sigma_d) =
+    sum_c gamma_d(c)^2 / sigma_d(c) - 1. The row sums come from a GEMV,
+    rounded otherwise than the normalization's; the cut's margin covers that.
     """
     s = e @ np.ones(e.shape[1])
     if lmin is None:
@@ -254,13 +231,21 @@ def _floor(e: np.ndarray, marg: np.ndarray, inv: np.ndarray,
     return scaled / (s * s)
 
 
-def _screens(tensor: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per agent d, sigma_d and 1/sigma_d (0 where sigma_d is 0), for ``_floor``."""
+def _screens(tensor: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Per agent d, sigma_d, 1/sigma_d (0 where sigma_d is 0) and lmin, for ``_floor``.
+
+    On a slice a_d = c of sigma with no zero cell, every subset holding d puts
+    exactly gamma_d(c) on positive cells, so lmin(c) is 1; on a slice holding
+    one it is 0. lmin is None at full support.
+    """
+    full = bool(tensor.all())
     screens = []
     for d in range(tensor.ndim):
-        marg = tensor.sum(axis=tuple(j for j in range(tensor.ndim) if j != d))
+        others = tuple(j for j in range(tensor.ndim) if j != d)
+        marg = tensor.sum(axis=others)
         positive = marg > 0
-        screens.append((marg, np.where(positive, 1.0 / np.where(positive, marg, 1.0), 0.0)))
+        screens.append((marg, np.where(positive, 1.0 / np.where(positive, marg, 1.0), 0.0),
+                        None if full else tensor.all(axis=others) * 1.0))
     return screens
 
 
@@ -364,12 +349,9 @@ def estimate_psi(
     over the deviators' grid, O(prod_d |A_d|), instead of O(|A|), and beyond
     the draws (mc_samples x |A_d| per agent) memory is one fixed-size block
     of rows plus one counter per threshold, whatever mc_samples is. Before
-    that, a chi-square floor (``_survivors``), O(|A_d|) a sample, drops every
-    sample it certifies above the largest threshold. At full support it is
-    each agent's own, computed once, and a subset pays one mask intersection
-    plus its survivors' contraction; with zero cells it depends on the
-    subset's L, so each subset floors its deviators' shared draws. The counts
-    are the unscreened ones exactly.
+    that, each agent's chi-square floor (``_floor``), computed once, drops
+    every sample it certifies above the largest threshold in any subset
+    holding the agent. The counts are the unscreened ones exactly.
     """
     curve = np.ndim(delta_hat) > 0
     given = np.asarray(delta_hat, dtype=object).reshape(-1)  # as given: a bool stays one
@@ -385,31 +367,24 @@ def estimate_psi(
     order = np.argsort(thresholds, kind="stable")
     t_max = thresholds.max()
     cut = t_max + _FLOOR_MARGIN * (1.0 + t_max)
-    full_support = bool((probs > 0).all())
-    screens = _screens(tensor)
     subsets = _deviating_subsets(game)
     # agent d's fall-backs, shared read-only by every subset holding d; singleton (d,) has rank d
     draws = [_draws(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,))),
                     mc_samples, k) for d, k in enumerate(game.action_counts)]
     for e in draws:
         e.setflags(write=False)
-    if full_support:  # a sample's floor is its own deviator's, whatever the subset
-        masks = [_floor(e, *screen, None) <= cut for e, screen in zip(draws, screens)]
+    # a sample's floor is its own deviator's, whatever the subset
+    masks = [_floor(e, *screen) <= cut for e, screen in zip(draws, _screens(tensor))]
     below: dict[tuple[int, ...], list[int]] = {}
     for devs in subsets:
         counts = np.zeros(len(thresholds), dtype=np.int64)
-        if full_support:
-            forms = None
-            alive = np.flatnonzero(np.logical_and.reduce([masks[d] for d in devs]))
-        else:
-            forms = _subset_forms(tensor, devs)
-            alive = _survivors([draws[d] for d in devs], [screens[d] for d in devs], cut, forms[1])
+        alive = np.flatnonzero(np.logical_and.reduce([masks[d] for d in devs]))
         if len(alive):
             # normalized as every sample would be: the unscreened sensitivities bit for bit
             gammas = [draws[d].take(alive, axis=0) for d in devs]
             for g in gammas:
                 g /= g.sum(axis=1, keepdims=True)
-            w, lin = forms or _subset_forms(tensor, devs)
+            w, lin = _subset_forms(tensor, devs)
             counts[order] = _count_below(gammas, w, lin, offset, thresholds[order])
         below[devs] = counts.tolist()
     estimates = []

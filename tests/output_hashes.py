@@ -15,7 +15,8 @@ counts mode and with ``--seeds 5`` under several learner pairs, one of them
 playing a drawn fall-back only after a stepped free period, ``check-ce``,
 ``plan``, ``test``, and ``schedule`` out to sample sizes of 1e14 and levels of
 1e-12), ``plan`` and ``schedule`` on a 3-agent announcement with zero cells,
-the stdout of every demo, and per-seed
+``plan`` on a 5-agent one with zero cells and interior psi, the stdout of
+every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
 on the bundled game. ``manifest.json`` carries a timestamp and is left out.
 Each command runs in a fresh process on the checkout's own ``src/``. The file
@@ -25,7 +26,9 @@ is not a test module, so pytest does not collect it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +43,9 @@ PAIRS = {
 }
 # zero on joint actions 6 and 8 (1-based): psi's screen bounds their mass per deviator
 ZERO_CELLS = [0.24, 0.10, 0.14, 0.06, 0.09, 0, 0.15, 0, 0.09, 0.04, 0.06, 0.03]
+# a product of these 2-action marginals with joint actions 6 and 27 (1-based) zeroed:
+# near a product, so every deviating subset's undetectable fraction is interior
+MARGINALS_2_5 = [(0.6, 0.4), (0.5, 0.5), (0.7, 0.3), (0.55, 0.45), (0.65, 0.35)]
 GAME_STRATEGY = ["--game", "fixtures/small_game.json", "--strategy", "fixtures/ce_strategy.json"]
 # `check-ce` and `test` exit 1 (the CLI's EXIT_DOMAIN) for "not a CE" and "rejected"
 DOMAIN = (0, 1)
@@ -121,6 +127,16 @@ def outputs(root: Path, tmp: Path):
     yield "plan zero cells", _cli(root, "plan", *zero, "--p", "0.05", "--delta-hat", "0.02")
     yield "schedule zero cells", _cli(root, "schedule", *zero, "--rules", "geometric",
                                       "--tests", "3", "--delta0", "0.05", "--p0", "0.2")
+    cells = [math.prod(MARGINALS_2_5[d][a] for d, a in enumerate(joint))
+             for joint in itertools.product(range(2), repeat=5)]
+    cells[5] = cells[26] = 0.0
+    game, strategy = tmp / "zero-cells-game-2-5.json", tmp / "zero-cells-strategy-2-5.json"
+    game.write_text(json.dumps({"num_agents": 5, "action_counts": [2] * 5,
+                                "utilities": [[(3 * j + i) * 7 % 10 for i in range(5)]
+                                              for j in range(32)]}))
+    strategy.write_text(json.dumps([c / sum(cells) for c in cells]))
+    yield "plan zero cells 2^5", _cli(root, "plan", "--game", str(game), "--strategy",
+                                      str(strategy), "--p", "0.2", "--delta-hat", "0.02")
     for demo in sorted((root / "demos").glob("*.py")):
         yield f"demo {demo.stem}", _run(root, [str(demo)])
     yield "agent_act calls per seed", _run(root, [__file__, "--act-counts"])

@@ -343,10 +343,26 @@ def test_incomplete_gamma_raises_instead_of_stopping(monkeypatch):
 
 @pytest.mark.parametrize("df", [1, 2, 3, 7, 26, 242])
 def test_tails_equal_the_lower_tail_forms_bit_for_bit(df):
+    # down to 1e-6 the upper-tail solve keeps the lower-tail critical values
     chi2.chi2_isf.cache_clear()
-    for alpha in (0.5, 0.15, 0.1, 0.05, 1e-3, 1e-6, 1e-12):
+    for alpha in (0.5, 0.15, 0.1, 0.05, 1e-3, 1e-6):
         expected = chi2_quantile(1.0 - alpha, df).hex()
         assert chi2.chi2_isf(alpha, df).hex() == expected
         assert chi2.chi2_isf(alpha, df).hex() == expected  # from the memo
-    for x in (0.0, 0.3, 1.0, float(df), 3.0 * df, 50.0, 80.0, math.inf):
-        assert chi2.chi2_sf(x, df).hex() == (1.0 - chi2_cdf(x, df)).hex()
+
+
+TAIL_DFS = (1, 2, 3, 7, 26, 242, 20_000, 200_000)
+TAIL_ALPHAS = (0.5, 1e-3, 1e-6, 1e-12, 1e-15, 1e-50, 1e-100, 1e-200, 1e-300)
+
+
+@pytest.mark.parametrize("df", TAIL_DFS)
+def test_upper_tails_match_scipy_down_to_1e_300(df):
+    # 1 - cdf gave 0.0 below ~1e-17 (chi2_sf(80, 3) is 3.07e-17), and the
+    # critical value at 1e-15 and df 26 was 129.489 instead of 129.619
+    for alpha in TAIL_ALPHAS:
+        x = scipy.stats.chi2.isf(alpha, df)
+        assert chi2.chi2_sf(x, df) == pytest.approx(alpha, rel=1e-9), alpha
+        assert chi2.chi2_isf(alpha, df) == pytest.approx(x, rel=1e-7), alpha
+    for x in (0.0, 0.3, 1.0, float(df), 3.0 * df, 50.0, 80.0):
+        assert chi2.chi2_sf(x, df) == pytest.approx(scipy.stats.chi2.sf(x, df), rel=1e-9), x
+    assert chi2.chi2_sf(math.inf, df) == 0.0

@@ -102,6 +102,19 @@ def test_cmd_test_accepts_worked_counts(capsys):
     assert abs(payload["statistic"] - 4.6997) < 0.05
 
 
+def test_cmd_test_at_a_level_of_1e_300_gives_a_verdict(capsys):
+    # 1 - 1e-300 rounds to 1.0: a lower-tail solve refused this level
+    code = main([
+        "test", "--game", GAME, "--strategy", CE, "--p", "1e-300",
+        "--counts", "fixtures/accept_counts.json",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[: out.rindex("}") + 1])
+    assert payload["outcome"] == "FollowMediator"
+    assert payload["critical_value"] == pytest.approx(1388.34, abs=0.01)
+
+
 def test_cmd_test_rejects_worked_counts(capsys):
     code = main([
         "test", "--game", GAME, "--strategy", NON_CE,
@@ -348,6 +361,20 @@ def test_cmd_schedule_emits_csv(capsys):
     assert len(lines) == 5  # header + R1 F1 R2 F2
     assert lines[1].startswith("R,1,1,")
     assert lines[2].startswith("F,1,")
+
+
+def test_cmd_schedule_harmonic_to_60_tests_reaches_levels_below_1e_16(capsys):
+    # harmonic alpha is 2^-j; from test 54 on, 1 - alpha rounds to 1.0, where a
+    # lower-tail solve refused the level
+    code = main([
+        "schedule", "--game", GAME, "--strategy", "fixtures/correlated_strategy.json",
+        "--rules", "harmonic", "--tests", "60", "--mc-samples", "1000",
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    tests = [row for row in rows if row[0] == "R"]
+    assert [int(row[1]) for row in tests] == list(range(1, 61))
+    assert float(tests[-1][6]) == 2.0 ** -60
 
 
 def test_cmd_schedule_infeasible_exits_2(capsys):

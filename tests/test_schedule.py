@@ -276,18 +276,18 @@ def test_geometric_rules_refuse_bad_parameters(kwargs, name):
 
 @pytest.fixture
 def quantile_solves(monkeypatch):
-    """The chi2_quantile solves made from here on, with the critical-value memo emptied."""
+    """The df of each critical-value solve made from here on, with the memo emptied."""
     chi2.chi2_isf.cache_clear()
     solves = []
-    solve = chi2.chi2_quantile
-    monkeypatch.setattr(chi2, "chi2_quantile", lambda p, df: solves.append((p, df)) or solve(p, df))
+    solve = chi2._smallest
+    monkeypatch.setattr(chi2, "_smallest", lambda meets, df: solves.append(df) or solve(meets, df))
     return solves
 
 
 def test_a_plan_solves_its_critical_value_once(game, ce_strategy, quantile_solves):
     est = PsiEstimate(psi=0.0, std_error=0.0, per_subset={(0,): 0.0}, mc_samples=1000)
     plan = plan_test(game, ce_strategy, 0.1, 0.01, psi=est)
-    assert len(quantile_solves) == 1
+    assert quantile_solves == [plan.df_total]
     assert plan.psi == 0.0 and plan.psi_se == 0.0  # a psi of 0 is kept, not taken for unset
     assert plan.critical_value == chi2.chi2_quantile(0.9, plan.df_total)
 
@@ -298,5 +298,8 @@ def test_a_toy_schedule_solves_each_alpha_once(game, ce_strategy, quantile_solve
 
 
 def test_a_harmonic_schedule_solves_each_test_once(game, correlated_strategy, quantile_solves):
+    # harmonic alphas are distinct, so one solve per (alpha, df) is one per test
     sched = build_schedule(game, correlated_strategy, harmonic_rules(), 4, mc_samples=1000, seed=1)
-    assert [p for p, _ in quantile_solves] == [1.0 - plan.alpha for plan in sched.plans]
+    assert len({plan.alpha for plan in sched.plans}) == len(sched.plans)
+    assert quantile_solves == [plan.df_total for plan in sched.plans]
+    assert chi2.chi2_isf.cache_info().misses == len(sched.plans)

@@ -333,11 +333,14 @@ def test_psi_screen_floor_is_a_lower_bound_on_the_dense_sensitivity():
             for d in devs:
                 sub = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,)))
                 e = verifier._draws(sub, 1000, g.action_counts[d])
-                lmins = [positive_mass_floor(g, sigma, devs, d)]
-                if (probs > 0).all():
-                    lmins.append(None)  # the full-support form
-                for lmin in lmins:
-                    floor = verifier._floor(e, *screens[d], lmin)
+                marg, inv, lmin = screens[d]
+                # the subset's own least positive-cell mass, which the agent's lmin never exceeds
+                tight = positive_mass_floor(g, sigma, devs, d)
+                assert (lmin is None) == bool((probs > 0).all())  # None: the full-support form
+                if lmin is not None:
+                    assert np.all(lmin <= tight)
+                for bound in (lmin, tight):
+                    floor = verifier._floor(e, marg, inv, bound)
                     assert np.all(floor <= delta + verifier._FLOOR_MARGIN * (1.0 + delta))
                     screened += 1
     assert zero_cases >= 15 and screened >= 300
@@ -352,7 +355,7 @@ def test_estimate_psi_matches_dense_oracle_where_the_screen_drops_some_or_none()
         contracted.append(len(gammas[0]))
         return count_below(gammas, *args)
 
-    dropped = 0
+    dropped = zero_dropped = 0
     for _ in range(40):
         g, sigma, _ = _random_psi_case(rng)
         seed = int(rng.integers(2**31))
@@ -367,6 +370,8 @@ def test_estimate_psi_matches_dense_oracle_where_the_screen_drops_some_or_none()
             for d, est in zip(deltas, curve.estimates):
                 assert est.per_subset == {devs: float((x < d).mean()) for devs, x in dense.items()}
             dropped += len(every) - sum(contracted)
+            if (sigma.probs == 0).any():
+                zero_dropped += len(every) - sum(contracted)
         # psi = 1: every sensitivity is at most max(1/min sigma - 1, 1), so none is dropped
         contracted.clear()
         with mock.patch.object(verifier, "_count_below", spy):
@@ -375,6 +380,7 @@ def test_estimate_psi_matches_dense_oracle_where_the_screen_drops_some_or_none()
         assert alone.per_subset == dict.fromkeys(dense, 1.0)
         assert sum(contracted) == len(every)
     assert dropped > 10_000  # of about 60,000 samples above the largest quartile
+    assert zero_dropped > 1000  # announcements with zero cells are screened too (4334 here)
 
 
 @pytest.mark.parametrize("kwargs, name", [
