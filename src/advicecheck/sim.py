@@ -28,9 +28,10 @@ round that is not drawn in bulk:
   array, and each run's row is drawn by its own mediator generator. A seed
   builds a generator only when it may first draw from it (the mediator's
   at its first phase; an agent's when it first plays a drawn fall-back in
-  a test or deviates in a stepped phase), so it pays for those generators,
-  fresh learners and its phases
-  (``run_game_counts`` is the one-seed batch);
+  a test or deviates in a stepped phase), from the state one pass over the
+  batch computed for it (``_seed_states``), so it pays for those
+  generators, fresh learners and its phases (``run_game_counts`` is the
+  one-seed batch);
 * ``run_pure_learning`` steps its horizon as one free period in which every
   agent learns.
 
@@ -62,6 +63,7 @@ exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -284,20 +286,130 @@ def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
                   tuple(cfg.get("learner") for cfg in configs), modes)
 
 
+# SeedSequence's hashes (numpy/random/bit_generator.pyx), run by ``_seed_states``:
+# a hash's call j xors its value with c_j and multiplies it by c_{j+1}
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """A hash's first ``count`` constants, c_j = ``init * mult**j mod 2**32``."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return out
+
+
+def _entropy_stages(words: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (xor, multiplier) columns of each stage of ``mix_entropy`` over
+    ``words`` seed words (at least 4, the pool size) and one spawn-key word.
+
+    Stage 0 hashes the first four words into the pool; stage 1 + s mixes
+    pool word s into the other three (its own row is a placeholder, since
+    the caller restores that word); each later stage mixes one more word
+    into all four.
+    """
+    c = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * words + 5)
+
+    def column(values):
+        return np.array(values, dtype=np.uint32)[:, None]
+
+    stages = [(column(c[0:4]), column(c[1:5]))]
+    for src in range(4):
+        xors, mults = c[4 + 3 * src : 7 + 3 * src], c[5 + 3 * src : 8 + 3 * src]
+        stages.append((column(xors[:src] + [0] + xors[src:]),
+                       column(mults[:src] + [0] + mults[src:])))
+    stages += [(column(c[j : j + 4]), column(c[j + 1 : j + 5])) for j in range(16, 4 * words + 1, 4)]
+    return stages
+
+
+_ENTROPY_STAGES = _entropy_stages(4)  # every seed below 2**128
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)  # generate_state's
+_STATE_XORS = np.array(_STATE_HASH[:8], dtype=np.uint32)[:, None, None]
+_STATE_MULTS = np.array(_STATE_HASH[1:], dtype=np.uint32)[:, None, None]
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash(values, xors, mults):
+    values = (values ^ xors) * mults
+    return values ^ (values >> 16)
+
+
+def _mix(x, y):
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+def _seed_states(seeds, keys) -> np.ndarray:
+    """``SeedSequence(s, spawn_key=(k,)).generate_state(4, np.uint64)`` for
+    every seed s (a non-negative int) and key k (below 2**32): an
+    (S, K, 4) uint64 array, the PCG64 state words of every generator a batch
+    may build.
+
+    It runs SeedSequence's fixed algorithm as one straight-line numpy pass
+    over all rows (``mix_entropy`` on the seed's words, zero-padded to the
+    4-word pool, then the key's word; then ``generate_state``), in uint32
+    arithmetic, which wraps as the C code does. A seed of 2**128 or more has
+    more words and so more mixing stages: the seeds are grouped by word count.
+    The pass costs a few dozen small-array operations whatever the number of
+    rows.
+    """
+    keys = np.asarray(keys, dtype=np.uint32)
+    out = np.empty((len(seeds), len(keys), 4), dtype=np.uint64)
+    groups: dict[int, list[int]] = {}
+    for row, seed in enumerate(seeds):
+        groups.setdefault(max(4, -(-seed.bit_length() // 32)), []).append(row)
+    for words, rows in groups.items():
+        entropy = np.frombuffer(b"".join(seeds[r].to_bytes(4 * words, "little") for r in rows),
+                                dtype="<u4").reshape(len(rows), words).T
+        stages = _ENTROPY_STAGES if words == 4 else _entropy_stages(words)
+        pool = _hash(entropy[:4], *stages[0])
+        for src in range(4):
+            mixed = _mix(pool, _hash(pool[src], *stages[1 + src]))
+            mixed[src] = pool[src]
+            pool = mixed
+        for w in range(4, words):
+            pool = _mix(pool, _hash(entropy[w], *stages[1 + w]))
+        pool = _mix(pool[:, :, None], _hash(keys, *stages[1 + words])[:, None, :])
+        # generate_state: 8 words cycling over the pool, paired little-endian into 4 uint64
+        state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XORS, _STATE_MULTS).astype(np.uint64)
+        out[rows] = (state[0::2] | state[1::2] << np.uint64(32)).transpose(1, 2, 0)
+    return out
+
+
+@functools.cache
+def _given_state():
+    """The ``ISeedSequence`` that hands PCG64 a state ``_seed_states`` computed.
+
+    Built on first use: subclassing loads ``numpy.random``, which
+    ``import advicecheck`` does not.
+    """
+
+    class GivenState(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state  # PCG64 asks for its 4 uint64 words
+
+    return GivenState
+
+
 class _Run:
     """One seed's run in play: its summary, fresh agents and generators.
 
     Generator 0 is the mediator's and generator i + 1 agent i's, each
-    ``SeedSequence(seed, spawn_key=(i,))``: the streams of
-    ``SeedSequence(seed).spawn``, built only on first use. An agent's
-    generator is built with its fall-back, which it draws first when none is
-    configured, so each stream is consumed as if every generator and
-    fall-back had been made up front.
+    seeded as ``SeedSequence(seed, spawn_key=(i,))`` would seed it (the
+    streams of ``SeedSequence(seed).spawn``), from row i of the run's
+    ``_seed_states``, and built only on first use. An agent's generator is
+    built with its fall-back, which it draws first when none is configured,
+    so each stream is consumed as if every generator and fall-back had been
+    made up front.
     """
 
-    __slots__ = ("run", "states", "rngs", "record", "probs", "signal_override")
+    __slots__ = ("run", "states", "rngs", "record", "probs", "signal_override", "seed_states")
 
-    def __init__(self, run: RunSummary, setup: _Setup, signal_override=None):
+    def __init__(self, run: RunSummary, setup: _Setup, seed_states, signal_override=None):
         game = setup.game
         self.run = run
         self.states = [AgentState(id=i, fallback=fallback, learner=make_learner(spec, game, i),
@@ -308,13 +420,14 @@ class _Run:
         self.record = isinstance(run, Transcript)
         self.probs = setup.probs
         self.signal_override = signal_override
+        self.seed_states = seed_states
 
     def rng(self, i: int) -> np.random.Generator:
         """Generator i, built (and, for an agent without one, its fall-back drawn) on first use."""
         rng = self.rngs[i]
         if rng is None:
             rng = self.rngs[i] = np.random.default_rng(
-                np.random.SeedSequence(self.run.seed, spawn_key=(i,)))
+                np.random.PCG64(_given_state()(self.seed_states[i])))
             if i and self.states[i - 1].fallback is None:
                 self.states[i - 1].fallback = _simplex_draw(self.run.game.action_counts[i - 1], rng)
         return rng
@@ -426,9 +539,11 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
     ``run_sampling_decision`` verdict on its counts, computed only when some
     agent is unscreened (a screened agent records ``REJECT_BY_EQ2`` without
     it). Runs never share a generator, so each equals its seed played alone.
+    The batch computes every generator's state in one pass (``_seed_states``).
     """
     game, sigma_m, schedule, horizon = setup.game, setup.sigma_m, setup.schedule, setup.horizon
-    live = [_Run(run, setup, signal_override) for run in runs]
+    seeded = _seed_states([run.seed for run in runs], range(1 + game.num_agents))
+    live = [_Run(run, setup, rows, signal_override) for run, rows in zip(runs, seeded)]
     some_unscreened = any(mode is not Mode.REJECTED_BY_EQ2 for mode in setup.modes)
     for phase in schedule.phases:
         if phase.begin > horizon:
@@ -516,6 +631,8 @@ def run_batch(
     before any seed's test j + 1.
     """
     try:
+        if isinstance(seeds, (str, bytes, bytearray)):  # its items are characters, not seeds
+            raise TypeError(seeds)
         seeds = [check_int(s, "seed") for s in seeds]
     except TypeError as exc:
         raise InvalidInputError(f"seeds must be a sequence of integers, got {seeds!r}") from exc

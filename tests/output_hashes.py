@@ -11,12 +11,13 @@ Run from any directory:
 
 Two checkouts give the same lines exactly when their outputs are byte-identical:
 the CLI's files and stdout on the bundled fixtures (``simulate`` in full and
-counts mode and with ``--seeds 5`` under several learner pairs, one of them
-playing a drawn fall-back only after a stepped free period, ``check-ce``,
-``plan``, ``test``, and ``schedule`` out to sample sizes of 1e14 and levels of
-1e-12), ``plan`` and ``schedule`` on a 3-agent announcement with zero cells,
-``plan`` on a 5-agent one with zero cells and interior psi, the stdout of
-every demo, and per-seed
+counts mode, with ``--seeds 5`` under several learner pairs, one of them
+playing a drawn fall-back only after a stepped free period, and with
+``--seeds 3`` from seed 2**128 - 1, past which a seed has five entropy words;
+``check-ce``, ``plan``, ``test``, and ``schedule`` out to sample sizes of 1e14
+and levels of 1e-12), ``plan`` and ``schedule`` on a 3-agent announcement
+with zero cells, ``plan`` on a 5-agent one with zero cells and interior psi,
+the stdout of every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
 on the bundled game. ``manifest.json`` carries a timestamp and is left out.
 Each command runs in a fresh process on the checkout's own ``src/``. The file
@@ -101,6 +102,11 @@ def outputs(root: Path, tmp: Path):
     _cli(root, "simulate", "--config", cfg, "--seeds", "5", "--out", str(out / "uniform-fp"))
     yield ("simulate --seeds 5 non_ce uniform-fp batch_summary.json",
            (out / "uniform-fp" / "batch_summary.json").read_bytes())
+    # a seed of 2**128 or more has five or more entropy words: more mixing stages
+    _cli(root, "simulate", "--config", "fixtures/sim_config.json", "--seeds", "3",
+         "--seed", str(2**128 - 1), "--out", str(out / "multi-word"))
+    yield (f"simulate --seeds 3 --seed {2**128 - 1} batch_summary.json",
+           (out / "multi-word" / "batch_summary.json").read_bytes())
     for strategy in ("ce", "non_ce"):
         yield f"check-ce {strategy}", _cli(root, "check-ce", "--game", "fixtures/small_game.json",
                                           "--strategy", f"fixtures/{strategy}_strategy.json",

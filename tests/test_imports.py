@@ -1,4 +1,5 @@
-"""Every name a library module imports is read in that module.
+"""Every name a library module imports is read in that module, and
+importing the package leaves ``numpy.random`` unloaded.
 
 A name left imported after its last use goes unnoticed otherwise. The
 package's ``__init__`` (whose imports are its exports), ``__future__``
@@ -7,6 +8,9 @@ tracer, which wraps them where they are imported) are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,13 @@ def test_an_unread_import_is_found():
               "def f(game: Game):\n"
               "    return os.path.join(str(game))\n")
     assert unread_imports(source) == ["math", "_composed"]
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily, on first use; loading it at import
+    # would cost every command ~15 ms before it starts
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", "import sys, advicecheck; "
+                           "print('numpy.random' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

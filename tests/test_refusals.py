@@ -206,6 +206,10 @@ OTHERS = [
      lambda e: run_game(e["game"], e["sigma"], e["schedule"], [{"fallbak": [1, 0]}, {}])),
     ("manual_plan", "fewer than two cells",
      lambda e: manual_plan(e["game"], CorrelatedStrategy([1.0, 0.0, 0.0, 0.0]), 0.1, 0.01, 10)),
+    ("run_batch", "seeds must be a sequence of integers, got '12'",
+     lambda e: run_batch(e["game"], e["sigma"], e["schedule"], None, "12")),
+    ("run_batch", "seeds must be a sequence of integers, got b'12'",
+     lambda e: run_batch(e["game"], e["sigma"], e["schedule"], None, b"12")),
 ]
 # every public entry point that takes an announcement, called with ``s`` as it
 ANNOUNCEMENT_READERS = [

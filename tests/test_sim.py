@@ -298,6 +298,43 @@ def test_lazy_fallback_is_drawn_before_free_period_sampling(game, non_ce_strateg
     assert {run.decisions[(1, 1)].outcome for run in got} == {Outcome.REJECT_BY_EQ2}
 
 
+def _seed_sequence_states(seeds, keys):
+    return np.array([[np.random.SeedSequence(s, spawn_key=(k,)).generate_state(4, np.uint64)
+                      for k in keys] for s in seeds])
+
+
+# a seed of 2**128 or more has five or more entropy words, so more mixing stages
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**96, 2**128 - 1, 2**128, 2**200]
+
+
+def test_seed_states_equal_seed_sequence_at_word_edges():
+    got = sim._seed_states(WORD_EDGES, range(8))
+    assert got.dtype == np.uint64 and got.shape == (len(WORD_EDGES), 8, 4)
+    np.testing.assert_array_equal(got, _seed_sequence_states(WORD_EDGES, range(8)))
+    for seed in WORD_EDGES:  # each row alone, whatever seeds share its batch
+        np.testing.assert_array_equal(sim._seed_states([seed], range(8))[0], got[WORD_EDGES.index(seed)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**64), st.integers(0, 2**300)), min_size=1, max_size=6),
+       st.integers(1, 8))
+def test_seed_states_equal_seed_sequence(seeds, keys):
+    np.testing.assert_array_equal(sim._seed_states(seeds, range(keys)),
+                                  _seed_sequence_states(seeds, range(keys)))
+
+
+def test_run_batch_of_multi_word_seeds_equals_one_run_per_seed(game, non_ce_strategy):
+    # the batch's pass groups its seeds by word count; each lone run's pass has one group
+    configs = [{"learner": UNIFORM}, {"learner": FP}]
+    sched = toy_schedule(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[100, 150], free_lengths=[300, 200])
+    seeds = [2**128 - 1, 2**128, 2**128 + 1]
+    runs = run_batch(game, non_ce_strategy, sched, configs, seeds)
+    assert all(_same_run(run, run_game_counts(game, non_ce_strategy, sched, configs, seed=seed))
+               for run, seed in zip(runs, seeds, strict=True))
+    assert len({run.decisions[(0, 1)].statistic for run in runs}) == 3
+
+
 @pytest.mark.parametrize("announcement, per_seed", [("ce_strategy", 1), ("non_ce_strategy", 2)])
 def test_run_batch_builds_only_the_generators_a_seed_draws_from(game, announcement, per_seed,
                                                                  request):
@@ -309,9 +346,11 @@ def test_run_batch_builds_only_the_generators_a_seed_draws_from(game, announceme
     sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
                          test_lengths=[500], free_lengths=[10**12])
     seeds = range(20)
-    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as built:
+    with (mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as built,
+          mock.patch.object(sim, "_seed_states", wraps=sim._seed_states) as states):
         runs = run_batch(game, sigma, sched, configs, seeds)
-    assert built.call_count == per_seed * len(seeds)
+    # every generator is built from the batch's one seeding pass
+    assert (built.call_count, states.call_count) == (per_seed * len(seeds), 1)
     assert all(_same_run(a, b) for a, b in zip(
         runs, per_seed_counts(game, sigma, sched, configs, seeds), strict=True))
     if announcement == "ce_strategy":
@@ -333,7 +372,8 @@ def test_run_batch_builds_only_the_generators_a_seed_draws_from(game, announceme
         "seed--1", "seed-1.5", "seed-True", "seeds-int"])
 def test_run_batch_refuses_before_any_seed_is_played(game, ce_strategy, configs, seeds):
     schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20], [20])
-    with mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")):
+    with (mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")),
+          mock.patch.object(sim, "_seed_states", side_effect=AssertionError("seeded"))):
         with pytest.raises(InvalidInputError):
             run_batch(game, ce_strategy, schedule, configs, seeds)
 
@@ -659,7 +699,9 @@ def test_runners_refuse_a_bad_seed_before_drawing(game, ce_strategy, runner, see
         "run_game_counts": lambda: run_game_counts(game, ce_strategy, schedule, seed=seed),
         "run_pure_learning": lambda: run_pure_learning(game, [UNIFORM, UNIFORM], 20, seed=seed),
     }
-    with mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")):
+    # run_pure_learning seeds through SeedSequence, the others through the seeding pass
+    with (mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")),
+          mock.patch.object(sim, "_seed_states", side_effect=AssertionError("seeded"))):
         with pytest.raises(InvalidInputError, match="seed"):
             calls[runner]()
 
