@@ -247,9 +247,12 @@ def _simplex_draw(action_count: int, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
+_SCREENED = Decision(Outcome.REJECT_BY_EQ2)  # every screened agent's decision, one frozen instance
+
+
 @dataclass
 class AgentState:
-    """One agent's run state: mode, fixed fall-back, and learner.
+    """One agent's run state: mode, fixed fall-back, and learner (shared by a batch's runs).
 
     It owns the agent's policy: what it plays in a phase (``strategy``),
     whether it learns from the phase's rounds (``learns``) and how a test's
@@ -263,10 +266,6 @@ class AgentState:
     fallback: np.ndarray | None
     learner: Learner
     mode: Mode = Mode.FOLLOWING_MEDIATOR
-
-    def begin_free_period(self) -> None:
-        """Flexibility hook: wipe the learner at every free-period start."""
-        self.learner.reset()
 
     def strategy(self, phase: Phase):
         """What the agent plays in ``phase``: None while following (it plays its
@@ -287,7 +286,7 @@ class AgentState:
         sets its mode; a screened agent rejects without testing (``verdict`` may
         then be None)."""
         if self.mode is Mode.REJECTED_BY_EQ2:
-            return Decision(Outcome.REJECT_BY_EQ2)
+            return _SCREENED
         self.mode = Mode.REJECTED_BY_TEST if verdict.rejected else Mode.FOLLOWING_MEDIATOR
         return verdict
 

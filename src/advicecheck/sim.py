@@ -22,16 +22,14 @@ round that is not drawn in bulk:
   multinomial per phase whenever every active behavior is i.i.d. within the
   phase, which makes astronomically long phases cheap;
 * ``run_batch`` plays ``run_game_counts`` for many seeds on one set-up: the
-  arguments are checked, every agent is screened and the announcement is
-  shaped into its joint tensor once per batch; in each i.i.d. phase the
-  runs with the same deviators are composed on that checked tensor as one
-  array, and each run's row is drawn by its own mediator generator. A seed
-  builds a generator only when it may first draw from it (the mediator's
-  at its first phase; an agent's when it first plays a drawn fall-back in
-  a test or deviates in a stepped phase), from the state one pass over the
-  batch computed for it (``_seed_states``), so it pays for those
-  generators, fresh learners and its phases (``run_game_counts`` is the
-  one-seed batch);
+  arguments are checked, every agent is screened, its one learner built and
+  the announcement shaped into its joint tensor once per batch. In each
+  phase the runs go in cohorts, by which agents are rejected; a cohort's
+  i.i.d. mixes are composed once on that tensor, and each run's multinomial
+  is drawn by its own mediator generator. A seed builds a generator only
+  when it may first draw from it, from the state one pass over the batch
+  computed for it (``_seed_states``). ``run_game_counts`` is the one-seed
+  batch;
 * ``run_pure_learning`` steps its horizon as one free period in which every
   agent learns.
 
@@ -49,15 +47,15 @@ runners); values the engine built valid are trusted inside. Past the entry
 check a fall-back is a read-only probability vector: a configured one is
 checked by ``games._checked_mixes``, the one mix check, and a seed's drawn
 one is the draw itself. Deviators are composed without re-checking their
-mixes (``games._composed``, which composes a batch's runs as rows of one
-array), and a phase's utility totals are one integer dot product, so a seed
-of a batch pays for its generators, its draws and, where some agent is
-unscreened, one verdict per completed test.
+mixes (``games._composed``), so a seed of a batch pays for its generators,
+its draws and, where some agent is unscreened, one verdict per completed
+test; what is the same across seeds (learners, i.i.d. facts, free-period
+mixes) is done once per batch or per cohort.
 
-Utility ledgers sum exact rationals (joint-action counts times the
-binary-exact float payoffs, summed as integer numerators over one power of
-two from the game's ``payoff_table``), so phase segments partition totals
-exactly.
+Utility ledgers sum exact rationals: joint-action counts times the
+binary-exact float payoffs, kept as integer numerators over one power of two
+per agent from the game's ``payoff_table``, so phase segments partition
+totals exactly.
 """
 
 from __future__ import annotations
@@ -67,9 +65,9 @@ import functools
 import io
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,17 +88,24 @@ from .schedule import Phase, PhaseKind, Schedule
 from .verifier import Decision, run_sampling_decision
 
 
-@dataclass(frozen=True)
-class PhaseResult:
-    """One phase of a run; a transcript's also keeps each round's joint signal
-    and joint action index (int64 columns ``signals``, ``joints``)."""
+class PhaseResult(NamedTuple):
+    """One phase of a run: counts, and each agent's exact utility total as an
+    integer numerator over its ``payoff_table`` denominator. A transcript's
+    also keeps each round's joint signal and joint action index (int64
+    columns ``signals``, ``joints``)."""
 
     phase: Phase
     rounds_run: int
     counts: np.ndarray
-    utility_totals: tuple[Fraction, ...]
+    utility_numerators: tuple[int, ...]
+    utility_denominators: tuple[int, ...]
     signals: np.ndarray | None = None
     joints: np.ndarray | None = None
+
+    @property
+    def utility_totals(self) -> tuple[Fraction, ...]:
+        """Each agent's utility total as an exact Fraction, formed on read."""
+        return tuple(map(Fraction, self.utility_numerators, self.utility_denominators))
 
 
 @dataclass
@@ -258,12 +263,13 @@ class _Setup:
     probs: np.ndarray  # the announcement over joint actions
     tensor: np.ndarray  # the same, shaped by the action counts
     fallbacks: tuple  # each agent's configured fall-back, a checked vector, or None: drawn per seed
-    learner_specs: tuple
+    learners: tuple  # each agent's one learner, shared by every run (see ``_play``)
+    free_mixes: tuple  # each fresh learner's strategy if it holds for ever, else None: it steps
     modes: tuple  # each agent's starting mode: the incentive screen's verdict
 
 
 def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
-    """Check a run's arguments and screen every agent once, before any seed is played."""
+    """Check a run's arguments, build each agent's learner and screen it, once, before any seed."""
     probs = joint_distribution(sigma_m, game)
     if rounds is not None:
         check_int(rounds, "rounds")
@@ -274,16 +280,22 @@ def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
     if (not isinstance(configs, (list, tuple)) or len(configs) != game.num_agents
             or not all(isinstance(cfg, dict) for cfg in configs)):
         raise InvalidInputError(f"need one agent config object per agent, got {configs!r}")
+    learners = []
     for i, cfg in enumerate(configs):
         check_keys(cfg, ("fallback", "learner"), f"config of agent {i + 1}")
-        make_learner(cfg.get("learner"), game, i)  # refuses a bad spec before any seed
+        learners.append(make_learner(cfg.get("learner"), game, i))  # a bad spec: before any seed
     fallbacks = _checked_mixes(game, {i: cfg["fallback"] for i, cfg in enumerate(configs)
                                       if cfg.get("fallback") is not None}, first=1)
     modes = tuple(Mode.from_screen(agent_incentive_violations(game, sigma_m, i))
                   for i in range(game.num_agents))
     return _Setup(game, sigma_m, schedule, horizon, probs, probs.reshape(game.action_counts),
-                  tuple(map(fallbacks.get, range(game.num_agents))),
-                  tuple(cfg.get("learner") for cfg in configs), modes)
+                  tuple(map(fallbacks.get, range(game.num_agents))), tuple(learners),
+                  tuple(map(_free_mix, learners)), modes)
+
+
+def _free_mix(learner) -> np.ndarray | None:
+    """A fresh learner's strategy if it holds for ever, else None: its free periods step."""
+    return learner.next_strategy() if learner.stable_rounds() == math.inf else None
 
 
 # SeedSequence's hashes (numpy/random/bit_generator.pyx), run by ``_seed_states``:
@@ -396,7 +408,7 @@ def _given_state():
 
 
 class _Run:
-    """One seed's run in play: its summary, fresh agents and generators.
+    """One seed's run in play: its summary, agents' states and generators.
 
     Generator 0 is the mediator's and generator i + 1 agent i's, each
     seeded as ``SeedSequence(seed, spawn_key=(i,))`` would seed it (the
@@ -407,17 +419,13 @@ class _Run:
     made up front.
     """
 
-    __slots__ = ("run", "states", "rngs", "record", "probs", "signal_override", "seed_states")
+    __slots__ = ("run", "states", "rngs", "probs", "signal_override", "seed_states")
 
     def __init__(self, run: RunSummary, setup: _Setup, seed_states, signal_override=None):
-        game = setup.game
         self.run = run
-        self.states = [AgentState(id=i, fallback=fallback, learner=make_learner(spec, game, i),
-                                  mode=mode)
-                       for i, (fallback, spec, mode) in enumerate(
-                           zip(setup.fallbacks, setup.learner_specs, setup.modes))]
-        self.rngs = [None] * (1 + game.num_agents)
-        self.record = isinstance(run, Transcript)
+        self.states = [AgentState(i, fallback, learner, mode) for i, (fallback, learner, mode)
+                       in enumerate(zip(setup.fallbacks, setup.learners, setup.modes))]
+        self.rngs = [None] * (1 + setup.game.num_agents)
         self.probs = setup.probs
         self.signal_override = signal_override
         self.seed_states = seed_states
@@ -432,6 +440,12 @@ class _Run:
                 self.states[i - 1].fallback = _simplex_draw(self.run.game.action_counts[i - 1], rng)
         return rng
 
+    def fallback(self, agent: int) -> np.ndarray:
+        """The agent's fall-back, drawn by its generator first if none is configured."""
+        if self.states[agent].fallback is None:
+            self.rng(1 + agent)
+        return self.states[agent].fallback
+
     def signals(self, lo: int, hi: int) -> np.ndarray:
         """The joint signals of rounds lo + 1..hi: drawn by the mediator, or the override's."""
         if self.signal_override is not None:
@@ -439,34 +453,18 @@ class _Run:
         return self.rng(0).choice(len(self.probs), size=hi - lo, p=self.probs)
 
 
-def _iid_deviators(states, phase) -> dict | None:
-    """Each deviating agent's ``strategy(phase)``, or None if one is sequential.
-
-    A following agent plays its signal component (not a deviator). A learning
-    agent is i.i.d. only when its learner's strategy holds for ever
-    (``stable_rounds()`` is infinite).
-    """
-    deviators = {}
-    for st in states:
-        if st.learns(phase) and st.learner.stable_rounds() != math.inf:
-            return None
-        strategy = st.strategy(phase)
-        if strategy is not None:
-            deviators[st.id] = strategy
-    return deviators
+def _utility_numerators(game: Game, counts) -> list:
+    """Each agent's sum of count times payoff as an integer numerator over its
+    ``payoff_table`` denominator (a list per row of 2-D ``counts``): one
+    product in Python ints, since counts reach 1e18."""
+    table = np.array([nums for nums, _ in game.payoff_table], dtype=object)
+    return (np.asarray(counts).astype(object) @ table.T).tolist()
 
 
 def _exact_utility_totals(game: Game, counts) -> tuple[Fraction, ...]:
-    """Each agent's sum of count times payoff, exactly, for counts as an
-    array or as a list of ints.
-
-    The sum is one dot product in Python ints over the game's
-    ``payoff_table`` (integer numerators over one power of two per agent),
-    since counts reach 1e18.
-    """
-    weights = counts.tolist() if isinstance(counts, np.ndarray) else counts
-    return tuple(Fraction(sum(map(operator.mul, weights, nums)), den)
-                 for nums, den in game.payoff_table)
+    """Each agent's sum of count times payoff as an exact Fraction."""
+    return tuple(Fraction(num, den) for num, (_, den)
+                 in zip(_utility_numerators(game, counts), game.payoff_table))
 
 
 # the most rounds in one block, which bounds its arrays; splitting a block
@@ -525,60 +523,63 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
     """Play the schedule into every run of a batch, phase by phase: the phase
     loop behind every runner.
 
-    Each phase advances every run before the next phase starts. A Transcript
-    steps every phase and keeps its columns (the signals copied, never a view
-    of ``signal_override``), and so does a run with a sequential learner in
-    the phase (``_step``, on the run's own generators; its signals are drawn,
-    or sliced from ``signal_override``, a chunk at a time: the same draws as
-    one call). The other runs play the phase as one exact multinomial draw
-    each, from the announcement's marginal on the followers times the
-    deviators' mixes: the runs with the same deviators are composed on the
-    set-up's checked tensor as one array, row by row the products a single
-    run forms, and each row is drawn by its run's mediator generator. At a
-    completed planned test every run's agents conclude from one
-    ``run_sampling_decision`` verdict on its counts, computed only when some
-    agent is unscreened (a screened agent records ``REJECT_BY_EQ2`` without
-    it). Runs never share a generator, so each equals its seed played alone.
-    The batch computes every generator's state in one pass (``_seed_states``).
+    Each phase advances every run before the next starts, in cohorts: the
+    runs whose agents are rejected alike, regrouped only after a verdict. A
+    Transcript (``run_game``'s one run) steps every phase and keeps its
+    columns (the signals copied, never a view of ``signal_override``), as
+    does each run of a cohort with a sequential learner in a free period
+    (``_step``, on the run's own generators). Every other run is one exact
+    multinomial drawn by its mediator generator from the deviators' mixes
+    composed, once per cohort, with the followers' marginal: in a test one
+    row per run, of its fall-backs; in a free period one distribution, of
+    the fresh learners' strategies. At a completed planned test each run's
+    agents conclude from one ``run_sampling_decision`` verdict on its
+    counts, computed only if some agent is unscreened. Runs never share a
+    generator, so each equals its seed played alone.
+
+    The runs share one learner per agent (``_Setup.learners``), exactly:
+    every learner is flexible (after ``reset()`` it equals a fresh one), it
+    is read only in a free period, which starts with a reset, and a run
+    finishes its phase before the next run's starts. So the learners are
+    reset before each run steps a free period.
     """
     game, sigma_m, schedule, horizon = setup.game, setup.sigma_m, setup.schedule, setup.horizon
+    record = bool(runs) and isinstance(runs[0], Transcript)
+    dens = tuple(den for _, den in game.payoff_table)
     seeded = _seed_states([run.seed for run in runs], range(1 + game.num_agents))
     live = [_Run(run, setup, rows, signal_override) for run, rows in zip(runs, seeded)]
     some_unscreened = any(mode is not Mode.REJECTED_BY_EQ2 for mode in setup.modes)
+    cohorts = {tuple(mode.rejected for mode in setup.modes): live}  # rejected agents -> runs
     for phase in schedule.phases:
         if phase.begin > horizon:
             break
         length = min(phase.end, horizon) - phase.begin + 1
         free = phase.kind is PhaseKind.FREE_PERIOD
-        groups: dict[tuple, list] = {}  # deviators -> [(run, their mixes)]
-        for r in live:
-            for st in r.states:
-                if free:
-                    st.begin_free_period()
-                elif st.mode.rejected and st.fallback is None:
-                    r.rng(1 + st.id)  # it plays its drawn fall-back from here
-            deviators = None if r.record else _iid_deviators(r.states, phase)
-            if deviators is not None:
-                groups.setdefault(tuple(deviators), []).append((r, deviators))
+        for rejected, members in cohorts.items():
+            deviators = tuple(i for i, rej in enumerate(rejected) if rej)
+            mixes = {i: setup.free_mixes[i] if free else [r.fallback(i) for r in members]
+                     for i in deviators}
+            if record or any(mix is None for mix in mixes.values()):
+                for r in members:
+                    if free:
+                        for learner in setup.learners:
+                            learner.reset()
+                    signals, joints = (np.empty((2, length), dtype=np.int64) if record
+                                       else (None, None))
+                    rngs = [r.rng(1 + st.id) if st.mode.rejected else None for st in r.states]
+                    counts = _step(game, phase, r.states, rngs, length, r.signals, signals, joints)
+                    r.run.phase_results.append(PhaseResult(
+                        phase, length, counts, tuple(_utility_numerators(game, counts)), dens,
+                        signals, joints))
                 continue
-            signals = joints = None
-            if r.record:
-                signals = np.empty(length, dtype=np.int64)
-                joints = np.empty(length, dtype=np.int64)
-            rngs = [r.rng(1 + st.id) if st.mode.rejected else None for st in r.states]
-            counts = _step(game, phase, r.states, rngs, length, r.signals, signals, joints)
-            r.run.phase_results.append(PhaseResult(
-                phase, length, counts, _exact_utility_totals(game, counts),
-                signals=signals, joints=joints))
-        for agents, members in groups.items():
-            dists = (_composed(_others_marginal(setup.tensor, agents), game,
-                               {i: [mix[i] for _, mix in members] for i in agents})
-                     if agents else (setup.probs,) * len(members))
+            dists = (_composed(_others_marginal(setup.tensor, deviators), game, mixes)
+                     if deviators else setup.probs)  # in a test, a row per run of its fall-backs
+            if dists.ndim == 1:  # a free period's or the followers': the cohort's one distribution
+                dists = [dists] * len(members)
             counts = np.array([r.rng(0).multinomial(length, dist)
-                               for (r, _), dist in zip(members, dists)], dtype=np.int64)
-            for (r, _), row, weights in zip(members, counts, counts.tolist()):
-                r.run.phase_results.append(PhaseResult(
-                    phase, length, row, _exact_utility_totals(game, weights)))
+                               for r, dist in zip(members, dists)], dtype=np.int64)
+            for r, row, nums in zip(members, counts, _utility_numerators(game, counts)):
+                r.run.phase_results.append(PhaseResult(phase, length, row, tuple(nums), dens))
         if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
             plan = schedule.plan_for(phase.index)
             if plan is not None:
@@ -587,6 +588,10 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
                                if some_unscreened else None)
                     for st in r.states:
                         r.run.decisions[(st.id, phase.index)] = st.conclude(verdict)
+                if some_unscreened:
+                    cohorts = {}
+                    for r in live:
+                        cohorts.setdefault(tuple(st.mode.rejected for st in r.states), []).append(r)
     return runs
 
 
@@ -623,12 +628,11 @@ def run_batch(
 ) -> list[RunSummary]:
     """``run_game_counts`` for each seed, in order, sharing one set-up.
 
-    The arguments are checked and every agent is screened once per batch,
-    before any seed is played. The seeds are then played phase by phase,
-    each with fresh learners and its own generators, built on first use,
-    which draw its own fall-backs first: each run equals
-    ``run_game_counts(..., seed=s)``, and every seed's test j is decided
-    before any seed's test j + 1.
+    The arguments are checked, every agent is screened and its learner built
+    once per batch, before any seed is played. The seeds are then played
+    phase by phase, each on its own generators, built on first use, which
+    draw its own fall-backs first: each run equals ``run_game_counts(...,
+    seed=s)``, and every seed's test j is decided before any seed's test j + 1.
     """
     try:
         if isinstance(seeds, (str, bytes, bytearray)):  # its items are characters, not seeds
@@ -784,12 +788,11 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
     the mean/max distance of each run's final free period (when present) to
     the announcement. The result is independent of run order.
 
-    A run's utility totals are the engine's: multiples of one over the
-    agent's ``payoff_table`` denominator. So each run adds integer numerators
-    over that denominator to the sums for its length, and the mean is one
-    exact Fraction per agent at the end. The final free periods' distances
-    are taken together, one row per run, each row the sum ``tv_distance``
-    forms.
+    A run's utility totals are the engine's: integer numerators over the
+    agent's ``payoff_table`` denominator. So each run adds its numerators to
+    the sums for its length, and the mean is one exact Fraction per agent at
+    the end. The final free periods' distances are taken together, one row
+    per run, each row the sum ``tv_distance`` forms.
     """
     if not runs:
         raise InvalidInputError("need at least one run")
@@ -805,14 +808,12 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
         if not total_rounds:
             raise NoDataError(f"run with seed {run.seed} has no rounds to average")
         sums = by_length.setdefault(total_rounds, [0] * len(dens))
-        final = None
         for pr in run.phase_results:
-            for a, total in enumerate(pr.utility_totals):
-                sums[a] += total.numerator * (dens[a] // total.denominator)
-            if pr.phase.kind is PhaseKind.FREE_PERIOD:
-                final = pr
-        if final is not None:
-            finals.append((final, run.sigma_m.probs))
+            for a, num in enumerate(pr.utility_numerators):
+                sums[a] += num
+        frees = [pr for pr in run.phase_results if pr.phase.kind is PhaseKind.FREE_PERIOD]
+        if frees:
+            finals.append((frees[-1], run.sigma_m.probs))
     # mean over runs of total / length: over the lengths' lcm, one Fraction per agent
     lcm = math.lcm(*by_length)
     means = [float(Fraction(sum(nums[a] * (lcm // length) for length, nums in by_length.items()),

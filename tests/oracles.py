@@ -14,12 +14,13 @@ incentive constraints anew before taking the public verdict. The transcript CSV 
 expected play of a free period's first rounds is enumerated exactly, history
 by history. The least sample size meeting a Type-2 target is found by
 doubling n and bisecting the last doubling. A batch of seeded runs is
-played one seed after another, with every generator and fall-back made up
-front.
+played one seed after another, with fresh learners and every generator and
+fall-back made up front.
 """
 
 import csv
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -426,17 +427,42 @@ def bisect_sample_size(alpha, beta_target, delta_hat, df_total):
     return lo
 
 
+class SeedPhase(NamedTuple):
+    """One phase of a ``per_seed_counts`` run, its utility totals Fraction sums."""
+
+    phase: Phase
+    rounds_run: int
+    counts: np.ndarray
+    utility_totals: tuple[Fraction, ...]
+
+
+def iid_deviators(states, phase):
+    """Each deviating agent's ``strategy(phase)``, or None if one is sequential:
+    a learning agent is i.i.d. only when its learner's strategy holds for ever."""
+    deviators = {}
+    for st in states:
+        if st.learns(phase) and st.learner.stable_rounds() != math.inf:
+            return None
+        strategy = st.strategy(phase)
+        if strategy is not None:
+            deviators[st.id] = strategy
+    return deviators
+
+
 def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
     """Reference for ``run_batch``: one seed after another, every generator and
     drawn fall-back made up front.
 
-    Each seed spawns the mediator's and every agent's generator from
-    ``SeedSequence(seed).spawn``, draws each missing fall-back at once, then
-    plays its whole schedule before the next seed starts: an i.i.d. phase is
-    one multinomial from the deviators composed one run at a time, any other
-    phase is stepped, and utility totals are Fraction sums over the counts.
+    Each seed builds fresh learners from the configs' specs, spawns the
+    mediator's and every agent's generator from ``SeedSequence(seed).spawn``,
+    draws each missing fall-back at once, then plays its whole schedule before
+    the next seed starts: an i.i.d. phase (``iid_deviators``, decided per seed)
+    is one multinomial from the deviators composed one run at a time, any
+    other phase is stepped, and utility totals are Fraction sums over the
+    counts.
     """
     setup = sim._setup(game, sigma_m, schedule, agent_configs, rounds)
+    specs = [cfg.get("learner") for cfg in agent_configs or [{}] * game.num_agents]
     columns = game.utilities.T.tolist()
     runs = []
     for seed in seeds:
@@ -446,7 +472,7 @@ def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
         agent_rngs = [np.random.default_rng(child) for child in children[1:]]
         states = []
         for i, (fallback, spec, mode, rng) in enumerate(
-                zip(setup.fallbacks, setup.learner_specs, setup.modes, agent_rngs)):
+                zip(setup.fallbacks, specs, setup.modes, agent_rngs)):
             if fallback is None:
                 fallback = _simplex_draw(game.action_counts[i], rng)
             states.append(AgentState(id=i, fallback=fallback, learner=make_learner(spec, game, i),
@@ -461,8 +487,8 @@ def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
             length = min(phase.end, setup.horizon) - phase.begin + 1
             if phase.kind is PhaseKind.FREE_PERIOD:
                 for st in states:
-                    st.begin_free_period()
-            deviators = sim._iid_deviators(states, phase)
+                    st.learner.reset()
+            deviators = iid_deviators(states, phase)
             if deviators is not None:
                 dist = (_composed(_others_marginal(setup.tensor, tuple(deviators)), game, deviators)
                         if deviators else setup.probs)
@@ -471,7 +497,7 @@ def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
                 counts = sim._step(game, phase, states, agent_rngs, length, draw_signals)
             totals = tuple(sum((c * Fraction(u) for c, u in zip(counts.tolist(), column)),
                                Fraction(0)) for column in columns)
-            run.phase_results.append(sim.PhaseResult(phase, length, counts, totals))
+            run.phase_results.append(SeedPhase(phase, length, counts, totals))
             if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
                 plan = schedule.plan_for(phase.index)
                 if plan is not None:

@@ -12,7 +12,8 @@ Run from any directory:
 Two checkouts give the same lines exactly when their outputs are byte-identical:
 the CLI's files and stdout on the bundled fixtures (``simulate`` in full and
 counts mode, with ``--seeds 5`` under several learner pairs, one of them
-playing a drawn fall-back only after a stepped free period, and with
+playing a drawn fall-back only after a stepped free period, with ``--seeds 20``
+where some seeds reject test 1 and the others follow, and with
 ``--seeds 3`` from seed 2**128 - 1, past which a seed has five entropy words;
 ``check-ce``, ``plan``, ``test``, and ``schedule`` out to sample sizes of 1e14
 and levels of 1e-12), ``plan`` and ``schedule`` on a 3-agent announcement
@@ -102,6 +103,14 @@ def outputs(root: Path, tmp: Path):
     _cli(root, "simulate", "--config", cfg, "--seeds", "5", "--out", str(out / "uniform-fp"))
     yield ("simulate --seeds 5 non_ce uniform-fp batch_summary.json",
            (out / "uniform-fp" / "batch_summary.json").read_bytes())
+    # at alpha 0.25, 7 of seeds 1-20 reject test 1 and the rest follow: each free
+    # period has a cohort stepping fictitious play and a cohort drawn in bulk
+    cfg = _config(root, tmp, "cohort-split", schedule={
+        "kind": "toy", "alpha": 0.25, "delta_hat": 0.01, "test_lengths": [300, 300],
+        "free_lengths": [900, 900]})
+    _cli(root, "simulate", "--config", cfg, "--seeds", "20", "--out", str(out / "cohort-split"))
+    yield ("simulate --seeds 20 cohort-split batch_summary.json",
+           (out / "cohort-split" / "batch_summary.json").read_bytes())
     # a seed of 2**128 or more has five or more entropy words: more mixing stages
     _cli(root, "simulate", "--config", "fixtures/sim_config.json", "--seeds", "3",
          "--seed", str(2**128 - 1), "--out", str(out / "multi-word"))

@@ -122,7 +122,7 @@ def test_fallback_immutable_across_run(game):
     for phase in (TEST_PHASE, FREE_PHASE, TEST_PHASE):
         for k in (1, 49):
             agent_act(st_, phase, np.zeros(k, dtype=np.int64), rng, k)
-        st_.begin_free_period()
+        st_.learner.reset()
     assert st_.fallback.tobytes() == before
     assert not st_.fallback.flags.writeable
     with pytest.raises(ValueError):

@@ -357,6 +357,44 @@ def test_run_batch_builds_only_the_generators_a_seed_draws_from(game, announceme
         assert any(run.decisions[(0, 1)].rejected for run in runs)  # and learned i.i.d.
 
 
+def test_run_batch_builds_each_learner_once(game, non_ce_strategy):
+    # the learners the set-up builds to check the specs are the batch's: one
+    # per agent, shared by every seed, which still plays as the oracle's fresh ones
+    configs = [{"learner": FP}, {"learner": UNIFORM}]
+    sched = toy_schedule(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[100, 150], free_lengths=[300, 200])
+    seeds = range(50)
+    with mock.patch.object(sim, "make_learner", wraps=sim.make_learner) as built:
+        runs = run_batch(game, non_ce_strategy, sched, configs, seeds)
+    assert built.call_count == game.num_agents
+    assert all(_same_run(a, b) for a, b in zip(
+        runs, per_seed_counts(game, non_ce_strategy, sched, configs, seeds), strict=True))
+
+
+def test_run_batch_splits_a_free_period_into_a_stepped_and_a_bulk_cohort(game, ce_strategy):
+    # at alpha 0.25 some seeds reject test 1 and the others follow, so free
+    # period 1 has a cohort whose fictitious play steps on the shared learners
+    # and a following cohort drawn as one multinomial per run
+    configs = [{"learner": FP}, {"learner": FP}]
+    sched = toy_schedule(game, ce_strategy, alpha=0.25, delta_hat=0.01,
+                         test_lengths=[300, 300], free_lengths=[900, 900])
+    free_1 = sched.phases[1]
+    assert free_1.kind is PhaseKind.FREE_PERIOD
+    seeds = list(range(1, 21))
+    with mock.patch.object(sim, "_step", wraps=sim._step) as stepped:
+        runs = run_batch(game, ce_strategy, sched, configs, seeds)
+    rejected = [run.decisions[(0, 1)].rejected for run in runs]
+    assert any(rejected) and not all(rejected)
+    assert [call.args[1] for call in stepped.call_args_list].count(free_1) == sum(rejected)
+    for run, seed in zip(runs, seeds):
+        assert _same_run(run, run_game_counts(game, ce_strategy, sched, configs, seed=seed))
+    assert all(_same_run(a, b) for a, b in zip(
+        runs, per_seed_counts(game, ce_strategy, sched, configs, seeds), strict=True))
+    # the other order meets the shared learners in other states: no run sees it
+    backwards = run_batch(game, ce_strategy, sched, configs, seeds[::-1])
+    assert all(_same_run(a, b) for a, b in zip(backwards, runs[::-1], strict=True))
+
+
 @pytest.mark.parametrize("configs, seeds", [
     ([{"learner": {"name": "no-such"}}, {}], [0, 1]),
     ([{}, {"learner": {"name": "trigger", "watch_agent": 5}}], [0, 1]),
@@ -921,27 +959,27 @@ def test_play_policy_table(mode, kind, stable):
     phase = Phase(kind, 1, 1, 8)
     fallback = MixedStrategy([0.75, 0.25]).probs
     learner = UniformLearner(2) if stable else _Mixing()
-    follower = AgentState(id=0, fallback=fallback, learner=UniformLearner(2))
     agent = AgentState(id=1, fallback=fallback, learner=learner, mode=mode)
-    deviators = sim._iid_deviators([follower, agent], phase)
+    free_mix = sim._free_mix(learner)  # what a free period drawn in bulk composes for it
     signals = np.array([1, 0, 1, 1, 0, 0, 1, 0])
     played = agent_act(agent, phase, signals, np.random.default_rng(5), 8)
     learning = mode.rejected and kind is PhaseKind.FREE_PERIOD
     assert agent.learns(phase) == learning
-    assert (deviators is None) == (learning and not stable)
+    assert (learning and free_mix is None) == (learning and not stable)
     if not mode.rejected:
-        assert deviators == {} and played is signals
+        assert agent.strategy(phase) is None and played is signals  # not a deviator
     else:
         mix = fallback if kind is PhaseKind.SAMPLING_TEST else learner.next_strategy()
-        if deviators is not None:
-            assert set(deviators) == {1}
-            assert np.array_equal(deviators[1], mix)
+        assert np.array_equal(agent.strategy(phase), mix)
+        if learning and free_mix is not None:
+            assert np.array_equal(free_mix, mix)
         assert played.tolist() == sample_block(mix, np.random.default_rng(5), 8).tolist()
     for outcome in Outcome:
         verdict = Decision(outcome, 1.0, 0.5)
         decision = agent.conclude(verdict)
         if mode is Mode.REJECTED_BY_EQ2:
             assert decision == agent.conclude(None) == Decision(Outcome.REJECT_BY_EQ2)
+            assert decision is agent.conclude(None)  # one shared frozen instance
             assert agent.mode is Mode.REJECTED_BY_EQ2
         else:
             assert decision is verdict
