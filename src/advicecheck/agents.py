@@ -38,6 +38,14 @@ class Mode(Enum):
         constraints fail (``violations`` is not empty), else following."""
         return cls.REJECTED_BY_EQ2 if violations else cls.FOLLOWING_MEDIATOR
 
+    def conclude(self, verdict: Decision | None) -> tuple[Mode, Decision]:
+        """The mode after a completed test's public ``verdict``, and the agent's
+        decision: the only mode transition. A screened agent rejects without
+        testing (``verdict`` may then be None); any other takes the verdict."""
+        if self is Mode.REJECTED_BY_EQ2:
+            return self, _SCREENED
+        return (Mode.REJECTED_BY_TEST if verdict.rejected else Mode.FOLLOWING_MEDIATOR), verdict
+
 
 class Learner:
     """Behavior contract: reset(), observe(joint action), next_strategy().
@@ -237,14 +245,24 @@ def make_learner(spec: dict | None, game: Game, agent: int) -> Learner:
                                     hi=counts[watch]))
 
 
+def _simplex_draws(action_count: int, rngs) -> np.ndarray:
+    """One uniform draw from the simplex per generator, each by psi's own
+    sampler (``_draws``' exponentials over their sum), as the rows of one
+    read-only array; a single action consumes no randomness. The rows are
+    normalized in one step, which rounds each as its own vector would be. A draw
+    is a distribution by construction, so it is not checked."""
+    if action_count == 1:
+        out = np.ones((len(rngs), 1))
+    else:
+        out = np.concatenate([_draws(rng, 1, action_count) for rng in rngs])
+        out /= out.sum(axis=1, keepdims=True)
+    out.setflags(write=False)
+    return out
+
+
 def _simplex_draw(action_count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the simplex by psi's own sampler (``_draws``' exponentials
-    over their sum), as a read-only vector; a single action consumes no
-    randomness. The draw is a distribution by construction, so it is not checked."""
-    v = np.ones(1) if action_count == 1 else _draws(rng, 1, action_count)[0]
-    v /= v.sum()
-    v.setflags(write=False)
-    return v
+    """One generator's ``_simplex_draws`` row: a read-only vector."""
+    return _simplex_draws(action_count, [rng])[0]
 
 
 _SCREENED = Decision(Outcome.REJECT_BY_EQ2)  # every screened agent's decision, one frozen instance
@@ -252,14 +270,14 @@ _SCREENED = Decision(Outcome.REJECT_BY_EQ2)  # every screened agent's decision, 
 
 @dataclass
 class AgentState:
-    """One agent's run state: mode, fixed fall-back, and learner (shared by a batch's runs).
+    """One agent's state in a stepped phase: mode, fixed fall-back, and learner
+    (shared by a batch's runs).
 
     It owns the agent's policy: what it plays in a phase (``strategy``),
     whether it learns from the phase's rounds (``learns``) and how a test's
-    verdict sets its mode (``conclude``, the only mode transition). The
-    fall-back is a read-only probability vector, checked or drawn by the
-    engine; a drawn one may be None until the engine draws it, before the
-    agent first plays it, and it never changes after that.
+    verdict sets its mode (``conclude``, by ``Mode.conclude``). The fall-back
+    is a read-only probability vector, checked or drawn by the engine; it may
+    be None while the agent follows, and it never changes once drawn.
     """
 
     id: int
@@ -284,11 +302,9 @@ class AgentState:
     def conclude(self, verdict: Decision | None) -> Decision:
         """The agent's decision on a completed test's public ``verdict``, which
         sets its mode; a screened agent rejects without testing (``verdict`` may
-        then be None)."""
-        if self.mode is Mode.REJECTED_BY_EQ2:
-            return _SCREENED
-        self.mode = Mode.REJECTED_BY_TEST if verdict.rejected else Mode.FOLLOWING_MEDIATOR
-        return verdict
+        then be None), by ``Mode.conclude``."""
+        self.mode, decision = self.mode.conclude(verdict)
+        return decision
 
 
 def sample_strategy(probs, rng: np.random.Generator) -> int:

@@ -24,12 +24,14 @@ round that is not drawn in bulk:
 * ``run_batch`` plays ``run_game_counts`` for many seeds on one set-up: the
   arguments are checked, every agent is screened, its one learner built and
   the announcement shaped into its joint tensor once per batch. In each
-  phase the runs go in cohorts, by which agents are rejected; a cohort's
-  i.i.d. mixes are composed once on that tensor, and each run's multinomial
-  is drawn by its own mediator generator. A seed builds a generator only
-  when it may first draw from it, from the state one pass over the batch
-  computed for it (``_seed_states``). ``run_game_counts`` is the one-seed
-  batch;
+  phase the runs go in cohorts, by their agents' modes: a cohort is those
+  modes and its run indices, and each agent's fall-backs are one array with
+  a row per run. A cohort's i.i.d. mixes are composed once on that tensor,
+  and each run's multinomial is drawn by its own mediator generator; an
+  ``AgentState`` is built only for a run that steps. A seed builds a
+  generator only when it may first draw from it, from the state one pass
+  over the batch computed for it (``_seed_states``). ``run_game_counts`` is
+  the one-seed batch;
 * ``run_pure_learning`` steps its horizon as one free period in which every
   agent learns.
 
@@ -46,11 +48,16 @@ Inputs are checked once, at the public entry points (``_setup`` for the
 runners); values the engine built valid are trusted inside. Past the entry
 check a fall-back is a read-only probability vector: a configured one is
 checked by ``games._checked_mixes``, the one mix check, and a seed's drawn
-one is the draw itself. Deviators are composed without re-checking their
-mixes (``games._composed``), so a seed of a batch pays for its generators,
-its draws and, where some agent is unscreened, one verdict per completed
-test; what is the same across seeds (learners, i.i.d. facts, free-period
-mixes) is done once per batch or per cohort.
+one is the draw itself, a row of the batch's array normalized with the
+others in one step (``agents._simplex_draws``). Deviators are composed
+without re-checking their mixes (``games._composed``), so a seed of a batch
+pays for its generators, its draws, its rows of the cohort's arrays and,
+where some agent is unscreened, one verdict per completed test; what is the
+same across seeds (learners, i.i.d. facts, free-period mixes, the mode
+transition of a batch whose agents are all screened) is done once per batch
+or per cohort. On a 2-vCPU Xeon a seed of ``bench`` ``longrun``'s batch
+(both agents screened, each phase one multinomial) costs ~17 µs, ~10 µs of
+them its three generators, two fall-back draws and two multinomials.
 
 Utility ledgers sum exact rationals: joint-action counts times the
 binary-exact float payoffs, kept as integer numerators over one power of two
@@ -65,13 +72,14 @@ import functools
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .agents import AgentState, Mode, _simplex_draw, agent_act, make_learner
+from .agents import AgentState, Mode, _simplex_draws, agent_act, make_learner
 from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
 from .errors import InvalidInputError, NoDataError, check_int, check_keys
 from .games import (
@@ -407,52 +415,6 @@ def _given_state():
     return GivenState
 
 
-class _Run:
-    """One seed's run in play: its summary, agents' states and generators.
-
-    Generator 0 is the mediator's and generator i + 1 agent i's, each
-    seeded as ``SeedSequence(seed, spawn_key=(i,))`` would seed it (the
-    streams of ``SeedSequence(seed).spawn``), from row i of the run's
-    ``_seed_states``, and built only on first use. An agent's generator is
-    built with its fall-back, which it draws first when none is configured,
-    so each stream is consumed as if every generator and fall-back had been
-    made up front.
-    """
-
-    __slots__ = ("run", "states", "rngs", "probs", "signal_override", "seed_states")
-
-    def __init__(self, run: RunSummary, setup: _Setup, seed_states, signal_override=None):
-        self.run = run
-        self.states = [AgentState(i, fallback, learner, mode) for i, (fallback, learner, mode)
-                       in enumerate(zip(setup.fallbacks, setup.learners, setup.modes))]
-        self.rngs = [None] * (1 + setup.game.num_agents)
-        self.probs = setup.probs
-        self.signal_override = signal_override
-        self.seed_states = seed_states
-
-    def rng(self, i: int) -> np.random.Generator:
-        """Generator i, built (and, for an agent without one, its fall-back drawn) on first use."""
-        rng = self.rngs[i]
-        if rng is None:
-            rng = self.rngs[i] = np.random.default_rng(
-                np.random.PCG64(_given_state()(self.seed_states[i])))
-            if i and self.states[i - 1].fallback is None:
-                self.states[i - 1].fallback = _simplex_draw(self.run.game.action_counts[i - 1], rng)
-        return rng
-
-    def fallback(self, agent: int) -> np.ndarray:
-        """The agent's fall-back, drawn by its generator first if none is configured."""
-        if self.states[agent].fallback is None:
-            self.rng(1 + agent)
-        return self.states[agent].fallback
-
-    def signals(self, lo: int, hi: int) -> np.ndarray:
-        """The joint signals of rounds lo + 1..hi: drawn by the mediator, or the override's."""
-        if self.signal_override is not None:
-            return np.asarray(self.signal_override[lo:hi], dtype=np.int64)
-        return self.rng(0).choice(len(self.probs), size=hi - lo, p=self.probs)
-
-
 def _utility_numerators(game: Game, counts) -> list:
     """Each agent's sum of count times payoff as an integer numerator over its
     ``payoff_table`` denominator (a list per row of 2-D ``counts``): one
@@ -524,17 +486,29 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
     loop behind every runner.
 
     Each phase advances every run before the next starts, in cohorts: the
-    runs whose agents are rejected alike, regrouped only after a verdict. A
-    Transcript (``run_game``'s one run) steps every phase and keeps its
+    runs whose agents are in the same modes, regrouped only after a verdict.
+    A run's modes are its whole state between verdicts (screened agents stay
+    rejected, every other agent takes the run's one verdict), so a cohort is
+    its modes and its run indices. Generator 0 of run r is its mediator's and
+    generator 1 + i agent i's, seeded as ``SeedSequence(seed,
+    spawn_key=(g,))`` would seed it (the streams of ``SeedSequence(seed).spawn``)
+    from the state ``_seed_states`` computed, and built on first use. An
+    agent's generator first draws the agent's fall-back where none is
+    configured, into a row of the agent's (runs, actions) array
+    (``_simplex_draws``), so each stream is consumed as if every generator
+    and fall-back had been made up front.
+
+    A Transcript (``run_game``'s one run) steps every phase and keeps its
     columns (the signals copied, never a view of ``signal_override``), as
     does each run of a cohort with a sequential learner in a free period
-    (``_step``, on the run's own generators). Every other run is one exact
-    multinomial drawn by its mediator generator from the deviators' mixes
-    composed, once per cohort, with the followers' marginal: in a test one
-    row per run, of its fall-backs; in a free period one distribution, of
-    the fresh learners' strategies. At a completed planned test each run's
-    agents conclude from one ``run_sampling_decision`` verdict on its
-    counts, computed only if some agent is unscreened. Runs never share a
+    (``_step``, on the run's own generators, with an ``AgentState`` per agent
+    built for that phase alone). Every other run is one exact multinomial
+    drawn by its mediator generator from the deviators' mixes composed, once
+    per cohort, with the followers' marginal: in a test one row per run, of
+    its fall-backs; in a free period one distribution, of the fresh learners'
+    strategies. At a completed planned test each run's agents conclude from
+    one ``run_sampling_decision`` verdict on its counts, computed only if
+    some agent is unscreened (``Mode.conclude``). Runs never share a
     generator, so each equals its seed played alone.
 
     The runs share one learner per agent (``_Setup.learners``), exactly:
@@ -543,55 +517,107 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
     finishes its phase before the next run's starts. So the learners are
     reset before each run steps a free period.
     """
+    if not runs:
+        return runs
     game, sigma_m, schedule, horizon = setup.game, setup.sigma_m, setup.schedule, setup.horizon
-    record = bool(runs) and isinstance(runs[0], Transcript)
+    record = isinstance(runs[0], Transcript)
     dens = tuple(den for _, den in game.payoff_table)
     seeded = _seed_states([run.seed for run in runs], range(1 + game.num_agents))
-    live = [_Run(run, setup, rows, signal_override) for run, rows in zip(runs, seeded)]
+    given = _given_state()
+    # generator g of run r, rngs[g][r], built on first use
+    rngs = [[None] * len(runs) for _ in range(1 + game.num_agents)]
+    # row r of drawn[i]: agent i's drawn fall-back in run r, the first draw of
+    # its generator, set when that is built (a configured one is used as is)
+    drawn = [np.empty((len(runs), k)) for k in game.action_counts]
+    every_run = list(range(len(runs)))
+
+    def generators(g, members):
+        """Generator g of every member run, built where missing; an agent's
+        generator draws the agent's fall-back first."""
+        gens = rngs[g]
+        built = [r for r in members if gens[r] is None]
+        for r in built:
+            gens[r] = np.random.default_rng(np.random.PCG64(given(seeded[r, g])))
+        if g and built and setup.fallbacks[g - 1] is None:
+            rows = _simplex_draws(game.action_counts[g - 1], [gens[r] for r in built])
+            if built != every_run:  # the other runs' rows kept, in a read-only copy
+                merged = drawn[g - 1].copy()
+                merged[built] = rows
+                merged.setflags(write=False)
+                rows = merged
+            drawn[g - 1] = rows
+        return gens
+
+    def fallbacks(i, rows):
+        """Agent i's configured fall-back, or its drawn one in ``rows`` (a run's
+        index, or a list of them for a row each), once their generators exist."""
+        return drawn[i][rows] if setup.fallbacks[i] is None else setup.fallbacks[i]
+
+    def step(r, modes, phase, length):
+        """Step run r through ``phase`` on its own generators."""
+        # a deviator's generator, once built, has drawn any fall-back it lacks
+        agent_rngs = [generators(1 + i, [r])[r] if mode.rejected else None
+                      for i, mode in enumerate(modes)]
+        states = [AgentState(i, fallbacks(i, r) if mode.rejected else None, setup.learners[i],
+                             mode) for i, mode in enumerate(modes)]
+        if signal_override is not None:
+            def signals(lo, hi):
+                return np.asarray(signal_override[lo:hi], dtype=np.int64)
+        else:
+            def signals(lo, hi):
+                return generators(0, [r])[r].choice(len(setup.probs), size=hi - lo,
+                                                    p=setup.probs)
+        columns = np.empty((2, length), dtype=np.int64) if record else (None, None)
+        counts = _step(game, phase, states, agent_rngs, length, signals, *columns)
+        runs[r].phase_results.append(PhaseResult(
+            phase, length, counts, tuple(_utility_numerators(game, counts)), dens, *columns))
+
     some_unscreened = any(mode is not Mode.REJECTED_BY_EQ2 for mode in setup.modes)
-    cohorts = {tuple(mode.rejected for mode in setup.modes): live}  # rejected agents -> runs
+    cohorts = {setup.modes: every_run}  # modes -> run indices
     for phase in schedule.phases:
         if phase.begin > horizon:
             break
         length = min(phase.end, horizon) - phase.begin + 1
         free = phase.kind is PhaseKind.FREE_PERIOD
-        for rejected, members in cohorts.items():
-            deviators = tuple(i for i, rej in enumerate(rejected) if rej)
-            mixes = {i: setup.free_mixes[i] if free else [r.fallback(i) for r in members]
-                     for i in deviators}
-            if record or any(mix is None for mix in mixes.values()):
+        for modes, members in cohorts.items():
+            deviators = tuple(i for i, mode in enumerate(modes) if mode.rejected)
+            if record or free and any(setup.free_mixes[i] is None for i in deviators):
                 for r in members:
                     if free:
                         for learner in setup.learners:
                             learner.reset()
-                    signals, joints = (np.empty((2, length), dtype=np.int64) if record
-                                       else (None, None))
-                    rngs = [r.rng(1 + st.id) if st.mode.rejected else None for st in r.states]
-                    counts = _step(game, phase, r.states, rngs, length, r.signals, signals, joints)
-                    r.run.phase_results.append(PhaseResult(
-                        phase, length, counts, tuple(_utility_numerators(game, counts)), dens,
-                        signals, joints))
+                    step(r, modes, phase, length)
                 continue
+            if not free:  # building a deviator's generators draws the fall-backs they lack
+                for i in deviators:
+                    if setup.fallbacks[i] is None:
+                        generators(1 + i, members)
+            mixes = {i: setup.free_mixes[i] if free else fallbacks(i, members) for i in deviators}
             dists = (_composed(_others_marginal(setup.tensor, deviators), game, mixes)
                      if deviators else setup.probs)  # in a test, a row per run of its fall-backs
             if dists.ndim == 1:  # a free period's or the followers': the cohort's one distribution
                 dists = [dists] * len(members)
-            counts = np.array([r.rng(0).multinomial(length, dist)
+            gens = generators(0, members)
+            counts = np.array([gens[r].multinomial(length, dist)
                                for r, dist in zip(members, dists)], dtype=np.int64)
             for r, row, nums in zip(members, counts, _utility_numerators(game, counts)):
-                r.run.phase_results.append(PhaseResult(phase, length, row, tuple(nums), dens))
+                runs[r].phase_results.append(PhaseResult(phase, length, row, tuple(nums), dens))
         if phase.kind is PhaseKind.SAMPLING_TEST and length == phase.length:
             plan = schedule.plan_for(phase.index)
             if plan is not None:
-                for r in live:
-                    verdict = (run_sampling_decision(plan, sigma_m, r.run.phase_results[-1].counts)
-                               if some_unscreened else None)
-                    for st in r.states:
-                        r.run.decisions[(st.id, phase.index)] = st.conclude(verdict)
-                if some_unscreened:
-                    cohorts = {}
-                    for r in live:
-                        cohorts.setdefault(tuple(st.mode.rejected for st in r.states), []).append(r)
+                keys = [(i, phase.index) for i in range(game.num_agents)]
+                if not some_unscreened:  # no verdict: the one cohort's conclusion is every run's
+                    _, decisions = zip(*[mode.conclude(None) for mode in setup.modes])
+                    for run in runs:
+                        run.decisions.update(zip(keys, decisions))
+                    continue
+                modes_of = {r: modes for modes, members in cohorts.items() for r in members}
+                cohorts = {}
+                for r, run in enumerate(runs):
+                    verdict = run_sampling_decision(plan, sigma_m, run.phase_results[-1].counts)
+                    modes, decisions = zip(*[mode.conclude(verdict) for mode in modes_of[r]])
+                    run.decisions.update(zip(keys, decisions))
+                    cohorts.setdefault(modes, []).append(r)
     return runs
 
 
@@ -788,48 +814,49 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
     the mean/max distance of each run's final free period (when present) to
     the announcement. The result is independent of run order.
 
-    A run's utility totals are the engine's: integer numerators over the
-    agent's ``payoff_table`` denominator. So each run adds its numerators to
-    the sums for its length, and the mean is one exact Fraction per agent at
-    the end. The final free periods' distances are taken together, one row
-    per run, each row the sum ``tv_distance`` forms.
+    Decisions are tallied by (agent, test) and outcome value, so no
+    ``Outcome`` is hashed, and a run's final free period is found from its
+    end. A run's utility totals are the engine's: integer numerators over
+    the agent's ``payoff_table`` denominator. So each run's phases join the
+    rows of its length, summed per agent at the end, and the mean is one
+    exact Fraction per agent. The final free periods' distances are taken
+    together, one row per run, each row the sum ``tv_distance`` forms.
     """
     if not runs:
         raise InvalidInputError("need at least one run")
     dens = [den for _, den in runs[0].game.payoff_table]
-    tallies: dict[tuple[int, int], dict] = {}  # (agent, j) -> outcome -> runs
-    by_length: dict[int, list[int]] = {}  # run length -> each agent's summed numerators
+    # ((agent, j), outcome value) -> runs
+    tallies = Counter((key, d.outcome._value_) for run in runs for key, d in run.decisions.items())
+    by_length: dict[int, list] = {}  # run length -> its runs' phases' numerators
     finals = []  # each run's final free period, and its announcement
     for run in runs:
-        for key, d in run.decisions.items():
-            tally = tallies.setdefault(key, {})
-            tally[d.outcome] = tally.get(d.outcome, 0) + 1
-        total_rounds = sum(pr.rounds_run for pr in run.phase_results)
+        phases = run.phase_results
+        total_rounds = sum([pr.rounds_run for pr in phases])
         if not total_rounds:
             raise NoDataError(f"run with seed {run.seed} has no rounds to average")
-        sums = by_length.setdefault(total_rounds, [0] * len(dens))
-        for pr in run.phase_results:
-            for a, num in enumerate(pr.utility_numerators):
-                sums[a] += num
-        frees = [pr for pr in run.phase_results if pr.phase.kind is PhaseKind.FREE_PERIOD]
-        if frees:
-            finals.append((frees[-1], run.sigma_m.probs))
+        by_length.setdefault(total_rounds, []).extend([pr.utility_numerators for pr in phases])
+        for pr in reversed(phases):
+            if pr.phase.kind is PhaseKind.FREE_PERIOD:
+                finals.append((pr, run.sigma_m.probs))
+                break
     # mean over runs of total / length: over the lengths' lcm, one Fraction per agent
     lcm = math.lcm(*by_length)
-    means = [float(Fraction(sum(nums[a] * (lcm // length) for length, nums in by_length.items()),
-                            den * lcm * len(runs)))
+    means = [float(Fraction(sum(lcm // length * sum([row[a] for row in rows])
+                                for length, rows in by_length.items()), den * lcm * len(runs)))
              for a, den in enumerate(dens)]
+    by_test: dict[str, dict] = {}
+    for ((agent, j), outcome), n in tallies.items():
+        by_test.setdefault(f"agent{agent + 1}.test{j}", {})[outcome] = n
     out = {
         "num_seeds": len(runs),
         "seeds": sorted(run.seed for run in runs),
-        "decision_tallies": dict(sorted(
-            (f"agent{agent + 1}.test{j}", dict(sorted((o.value, n) for o, n in tally.items())))
-            for (agent, j), tally in tallies.items())),
+        "decision_tallies": {test: dict(sorted(tally.items()))
+                             for test, tally in sorted(by_test.items())},
         "mean_average_utility": means,
     }
     if finals:
         freqs = (np.array([pr.counts for pr, _ in finals])
-                 / np.array([[pr.rounds_run] for pr, _ in finals]))
+                 / np.array([pr.rounds_run for pr, _ in finals])[:, None])
         tvs = (0.5 * np.abs(freqs - np.array([probs for _, probs in finals])).sum(axis=1)).tolist()
         out["final_free_period_tv"] = {
             "mean": math.fsum(tvs) / len(tvs),  # exact rounding: order-free

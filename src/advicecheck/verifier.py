@@ -34,6 +34,7 @@ works backward from a single target error probability p:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -71,15 +72,25 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of one agent's sampling test."""
+    """Outcome of one agent's sampling test: the statistic on its ``df``
+    degrees of freedom, when one was computed."""
 
     outcome: Outcome
     statistic: float | None = None
-    p_value: float | None = None
+    df: int | None = None
 
     @property
     def rejected(self) -> bool:
         return self.outcome is not Outcome.FOLLOW_MEDIATOR
+
+    @functools.cached_property
+    def p_value(self) -> float | None:
+        """The statistic's chi-square survival probability on ``df`` degrees of
+        freedom, formed on first read (every agent may read one verdict); None
+        without both."""
+        if self.statistic is None or self.df is None:
+            return None
+        return chi2.chi2_sf(self.statistic, self.df)
 
 
 @dataclass(frozen=True)
@@ -470,16 +481,16 @@ def run_sampling_decision(plan: TestPlan, sigma_m: CorrelatedStrategy, observed_
     """The verdict of a sampling test on its public counts, the same for every agent.
 
     A count on an announced-zero cell rejects outright; otherwise the
-    statistic decides against the critical value, with its survival
-    probability attached as a p-value. It does not run the incentive screen:
-    an agent whose own constraints fail (``agent_incentive_violations``)
-    rejects without testing, and a caller holding an agent screens it first.
+    statistic decides against the critical value; its survival probability
+    (``Decision.p_value``) is formed only when read. It does not run the
+    incentive screen: an agent whose own constraints fail
+    (``agent_incentive_violations``) rejects without testing, and a caller
+    holding an agent screens it first.
     """
     try:
         stat = pearson_statistic(observed_counts, sigma_m, plan.sample_size)
     except ZeroCellObserved:
         return Decision(outcome=Outcome.REJECT_BY_ZERO_CELL)
-    p_value = chi2.chi2_sf(stat, plan.df_total)
-    if stat >= plan.critical_value:
-        return Decision(outcome=Outcome.REJECT_BY_STATISTIC, statistic=stat, p_value=p_value)
-    return Decision(outcome=Outcome.FOLLOW_MEDIATOR, statistic=stat, p_value=p_value)
+    outcome = (Outcome.REJECT_BY_STATISTIC if stat >= plan.critical_value
+               else Outcome.FOLLOW_MEDIATOR)
+    return Decision(outcome=outcome, statistic=stat, df=plan.df_total)

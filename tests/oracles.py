@@ -40,7 +40,7 @@ from advicecheck import (
     run_sampling_decision,
 )
 from advicecheck import sim
-from advicecheck.agents import _simplex_draw, sample_strategy
+from advicecheck.agents import sample_strategy
 from advicecheck.chi2 import power_beta
 from advicecheck.errors import InvalidInputError, check_int, check_unit
 from advicecheck.games import (
@@ -455,7 +455,8 @@ def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
 
     Each seed builds fresh learners from the configs' specs, spawns the
     mediator's and every agent's generator from ``SeedSequence(seed).spawn``,
-    draws each missing fall-back at once, then plays its whole schedule before
+    draws each missing fall-back at once (a lone vector over its own sum, not
+    the engine's batch normalization), then plays its whole schedule before
     the next seed starts: an i.i.d. phase (``iid_deviators``, decided per seed)
     is one multinomial from the deviators composed one run at a time, any
     other phase is stepped, and utility totals are Fraction sums over the
@@ -473,8 +474,10 @@ def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
         states = []
         for i, (fallback, spec, mode, rng) in enumerate(
                 zip(setup.fallbacks, specs, setup.modes, agent_rngs)):
-            if fallback is None:
-                fallback = _simplex_draw(game.action_counts[i], rng)
+            if fallback is None:  # a lone vector over its own sum, as in per_round_game
+                k = game.action_counts[i]
+                g = np.ones(1) if k == 1 else rng.exponential(size=k)
+                fallback = g / g.sum()
             states.append(AgentState(id=i, fallback=fallback, learner=make_learner(spec, game, i),
                                      mode=mode))
 

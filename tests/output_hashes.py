@@ -18,7 +18,8 @@ where some seeds reject test 1 and the others follow, and with
 ``check-ce``, ``plan``, ``test``, and ``schedule`` out to sample sizes of 1e14
 and levels of 1e-12), ``plan`` and ``schedule`` on a 3-agent announcement
 with zero cells, ``plan`` on a 5-agent one with zero cells and interior psi,
-the stdout of every demo, and per-seed
+``simulate --seeds 20`` on a generated game whose 9-action agent draws its
+fall-backs, the stdout of every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
 on the bundled game. ``manifest.json`` carries a timestamp and is left out.
 Each command runs in a fresh process on the checkout's own ``src/``. The file
@@ -111,6 +112,20 @@ def outputs(root: Path, tmp: Path):
     _cli(root, "simulate", "--config", cfg, "--seeds", "20", "--out", str(out / "cohort-split"))
     yield ("simulate --seeds 20 cohort-split batch_summary.json",
            (out / "cohort-split" / "batch_summary.json").read_bytes())
+    # agent 1 has 9 actions and is screened by the uniform announcement, so every
+    # seed draws a 9-action fall-back at test 1 (rows of 9 or more are summed with
+    # unrolled accumulators); agent 2 tests, and 4 of seeds 1-20 follow after test 1
+    game, strategy = tmp / "nine-action-game.json", tmp / "nine-action-strategy.json"
+    game.write_text(json.dumps({"num_agents": 2, "action_counts": [9, 2],
+                                "utilities": [[a, 0] for a in range(9) for _ in range(2)]}))
+    strategy.write_text(json.dumps([1 / 18] * 18))
+    cfg = _config(root, tmp, "nine-actions", game=str(game), strategy=str(strategy),
+                  agents=[{"learner": {"name": "uniform"}}, {"learner": FP}],
+                  schedule={"kind": "toy", "alpha": 0.1, "delta_hat": 0.01,
+                            "test_lengths": [30, 30], "free_lengths": [300, 300]})
+    _cli(root, "simulate", "--config", cfg, "--seeds", "20", "--out", str(out / "nine-actions"))
+    yield ("simulate --seeds 20 nine-action fall-backs batch_summary.json",
+           (out / "nine-actions" / "batch_summary.json").read_bytes())
     # a seed of 2**128 or more has five or more entropy words: more mixing stages
     _cli(root, "simulate", "--config", "fixtures/sim_config.json", "--seeds", "3",
          "--seed", str(2**128 - 1), "--out", str(out / "multi-word"))

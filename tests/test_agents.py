@@ -22,7 +22,7 @@ from advicecheck import (
     make_learner,
 )
 from advicecheck import verifier
-from advicecheck.agents import _simplex_draw, sample_block, sample_strategy
+from advicecheck.agents import _simplex_draw, _simplex_draws, sample_block, sample_strategy
 from oracles import fictitious_play_choice, simplex_rows
 
 TEST_PHASE = Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10)
@@ -71,6 +71,22 @@ def test_engine_drawn_fallback_equals_the_checked_strategy_and_is_read_only():
             assert not drawn.flags.writeable
             with pytest.raises(ValueError):
                 drawn[0] = 0.5
+
+
+@pytest.mark.parametrize("runs", [1, 3, 50])
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 129])
+def test_batch_of_fallback_draws_is_one_draw_per_generator(k, runs):
+    # one normalization over the rows rounds each row as a lone vector over its
+    # own sum: 9 or more actions are summed with unrolled accumulators, 129 in
+    # two blocks; one action draws nothing
+    rngs = [np.random.default_rng(seed) for seed in range(runs)]
+    refs = [np.random.default_rng(seed) for seed in range(runs)]
+    rows = _simplex_draws(k, rngs)
+    assert rows.shape == (runs, k) and not rows.flags.writeable
+    for row, rng, ref in zip(rows, rngs, refs, strict=True):
+        draw = np.ones(1) if k == 1 else verifier._draws(ref, 1, k)[0]
+        assert row.tobytes() == (draw / draw.sum()).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _state(game, mode, fallback=(0.75, 0.25), learner=None):

@@ -371,6 +371,53 @@ def test_run_batch_builds_each_learner_once(game, non_ce_strategy):
         runs, per_seed_counts(game, non_ce_strategy, sched, configs, seeds), strict=True))
 
 
+def _nine_action_game():
+    """Agent 1 has 9 actions and gains from its highest, so the uniform
+    announcement screens it; agent 2's payoffs are all 0, so it tests."""
+    game = Game([9, 2], np.array([[a, 0.0] for a in range(9) for _ in range(2)]))
+    return game, CorrelatedStrategy([1 / 18] * 18)
+
+
+def test_run_batch_draws_fallbacks_of_more_than_8_actions_as_one_run_per_seed():
+    # a row of 9 or more exponentials is summed pairwise with unrolled
+    # accumulators: the batch's one normalization must round each row as the
+    # per-seed draw does; agent 2's verdicts split the seeds, and the rejected
+    # cohort steps agent 2's fictitious play in the free periods
+    game, sigma = _nine_action_game()
+    configs = [{"learner": UNIFORM}, {"learner": FP}]
+    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[30, 30], free_lengths=[300, 300])
+    seeds = range(20)
+    runs = run_batch(game, sigma, sched, configs, seeds)
+    rejected = [run.decisions[(1, 1)].rejected for run in runs]
+    assert any(rejected) and not all(rejected)
+    assert all(run.decisions[(0, 1)].outcome is Outcome.REJECT_BY_EQ2 for run in runs)
+    assert all(_same_run(a, b) for a, b in zip(
+        runs, per_seed_counts(game, sigma, sched, configs, seeds), strict=True))
+
+
+def test_run_batch_drawn_in_bulk_builds_no_agent_state(game, non_ce_strategy):
+    # a cohort drawn in bulk is its modes and run indices: no per-seed agent
+    # objects, whatever the verdicts
+    configs = [{"learner": UNIFORM}, {"learner": UNIFORM}]
+    sched = toy_schedule(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
+                         test_lengths=[100, 150], free_lengths=[10**12, 10**12])
+    seeds = range(50)
+    with mock.patch.object(sim, "AgentState", wraps=sim.AgentState) as built:
+        runs = run_batch(game, non_ce_strategy, sched, configs, seeds)
+    assert built.call_count == 0
+    assert all(_same_run(a, b) for a, b in zip(
+        runs, per_seed_counts(game, non_ce_strategy, sched, configs, seeds), strict=True))
+
+
+def test_run_batch_of_no_seeds_is_empty_after_its_checks(game, ce_strategy):
+    sched = toy_schedule(game, ce_strategy, 0.1, 0.01, [20], [20])
+    assert run_batch(game, ce_strategy, sched, None, []) == []
+    assert run_batch(game, ce_strategy, sched, None, range(0)) == []
+    with pytest.raises(InvalidInputError):
+        run_batch(game, ce_strategy, sched, [{"fallback": [0.5, 0.6]}, {}], [])
+
+
 def test_run_batch_splits_a_free_period_into_a_stepped_and_a_bulk_cohort(game, ce_strategy):
     # at alpha 0.25 some seeds reject test 1 and the others follow, so free
     # period 1 has a cohort whose fictitious play steps on the shared learners

@@ -459,6 +459,16 @@ def test_decision_accept_worked_example(game, ce_strategy):
     assert not d.rejected
 
 
+def test_decision_p_value_is_formed_on_read(game, ce_strategy):
+    # a verdict computes no survival probability; reading p_value forms the
+    # chi-square one of its statistic on the plan's degrees of freedom
+    plan = manual_plan(game, ce_strategy, alpha=0.1, delta_hat=0.01, sample_size=2100)
+    with mock.patch.object(verifier.chi2, "chi2_sf", side_effect=AssertionError("formed")):
+        d = run_sampling_decision(plan, ce_strategy, ACCEPT_COUNTS)
+    assert d.df == plan.df_total
+    assert d.p_value == verifier.chi2.chi2_sf(d.statistic, plan.df_total)
+
+
 def test_decision_reject_by_statistic(game, non_ce_strategy):
     plan = manual_plan(game, non_ce_strategy, alpha=0.1, delta_hat=0.01, sample_size=2100)
     d = run_sampling_decision(plan, non_ce_strategy, REJECT_COUNTS)
