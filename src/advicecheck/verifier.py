@@ -14,16 +14,17 @@ works backward from a single target error probability p:
     estimated by Monte Carlo. Sensitivity is quadratic in the composed
     distribution, so each subset D reduces to two arrays W and L on the
     deviators' joint grid, and a sample costs O(prod_{d in D} |A_d|) rather
-    than O(|A|); samples are contracted a fixed-size block at a time, so
-    memory beyond the drawn fall-backs does not grow with mc_samples. Each
-    agent's fall-backs are drawn once, seeded by (seed, agent), and shared by
-    every subset holding that agent. Only the samples within reach of the
-    largest threshold pay for the contraction: a chi-square floor from one
-    deviator's marginal, which no coarsening can raise, drops the rest first.
-    It holds in every subset, so each agent is floored once and a subset pays
-    one mask intersection plus its survivors' contraction. One set of draws
-    serves any number of thresholds (a schedule's delta_j): each sample's
-    sensitivity is counted against all of them at once;
+    than O(|A|). Each agent's fall-backs are drawn once, seeded by (seed,
+    agent), and shared by every subset holding that agent. Only the samples
+    within reach of the largest threshold pay for the contraction: a
+    chi-square floor from one deviator's marginal, which no coarsening can
+    raise, drops the rest first. It holds in every subset, so each agent is
+    floored once. The survivors of every subset are then contracted in one
+    grouped pass: one contraction per grid shape of the deviators, a bounded
+    block of rows at a time, so memory beyond the drawn fall-backs and their
+    survivors does not grow with mc_samples. One set of draws serves any
+    number of thresholds (a schedule's delta_j): each sample's sensitivity is
+    counted against all of them at once;
   * the Type-2 budget solves p = (1 - psi) * beta + psi, i.e.
     beta = (p - psi) / (1 - psi). The factor (1 - P)^l_T, the chance that a
     deviation putting per-round mass P on announced-zero cells escapes the
@@ -51,7 +52,6 @@ from .games import (
     CorrelatedStrategy,
     Game,
     _announced_probs,
-    _others_marginal,
     joint_distribution,
 )
 from .games import agent_incentive_violations  # noqa: F401 (bench/tracing.py wraps it here)
@@ -59,7 +59,7 @@ from .games import agent_incentive_violations  # noqa: F401 (bench/tracing.py wr
 DEFAULT_MC_SAMPLES = 200_000
 MIN_MC_SAMPLES = 1000
 MAX_PSI_AGENTS = 12  # 2^n subsets
-_CHUNK_ELEMENTS = 1 << 15  # cells of a block's first contraction held at once
+_CHUNK_ELEMENTS = 1 << 16  # cells of a chunk's sigma stack or survivor matrix, or a block's forms
 _FLOOR_MARGIN = 1e-9  # relative slack of the screen's cut, far above the contraction's rounding
 
 
@@ -260,47 +260,54 @@ def _screens(tensor: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
     return screens
 
 
-def _subset_forms(tensor: np.ndarray, devs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """W and L of the quadratic-form identity, flat over the deviators' grid.
+def _subset_forms(tensor: np.ndarray, devs: np.ndarray) -> np.ndarray:
+    """W and L of the quadratic-form identity for each row of ``devs``.
 
+    The rows of ``devs`` are deviating subsets of one grid shape. Row j of
+    the result holds subset j's W and L, each flat over its deviators' grid.
     W(a_D) sums m(a_K)^2 / sigma(a) and L(a_D) sums m(a_K) over the others'
     actions a_K with sigma(a) > 0, where m is sigma's marginal on the others
-    (1 when every agent deviates).
+    (1 when every agent deviates). Each subset's sigma is laid out as
+    (a_D, a_K) in one stack, reduced for all of them at once.
     """
-    keep = tuple(i for i in range(tensor.ndim) if i not in devs)
-    positive = tensor > 0
-    lin = np.where(positive, _others_marginal(tensor, devs), 0.0)
-    quad = lin * lin / np.where(positive, tensor, 1.0)
-    return quad.sum(axis=keep).ravel(), lin.sum(axis=keep).ravel()
+    n = tensor.ndim
+    grid = math.prod(tensor.shape[d] for d in devs[0])
+    sigma = np.array([tensor.transpose(*d, *(i for i in range(n) if i not in d)).reshape(grid, -1)
+                      for d in devs.tolist()])
+    positive = sigma > 0
+    lin = np.where(positive, sigma.sum(axis=1, keepdims=True) if devs.shape[1] < n else 1.0, 0.0)
+    quad = lin * lin / np.where(positive, sigma, 1.0)
+    forms = np.empty((len(devs), 2, grid))
+    quad.sum(axis=2, out=forms[:, 0])
+    lin.sum(axis=2, out=forms[:, 1])
+    return forms
 
 
-def _count_below(gammas: list[np.ndarray], w: np.ndarray, lin: np.ndarray,
+def _count_below(gammas: list[np.ndarray], forms: np.ndarray, owner: np.ndarray,
                  offset: float, thresholds: np.ndarray) -> np.ndarray:
-    """Per ascending threshold, the samples whose sensitivity is below it.
+    """Per subset and ascending threshold, the rows whose sensitivity is below it.
 
-    The sensitivity <W, (x)_d gamma_d^2> - 2 <L, (x)_d gamma_d> + offset is
-    contracted one deviator at a time, never forming the outer product: the
-    last deviator's axis by one GEMM each against W and L reshaped to
-    (-1, |A_d|), every other axis by a per-sample multiply-sum. Rows go a
-    block at a time, sized so that the GEMM output holds at most
-    _CHUNK_ELEMENTS cells, so memory stays bounded in the sample count.
+    Row t is a sample of subset ``owner[t]``, whose W and L are
+    ``forms[owner[t]]`` (``_subset_forms``); ``gammas[i][t]`` holds its i-th
+    deviator's (gamma^2, gamma). The sensitivity <W, (x)_d gamma_d^2> -
+    2 <L, (x)_d gamma_d> + offset is contracted one deviator at a time, never
+    forming the outer product. Each step is an einsum sum of products over
+    one deviator's actions, with no BLAS call, so every row is rounded the
+    same way whatever else is contracted with it: alone, in a block of other
+    rows, or among other subsets' rows. (A GEMM's rounding of one row can
+    change with the matrix shape.) Memory is the rows' forms and the
+    contraction's steps; callers pass a block of rows at a time. Returns a
+    (len(forms), len(thresholds)) array of counts.
     """
-    n, last = gammas[-1].shape
-    w, lin = w.reshape(-1, last), lin.reshape(-1, last)
-    rows = max(1, _CHUNK_ELEMENTS // len(w))
-    ranks = np.zeros(len(thresholds) + 1, dtype=np.int64)
-    for start in range(0, n, rows):
-        g = gammas[-1][start:start + rows]
-        quad, line = (g * g) @ w.T, g @ lin.T
-        for gamma in reversed(gammas[:-1]):
-            g = gamma[start:start + rows]
-            quad = np.einsum("npc,nc->np", quad.reshape(len(g), -1, g.shape[1]), g * g)
-            line = np.einsum("npc,nc->np", line.reshape(len(g), -1, g.shape[1]), g)
-        delta = quad[:, 0] - 2.0 * line[:, 0] + offset
-        # a sample of rank k (thresholds at or below it) is below thresholds[k:]
-        ranks += np.bincount(np.searchsorted(thresholds, delta, side="right"),
-                             minlength=len(ranks))
-    return np.cumsum(ranks)[:-1]
+    x = forms.take(owner, axis=0)
+    for h in gammas:
+        x = np.einsum("nscp,nsc->nsp", x.reshape(len(h), 2, h.shape[2], -1), h)
+    delta = x[:, 0, 0] - 2.0 * x[:, 1, 0] + offset
+    ranks = len(thresholds) + 1
+    # a row of rank k (thresholds at or below it) is below thresholds[k:]
+    below = np.bincount(owner * ranks + np.searchsorted(thresholds, delta, side="right"),
+                        minlength=len(forms) * ranks)
+    return np.cumsum(below.reshape(len(forms), ranks), axis=1)[:, :-1]
 
 
 def check_draws(mc_samples: int, seed: int) -> None:
@@ -355,14 +362,26 @@ def estimate_psi(
       delta = <W, (x)_d gamma_d^2> - 2 <L, (x)_d gamma_d> + sum_S sigma
 
     with W(a_D) = sum_{a_K: sigma(a)>0} m(a_K)^2 / sigma(a) and
-    L(a_D) = sum_{a_K: sigma(a)>0} m(a_K), built once per subset and
-    contracted one deviator at a time. Each sample then costs one GEMM row
-    over the deviators' grid, O(prod_d |A_d|), instead of O(|A|), and beyond
-    the draws (mc_samples x |A_d| per agent) memory is one fixed-size block
-    of rows plus one counter per threshold, whatever mc_samples is. Before
-    that, each agent's chi-square floor (``_floor``), computed once, drops
-    every sample it certifies above the largest threshold in any subset
-    holding the agent. The counts are the unscreened ones exactly.
+    L(a_D) = sum_{a_K: sigma(a)>0} m(a_K), contracted one deviator at a
+    time, so a sample costs O(prod_d |A_d|) instead of O(|A|). First, each
+    agent's chi-square floor (``_floor``), computed once, drops every sample
+    it certifies above the largest threshold in any subset holding the agent.
+    The rest take one grouped pass. Each sample's surviving agents are packed
+    into an integer code; a subset's rows are the samples whose code holds
+    all of its agents, and a subset with none is skipped without reading any
+    array of mc_samples entries. Each agent's fall-backs at the samples that
+    survive any floor are normalized once. The subsets with survivors are
+    grouped by their deviators' grid shape: a group's W and L come from one
+    stacked reduction (``_subset_forms``) and its rows, each tagged with its
+    subset, from one contraction (``_count_below``). Beyond the draws (mc_samples x |A_d| per
+    agent), memory is the survivors' normalized rows, one chunk of a group's
+    subsets (their stacked sigma and survivor matrix hold at most
+    _CHUNK_ELEMENTS cells, or one subset's rows if more) and one block of
+    rows whose forms hold at most _CHUNK_ELEMENTS cells. No step of the
+    contraction is a GEMM, whose rounding of a row can change with the
+    matrix shape, so a row's sensitivity does not depend on the rows
+    contracted with it, and the counts are the unscreened ones exactly, by
+    construction.
     """
     curve = np.ndim(delta_hat) > 0
     given = np.asarray(delta_hat, dtype=object).reshape(-1)  # as given: a bool stays one
@@ -379,25 +398,59 @@ def estimate_psi(
     t_max = thresholds.max()
     cut = t_max + _FLOOR_MARGIN * (1.0 + t_max)
     subsets = _deviating_subsets(game)
+    agents, counts = range(game.num_agents), game.action_counts
     # agent d's fall-backs, shared read-only by every subset holding d; singleton (d,) has rank d
     draws = [_draws(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,))),
-                    mc_samples, k) for d, k in enumerate(game.action_counts)]
+                    mc_samples, k) for d, k in enumerate(counts)]
     for e in draws:
         e.setflags(write=False)
-    # a sample's floor is its own deviator's, whatever the subset
-    masks = [_floor(e, *screen) <= cut for e, screen in zip(draws, _screens(tensor))]
-    below: dict[tuple[int, ...], list[int]] = {}
-    for devs in subsets:
-        counts = np.zeros(len(thresholds), dtype=np.int64)
-        alive = np.flatnonzero(np.logical_and.reduce([masks[d] for d in devs]))
-        if len(alive):
-            # normalized as every sample would be: the unscreened sensitivities bit for bit
-            gammas = [draws[d].take(alive, axis=0) for d in devs]
-            for g in gammas:
-                g /= g.sum(axis=1, keepdims=True)
-            w, lin = _subset_forms(tensor, devs)
-            counts[order] = _count_below(gammas, w, lin, offset, thresholds[order])
-        below[devs] = counts.tolist()
+    # bit d of a sample's code: it survives agent d's floor, which holds in every subset
+    code = np.zeros(mc_samples, dtype=np.uint16)  # room for MAX_PSI_AGENTS bits
+    for d, (e, screen) in enumerate(zip(draws, _screens(tensor))):
+        code |= (_floor(e, *screen) <= cut) << np.uint16(d)
+    alive = np.flatnonzero(code)
+    codes = code[alive]
+    # held[b]: the samples whose code holds every bit of b, summed over b's supersets
+    held = np.bincount(codes, minlength=1 << len(agents))
+    for d in agents:
+        pairs = held.reshape(-1, 2, 1 << d)
+        pairs[:, 0] += pairs[:, 1]
+    # the subsets with survivors, grouped by their deviators' grid shape
+    groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for b in (np.flatnonzero(held[1:]) + 1).tolist():
+        devs = tuple(d for d in agents if b >> d & 1)
+        groups.setdefault(tuple(counts[d] for d in devs), []).append((b, devs))
+    # each agent's fall-backs at those samples, normalized as every sample would be, as
+    # rows (gamma^2, gamma) of one table per action count; agent d's row of sample
+    # alive[j] is start[d] + j
+    tables, start = {}, np.zeros(len(agents), dtype=np.int64)
+    for k in set(counts):
+        same = [d for d in agents if counts[d] == k]
+        g = np.stack([draws[d].take(alive, axis=0) for d in same])
+        g /= g.sum(axis=2, keepdims=True)
+        tables[k] = np.stack((g * g, g), axis=2).reshape(-1, 2, k)
+        start[same] = np.arange(len(same)) * len(alive)
+    ascending, unsort = thresholds[order], np.argsort(order)
+    below = dict.fromkeys(subsets, [0] * len(thresholds))
+    for shape, members in groups.items():
+        # a chunk's stack of sigma and survivor matrix, and a block's forms, hold at most
+        # _CHUNK_ELEMENTS cells
+        size = max(1, _CHUNK_ELEMENTS // max(tensor.size, len(alive)))
+        block = max(1, _CHUNK_ELEMENTS // (2 * math.prod(shape)))
+        for first in range(0, len(members), size):
+            bits, chunk = zip(*members[first:first + size])
+            devs = np.array(chunk)
+            forms, rows_at = _subset_forms(tensor, devs), start[devs]
+            want = np.array(bits, dtype=codes.dtype)[:, None]
+            # a subset's rows: the samples whose code holds all its bits, ascending
+            owner, rows = np.nonzero((codes & want) == want)
+            found = 0
+            for lo in range(0, len(owner), block):
+                own = owner[lo:lo + block]
+                at = rows_at.take(own, axis=0) + rows[lo:lo + block, None]
+                gammas = [tables[k].take(at[:, i], axis=0) for i, k in enumerate(shape)]
+                found += _count_below(gammas, forms, own, offset, ascending)
+            below.update(zip(chunk, found[:, unsort].tolist()))
     estimates = []
     for k in range(len(thresholds)):
         per_subset = {devs: n[k] / mc_samples for devs, n in below.items()}

@@ -6,6 +6,8 @@ arrays, deviations are composed cell by cell, fall-backs are drawn as they
 first were (one ``exponential((n, k))`` call, each row over its sum), psi is
 estimated from dense composed distributions of those draws (and the
 zero-cell mass bounding psi's screen is summed one joint action at a time),
+psi's screened counts are also taken one deviating subset at a time, the
+way they first were (each subset's survivors contracted by GEMM),
 fictitious play's choice is summed in Fractions over every joint action, and
 the repeated game, like the pure-learning baseline, is replayed by a plain
 per-round loop that draws each action with the scalar ``sample_strategy``
@@ -39,7 +41,7 @@ from advicecheck import (
     make_learner,
     run_sampling_decision,
 )
-from advicecheck import sim
+from advicecheck import sim, verifier
 from advicecheck.agents import sample_strategy
 from advicecheck.chi2 import power_beta
 from advicecheck.errors import InvalidInputError, check_int, check_unit
@@ -171,6 +173,70 @@ def dense_psi(game, sigma_m, delta_hat, mc_samples, seed=0):
     below delta_hat."""
     return {devs: float((delta < delta_hat).mean())
             for devs, delta in dense_sensitivities(game, sigma_m, mc_samples, seed).items()}
+
+
+def per_subset_psi_counts(game, sigma_m, thresholds, mc_samples, seed=0):
+    """Each deviating subset's samples below every threshold, one subset at a time.
+
+    psi's first screened loop: the draws and chi-square screen of
+    ``estimate_psi`` (``verifier._draws``, ``_screens`` and ``_floor``), then
+    per subset the intersection of its agents' screens, its survivors'
+    fall-backs normalized, its W and L summed over the others' axes, and the
+    survivors contracted against them by GEMM. Returns {devs: counts}, the
+    counts in the thresholds' given order and the subsets by size, then
+    lexicographic.
+    """
+    thresholds = np.asarray(thresholds, dtype=float).reshape(-1)
+    probs = joint_distribution(sigma_m, game)
+    tensor = probs.reshape(game.action_counts)
+    positive = tensor > 0
+    offset = float(probs[positive.ravel()].sum())
+    order = np.argsort(thresholds, kind="stable")
+    t_max = thresholds.max()
+    cut = t_max + verifier._FLOOR_MARGIN * (1.0 + t_max)
+    draws = [verifier._draws(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,))),
+                             mc_samples, k) for d, k in enumerate(game.action_counts)]
+    masks = [verifier._floor(e, *screen) <= cut
+             for e, screen in zip(draws, verifier._screens(tensor))]
+    below = {}
+    for r in range(1, game.num_agents + 1):
+        for devs in itertools.combinations(range(game.num_agents), r):
+            counts = np.zeros(len(thresholds), dtype=np.int64)
+            alive = np.flatnonzero(np.logical_and.reduce([masks[d] for d in devs]))
+            if len(alive):
+                gammas = [draws[d].take(alive, axis=0) for d in devs]
+                for g in gammas:
+                    g /= g.sum(axis=1, keepdims=True)
+                keep = tuple(i for i in range(game.num_agents) if i not in devs)
+                lin = np.where(positive, _others_marginal(tensor, devs), 0.0)
+                quad = lin * lin / np.where(positive, tensor, 1.0)
+                counts[order] = _gemm_count_below(gammas, quad.sum(axis=keep).ravel(),
+                                                  lin.sum(axis=keep).ravel(), offset,
+                                                  thresholds[order])
+            below[devs] = counts.tolist()
+    return below
+
+
+def _gemm_count_below(gammas, w, lin, offset, thresholds, cells=1 << 15):
+    """Per ascending threshold, the samples whose sensitivity is below it: the
+    last deviator's axis by one GEMM each against W and L, every other by a
+    per-sample multiply-sum, rows a block of at most ``cells`` GEMM outputs at
+    a time."""
+    n, last = gammas[-1].shape
+    w, lin = w.reshape(-1, last), lin.reshape(-1, last)
+    rows = max(1, cells // len(w))
+    ranks = np.zeros(len(thresholds) + 1, dtype=np.int64)
+    for start in range(0, n, rows):
+        g = gammas[-1][start:start + rows]
+        quad, line = (g * g) @ w.T, g @ lin.T
+        for gamma in reversed(gammas[:-1]):
+            g = gamma[start:start + rows]
+            quad = np.einsum("npc,nc->np", quad.reshape(len(g), -1, g.shape[1]), g * g)
+            line = np.einsum("npc,nc->np", line.reshape(len(g), -1, g.shape[1]), g)
+        delta = quad[:, 0] - 2.0 * line[:, 0] + offset
+        ranks += np.bincount(np.searchsorted(thresholds, delta, side="right"),
+                             minlength=len(ranks))
+    return np.cumsum(ranks)[:-1]
 
 
 def positive_mass_floor(game, sigma_m, devs, d):

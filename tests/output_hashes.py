@@ -18,6 +18,9 @@ where some seeds reject test 1 and the others follow, and with
 ``check-ce``, ``plan``, ``test``, and ``schedule`` out to sample sizes of 1e14
 and levels of 1e-12), ``plan`` and ``schedule`` on a 3-agent announcement
 with zero cells, ``plan`` on a 5-agent one with zero cells and interior psi,
+``plan`` and a 3-test ``schedule`` on a near-product 2x3x4 announcement
+whose multi-deviator subsets have interior psi (psi groups subsets by their
+deviators' grid shapes, all different here),
 ``simulate --seeds 20`` on a generated game whose 9-action agent draws its
 fall-backs, the stdout of every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
@@ -49,6 +52,9 @@ ZERO_CELLS = [0.24, 0.10, 0.14, 0.06, 0.09, 0, 0.15, 0, 0.09, 0.04, 0.06, 0.03]
 # a product of these 2-action marginals with joint actions 6 and 27 (1-based) zeroed:
 # near a product, so every deviating subset's undetectable fraction is interior
 MARGINALS_2_5 = [(0.6, 0.4), (0.5, 0.5), (0.7, 0.3), (0.55, 0.45), (0.65, 0.35)]
+# a product of these marginals with 0.01 moved from joint action 2 to 1 (1-based): at
+# delta 0.1 and 0.2 every multi-deviator subset's undetectable fraction is interior
+MARGINALS_2_3_4 = [(0.6, 0.4), (0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1)]
 GAME_STRATEGY = ["--game", "fixtures/small_game.json", "--strategy", "fixtures/ce_strategy.json"]
 # `check-ce` and `test` exit 1 (the CLI's EXIT_DOMAIN) for "not a CE" and "rejected"
 DOMAIN = (0, 1)
@@ -167,6 +173,18 @@ def outputs(root: Path, tmp: Path):
     strategy.write_text(json.dumps([c / sum(cells) for c in cells]))
     yield "plan zero cells 2^5", _cli(root, "plan", "--game", str(game), "--strategy",
                                       str(strategy), "--p", "0.2", "--delta-hat", "0.02")
+    cells = [math.prod(MARGINALS_2_3_4[d][a] for d, a in enumerate(joint))
+             for joint in itertools.product(range(2), range(3), range(4))]
+    cells[0], cells[1] = cells[0] + 0.01, cells[1] - 0.01
+    game, strategy = tmp / "game-2-3-4.json", tmp / "strategy-2-3-4.json"
+    game.write_text(json.dumps({"num_agents": 3, "action_counts": [2, 3, 4],
+                                "utilities": [[(3 * j + i) * 7 % 10 for i in range(3)]
+                                              for j in range(24)]}))
+    strategy.write_text(json.dumps(cells))
+    mixed = ["--game", str(game), "--strategy", str(strategy)]
+    yield "plan 2x3x4", _cli(root, "plan", *mixed, "--p", "0.5", "--delta-hat", "0.1")
+    yield "schedule 2x3x4", _cli(root, "schedule", *mixed, "--rules", "geometric", "--tests", "3",
+                                 "--delta0", "0.2", "--p0", "0.5")
     for demo in sorted((root / "demos").glob("*.py")):
         yield f"demo {demo.stem}", _run(root, [str(demo)])
     yield "agent_act calls per seed", _run(root, [__file__, "--act-counts"])

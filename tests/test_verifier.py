@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_psi, dense_sensitivities, positive_mass_floor, simplex_rows
+from oracles import (
+    dense_psi,
+    dense_sensitivities,
+    per_subset_psi_counts,
+    positive_mass_floor,
+    simplex_rows,
+)
 
 from advicecheck import (
     CorrelatedStrategy,
@@ -413,6 +420,96 @@ def test_estimate_psi_contraction_memory_flat_in_samples():
     # where the outer product over the 2187-cell grid would add 17 KiB per sample
     assert peaks[1] - peaks[0] < 6000 * 7 * 3 * 8 + 2**20
     assert peaks[1] < 8 * 2**20
+
+
+@st.composite
+def _psi_cases(draw):
+    """A game of 1-4 agents with 1-4 actions each (2x3x4 among them), a near-product
+    announcement with some zero cells, and unsorted thresholds, one repeated."""
+    counts = draw(st.one_of(st.just([2, 3, 4]), st.lists(st.integers(1, 4), min_size=1,
+                                                           max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = _near_product(rng, counts, draw(st.sampled_from([0.0, 0.02, 0.3, 1.0])))
+    probs[draw(st.lists(st.integers(0, probs.size - 1), max_size=probs.size - 1,
+                        unique=True))] = 0.0
+    game = Game(counts, rng.uniform(0, 5, size=(probs.size, len(counts))))
+    deltas = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3))
+    deltas.insert(draw(st.integers(0, len(deltas))), draw(st.sampled_from(deltas)))
+    return game, CorrelatedStrategy(probs / probs.sum()), deltas, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_psi_cases())
+def test_estimate_psi_counts_every_subset_as_the_per_subset_loop(case):
+    game, sigma, deltas, seed = case
+    curve = estimate_psi(game, sigma, deltas, mc_samples=1000, seed=seed)
+    counts = per_subset_psi_counts(game, sigma, deltas, 1000, seed=seed)
+    assert list(curve.per_subset) == verifier._deviating_subsets(game)
+    assert curve.per_subset == {devs: tuple(n / 1000 for n in below)
+                                for devs, below in counts.items()}
+
+
+def _lone_sensitivity(gammas, forms, offset):
+    """One row's sensitivity from ``_count_below`` alone, bit for bit: bisected down to
+    the float whose successor is the least threshold the row is below."""
+    lo, hi, one = -1.0, 1e9, np.zeros(1, dtype=np.int64)
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        if verifier._count_below(gammas, forms, one, offset, np.array([mid]))[0, 0]:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@pytest.mark.parametrize("counts, size", [((2,) * 7, 3), ((3,) * 5, 3), ((4,) * 4, 2),
+                                          ((2,) * 6, 6)])
+def test_count_below_rounds_a_row_alike_alone_in_a_block_and_among_other_subsets(counts, size):
+    # a GEMM's rounding of one row can change with the number of rows beside it
+    rng = np.random.default_rng(sum(counts) + size)
+    tensor = _near_product(rng, counts, 0.3).reshape(counts)
+    devs = np.array(list(itertools.combinations(range(len(counts)), size))[:4])
+    forms = verifier._subset_forms(tensor, devs)
+    rows = 12
+    owner = np.repeat(np.arange(len(devs)), rows)
+    gammas = []
+    for k in counts[:size]:
+        g = simplex_rows(rng, len(owner), k)
+        gammas.append(np.stack((g * g, g), axis=1))
+    lone = np.array([_lone_sensitivity([h[t:t + 1] for h in gammas], forms[owner[t]:owner[t] + 1],
+                                       1.0) for t in range(len(owner))])
+    # a row whose sum moved would change the count at its value or at the next float
+    thresholds = np.sort(np.concatenate((lone, np.nextafter(lone, np.inf))))
+    expected = np.array([[np.sum(lone[owner == j] < t) for t in thresholds]
+                         for j in range(len(devs))])
+    for j in range(len(devs)):
+        block = owner == j
+        alone = verifier._count_below([h[block] for h in gammas], forms[j:j + 1],
+                                      np.zeros(rows, dtype=np.int64), 1.0, thresholds)
+        assert np.array_equal(alone[0], expected[j])
+    assert np.array_equal(verifier._count_below(gammas, forms, owner, 1.0, thresholds), expected)
+
+
+@pytest.mark.parametrize("counts", [(3,) * 7, (2,) * 8])
+def test_estimate_psi_at_psi_one_stays_under_the_memory_cap(counts):
+    rng = np.random.default_rng(len(counts))
+    probs = rng.dirichlet(np.full(math.prod(counts), 5.0))
+    g = Game(counts, rng.uniform(0, 5, size=(probs.size, len(counts))))
+    sigma = CorrelatedStrategy(probs)
+    peaks = []
+    for mc in (1000, 2000):
+        tracemalloc.start()
+        try:
+            est = estimate_psi(g, sigma, 1e6, mc_samples=mc, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # every sample survives the screen, and every subset contracts all of them
+        assert est.psi == 1.0 and set(est.per_subset.values()) == {1.0}
+    assert peaks[1] < 8 * 2**20
+    # a sample holds each agent's draws (8 bytes an action) and (gamma^2, gamma)
+    # rows (16), and its code, index and survivor code (12); chunks and blocks do not grow
+    per_sample = 24 * sum(counts) + 12
+    assert peaks[1] - peaks[0] < 1000 * per_sample + 2**20
 
 
 def test_plan_test_worked_example(game, ce_strategy):
