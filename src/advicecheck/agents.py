@@ -260,11 +260,6 @@ def _simplex_draws(action_count: int, rngs) -> np.ndarray:
     return out
 
 
-def _simplex_draw(action_count: int, rng: np.random.Generator) -> np.ndarray:
-    """One generator's ``_simplex_draws`` row: a read-only vector."""
-    return _simplex_draws(action_count, [rng])[0]
-
-
 _SCREENED = Decision(Outcome.REJECT_BY_EQ2)  # every screened agent's decision, one frozen instance
 
 

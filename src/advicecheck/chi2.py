@@ -143,26 +143,17 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     raise NonConvergenceError(f"incomplete gamma continued fraction did not converge at a={a}, x={x}")
 
 
-def _gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), a > 0, 0 <= x < inf."""
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    """Regularized incomplete gammas (P(a, x), Q(a, x)), a > 0, 0 <= x < inf: the series
+    below a + 1 or the continued fraction above gives one tail, clamped to [0, 1], and the
+    other is 1 minus it, bit for bit the clamped complement of the unclamped tail."""
     if x <= 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x < a + 1.0:
-        p = _gamma_p_series(a, x)
-    else:
-        p = 1.0 - _gamma_q_contfrac(a, x)
-    return min(max(p, 0.0), 1.0)
-
-
-def _gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x), a > 0, 0 <= x < inf."""
-    if x <= 0.0:
-        return 1.0
-    if x < a + 1.0:
-        q = 1.0 - _gamma_p_series(a, x)
-    else:
-        q = _gamma_q_contfrac(a, x)
-    return min(max(q, 0.0), 1.0)
+        p = min(max(_gamma_p_series(a, x), 0.0), 1.0)
+        return p, 1.0 - p
+    q = min(max(_gamma_q_contfrac(a, x), 0.0), 1.0)
+    return 1.0 - q, q
 
 
 def _check_x(x: float) -> None:
@@ -176,7 +167,7 @@ def chi2_cdf(x: float, df: int) -> float:
     _check_x(x)
     if math.isinf(x):
         return 1.0
-    return _gamma_p(df / 2.0, x / 2.0)
+    return _gamma_tails(df / 2.0, x / 2.0)[0]
 
 
 def _smallest(meets, df: int) -> float:
@@ -221,7 +212,7 @@ def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
     mode = math.floor(lam)
     # w: Poisson weight of k; p: P(half_df + k, y); d: y^a e^-y / Gamma(a + 1), a = half_df + k
     w_mode = math.exp(_log_poisson(mode, lam))
-    p_mode = _gamma_p(half_df + mode, y)
+    p_mode = _gamma_tails(half_df + mode, y)[0]
     d_mode = math.exp(_log_poisson(half_df + mode, y))
     total = w_mode * p_mode
     steps = 50 + int(20.0 * math.sqrt(lam))  # the tail bounds stop each walk in < 9 sqrt(lam)
@@ -271,7 +262,7 @@ def chi2_sf(x: float, df: int) -> float:
     _check_x(x)
     if math.isinf(x):
         return 0.0
-    return _gamma_q(df / 2.0, x / 2.0)
+    return _gamma_tails(df / 2.0, x / 2.0)[1]
 
 
 @functools.lru_cache(maxsize=_ISF_CACHE, typed=True)

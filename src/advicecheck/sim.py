@@ -30,8 +30,8 @@ round that is not drawn in bulk:
   and each run's multinomial is drawn by its own mediator generator; an
   ``AgentState`` is built only for a run that steps. A seed builds a
   generator only when it may first draw from it, from the state one pass
-  over the batch computed for it (``_seed_states``). ``run_game_counts`` is
-  the one-seed batch;
+  over the batch computed for it (``streams``, which keys every generator).
+  ``run_game_counts`` is the one-seed batch;
 * ``run_pure_learning`` steps its horizon as one free period in which every
   agent learns.
 
@@ -68,7 +68,6 @@ totals exactly.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -79,6 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import streams
 from .agents import AgentState, Mode, _simplex_draws, agent_act, make_learner
 from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
 from .errors import InvalidInputError, NoDataError, check_int, check_keys
@@ -254,6 +254,9 @@ def tv_distance(p, q) -> float:
     qv = q.probs if isinstance(q, CorrelatedStrategy) else np.asarray(q, dtype=float)
     if pv.shape != qv.shape:
         raise InvalidInputError("distributions have different lengths")
+    for name, v in (("p", pv), ("q", qv)):
+        if not np.isfinite(v).all():
+            raise InvalidInputError(f"{name} must hold finite entries, got {v}")
     return 0.5 * float(np.abs(pv - qv).sum())
 
 
@@ -304,115 +307,6 @@ def _setup(game, sigma_m, schedule, agent_configs, rounds) -> _Setup:
 def _free_mix(learner) -> np.ndarray | None:
     """A fresh learner's strategy if it holds for ever, else None: its free periods step."""
     return learner.next_strategy() if learner.stable_rounds() == math.inf else None
-
-
-# SeedSequence's hashes (numpy/random/bit_generator.pyx), run by ``_seed_states``:
-# a hash's call j xors its value with c_j and multiplies it by c_{j+1}
-
-
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """A hash's first ``count`` constants, c_j = ``init * mult**j mod 2**32``."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return out
-
-
-def _entropy_stages(words: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (xor, multiplier) columns of each stage of ``mix_entropy`` over
-    ``words`` seed words (at least 4, the pool size) and one spawn-key word.
-
-    Stage 0 hashes the first four words into the pool; stage 1 + s mixes
-    pool word s into the other three (its own row is a placeholder, since
-    the caller restores that word); each later stage mixes one more word
-    into all four.
-    """
-    c = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * words + 5)
-
-    def column(values):
-        return np.array(values, dtype=np.uint32)[:, None]
-
-    stages = [(column(c[0:4]), column(c[1:5]))]
-    for src in range(4):
-        xors, mults = c[4 + 3 * src : 7 + 3 * src], c[5 + 3 * src : 8 + 3 * src]
-        stages.append((column(xors[:src] + [0] + xors[src:]),
-                       column(mults[:src] + [0] + mults[src:])))
-    stages += [(column(c[j : j + 4]), column(c[j + 1 : j + 5])) for j in range(16, 4 * words + 1, 4)]
-    return stages
-
-
-_ENTROPY_STAGES = _entropy_stages(4)  # every seed below 2**128
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)  # generate_state's
-_STATE_XORS = np.array(_STATE_HASH[:8], dtype=np.uint32)[:, None, None]
-_STATE_MULTS = np.array(_STATE_HASH[1:], dtype=np.uint32)[:, None, None]
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash(values, xors, mults):
-    values = (values ^ xors) * mults
-    return values ^ (values >> 16)
-
-
-def _mix(x, y):
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> 16)
-
-
-def _seed_states(seeds, keys) -> np.ndarray:
-    """``SeedSequence(s, spawn_key=(k,)).generate_state(4, np.uint64)`` for
-    every seed s (a non-negative int) and key k (below 2**32): an
-    (S, K, 4) uint64 array, the PCG64 state words of every generator a batch
-    may build.
-
-    It runs SeedSequence's fixed algorithm as one straight-line numpy pass
-    over all rows (``mix_entropy`` on the seed's words, zero-padded to the
-    4-word pool, then the key's word; then ``generate_state``), in uint32
-    arithmetic, which wraps as the C code does. A seed of 2**128 or more has
-    more words and so more mixing stages: the seeds are grouped by word count.
-    The pass costs a few dozen small-array operations whatever the number of
-    rows.
-    """
-    keys = np.asarray(keys, dtype=np.uint32)
-    out = np.empty((len(seeds), len(keys), 4), dtype=np.uint64)
-    groups: dict[int, list[int]] = {}
-    for row, seed in enumerate(seeds):
-        groups.setdefault(max(4, -(-seed.bit_length() // 32)), []).append(row)
-    for words, rows in groups.items():
-        entropy = np.frombuffer(b"".join(seeds[r].to_bytes(4 * words, "little") for r in rows),
-                                dtype="<u4").reshape(len(rows), words).T
-        stages = _ENTROPY_STAGES if words == 4 else _entropy_stages(words)
-        pool = _hash(entropy[:4], *stages[0])
-        for src in range(4):
-            mixed = _mix(pool, _hash(pool[src], *stages[1 + src]))
-            mixed[src] = pool[src]
-            pool = mixed
-        for w in range(4, words):
-            pool = _mix(pool, _hash(entropy[w], *stages[1 + w]))
-        pool = _mix(pool[:, :, None], _hash(keys, *stages[1 + words])[:, None, :])
-        # generate_state: 8 words cycling over the pool, paired little-endian into 4 uint64
-        state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XORS, _STATE_MULTS).astype(np.uint64)
-        out[rows] = (state[0::2] | state[1::2] << np.uint64(32)).transpose(1, 2, 0)
-    return out
-
-
-@functools.cache
-def _given_state():
-    """The ``ISeedSequence`` that hands PCG64 a state ``_seed_states`` computed.
-
-    Built on first use: subclassing loads ``numpy.random``, which
-    ``import advicecheck`` does not.
-    """
-
-    class GivenState(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("state",)
-
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state  # PCG64 asks for its 4 uint64 words
-
-    return GivenState
 
 
 def _utility_numerators(game: Game, counts) -> list:
@@ -490,13 +384,12 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
     A run's modes are its whole state between verdicts (screened agents stay
     rejected, every other agent takes the run's one verdict), so a cohort is
     its modes and its run indices. Generator 0 of run r is its mediator's and
-    generator 1 + i agent i's, seeded as ``SeedSequence(seed,
-    spawn_key=(g,))`` would seed it (the streams of ``SeedSequence(seed).spawn``)
-    from the state ``_seed_states`` computed, and built on first use. An
-    agent's generator first draws the agent's fall-back where none is
-    configured, into a row of the agent's (runs, actions) array
-    (``_simplex_draws``), so each stream is consumed as if every generator
-    and fall-back had been made up front.
+    generator 1 + i agent i's, keyed (seed, g) by ``streams``: their states
+    come from one ``streams._seed_states`` pass over the batch, and each is
+    built on first use. An agent's generator first draws the agent's
+    fall-back where none is configured, into a row of the agent's (runs,
+    actions) array (``_simplex_draws``), so each stream is consumed as if
+    every generator and fall-back had been made up front.
 
     A Transcript (``run_game``'s one run) steps every phase and keeps its
     columns (the signals copied, never a view of ``signal_override``), as
@@ -522,8 +415,7 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
     game, sigma_m, schedule, horizon = setup.game, setup.sigma_m, setup.schedule, setup.horizon
     record = isinstance(runs[0], Transcript)
     dens = tuple(den for _, den in game.payoff_table)
-    seeded = _seed_states([run.seed for run in runs], range(1 + game.num_agents))
-    given = _given_state()
+    seeded = streams._seed_states([run.seed for run in runs], range(1 + game.num_agents))
     # generator g of run r, rngs[g][r], built on first use
     rngs = [[None] * len(runs) for _ in range(1 + game.num_agents)]
     # row r of drawn[i]: agent i's drawn fall-back in run r, the first draw of
@@ -536,8 +428,8 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
         generator draws the agent's fall-back first."""
         gens = rngs[g]
         built = [r for r in members if gens[r] is None]
-        for r in built:
-            gens[r] = np.random.default_rng(np.random.PCG64(given(seeded[r, g])))
+        for r, gen in zip(built, streams._generators(seeded[r, g] for r in built)):
+            gens[r] = gen
         if g and built and setup.fallbacks[g - 1] is None:
             rows = _simplex_draws(game.action_counts[g - 1], [gens[r] for r in built])
             if built != every_run:  # the other runs' rows kept, in a read-only copy
@@ -709,7 +601,7 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     by learning alone, played as one free period in which every agent learns.
     """
     check_int(rounds, "rounds")
-    check_int(seed, "seed")
+    seed = check_int(seed, "seed")
     if not isinstance(learner_specs, (list, tuple)) or len(learner_specs) != game.num_agents:
         raise InvalidInputError(f"learner_specs must be a list of one learner spec per agent, "
                                 f"got {learner_specs!r}")
@@ -719,7 +611,7 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
                    mode=Mode.REJECTED_BY_TEST)
         for i, spec in enumerate(learner_specs)
     ]
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(game.num_agents)]
+    rngs = streams.generators(seed, range(game.num_agents))
     # a Phase is at least one round long; ``rounds`` alone sets how many are played
     phase = Phase(PhaseKind.FREE_PERIOD, 1, 1, max(rounds, 1))
     counts = _step(game, phase, states, rngs, rounds)

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import chi2
+from . import chi2, streams
 from .errors import InfeasiblePlanError, InvalidInputError, ZeroCellObserved
 from .errors import check_int, check_positive, check_unit
 from .games import (
@@ -199,6 +199,9 @@ def sensitivity_delta(sigma_m, sigma_tilde) -> float | Fraction:
     t = _prob_seq(sigma_tilde)
     if len(m) != len(t):
         raise InvalidInputError("distributions have different lengths")
+    for name, v in (("sigma_m", m), ("sigma_tilde", t)):
+        if any(x != x or x in (math.inf, -math.inf) for x in v):  # exact: no entry is converted
+            raise InvalidInputError(f"{name} must hold finite entries, got {v}")
     total = 0
     for pm, pt in zip(m, t):
         if pm == 0:
@@ -310,10 +313,10 @@ def _count_below(gammas: list[np.ndarray], forms: np.ndarray, owner: np.ndarray,
     return np.cumsum(below.reshape(len(forms), ranks), axis=1)[:, :-1]
 
 
-def check_draws(mc_samples: int, seed: int) -> None:
-    """Refuse a Monte-Carlo sample count or seed that ``estimate_psi`` cannot use."""
+def check_draws(mc_samples: int, seed: int) -> int:
+    """Refuse a sample count or seed ``estimate_psi`` cannot use; return the seed as an int."""
     check_int(mc_samples, "mc_samples", MIN_MC_SAMPLES)
-    check_int(seed, "seed")
+    return check_int(seed, "seed")
 
 
 def check_target(p: float, delta_hat: float) -> None:
@@ -348,9 +351,9 @@ def estimate_psi(
     announced strategy's marginal m on the rest K, and estimates the fraction
     whose sensitivity falls below delta_hat. Returns the maximum over subsets
     with the binomial standard error of the maximizing subset. Each agent's
-    fall-backs are drawn once, seeded by (seed, agent), and shared by every
-    subset holding that agent (common random numbers), so results do not
-    depend on evaluation order; the single deviator d is subset rank d.
+    fall-backs are drawn once, keyed (seed, agent) by ``streams``, and shared
+    by every subset holding that agent (common random numbers), so results
+    do not depend on evaluation order; the single deviator d is subset rank d.
 
     ``delta_hat`` may also be a sequence of thresholds. No draw depends on
     the threshold, so every threshold is counted in the same pass over the
@@ -390,7 +393,7 @@ def estimate_psi(
     for k, d in enumerate(given):
         check_positive(d, f"delta_hat[{k}]" if curve else "delta_hat")
     thresholds = given.astype(float)
-    check_draws(mc_samples, seed)
+    seed = check_draws(mc_samples, seed)
     probs = joint_distribution(sigma_m, game)
     tensor = probs.reshape(game.action_counts)
     offset = float(probs[probs > 0].sum())
@@ -400,8 +403,7 @@ def estimate_psi(
     subsets = _deviating_subsets(game)
     agents, counts = range(game.num_agents), game.action_counts
     # agent d's fall-backs, shared read-only by every subset holding d; singleton (d,) has rank d
-    draws = [_draws(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,))),
-                    mc_samples, k) for d, k in enumerate(counts)]
+    draws = [_draws(rng, mc_samples, k) for rng, k in zip(streams.generators(seed, agents), counts)]
     for e in draws:
         e.setflags(write=False)
     # bit d of a sample's code: it survives agent d's floor, which holds in every subset

@@ -52,6 +52,10 @@ from advicecheck.games import (
     joint_distribution,
 )
 
+# seeds at SeedSequence's word edges: a seed of 2**128 or more has five or more
+# entropy words, so more mixing stages
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**96, 2**128 - 1, 2**128, 2**200]
+
 
 class Row(NamedTuple):
     """One round of ``per_round_game``: what the transcript CSV writes for it."""

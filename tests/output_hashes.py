@@ -15,7 +15,8 @@ counts mode, with ``--seeds 5`` under several learner pairs, one of them
 playing a drawn fall-back only after a stepped free period, with ``--seeds 20``
 where some seeds reject test 1 and the others follow, and with
 ``--seeds 3`` from seed 2**128 - 1, past which a seed has five entropy words;
-``check-ce``, ``plan``, ``test``, and ``schedule`` out to sample sizes of 1e14
+``check-ce``, ``plan`` (also from seed 2**128, whose psi draws come from
+five-word seeds), ``test``, and ``schedule`` out to sample sizes of 1e14
 and levels of 1e-12), ``plan`` and ``schedule`` on a 3-agent announcement
 with zero cells, ``plan`` on a 5-agent one with zero cells and interior psi,
 ``plan`` and a 3-test ``schedule`` on a near-product 2x3x4 announcement
@@ -24,9 +25,10 @@ deviators' grid shapes, all different here),
 ``simulate --seeds 20`` on a generated game whose 9-action agent draws its
 fall-backs, the stdout of every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
-on the bundled game. ``manifest.json`` carries a timestamp and is left out.
-Each command runs in a fresh process on the checkout's own ``src/``. The file
-is not a test module, so pytest does not collect it.
+on the bundled game, for seeds 0-4 and 2**128. ``manifest.json`` carries a
+timestamp and is left out. Each command runs in a fresh process on the
+checkout's own ``src/``. The file is not a test module, so pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -142,6 +144,9 @@ def outputs(root: Path, tmp: Path):
                                           "--strategy", f"fixtures/{strategy}_strategy.json",
                                           codes=DOMAIN)
     yield "plan stdout", _cli(root, "plan", *GAME_STRATEGY, "--p", "0.1", "--delta-hat", "0.01")
+    # psi's generators from a five-word seed: more mixing stages
+    yield (f"plan --seed {2**128}", _cli(root, "plan", *GAME_STRATEGY, "--p", "0.1",
+                                         "--delta-hat", "0.01", "--seed", str(2**128)))
     for counts in ("accept", "reject"):
         yield f"test {counts}", _cli(root, "test", *GAME_STRATEGY,
                                      "--counts", f"fixtures/{counts}_counts.json", codes=DOMAIN)
@@ -208,7 +213,7 @@ def _act_counts() -> None:
     sim.agent_act = counted
     for pair, specs in PAIRS.items():
         per_seed = []
-        for seed in range(5):
+        for seed in (*range(5), 2**128):  # 2**128: five entropy words
             calls = 0
             sim.run_game_counts(game, sigma, sched, [{"learner": s} for s in specs], seed=seed)
             sim.run_pure_learning(game, specs, rounds=sched.horizon, seed=seed)

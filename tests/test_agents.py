@@ -22,7 +22,7 @@ from advicecheck import (
     make_learner,
 )
 from advicecheck import verifier
-from advicecheck.agents import _simplex_draw, _simplex_draws, sample_block, sample_strategy
+from advicecheck.agents import _simplex_draws, sample_block, sample_strategy
 from oracles import fictitious_play_choice, simplex_rows
 
 TEST_PHASE = Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10)
@@ -32,22 +32,22 @@ FREE_PHASE = Phase(PhaseKind.FREE_PERIOD, 1, 11, 10)
 def test_fallback_draw_of_one_action_is_certain_and_draws_nothing():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert _simplex_draw(1, rng).tolist() == [1.0]
+    assert _simplex_draws(1, [rng])[0].tolist() == [1.0]
     assert rng.bit_generator.state == before
 
 
 def test_fallback_draw_deterministic_in_seed():
-    a = _simplex_draw(4, np.random.default_rng(123))
-    b = _simplex_draw(4, np.random.default_rng(123))
+    a = _simplex_draws(4, [np.random.default_rng(123)])[0]
+    b = _simplex_draws(4, [np.random.default_rng(123)])[0]
     assert np.array_equal(a, b)
-    c = _simplex_draw(4, np.random.default_rng(124))
+    c = _simplex_draws(4, [np.random.default_rng(124)])[0]
     assert not np.array_equal(a, c)
 
 
 def test_fallback_draw_uniform_on_simplex():
     # symmetry: each coordinate's mean is 1/3
     rng = np.random.default_rng(0)
-    draws = np.array([_simplex_draw(3, rng) for _ in range(30_000)])
+    draws = np.array([_simplex_draws(3, [rng])[0] for _ in range(30_000)])
     assert np.allclose(draws.mean(axis=0), 1 / 3, atol=0.01)
     assert np.all(draws >= 0)
     assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-9)
@@ -59,7 +59,7 @@ def test_engine_drawn_fallback_equals_the_checked_strategy_and_is_read_only():
     for k in range(2, 11):
         for seed in range(25):
             rng, ref_rng, psi_rng = (np.random.default_rng(seed) for _ in range(3))
-            drawn = _simplex_draw(k, rng)
+            drawn = _simplex_draws(k, [rng])[0]
             ref = MixedStrategy(simplex_rows(ref_rng, 1, k)[0])
             psi_row = verifier._draws(psi_rng, 1, k)[0]
             assert type(drawn) is np.ndarray

@@ -55,6 +55,7 @@ from advicecheck import (
     sample_size,
     sensitivity_delta,
     toy_schedule,
+    tv_distance,
     validate_schedule,
 )
 from advicecheck.games import agent_incentive_violations, joint_distribution
@@ -195,6 +196,10 @@ OTHERS = [
     ("average_utility", "beyond recorded", lambda e: average_utility(e["ledger"], 0, 10**6)),
     ("batch_summary_dict", "at least one run", lambda e: batch_summary_dict([])),
     ("sensitivity_delta", "different lengths", lambda e: sensitivity_delta([0.5, 0.5], [1.0])),
+    ("sensitivity_delta", "sigma_tilde must hold finite entries",
+     lambda e: sensitivity_delta([0.5, 0.5], [math.inf, 0])),
+    ("tv_distance", "p must hold finite entries",
+     lambda e: tv_distance([math.nan, 1, 0, 0], [0, 0, 0, 1])),
     ("estimate_psi", "supported maximum of 12",
      lambda e: estimate_psi(Game([1] * 13, np.ones((1, 13))), CorrelatedStrategy([1.0]), 0.01,
                             mc_samples=1000)),

@@ -41,11 +41,12 @@ from advicecheck import (
     toy_schedule,
     tv_distance,
 )
-from advicecheck import sim, verifier
+from advicecheck import sim, streams, verifier
 from advicecheck.agents import sample_block
 from advicecheck.sim import run_summary_dict, transcript_to_csv
 
 from oracles import (
+    WORD_EDGES,
     exact_window_expectation,
     per_round_game,
     per_round_pure_learning,
@@ -303,23 +304,20 @@ def _seed_sequence_states(seeds, keys):
                       for k in keys] for s in seeds])
 
 
-# a seed of 2**128 or more has five or more entropy words, so more mixing stages
-WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**96, 2**128 - 1, 2**128, 2**200]
-
 
 def test_seed_states_equal_seed_sequence_at_word_edges():
-    got = sim._seed_states(WORD_EDGES, range(8))
+    got = streams._seed_states(WORD_EDGES, range(8))
     assert got.dtype == np.uint64 and got.shape == (len(WORD_EDGES), 8, 4)
     np.testing.assert_array_equal(got, _seed_sequence_states(WORD_EDGES, range(8)))
     for seed in WORD_EDGES:  # each row alone, whatever seeds share its batch
-        np.testing.assert_array_equal(sim._seed_states([seed], range(8))[0], got[WORD_EDGES.index(seed)])
+        np.testing.assert_array_equal(streams._seed_states([seed], range(8))[0], got[WORD_EDGES.index(seed)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(st.integers(0, 2**64), st.integers(0, 2**300)), min_size=1, max_size=6),
        st.integers(1, 8))
 def test_seed_states_equal_seed_sequence(seeds, keys):
-    np.testing.assert_array_equal(sim._seed_states(seeds, range(keys)),
+    np.testing.assert_array_equal(streams._seed_states(seeds, range(keys)),
                                   _seed_sequence_states(seeds, range(keys)))
 
 
@@ -347,7 +345,7 @@ def test_run_batch_builds_only_the_generators_a_seed_draws_from(game, announceme
                          test_lengths=[500], free_lengths=[10**12])
     seeds = range(20)
     with (mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as built,
-          mock.patch.object(sim, "_seed_states", wraps=sim._seed_states) as states):
+          mock.patch.object(streams, "_seed_states", wraps=streams._seed_states) as states):
         runs = run_batch(game, sigma, sched, configs, seeds)
     # every generator is built from the batch's one seeding pass
     assert (built.call_count, states.call_count) == (per_seed * len(seeds), 1)
@@ -458,7 +456,7 @@ def test_run_batch_splits_a_free_period_into_a_stepped_and_a_bulk_cohort(game, c
 def test_run_batch_refuses_before_any_seed_is_played(game, ce_strategy, configs, seeds):
     schedule = toy_schedule(game, ce_strategy, 0.1, 0.01, [20], [20])
     with (mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")),
-          mock.patch.object(sim, "_seed_states", side_effect=AssertionError("seeded"))):
+          mock.patch.object(streams, "_seed_states", side_effect=AssertionError("seeded"))):
         with pytest.raises(InvalidInputError):
             run_batch(game, ce_strategy, schedule, configs, seeds)
 
@@ -784,9 +782,9 @@ def test_runners_refuse_a_bad_seed_before_drawing(game, ce_strategy, runner, see
         "run_game_counts": lambda: run_game_counts(game, ce_strategy, schedule, seed=seed),
         "run_pure_learning": lambda: run_pure_learning(game, [UNIFORM, UNIFORM], 20, seed=seed),
     }
-    # run_pure_learning seeds through SeedSequence, the others through the seeding pass
+    # every runner seeds through the one seeding pass
     with (mock.patch.object(np.random, "SeedSequence", side_effect=AssertionError("drawn")),
-          mock.patch.object(sim, "_seed_states", side_effect=AssertionError("seeded"))):
+          mock.patch.object(streams, "_seed_states", side_effect=AssertionError("seeded"))):
         with pytest.raises(InvalidInputError, match="seed"):
             calls[runner]()
 
@@ -965,7 +963,8 @@ def test_run_game_counts_decisions_match_per_round_oracle(game_2x2x2, learners):
 def test_run_pure_learning_matches_per_round_oracle(case, learners, request):
     game, _ = request.getfixturevalue(case)
     for rounds in (0, 1, 57, 3000):
-        for seed in range(3):
+        # multi-word seeds take more mixing stages; a numpy integer is read as its int
+        for seed in (0, 1, np.int64(2), *WORD_EDGES[-2:]):
             run = run_pure_learning(game, learners, rounds=rounds, seed=seed)
             counts, totals = per_round_pure_learning(game, learners, rounds, seed=seed)
             assert np.array_equal(run.counts, counts)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    WORD_EDGES,
     dense_psi,
     dense_sensitivities,
     per_subset_psi_counts,
@@ -435,7 +436,10 @@ def _psi_cases(draw):
     game = Game(counts, rng.uniform(0, 5, size=(probs.size, len(counts))))
     deltas = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3))
     deltas.insert(draw(st.integers(0, len(deltas))), draw(st.sampled_from(deltas)))
-    return game, CorrelatedStrategy(probs / probs.sum()), deltas, draw(st.integers(0, 2**31 - 1))
+    # multi-word seeds take more mixing stages; a numpy integer is read as its int
+    seed = draw(st.one_of(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1).map(np.int64),
+                          st.sampled_from(WORD_EDGES[-2:])))
+    return game, CorrelatedStrategy(probs / probs.sum()), deltas, seed
 
 
 @settings(max_examples=60, deadline=None)
