@@ -10,7 +10,6 @@ following the advice or run their own learning algorithm.
 """
 
 from .agents import (
-    AgentState,
     FictitiousPlayLearner,
     Learner,
     Mode,

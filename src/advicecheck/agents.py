@@ -1,5 +1,7 @@
-"""Agent behavior: signal following, fall-back strategies, and learners.
+"""Agent behavior: the play policy, fall-back strategies, and learners.
 
+What an agent plays in a phase is one rule, ``Mode.plays``, read by every
+engine path; how a test's verdict moves its mode is another, ``Mode.conclude``.
 Learners expose strategies rather than sampled actions; the simulation rng
 does the sampling. Every provided learner is flexible: after reset() its next
 strategy equals a freshly constructed instance's, so nothing from before a
@@ -12,14 +14,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidInputError, check_int, check_keys
 from .games import Game, _agent_view
-from .schedule import Phase, PhaseKind
+from .schedule import PhaseKind
 from .verifier import Decision, Outcome, _draws
 
 
@@ -37,6 +38,15 @@ class Mode(Enum):
         """The starting mode: screened out for good if the agent's own incentive
         constraints fail (``violations`` is not empty), else following."""
         return cls.REJECTED_BY_EQ2 if violations else cls.FOLLOWING_MEDIATOR
+
+    def plays(self, kind: PhaseKind) -> str:
+        """The play policy, written once for every engine path: what an agent in
+        this mode plays in a phase of ``kind``. "signal" while following; once
+        rejected, "fallback" in a sampling test and "learner" in a free period,
+        whose rounds the learner also observes."""
+        if self is Mode.FOLLOWING_MEDIATOR:
+            return "signal"
+        return "fallback" if kind is PhaseKind.SAMPLING_TEST else "learner"
 
     def conclude(self, verdict: Decision | None) -> tuple[Mode, Decision]:
         """The mode after a completed test's public ``verdict``, and the agent's
@@ -263,45 +273,6 @@ def _simplex_draws(action_count: int, rngs) -> np.ndarray:
 _SCREENED = Decision(Outcome.REJECT_BY_EQ2)  # every screened agent's decision, one frozen instance
 
 
-@dataclass
-class AgentState:
-    """One agent's state in a stepped phase: mode, fixed fall-back, and learner
-    (shared by a batch's runs).
-
-    It owns the agent's policy: what it plays in a phase (``strategy``),
-    whether it learns from the phase's rounds (``learns``) and how a test's
-    verdict sets its mode (``conclude``, by ``Mode.conclude``). The fall-back
-    is a read-only probability vector, checked or drawn by the engine; it may
-    be None while the agent follows, and it never changes once drawn.
-    """
-
-    id: int
-    fallback: np.ndarray | None
-    learner: Learner
-    mode: Mode = Mode.FOLLOWING_MEDIATOR
-
-    def strategy(self, phase: Phase):
-        """What the agent plays in ``phase``: None while following (it plays its
-        signal), the fall-back vector in sampling tests, and the
-        learner's current strategy in free periods."""
-        if self.mode is Mode.FOLLOWING_MEDIATOR:
-            return None
-        if phase.kind is PhaseKind.SAMPLING_TEST:
-            return self.fallback
-        return self.learner.next_strategy()
-
-    def learns(self, phase: Phase) -> bool:
-        """Whether the learner observes the phase's rounds: rejected, in a free period."""
-        return phase.kind is PhaseKind.FREE_PERIOD and self.mode is not Mode.FOLLOWING_MEDIATOR
-
-    def conclude(self, verdict: Decision | None) -> Decision:
-        """The agent's decision on a completed test's public ``verdict``, which
-        sets its mode; a screened agent rejects without testing (``verdict`` may
-        then be None), by ``Mode.conclude``."""
-        self.mode, decision = self.mode.conclude(verdict)
-        return decision
-
-
 def sample_strategy(probs, rng: np.random.Generator) -> int:
     """Sample an action index from a distribution.
 
@@ -334,18 +305,20 @@ def sample_block(probs, rng: np.random.Generator, k: int) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, rng.random(k), side="right"), len(probs) - 1)
 
 
-def agent_act(state: AgentState, phase: Phase, signals: np.ndarray | None,
-              rng: np.random.Generator, k: int) -> np.ndarray:
-    """The agent's actions over ``k`` consecutive rounds in which its strategy holds.
+def agent_act(play, signals: np.ndarray | None, rng: np.random.Generator,
+              k: int) -> np.ndarray:
+    """An agent's actions over ``k`` consecutive rounds in which its play holds.
 
-    A following agent plays ``signals``, its own signal column over the
-    rounds. Otherwise ``state.strategy(phase)`` is drawn by ``sample_block``:
-    exactly the randomness of ``k`` per-round ``sample_strategy`` draws. A
-    round is a block of one.
+    ``play`` is the agent's play as ``Mode.plays`` resolves it: None, a
+    following agent, plays ``signals``, its own signal column over the rounds;
+    a fall-back vector, or a ``Learner``'s current strategy, is drawn by
+    ``sample_block``: exactly the randomness of ``k`` per-round
+    ``sample_strategy`` draws. A round is a block of one.
     """
-    strategy = state.strategy(phase)
-    if strategy is None:
+    if play is None:
         if signals is None:
             raise InvalidInputError("a following agent needs a signal")
         return signals
-    return sample_block(strategy, rng, k)
+    if isinstance(play, Learner):
+        play = play.next_strategy()
+    return sample_block(play, rng, k)

@@ -58,7 +58,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import InvalidInputError, NonConvergenceError, check_int, check_positive, check_unit
+from .errors import _NUMBERS, InvalidInputError, NonConvergenceError, check_int, check_positive
+from .errors import check_unit
 
 _GAMMA_EPS = 1e-14
 _GAMMA_ITMAX = 500
@@ -156,15 +157,20 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
     return 1.0 - q, q
 
 
-def _check_x(x: float) -> None:
-    if math.isnan(x) or x < 0:
-        raise InvalidInputError(f"x must be nonnegative and not NaN, got {x}")
+def _check_nonnegative(value, name: str) -> None:
+    """Refuse ``value`` unless it is a number (a bool is not), not NaN and not
+    negative. A plain float skips the type test: chi2_isf's bisection and
+    sample_size's solver check x and ncp on every call."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, _NUMBERS)):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    if math.isnan(value) or value < 0:
+        raise InvalidInputError(f"{name} must be nonnegative and not NaN, got {value}")
 
 
 def chi2_cdf(x: float, df: int) -> float:
     """P(chi2_df <= x). Monotone in x, in [0, 1]; 1 at x = +inf."""
     check_int(df, "df", 1)
-    _check_x(x)
+    _check_nonnegative(x, "x")
     if math.isinf(x):
         return 1.0
     return _gamma_tails(df / 2.0, x / 2.0)[0]
@@ -189,8 +195,8 @@ def _smallest(meets, df: int) -> float:
 def chi2_quantile(p: float, df: int) -> float:
     """Smallest x with chi2_cdf(x, df) >= p, for p in [0, 1), to 1e-8 relative tolerance."""
     check_int(df, "df", 1)
-    if not 0.0 <= p < 1.0:
-        raise InvalidInputError(f"p must be in [0, 1), got {p}")
+    if isinstance(p, bool) or not isinstance(p, _NUMBERS) or not 0.0 <= p < 1.0:
+        raise InvalidInputError(f"p must be in [0, 1), got {p!r}")
     if p == 0.0:
         return 0.0
     return _smallest(lambda x: chi2_cdf(x, df) >= p, df)
@@ -199,8 +205,9 @@ def chi2_quantile(p: float, df: int) -> float:
 def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
     """P(X <= x) for X noncentral chi-square with df dof and noncentrality ncp."""
     check_int(df, "df", 1)
-    _check_x(x)
-    if not math.isfinite(ncp) or ncp < 0:
+    _check_nonnegative(x, "x")
+    _check_nonnegative(ncp, "ncp")
+    if math.isinf(ncp):
         raise InvalidInputError(f"ncp must be nonnegative and finite, got {ncp}")
     lam, y, half_df = ncp / 2.0, x / 2.0, df / 2.0
     if lam == 0.0:
@@ -259,7 +266,7 @@ def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
 def chi2_sf(x: float, df: int) -> float:
     """P(chi2_df > x), the p-value of a statistic x: Q(df/2, x/2); 0 at x = +inf."""
     check_int(df, "df", 1)
-    _check_x(x)
+    _check_nonnegative(x, "x")
     if math.isinf(x):
         return 0.0
     return _gamma_tails(df / 2.0, x / 2.0)[1]

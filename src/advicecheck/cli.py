@@ -22,6 +22,7 @@ import numpy as np
 
 from . import schedule as sched
 from . import sim, verifier
+from .agents import Mode
 from .errors import InvalidInputError, NonConvergenceError, check_int, check_keys, check_positive
 from .errors import check_unit
 from .games import (
@@ -124,10 +125,10 @@ def cmd_test(args) -> int:
             mc_samples=args.mc_samples, seed=args.seed,
         )
         counts = _simulated_counts(args, game, sigma, plan.sample_size)
-    if agent_incentive_violations(game, sigma, args.agent - 1):
-        decision = verifier.Decision(verifier.Outcome.REJECT_BY_EQ2)  # it never tests
-    else:
-        decision = verifier.run_sampling_decision(plan, sigma, counts)
+    mode = Mode.from_screen(agent_incentive_violations(game, sigma, args.agent - 1))
+    # a screened agent never tests: it concludes without a verdict
+    _, decision = mode.conclude(None if mode.rejected
+                                else verifier.run_sampling_decision(plan, sigma, counts))
     out = {
         "outcome": decision.outcome.value,
         "statistic": decision.statistic,

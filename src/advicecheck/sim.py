@@ -1,14 +1,14 @@
 """Repeated-game engine: signals, actions, histories, ledgers, decisions.
 
 Each round the mediator draws a joint signal from the announced strategy and
-delivers each agent its own component privately. What an agent plays, and
-how a verdict moves its mode, is ``AgentState``'s policy (``strategy``,
-``learns``, ``conclude``): following agents play the signal; rejected agents
-play their fixed fall-back during sampling tests and their (reset) learner
-during free periods. An agent whose own incentive constraints fail is
-screened out once, at set-up, and rejects every test without testing. At the
-end of every sampling test the verdict on that test's public counts is
-computed once, if some agent is unscreened, and every agent concludes from it.
+delivers each agent its own component privately. What an agent plays is
+one policy, ``Mode.plays``, read by every path below: following agents play
+the signal; rejected agents play their fixed fall-back during sampling tests
+and their (reset) learner, which observes the rounds, during free periods.
+An agent whose own incentive constraints fail is screened out once, at
+set-up, and rejects every test without testing. At the end of every sampling
+test the verdict on that test's public counts is computed once, if some
+agent is unscreened, and every agent concludes from it (``Mode.conclude``).
 
 One phase loop plays the schedule for every runner, advancing all the runs
 of a batch through a phase before the next, and one stepper plays every
@@ -27,13 +27,13 @@ round that is not drawn in bulk:
   phase the runs go in cohorts, by their agents' modes: a cohort is those
   modes and its run indices, and each agent's fall-backs are one array with
   a row per run. A cohort's i.i.d. mixes are composed once on that tensor,
-  and each run's multinomial is drawn by its own mediator generator; an
-  ``AgentState`` is built only for a run that steps. A seed builds a
+  and each run's multinomial is drawn by its own mediator generator; agents'
+  plays are resolved per run only for a run that steps. A seed builds a
   generator only when it may first draw from it, from the state one pass
   over the batch computed for it (``streams``, which keys every generator).
   ``run_game_counts`` is the one-seed batch;
 * ``run_pure_learning`` steps its horizon as one free period in which every
-  agent learns.
+  agent plays its learner.
 
 The stepper has one path: it plays rounds in skip-ahead blocks of as many
 rounds as every learning agent's ``Learner.stable_rounds()`` guarantees its
@@ -79,7 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import streams
-from .agents import AgentState, Mode, _simplex_draws, agent_act, make_learner
+from .agents import Learner, Mode, _simplex_draws, agent_act, make_learner
 from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
 from .errors import InvalidInputError, NoDataError, check_int, check_keys
 from .games import (
@@ -328,10 +328,13 @@ def _exact_utility_totals(game: Game, counts) -> tuple[Fraction, ...]:
 _BLOCK_ROUNDS = 1 << 14
 
 
-def _step(game, phase, states, rngs, length, signals=None, signals_out=None,
+def _step(game, phase, plays, rngs, length, signals=None, signals_out=None,
           joints_out=None) -> np.ndarray:
     """Play ``length`` rounds of a phase; returns their joint-action counts.
 
+    ``plays`` holds each agent's resolved play (``agent_act``): None for its
+    signal, a fall-back vector, or a ``Learner``, which also observes the
+    rounds; ``rngs`` each agent's generator (None for a following agent).
     ``signals(lo, hi)`` gives the joint signals of the run's rounds lo + 1..hi
     (None when no agent follows); they are taken in chunks of ``_BLOCK_ROUNDS``
     rounds, so memory does not grow with the phase. Within a chunk, rounds go
@@ -341,7 +344,7 @@ def _step(game, phase, states, rngs, length, signals=None, signals_out=None,
     receive each round's joint signal and joint action index.
     """
     shape = game.action_counts
-    observers = [st.learner for st in states if st.learns(phase)]
+    observers = [play for play in plays if isinstance(play, Learner)]
     bounds = [learner.stable_rounds for learner in observers]
     counts = np.zeros(game.num_joint_actions, dtype=np.int64)
     columns = [None] * game.num_agents
@@ -362,8 +365,8 @@ def _step(game, phase, states, rngs, length, signals=None, signals_out=None,
                     k = int(stable)
                     if k == 1:
                         break
-            actions = [agent_act(st, phase, None if col is None else col[pos : pos + k],
-                                 rngs[st.id], k) for st, col in zip(states, columns)]
+            actions = [agent_act(play, None if col is None else col[pos : pos + k], rng, k)
+                       for play, rng, col in zip(plays, rngs, columns)]
             played[:, pos : pos + k] = actions
             for learner in observers:
                 learner.observe_block(actions)
@@ -391,15 +394,16 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
     actions) array (``_simplex_draws``), so each stream is consumed as if
     every generator and fall-back had been made up front.
 
-    A Transcript (``run_game``'s one run) steps every phase and keeps its
-    columns (the signals copied, never a view of ``signal_override``), as
-    does each run of a cohort with a sequential learner in a free period
-    (``_step``, on the run's own generators, with an ``AgentState`` per agent
-    built for that phase alone). Every other run is one exact multinomial
-    drawn by its mediator generator from the deviators' mixes composed, once
-    per cohort, with the followers' marginal: in a test one row per run, of
-    its fall-backs; in a free period one distribution, of the fresh learners'
-    strategies. At a completed planned test each run's agents conclude from
+    Each cohort reads its agents' plays in the phase from the one policy
+    (``Mode.plays``). A Transcript (``run_game``'s one run) steps every phase
+    and keeps its columns (the signals copied, never a view of
+    ``signal_override``), as does each run of a cohort where some agent plays
+    a sequential learner (``_step``, on the run's own generators, each play
+    resolved to the run's fall-back or the shared learner). Every other run
+    is one exact multinomial drawn by its mediator generator from the
+    deviators' mixes composed, once per cohort, with the followers' marginal:
+    a fall-back play is one row per run, a learner play the fresh learner's
+    strategy. At a completed planned test each run's agents conclude from
     one ``run_sampling_decision`` verdict on its counts, computed only if
     some agent is unscreened (``Mode.conclude``). Runs never share a
     generator, so each equals its seed played alone.
@@ -445,13 +449,13 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
         index, or a list of them for a row each), once their generators exist."""
         return drawn[i][rows] if setup.fallbacks[i] is None else setup.fallbacks[i]
 
-    def step(r, modes, phase, length):
-        """Step run r through ``phase`` on its own generators."""
+    def step(r, plays, phase, length):
+        """Step run r through ``phase`` on its own generators, each agent's play resolved."""
         # a deviator's generator, once built, has drawn any fall-back it lacks
-        agent_rngs = [generators(1 + i, [r])[r] if mode.rejected else None
-                      for i, mode in enumerate(modes)]
-        states = [AgentState(i, fallbacks(i, r) if mode.rejected else None, setup.learners[i],
-                             mode) for i, mode in enumerate(modes)]
+        agent_rngs = [None if play == "signal" else generators(1 + i, [r])[r]
+                      for i, play in enumerate(plays)]
+        resolved = [None if play == "signal" else setup.learners[i] if play == "learner"
+                    else fallbacks(i, r) for i, play in enumerate(plays)]
         if signal_override is not None:
             def signals(lo, hi):
                 return np.asarray(signal_override[lo:hi], dtype=np.int64)
@@ -460,7 +464,7 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
                 return generators(0, [r])[r].choice(len(setup.probs), size=hi - lo,
                                                     p=setup.probs)
         columns = np.empty((2, length), dtype=np.int64) if record else (None, None)
-        counts = _step(game, phase, states, agent_rngs, length, signals, *columns)
+        counts = _step(game, phase, resolved, agent_rngs, length, signals, *columns)
         runs[r].phase_results.append(PhaseResult(
             phase, length, counts, tuple(_utility_numerators(game, counts)), dens, *columns))
 
@@ -472,19 +476,21 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
         length = min(phase.end, horizon) - phase.begin + 1
         free = phase.kind is PhaseKind.FREE_PERIOD
         for modes, members in cohorts.items():
-            deviators = tuple(i for i, mode in enumerate(modes) if mode.rejected)
-            if record or free and any(setup.free_mixes[i] is None for i in deviators):
+            plays = [mode.plays(phase.kind) for mode in modes]
+            deviators = tuple(i for i, play in enumerate(plays) if play != "signal")
+            if record or any(play == "learner" and setup.free_mixes[i] is None
+                             for i, play in enumerate(plays)):
                 for r in members:
                     if free:
                         for learner in setup.learners:
                             learner.reset()
-                    step(r, modes, phase, length)
+                    step(r, plays, phase, length)
                 continue
-            if not free:  # building a deviator's generators draws the fall-backs they lack
-                for i in deviators:
-                    if setup.fallbacks[i] is None:
-                        generators(1 + i, members)
-            mixes = {i: setup.free_mixes[i] if free else fallbacks(i, members) for i in deviators}
+            for i in deviators:  # building a generator draws the fall-back it lacks
+                if plays[i] == "fallback" and setup.fallbacks[i] is None:
+                    generators(1 + i, members)
+            mixes = {i: setup.free_mixes[i] if plays[i] == "learner" else fallbacks(i, members)
+                     for i in deviators}
             dists = (_composed(_others_marginal(setup.tensor, deviators), game, mixes)
                      if deviators else setup.probs)  # in a test, a row per run of its fall-backs
             if dists.ndim == 1:  # a free period's or the followers': the cohort's one distribution
@@ -598,23 +604,20 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     """Joint play when every agent runs its learner for the whole horizon.
 
     No mediator, no tests, no resets: the baseline an agent would have earned
-    by learning alone, played as one free period in which every agent learns.
+    by learning alone, played as one free period in which every agent has
+    the "learner" play of ``Mode.plays``: it plays its learner, which observes
+    every round.
     """
     check_int(rounds, "rounds")
     seed = check_int(seed, "seed")
     if not isinstance(learner_specs, (list, tuple)) or len(learner_specs) != game.num_agents:
         raise InvalidInputError(f"learner_specs must be a list of one learner spec per agent, "
                                 f"got {learner_specs!r}")
-    states = [
-        # every agent is rejected, and a free period never plays the fall-back
-        AgentState(id=i, fallback=None, learner=make_learner(spec, game, i),
-                   mode=Mode.REJECTED_BY_TEST)
-        for i, spec in enumerate(learner_specs)
-    ]
+    learners = [make_learner(spec, game, i) for i, spec in enumerate(learner_specs)]
     rngs = streams.generators(seed, range(game.num_agents))
     # a Phase is at least one round long; ``rounds`` alone sets how many are played
     phase = Phase(PhaseKind.FREE_PERIOD, 1, 1, max(rounds, 1))
-    counts = _step(game, phase, states, rngs, rounds)
+    counts = _step(game, phase, learners, rngs, rounds)
     return PureLearningRun(
         counts=counts, utility_totals=_exact_utility_totals(game, counts), rounds=rounds
     )

@@ -153,7 +153,7 @@ def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) ->
     counts = np.asarray(observed_counts)
     if counts.shape != probs.shape:
         raise InvalidInputError("observed_counts and strategy have different lengths")
-    if counts.dtype.kind not in "biu" and not _whole(counts):
+    if counts.dtype.kind not in "iu" and not _whole(counts):
         raise InvalidInputError(f"observed_counts must be finite whole numbers, got {counts}")
     if counts.min() < 0:
         raise InvalidInputError("observed_counts must be nonnegative")

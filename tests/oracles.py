@@ -24,12 +24,12 @@ import csv
 import itertools
 import math
 from fractions import Fraction
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from advicecheck import (
-    AgentState,
     CorrelatedStrategy,
     Decision,
     Game,
@@ -263,6 +263,48 @@ def positive_mass_floor(game, sigma_m, devs, d):
     zmax = [max(z for own, z in zero_mass.items() if own[pos] == c)
             for c in range(game.action_counts[d])]
     return 1.0 - np.array(zmax)
+
+
+@dataclass
+class AgentState:
+    """One agent's state and policy as the engine once kept it, per agent: a
+    reference for ``Mode.plays`` and ``Mode.conclude`` written independently
+    of them (the fall-back is a probability vector, or None while following)."""
+
+    id: int
+    fallback: np.ndarray | None
+    learner: object
+    mode: Mode = Mode.FOLLOWING_MEDIATOR
+
+    def strategy(self, phase):
+        """None while following (it plays its signal), the fall-back vector in
+        sampling tests, and the learner's current strategy in free periods."""
+        if self.mode is Mode.FOLLOWING_MEDIATOR:
+            return None
+        if phase.kind is PhaseKind.SAMPLING_TEST:
+            return self.fallback
+        return self.learner.next_strategy()
+
+    def learns(self, phase) -> bool:
+        """Whether the learner observes the phase's rounds: rejected, in a free period."""
+        return phase.kind is PhaseKind.FREE_PERIOD and self.mode is not Mode.FOLLOWING_MEDIATOR
+
+    def play(self, phase):
+        """The play ``sim._step`` takes: the learner itself where it learns, else
+        ``strategy(phase)``."""
+        return self.learner if self.learns(phase) else self.strategy(phase)
+
+    def conclude(self, verdict):
+        """The decision on a completed test's public ``verdict``, which sets the
+        mode: a screened agent rejects without testing; any other takes the
+        verdict, and is rejected by the test exactly when it rejects."""
+        if self.mode is Mode.REJECTED_BY_EQ2:
+            return _SCREENED
+        self.mode = Mode.REJECTED_BY_TEST if verdict.rejected else Mode.FOLLOWING_MEDIATOR
+        return verdict
+
+
+_SCREENED = Decision(Outcome.REJECT_BY_EQ2)
 
 
 def act(state, phase, signal, rng):
@@ -567,7 +609,8 @@ def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
                         if deviators else setup.probs)
                 counts = mediator_rng.multinomial(length, dist).astype(np.int64)
             else:
-                counts = sim._step(game, phase, states, agent_rngs, length, draw_signals)
+                counts = sim._step(game, phase, [st.play(phase) for st in states], agent_rngs,
+                                   length, draw_signals)
             totals = tuple(sum((c * Fraction(u) for c, u in zip(counts.tolist(), column)),
                                Fraction(0)) for column in columns)
             run.phase_results.append(SeedPhase(phase, length, counts, totals))

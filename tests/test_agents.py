@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advicecheck import (
-    AgentState,
     FictitiousPlayLearner,
     Game,
     InvalidInputError,
@@ -89,60 +88,62 @@ def test_batch_of_fallback_draws_is_one_draw_per_generator(k, runs):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def _state(game, mode, fallback=(0.75, 0.25), learner=None):
-    return AgentState(
-        id=1,
-        fallback=MixedStrategy(fallback).probs,
-        learner=learner or UniformLearner(2),
-        mode=mode,
-    )
+def _play(mode, phase, fallback=(0.75, 0.25), learner=None):
+    """The agent's play in ``phase`` as the engine resolves ``mode.plays``:
+    None for its signal, its fall-back vector, or its learner."""
+    return {"signal": None, "fallback": MixedStrategy(fallback).probs,
+            "learner": learner or UniformLearner(2)}[mode.plays(phase.kind)]
 
 
 def test_agent_act_obedience(game):
-    st_ = _state(game, Mode.FOLLOWING_MEDIATOR)
     rng = np.random.default_rng(0)
-    assert agent_act(st_, TEST_PHASE, np.array([1, 0, 1]), rng, 3).tolist() == [1, 0, 1]
-    assert agent_act(st_, FREE_PHASE, np.array([0]), rng, 1).tolist() == [0]
+    play = _play(Mode.FOLLOWING_MEDIATOR, TEST_PHASE)
+    assert agent_act(play, np.array([1, 0, 1]), rng, 3).tolist() == [1, 0, 1]
+    play = _play(Mode.FOLLOWING_MEDIATOR, FREE_PHASE)
+    assert agent_act(play, np.array([0]), rng, 1).tolist() == [0]
 
 
 def test_agent_act_requires_signal_when_following(game):
-    st_ = _state(game, Mode.FOLLOWING_MEDIATOR)
+    play = _play(Mode.FOLLOWING_MEDIATOR, TEST_PHASE)
     for k in (1, 5):
         with pytest.raises(InvalidInputError):
-            agent_act(st_, TEST_PHASE, None, np.random.default_rng(0), k)
+            agent_act(play, None, np.random.default_rng(0), k)
 
 
 def test_agent_act_fallback_frequencies(game):
     # a rejected agent in a sampling test samples its fixed fall-back
-    st_ = _state(game, Mode.REJECTED_BY_EQ2, fallback=(0.75, 0.25))
+    play = _play(Mode.REJECTED_BY_EQ2, TEST_PHASE, fallback=(0.75, 0.25))
     rng = np.random.default_rng(42)
-    actions = agent_act(st_, TEST_PHASE, np.zeros(10_000, dtype=np.int64), rng, 10_000)
+    actions = agent_act(play, np.zeros(10_000, dtype=np.int64), rng, 10_000)
     freq = np.bincount(actions, minlength=2) / len(actions)
     assert freq == pytest.approx([0.75, 0.25], abs=0.02)
 
 
 def test_agent_act_uses_learner_in_free_periods(game):
     learner = TriggerLearner(2, initial_action=0, switch_action=1, watch_agent=0, watch_action=1)
-    st_ = _state(game, Mode.REJECTED_BY_TEST, learner=learner)
+    play = _play(Mode.REJECTED_BY_TEST, FREE_PHASE, learner=learner)
+    assert play is learner
     rng = np.random.default_rng(0)
     signals = np.zeros(3, dtype=np.int64)
-    assert agent_act(st_, FREE_PHASE, signals, rng, 3).tolist() == [0, 0, 0]
+    assert agent_act(play, signals, rng, 3).tolist() == [0, 0, 0]
     learner.observe((1, 0))
-    assert agent_act(st_, FREE_PHASE, signals, rng, 3).tolist() == [1, 1, 1]
+    assert agent_act(play, signals, rng, 3).tolist() == [1, 1, 1]
 
 
 def test_fallback_immutable_across_run(game):
-    st_ = _state(game, Mode.REJECTED_BY_TEST)
-    before = st_.fallback.tobytes()
+    fallback = MixedStrategy((0.75, 0.25)).probs
+    learner = UniformLearner(2)
+    before = fallback.tobytes()
     rng = np.random.default_rng(1)
     for phase in (TEST_PHASE, FREE_PHASE, TEST_PHASE):
+        play = {"fallback": fallback, "learner": learner}[Mode.REJECTED_BY_TEST.plays(phase.kind)]
         for k in (1, 49):
-            agent_act(st_, phase, np.zeros(k, dtype=np.int64), rng, k)
-        st_.learner.reset()
-    assert st_.fallback.tobytes() == before
-    assert not st_.fallback.flags.writeable
+            agent_act(play, np.zeros(k, dtype=np.int64), rng, k)
+        learner.reset()
+    assert fallback.tobytes() == before
+    assert not fallback.flags.writeable
     with pytest.raises(ValueError):
-        st_.fallback[0] = 0.5  # storage is locked
+        fallback[0] = 0.5  # storage is locked
 
 
 def _learner_factories(game):
@@ -271,13 +272,13 @@ def test_make_learner_refuses_malformed_specs(game, spec):
 
 
 def test_agent_act_deterministic_given_state(game):
-    st_a = _state(game, Mode.REJECTED_BY_TEST)
-    st_b = _state(game, Mode.REJECTED_BY_TEST)
+    play_a = _play(Mode.REJECTED_BY_TEST, TEST_PHASE)
+    play_b = _play(Mode.REJECTED_BY_TEST, TEST_PHASE)
     ra, rb = np.random.default_rng(9), np.random.default_rng(9)
     for k in [1, 7, 1, 1, 64, 127]:
         signals = np.zeros(k, dtype=np.int64)
-        assert np.array_equal(agent_act(st_a, TEST_PHASE, signals, ra, k),
-                              agent_act(st_b, TEST_PHASE, signals, rb, k))
+        assert np.array_equal(agent_act(play_a, signals, ra, k),
+                              agent_act(play_b, signals, rb, k))
 
 
 @settings(max_examples=200, deadline=None)

@@ -215,6 +215,21 @@ OTHERS = [
      lambda e: run_batch(e["game"], e["sigma"], e["schedule"], None, "12")),
     ("run_batch", "seeds must be a sequence of integers, got b'12'",
      lambda e: run_batch(e["game"], e["sigma"], e["schedule"], None, b"12")),
+    # a bool is not a count, nor a number for the chi-square entry points
+    ("pearson_statistic", "observed_counts must be finite whole numbers",
+     lambda e: pearson_statistic(np.array([True, True, False, False]), e["sigma"], 2)),
+    ("run_sampling_decision", "observed_counts must be finite whole numbers",
+     lambda e: run_sampling_decision(manual_plan(e["game"], e["sigma"], 0.1, 0.01, 2), e["sigma"],
+                                     np.array([True, True, False, False]))),
+    ("chi2_cdf", "x must be a number", lambda e: chi2_cdf("a", 1)),
+    ("chi2_cdf", "x must be a number", lambda e: chi2_cdf(True, 1)),
+    ("chi2_sf", "x must be a number", lambda e: chi2_sf(True, 1)),
+    ("chi2_sf", "x must be a number", lambda e: chi2_sf(None, 1)),
+    ("noncentral_chi2_cdf", "x must be a number", lambda e: noncentral_chi2_cdf(True, 1, 1.0)),
+    ("noncentral_chi2_cdf", "ncp must be a number", lambda e: noncentral_chi2_cdf(1.0, 1, "a")),
+    ("noncentral_chi2_cdf", "ncp must be a number", lambda e: noncentral_chi2_cdf(1.0, 1, True)),
+    ("chi2_quantile", "p must be in [0, 1)", lambda e: chi2_quantile("a", 1)),
+    ("chi2_quantile", "p must be in [0, 1)", lambda e: chi2_quantile(False, 1)),
 ]
 # every public entry point that takes an announcement, called with ``s`` as it
 ANNOUNCEMENT_READERS = [

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advicecheck import (
-    AgentState,
     CorrelatedStrategy,
     Decision,
     Game,
@@ -394,16 +393,16 @@ def test_run_batch_draws_fallbacks_of_more_than_8_actions_as_one_run_per_seed():
         runs, per_seed_counts(game, sigma, sched, configs, seeds), strict=True))
 
 
-def test_run_batch_drawn_in_bulk_builds_no_agent_state(game, non_ce_strategy):
-    # a cohort drawn in bulk is its modes and run indices: no per-seed agent
-    # objects, whatever the verdicts
+def test_run_batch_drawn_in_bulk_steps_no_run(game, non_ce_strategy):
+    # a cohort drawn in bulk is its modes and run indices: no run is stepped,
+    # so no per-seed agent plays are resolved, whatever the verdicts
     configs = [{"learner": UNIFORM}, {"learner": UNIFORM}]
     sched = toy_schedule(game, non_ce_strategy, alpha=0.1, delta_hat=0.01,
                          test_lengths=[100, 150], free_lengths=[10**12, 10**12])
     seeds = range(50)
-    with mock.patch.object(sim, "AgentState", wraps=sim.AgentState) as built:
+    with mock.patch.object(sim, "_step", wraps=sim._step) as stepped:
         runs = run_batch(game, non_ce_strategy, sched, configs, seeds)
-    assert built.call_count == 0
+    assert stepped.call_count == 0
     assert all(_same_run(a, b) for a, b in zip(
         runs, per_seed_counts(game, non_ce_strategy, sched, configs, seeds), strict=True))
 
@@ -996,41 +995,87 @@ class _Mixing(Learner):
         return np.array([0.4, 0.6])
 
 
+# the one play policy, Mode.plays, over Mode x PhaseKind
+POLICY = {
+    (Mode.FOLLOWING_MEDIATOR, PhaseKind.SAMPLING_TEST): "signal",
+    (Mode.FOLLOWING_MEDIATOR, PhaseKind.FREE_PERIOD): "signal",
+    (Mode.REJECTED_BY_EQ2, PhaseKind.SAMPLING_TEST): "fallback",
+    (Mode.REJECTED_BY_EQ2, PhaseKind.FREE_PERIOD): "learner",
+    (Mode.REJECTED_BY_TEST, PhaseKind.SAMPLING_TEST): "fallback",
+    (Mode.REJECTED_BY_TEST, PhaseKind.FREE_PERIOD): "learner",
+}
+
+
 @pytest.mark.parametrize("stable", [True, False], ids=["stable", "sequential"])
 @pytest.mark.parametrize("kind", list(PhaseKind))
 @pytest.mark.parametrize("mode", list(Mode))
 def test_play_policy_table(mode, kind, stable):
-    # the counts engine's i.i.d. mix is what agent_act samples from, and a
-    # verdict moves every agent but a screened one
-    phase = Phase(kind, 1, 1, 8)
+    # the one policy's play, resolved as the engine resolves it, is what
+    # agent_act samples from and the counts engine's i.i.d. mix; a verdict
+    # moves every agent but a screened one
     fallback = MixedStrategy([0.75, 0.25]).probs
     learner = UniformLearner(2) if stable else _Mixing()
-    agent = AgentState(id=1, fallback=fallback, learner=learner, mode=mode)
+    play = mode.plays(kind)
+    assert play == POLICY[mode, kind]
+    resolved = {"signal": None, "fallback": fallback, "learner": learner}[play]
     free_mix = sim._free_mix(learner)  # what a free period drawn in bulk composes for it
     signals = np.array([1, 0, 1, 1, 0, 0, 1, 0])
-    played = agent_act(agent, phase, signals, np.random.default_rng(5), 8)
+    played = agent_act(resolved, signals, np.random.default_rng(5), 8)
     learning = mode.rejected and kind is PhaseKind.FREE_PERIOD
-    assert agent.learns(phase) == learning
+    assert (play == "learner") == learning  # only a learner play observes the rounds
     assert (learning and free_mix is None) == (learning and not stable)
     if not mode.rejected:
-        assert agent.strategy(phase) is None and played is signals  # not a deviator
+        assert resolved is None and played is signals  # not a deviator
     else:
         mix = fallback if kind is PhaseKind.SAMPLING_TEST else learner.next_strategy()
-        assert np.array_equal(agent.strategy(phase), mix)
+        strategy = resolved.next_strategy() if isinstance(resolved, Learner) else resolved
+        assert np.array_equal(strategy, mix)
         if learning and free_mix is not None:
             assert np.array_equal(free_mix, mix)
         assert played.tolist() == sample_block(mix, np.random.default_rng(5), 8).tolist()
     for outcome in Outcome:
         verdict = Decision(outcome, 1.0, 0.5)
-        decision = agent.conclude(verdict)
+        after, decision = mode.conclude(verdict)
         if mode is Mode.REJECTED_BY_EQ2:
-            assert decision == agent.conclude(None) == Decision(Outcome.REJECT_BY_EQ2)
-            assert decision is agent.conclude(None)  # one shared frozen instance
-            assert agent.mode is Mode.REJECTED_BY_EQ2
+            assert decision == mode.conclude(None)[1] == Decision(Outcome.REJECT_BY_EQ2)
+            assert decision is mode.conclude(None)[1]  # one shared frozen instance
+            assert after is Mode.REJECTED_BY_EQ2
         else:
             assert decision is verdict
-            assert agent.mode is (Mode.REJECTED_BY_TEST if verdict.rejected
-                                  else Mode.FOLLOWING_MEDIATOR)
+            assert after is (Mode.REJECTED_BY_TEST if verdict.rejected
+                             else Mode.FOLLOWING_MEDIATOR)
+
+
+def test_one_play_policy_moves_the_stepped_and_the_counts_path(game, non_ce_strategy,
+                                                               monkeypatch):
+    # ROADMAP item 2's first candidate rule patched into the one policy: a
+    # rejected agent plays its signal in sampling tests. Agent 2 is screened
+    # on the non-CE fixture, so by default it plays its fall-back in every
+    # test; patched, every test of either path is played as announced, also
+    # after agent 1's verdict rejects
+    policy = Mode.plays
+    monkeypatch.setattr(Mode, "plays", lambda mode, kind: (
+        "signal" if kind is PhaseKind.SAMPLING_TEST else policy(mode, kind)))
+    configs = [{"learner": UNIFORM}, {"learner": UNIFORM}]
+    sched = toy_schedule(game, non_ce_strategy, alpha=0.5, delta_hat=0.01,
+                         test_lengths=[200, 200], free_lengths=[100, 100])
+    stepped = [run_game(game, non_ce_strategy, sched, configs, seed=s) for s in range(6)]
+    assert any(tr.decisions[(0, 1)].rejected for tr in stepped)
+    for tr in stepped:
+        tests = [pr for pr in tr.phase_results if pr.phase.kind is PhaseKind.SAMPLING_TEST]
+        assert len(tests) == 2 and all(np.array_equal(pr.joints, pr.signals) for pr in tests)
+    # counts: a million rounds a test, each as announced to within 0.005 in
+    # total variation (a fall-back is that close with probability 0.01)
+    long = toy_schedule(game, non_ce_strategy, alpha=0.5, delta_hat=0.01,
+                        test_lengths=[10**6, 10**6], free_lengths=[100, 100])
+    runs = [*run_batch(game, non_ce_strategy, long, configs, range(20)),
+            run_game_counts(game, non_ce_strategy, long, configs, seed=20)]
+    assert any(run.decisions[(0, 1)].rejected for run in runs)
+    for run in runs:
+        tests = [pr for pr in run.phase_results if pr.phase.kind is PhaseKind.SAMPLING_TEST]
+        assert len(tests) == 2
+        assert all(tv_distance(pr.counts / pr.rounds_run, non_ce_strategy) < 0.005
+                   for pr in tests)
 
 
 def test_one_agent_fictitious_play_is_one_block_per_signal_chunk(monkeypatch):
