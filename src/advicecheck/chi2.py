@@ -35,10 +35,13 @@ tail cannot be bounded and NonConvergenceError is raised.
 Accuracy against scipy.stats over df up to 2e5, ncp up to 1e8 and quantiles
 1e-6..1-1e-6: the worst absolute error measured was 2e-13 for the central CDF
 and 7e-12 for the noncentral one, and tests/test_chi2.py gates them at 1e-10
-and 1e-9. Errors are typed: invalid arguments, a NaN x, df or ncp, or an
-infinite df or ncp raise InvalidInputError, while x = +inf gives 1. An
-iteration that exceeds its cap raises NonConvergenceError rather than
-returning an unconverged value.
+and 1e-9. Errors are typed: every argument is checked by the rules in
+``advicecheck.errors``, so a df that is not an integer of at least 1, and an
+x, ncp or level that is not a number in its interval (x in [0, inf], ncp in
+[0, inf), a quantile's p in [0, 1), alpha in (0, 1)) raise
+InvalidInputError; NaN lies in no interval, and a bool or a string is not a
+number. x = +inf gives 1. An iteration that exceeds its cap raises
+NonConvergenceError rather than returning an unconverged value.
 
 Power analysis convention: a goodness-of-fit statistic over m retained cells
 has df_total = m - 1 degrees of freedom under the null, and under a fixed
@@ -58,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import _NUMBERS, InvalidInputError, NonConvergenceError, check_int, check_positive
+from .errors import InvalidInputError, NonConvergenceError, check_int, check_positive, check_real
 from .errors import check_unit
 
 _GAMMA_EPS = 1e-14
@@ -157,20 +160,10 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
     return 1.0 - q, q
 
 
-def _check_nonnegative(value, name: str) -> None:
-    """Refuse ``value`` unless it is a number (a bool is not), not NaN and not
-    negative. A plain float skips the type test: chi2_isf's bisection and
-    sample_size's solver check x and ncp on every call."""
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, _NUMBERS)):
-        raise InvalidInputError(f"{name} must be a number, got {value!r}")
-    if math.isnan(value) or value < 0:
-        raise InvalidInputError(f"{name} must be nonnegative and not NaN, got {value}")
-
-
 def chi2_cdf(x: float, df: int) -> float:
     """P(chi2_df <= x). Monotone in x, in [0, 1]; 1 at x = +inf."""
     check_int(df, "df", 1)
-    _check_nonnegative(x, "x")
+    check_real(x, "x", "[0, inf]")
     if math.isinf(x):
         return 1.0
     return _gamma_tails(df / 2.0, x / 2.0)[0]
@@ -195,9 +188,7 @@ def _smallest(meets, df: int) -> float:
 def chi2_quantile(p: float, df: int) -> float:
     """Smallest x with chi2_cdf(x, df) >= p, for p in [0, 1), to 1e-8 relative tolerance."""
     check_int(df, "df", 1)
-    if isinstance(p, bool) or not isinstance(p, _NUMBERS) or not 0.0 <= p < 1.0:
-        raise InvalidInputError(f"p must be in [0, 1), got {p!r}")
-    if p == 0.0:
+    if check_real(p, "p", "[0, 1)") == 0.0:
         return 0.0
     return _smallest(lambda x: chi2_cdf(x, df) >= p, df)
 
@@ -205,10 +196,8 @@ def chi2_quantile(p: float, df: int) -> float:
 def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
     """P(X <= x) for X noncentral chi-square with df dof and noncentrality ncp."""
     check_int(df, "df", 1)
-    _check_nonnegative(x, "x")
-    _check_nonnegative(ncp, "ncp")
-    if math.isinf(ncp):
-        raise InvalidInputError(f"ncp must be nonnegative and finite, got {ncp}")
+    check_real(x, "x", "[0, inf]")
+    check_real(ncp, "ncp", "[0, inf)")
     lam, y, half_df = ncp / 2.0, x / 2.0, df / 2.0
     if lam == 0.0:
         return chi2_cdf(x, df)
@@ -266,7 +255,7 @@ def noncentral_chi2_cdf(x: float, df: int, ncp: float) -> float:
 def chi2_sf(x: float, df: int) -> float:
     """P(chi2_df > x), the p-value of a statistic x: Q(df/2, x/2); 0 at x = +inf."""
     check_int(df, "df", 1)
-    _check_nonnegative(x, "x")
+    check_real(x, "x", "[0, inf]")
     if math.isinf(x):
         return 0.0
     return _gamma_tails(df / 2.0, x / 2.0)[1]

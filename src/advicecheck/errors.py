@@ -1,12 +1,19 @@
 """Exception types shared across the library, and the one rule for each kind of
-argument (a count or index, a probability in (0, 1), a positive threshold, the
-keys of a config object)."""
+argument: a count or index (``check_int``), a real number in an interval
+(``check_real``: a probability, a threshold, a chi-square argument), a vector
+of real numbers (``check_reals``: a strategy, payoffs, counts) and the keys of
+a config object. A number is an int, a float or a numpy integer or float; a
+bool is not one, nor is a string. No other module decides what a number is.
+"""
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 _NUMBERS = (int, float, np.integer, np.floating)
+_ENTRIES = (*_NUMBERS, Fraction)  # a vector may hold exact rationals too
 
 
 class InvalidInputError(ValueError):
@@ -26,16 +33,62 @@ def check_int(value, name: str, lo=0, hi=math.inf) -> int:
     raise InvalidInputError(f"{name} {rule}, got {value}")
 
 
-def check_unit(value, name: str) -> None:
-    """Refuse ``value`` unless it is a number in the open interval (0, 1); a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, _NUMBERS) or not 0.0 < value < 1.0:
-        raise InvalidInputError(f"{name} must be in (0, 1), got {value!r}")
+@functools.cache  # keyed by the few interval literals the callers write
+def _bounds(interval: str) -> tuple[float, float, bool, bool]:
+    """"[0, 1)" as (0.0, 1.0, True, False): the ends, and whether each is included."""
+    lo, hi = interval[1:-1].split(",")
+    return float(lo), float(hi), interval[0] == "[", interval[-1] == "]"
 
 
-def check_positive(value, name: str) -> None:
-    """Refuse ``value`` unless it is a positive finite number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, _NUMBERS) or not 0.0 < value < math.inf:
-        raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
+def check_real(value, name: str, interval: str):
+    """``value`` as given if it is a number in ``interval``, else InvalidInputError
+    naming ``name``. The interval is written as in mathematics, "(0, 1)", "[0, inf]",
+    and NaN lies in none. A Fraction is not a number here, since the value is kept
+    as given. A plain float skips the type test: chi2_isf's bisection and
+    sample_size's solver check x and ncp on every call."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, _NUMBERS)):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    lo, hi, with_lo, with_hi = _bounds(interval)
+    if (lo < value or with_lo and lo == value) and (value < hi or with_hi and value == hi):
+        return value
+    raise InvalidInputError(f"{name} must be in {interval}, got {value!r}")
+
+
+def check_unit(value, name: str):
+    """``check_real`` on the open interval (0, 1): a probability."""
+    return check_real(value, name, "(0, 1)")
+
+
+def check_positive(value, name: str):
+    """``check_real`` on (0, inf): a positive finite threshold."""
+    return check_real(value, name, "(0, inf)")
+
+
+def check_reals(values, name: str) -> np.ndarray:
+    """``values`` as an int or float array of finite entries, else InvalidInputError
+    naming ``name``. Each entry is a number by ``check_real``'s rule or a Fraction,
+    which becomes the nearest float: a bool, a string, None or the row of a ragged
+    list is not one. An int or float ndarray is returned as it is, with no per-entry
+    scan; otherwise a list of ints becomes an integer array, exact."""
+    array = values
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        try:
+            entries = np.asarray(values, dtype=object)
+        except ValueError as exc:  # nested arrays of unequal shapes
+            raise InvalidInputError(f"{name} must hold numbers: {exc}") from None
+        for x in entries.flat:
+            if isinstance(x, bool) or not isinstance(x, _ENTRIES):
+                raise InvalidInputError(f"{name} must hold numbers, got {x!r}")
+        array = np.asarray(values)
+        if array.dtype.kind not in "iuf":  # Fractions, or ints past 64 bits
+            try:
+                array = entries.astype(float)
+            except OverflowError:
+                raise InvalidInputError(f"{name} must hold finite entries") from None
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        bad = array[~np.isfinite(array)][0]
+        raise InvalidInputError(f"{name} must hold finite entries, got {bad}")
+    return array
 
 
 def check_keys(cfg: dict, known, where: str) -> None:

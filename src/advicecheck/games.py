@@ -22,21 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedConditionalError, check_int
+from .errors import InvalidInputError, UndefinedConditionalError, check_int, check_real, check_reals
 
 PROB_TOL = 1e-9
 GAP_TOL = 1e-9
 
 
 def _as_prob_vector(probs, name: str) -> np.ndarray:
-    try:
-        v = np.array(probs, dtype=float)  # copy: strategies own their storage
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{name} is not a vector of numbers: {probs!r}") from exc
+    v = np.array(check_reals(probs, name), dtype=float)  # copy: strategies own their storage
     if v.ndim != 1:
         raise InvalidInputError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"{name} has non-finite entries")
     if np.any(v < 0):
         raise InvalidInputError(f"{name} has negative entries")
     if abs(float(v.sum()) - 1.0) > PROB_TOL:
@@ -98,12 +93,10 @@ class Game:
         counts = tuple(check_int(c, f"action_counts[{i}]", 1) for i, c in enumerate(action_counts))
         if not counts:
             raise InvalidInputError("action_counts must name at least one agent")
-        u = np.array(utilities, dtype=float)  # copy: the game owns its storage
+        u = np.array(check_reals(utilities, "utilities"), dtype=float)  # copy: the game owns it
         expected = (math.prod(counts), len(counts))
         if u.shape != expected:
             raise InvalidInputError(f"utilities shape {u.shape} != {expected}")
-        if not np.all(np.isfinite(u)):
-            raise InvalidInputError("utilities must be finite")
         if np.any(u < 0):
             raise InvalidInputError("utilities must be nonnegative")
         if action_names is not None:
@@ -242,12 +235,11 @@ def agent_incentive_violations(
 
     ``values[s, a]`` is the payoff of playing a against the unnormalized
     conditional weights at signal s; gap > 0 means deviating beats following.
-    Refuses an agent outside the game and a tolerance that is not finite and
-    nonnegative.
+    Refuses an agent outside the game and a tolerance that is not a number in
+    [0, inf).
     """
     check_int(agent, "agent", hi=game.num_agents)
-    if not math.isfinite(tolerance) or tolerance < 0:
-        raise InvalidInputError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    check_real(tolerance, "tolerance", "[0, inf)")
     weights = _agent_view(joint_distribution(sigma, game), game, agent)
     values = weights @ _agent_view(game.utilities[:, agent], game, agent).T
     marginal = weights.sum(axis=1)

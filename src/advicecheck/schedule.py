@@ -12,7 +12,6 @@ monotonicity surrogates, not proofs.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -25,6 +24,7 @@ from .errors import (
     InvalidInputError,
     check_int,
     check_positive,
+    check_real,
     check_unit,
 )
 from .games import CorrelatedStrategy, Game
@@ -48,6 +48,9 @@ class Phase:
     length: int
 
     def __post_init__(self):
+        if not isinstance(self.kind, PhaseKind):
+            raise InvalidInputError(f"phase kind must be a PhaseKind, got {self.kind!r}")
+        check_int(self.index, "phase index", 1)
         check_int(self.length, "phase length", 1)
         check_int(self.begin, "phase begin", 1)
 
@@ -105,9 +108,8 @@ def geometric_rules(
     """
     check_positive(delta0, "delta0")
     check_unit(p0, "p0")
-    if not all(math.isfinite(x) and x > 1.0 for x in (delta_decay, p_decay)):
-        raise InvalidInputError(
-            f"decay factors must be finite and exceed 1, got {delta_decay} and {p_decay}")
+    check_real(delta_decay, "delta_decay", "(1, inf)")
+    check_real(p_decay, "p_decay", "(1, inf)")
     return ScheduleRules(
         delta_rule=lambda j: delta0 / delta_decay ** (j - 1),
         p_rule=lambda j: p0 / p_decay ** (j - 1),
@@ -118,7 +120,13 @@ def geometric_rules(
 
 @dataclass(frozen=True)
 class Schedule:
-    """Alternating phases plus the per-test plans that sized them."""
+    """Alternating phases plus the per-test plans that sized them.
+
+    The phases tile the timeline from t = 1. Tests are numbered 1..J in
+    order, and a free period after test j is numbered j (one before any test
+    only needs an index of at least 1). ``plans[j - 1]`` is test j's plan, or
+    None, and a test with a plan is as long as its sample size.
+    """
 
     phases: tuple[Phase, ...]
     plans: tuple[TestPlan | None, ...]
@@ -126,11 +134,23 @@ class Schedule:
     _begins: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = 1
+        t, tests = 1, 0
         for ph in self.phases:
             if ph.begin != t:
                 raise InvalidInputError(f"phase {ph} does not tile the timeline at t={t}")
             t = ph.end + 1
+            tests += ph.kind is PhaseKind.SAMPLING_TEST
+            if tests and ph.index != tests:
+                raise InvalidInputError(
+                    f"phase {ph.kind.value}{ph.index} at t={ph.begin} should be {tests}: tests "
+                    f"run 1..J in order, and the free period after test j is j")
+        if len(self.plans) < tests:
+            raise InvalidInputError(f"need a plan slot per test: {tests} tests, "
+                                    f"{len(self.plans)} slots")
+        for ph, plan in zip(self.tests(), self.plans):
+            if plan is not None and plan.sample_size != ph.length:
+                raise InvalidInputError(f"test {ph.index} lasts {ph.length} rounds, but its "
+                                        f"plan's sample size is {plan.sample_size}")
         object.__setattr__(self, "_begins", tuple(ph.begin for ph in self.phases))
 
     @property

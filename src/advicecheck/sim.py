@@ -81,7 +81,7 @@ import numpy as np
 from . import streams
 from .agents import Learner, Mode, _simplex_draws, agent_act, make_learner
 from .agents import sample_strategy  # noqa: F401 (bench/tracing.py wraps sim.sample_strategy)
-from .errors import InvalidInputError, NoDataError, check_int, check_keys
+from .errors import InvalidInputError, NoDataError, check_int, check_keys, check_reals
 from .games import (
     CorrelatedStrategy,
     Game,
@@ -239,8 +239,16 @@ def phase_average(ledger: UtilityLedger, agent: int, kind: str) -> float:
     return float(total / rounds)
 
 
+def _check_transcript(transcript) -> None:
+    """Refuse anything but a Transcript: only a transcript keeps its rounds."""
+    if not isinstance(transcript, Transcript):
+        raise InvalidInputError(f"transcript must be a Transcript (run_game's record of every "
+                                f"round), got {type(transcript).__name__}")
+
+
 def empirical_frequency(transcript: Transcript, from_t: int, to_t: int) -> EmpiricalFrequency:
     """Counts of each joint action over the inclusive round window."""
+    _check_transcript(transcript)
     from_t = check_int(from_t, "from_t", 1, transcript.num_rounds + 1)
     to_t = check_int(to_t, "to_t", from_t, transcript.num_rounds + 1)
     joints = np.concatenate([pr.joints for pr in transcript.phase_results])
@@ -250,13 +258,10 @@ def empirical_frequency(transcript: Transcript, from_t: int, to_t: int) -> Empir
 
 def tv_distance(p, q) -> float:
     """Total variation distance between two distributions over joint actions."""
-    pv = p.probs if isinstance(p, CorrelatedStrategy) else np.asarray(p, dtype=float)
-    qv = q.probs if isinstance(q, CorrelatedStrategy) else np.asarray(q, dtype=float)
+    pv = p.probs if isinstance(p, CorrelatedStrategy) else np.asarray(check_reals(p, "p"), float)
+    qv = q.probs if isinstance(q, CorrelatedStrategy) else np.asarray(check_reals(q, "q"), float)
     if pv.shape != qv.shape:
         raise InvalidInputError("distributions have different lengths")
-    for name, v in (("p", pv), ("q", qv)):
-        if not np.isfinite(v).all():
-            raise InvalidInputError(f"{name} must hold finite entries, got {v}")
     return 0.5 * float(np.abs(pv - qv).sum())
 
 
@@ -647,6 +652,7 @@ def transcript_to_csv(transcript: Transcript, path) -> None:
     phase is written in slices of at most ``_BLOCK_ROUNDS`` rows: memory is
     O(|A| + _BLOCK_ROUNDS) whatever the run's length.
     """
+    _check_transcript(transcript)
     game = transcript.game
     n = game.num_agents
     decode = list(game.all_joint_actions())
@@ -715,11 +721,18 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
     the agent's ``payoff_table`` denominator. So each run's phases join the
     rows of its length, summed per agent at the end, and the mean is one
     exact Fraction per agent. The final free periods' distances are taken
-    together, one row per run, each row the sum ``tv_distance`` forms.
+    together, one row per run, each row the sum ``tv_distance`` forms. The
+    runs must be of one game (equal action counts and payoffs), since their
+    counts and numerators are read on its cells and denominators.
     """
     if not runs:
         raise InvalidInputError("need at least one run")
-    dens = [den for _, den in runs[0].game.payoff_table]
+    game = runs[0].game
+    for i, run in enumerate(runs):
+        if run.game is not game and (run.game.action_counts, run.game.payoff_table) != (
+                game.action_counts, game.payoff_table):
+            raise InvalidInputError(f"runs must share one game: run {i}'s differs from run 0's")
+    dens = [den for _, den in game.payoff_table]
     # ((agent, j), outcome value) -> runs
     tallies = Counter((key, d.outcome._value_) for run in runs for key, d in run.decisions.items())
     by_length: dict[int, list] = {}  # run length -> its runs' phases' numerators

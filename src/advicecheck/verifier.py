@@ -47,7 +47,7 @@ import numpy as np
 
 from . import chi2, streams
 from .errors import InfeasiblePlanError, InvalidInputError, ZeroCellObserved
-from .errors import check_int, check_positive, check_unit
+from .errors import check_int, check_positive, check_reals, check_unit
 from .games import (
     CorrelatedStrategy,
     Game,
@@ -146,15 +146,16 @@ def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) ->
     Sums (X(a) - l_t*sigma(a))^2 / (l_t*sigma(a)) over every cell with
     positive announced probability. Counts observed on an announced-zero cell
     raise ZeroCellObserved: such an observation refutes the announced
-    strategy outright and no statistic is defined. Counts must be finite whole
-    numbers; integer counts, such as the engine's int64, skip that check.
+    strategy outright and no statistic is defined. Counts are read by
+    ``check_reals`` and must be whole; an integer array, such as the engine's
+    int64 counts, skips both checks.
     """
     probs = _announced_probs(sigma_m)
-    counts = np.asarray(observed_counts)
+    counts = check_reals(observed_counts, "observed_counts")
     if counts.shape != probs.shape:
         raise InvalidInputError("observed_counts and strategy have different lengths")
-    if counts.dtype.kind not in "iu" and not _whole(counts):
-        raise InvalidInputError(f"observed_counts must be finite whole numbers, got {counts}")
+    if counts.dtype.kind == "f" and (counts != np.floor(counts)).any():
+        raise InvalidInputError(f"observed_counts must be whole numbers, got {counts}")
     if counts.min() < 0:
         raise InvalidInputError("observed_counts must be nonnegative")
     total = int(counts.sum())
@@ -170,38 +171,21 @@ def pearson_statistic(observed_counts, sigma_m: CorrelatedStrategy, l_t: int) ->
     return float((resid * resid / expected).sum())
 
 
-def _whole(values: np.ndarray) -> bool:
-    """Whether every entry of a float or object array is a finite whole number."""
-    if values.dtype.kind not in "fO":
-        return False  # text, complex, dates
-    try:
-        v = values.astype(float)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return bool(np.all(np.isfinite(v) & (v == np.floor(v))))
-
-
-def _prob_seq(sigma):
-    if isinstance(sigma, CorrelatedStrategy):
-        return list(sigma.probs)
-    return list(sigma)
-
-
 def sensitivity_delta(sigma_m, sigma_tilde) -> float | Fraction:
     """Chi-square style divergence of the actually-played distribution.
 
     delta = sum over announced-positive cells of
     (tilde(a) - sigma(a))^2 / sigma(a). Announced-zero cells are excluded.
     Accepts CorrelatedStrategy or plain sequences; exact rational inputs
-    (fractions.Fraction) are computed exactly.
+    (fractions.Fraction) are computed exactly: their entries are checked by
+    ``check_reals``, but summed as given.
     """
-    m = _prob_seq(sigma_m)
-    t = _prob_seq(sigma_tilde)
+    m, t = (s.probs if isinstance(s, CorrelatedStrategy) else s for s in (sigma_m, sigma_tilde))
+    for name, v in (("sigma_m", m), ("sigma_tilde", t)):
+        if check_reals(v, name).ndim != 1:
+            raise InvalidInputError(f"{name} must be one-dimensional")
     if len(m) != len(t):
         raise InvalidInputError("distributions have different lengths")
-    for name, v in (("sigma_m", m), ("sigma_tilde", t)):
-        if any(x != x or x in (math.inf, -math.inf) for x in v):  # exact: no entry is converted
-            raise InvalidInputError(f"{name} must hold finite entries, got {v}")
     total = 0
     for pm, pt in zip(m, t):
         if pm == 0:

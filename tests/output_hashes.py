@@ -13,7 +13,9 @@ Two checkouts give the same lines exactly when their outputs are byte-identical:
 the CLI's files and stdout on the bundled fixtures (``simulate`` in full and
 counts mode, with ``--seeds 5`` under several learner pairs, one of them
 playing a drawn fall-back only after a stepped free period, with ``--seeds 20``
-where some seeds reject test 1 and the others follow, and with
+where some seeds reject test 1 and the others follow, again with agent 1's
+fall-back configured, so a rejected run composes that one vector with agent
+2's drawn row, and with
 ``--seeds 3`` from seed 2**128 - 1, past which a seed has five entropy words;
 ``check-ce``, ``plan`` (also from seed 2**128, whose psi draws come from
 five-word seeds), ``test``, and ``schedule`` out to sample sizes of 1e14
@@ -120,6 +122,18 @@ def outputs(root: Path, tmp: Path):
     _cli(root, "simulate", "--config", cfg, "--seeds", "20", "--out", str(out / "cohort-split"))
     yield ("simulate --seeds 20 cohort-split batch_summary.json",
            (out / "cohort-split" / "batch_summary.json").read_bytes())
+    # the same split with agent 1's fall-back configured: in test 2 a rejected run's
+    # agent 1 plays the one configured vector and its agent 2 a row of the drawn ones,
+    # composed together in one cohort; uniform learners draw every free period in bulk
+    cfg = _config(root, tmp, "configured-fallback", schedule={
+        "kind": "toy", "alpha": 0.25, "delta_hat": 0.01, "test_lengths": [300, 300],
+        "free_lengths": [900, 900]}, agents=[
+            {"fallback": [0.7, 0.3], "learner": {"name": "uniform"}},
+            {"learner": {"name": "uniform"}}])
+    _cli(root, "simulate", "--config", cfg, "--seeds", "20", "--out",
+         str(out / "configured-fallback"))
+    yield ("simulate --seeds 20 configured fall-back batch_summary.json",
+           (out / "configured-fallback" / "batch_summary.json").read_bytes())
     # agent 1 has 9 actions and is screened by the uniform announcement, so every
     # seed draws a 9-action fall-back at test 1 (rows of 9 or more are summed with
     # unrolled accumulators); agent 2 tests, and 4 of seeds 1-20 follow after test 1

@@ -701,6 +701,60 @@ def test_simulate_bad_fallback_names_the_agent_from_1(tmp_path, capsys, agents, 
     assert err.count("\n") == 1 and err.startswith("error:") and named in err
 
 
+# JSON true and "0.5" used to be read as 1.0 and 0.5, and a ragged utilities array
+# leaked numpy's message, which named no field
+UTILITIES = [[0, 1], [2, 5], [5, 2], [1, 0]]  # fixtures/small_game.json's
+NOT_NUMBERS = [
+    ("strategy", [True, False, False, False], "correlated strategy must hold numbers, got True"),
+    ("strategy", ["0.25"] * 4, "correlated strategy must hold numbers, got '0.25'"),
+    ("game", [[0, 1], [2, 5], [5, True], [1, 0]], "utilities must hold numbers, got True"),
+    ("game", [[0, 1], [2, 5], [5, "3"], [1, 0]], "utilities must hold numbers, got '3'"),
+    ("game", [[0, 1], [2, 5], [5], [1, 0]], "utilities must hold numbers, got [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("command", ["check-ce", "plan", "simulate"])
+@pytest.mark.parametrize("field, value, named", NOT_NUMBERS,
+                         ids=["strategy-true", "strategy-text", "utilities-true",
+                              "utilities-text", "utilities-ragged"])
+def test_game_or_strategy_entries_that_are_not_numbers_exit_2_naming_the_field(
+        tmp_path, capsys, command, field, value, named):
+    game, strategy = tmp_path / "game.json", tmp_path / "strategy.json"
+    game.write_text(json.dumps({"action_counts": [2, 2],
+                                "utilities": value if field == "game" else UTILITIES}))
+    strategy.write_text(json.dumps(value if field == "strategy" else [0.25] * 4))
+    files = {"game": str(game), "strategy": str(strategy)}
+    if command == "simulate":
+        code = _simulate(tmp_path, {**files, "schedule": TOY})
+    else:
+        argv = [command, "--game", files["game"], "--strategy", files["strategy"]]
+        code = main(argv + (["--p", "0.1", "--delta-hat", "0.01"] if command == "plan" else []))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("mixes, named", [
+    ({"1": [True, False]}, "strategy of agent 1 must hold numbers, got True"),
+    ({"2": ["0.5", "0.5"]}, "strategy of agent 2 must hold numbers, got '0.5'"),
+], ids=["true", "text"])
+@pytest.mark.parametrize("source", ["profile", "fallback"])
+def test_mix_entries_that_are_not_numbers_exit_2_naming_the_agent(tmp_path, capsys, mixes,
+                                                                  named, source):
+    if source == "profile":  # test --simulate-under
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(mixes))
+        code = main(["test", "--game", GAME, "--strategy", CE, "--mc-samples", "1000",
+                     "--simulate-under", str(profile)])
+    else:  # a simulate config's fall-backs
+        agents = [{"fallback": mixes[str(i)]} if str(i) in mixes else {} for i in (1, 2)]
+        code = _simulate(tmp_path, {"game": GAME, "strategy": CE, "schedule": TOY,
+                                    "agents": agents})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and named in err
+
+
 @pytest.mark.parametrize("schedule", [GEOMETRIC, {"kind": "harmonic", "horizon_tests": 1}],
                          ids=["geometric", "harmonic"])
 def test_planned_schedule_config_with_an_unknown_key_exits_2_naming_it(tmp_path, capsys,

@@ -195,13 +195,13 @@ def test_compose_deviation_invalid_inputs(game, ce_strategy):
 
 
 BAD_MIXES = [
-    ([math.nan, 1.0], "has non-finite entries"),
+    ([math.nan, 1.0], "must hold finite entries"),
     ([1.5, -0.5], "has negative entries"),
     ([0.5, 0.6], "sums to"),
     ([0.2, 0.3, 0.5], "has the wrong action count"),
     (MixedStrategy([0.2, 0.3, 0.5]), "has the wrong action count"),
     ([[0.5, 0.5]], "must be one-dimensional"),
-    (["a", "b"], "is not a vector of numbers"),
+    (["a", "b"], "must hold numbers"),
 ]
 
 

@@ -1,14 +1,18 @@
 """One refusal table over the public entry points.
 
-Every entry point that takes a count, index, seed, probability or threshold
-refuses a bad one with InvalidInputError whose message names the argument.
-The checks live in ``advicecheck.errors``; this table keeps every caller on
-them. Integers and probabilities are fed True, 2.5, -1 and NaN, and integers
-also a numpy -1. Thresholds are fed True, -1, NaN and inf, since 2.5 is a
-valid threshold.
+Every entry point that takes a count, index, seed, probability, threshold or
+a vector of numbers (a strategy, payoffs, counts) refuses a bad one with
+InvalidInputError whose message names the argument. The checks live in
+``advicecheck.errors`` (``check_int``, ``check_real``, ``check_reals``); this
+table keeps every caller on them. Integers and probabilities are fed True,
+2.5, -1 and NaN, and integers also a numpy -1. Thresholds are fed True, -1,
+NaN and inf, since 2.5 is a valid threshold. Vectors are fed bools, text and
+ragged rows (``OTHERS``), which their shared reader refuses with "must hold
+numbers"; a scalar that is no number reads "must be a number".
 """
 
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -19,6 +23,7 @@ from advicecheck import (
     CorrelatedStrategy,
     Game,
     InvalidInputError,
+    MixedStrategy,
     NoDataError,
     Phase,
     PhaseKind,
@@ -55,6 +60,7 @@ from advicecheck import (
     sample_size,
     sensitivity_delta,
     toy_schedule,
+    transcript_to_csv,
     tv_distance,
     validate_schedule,
 )
@@ -66,6 +72,12 @@ BAD_INTEGERS = [True, 2.5, -1, math.nan, np.int64(-1)]
 BAD_PROBABILITIES = [True, 2.5, -1, math.nan]
 BAD_THRESHOLDS = [True, -1, math.nan, math.inf]
 UNIFORM = {"name": "uniform"}
+
+
+def _run_of(game):
+    """A counts run of ``game`` under its uniform announcement."""
+    sigma = CorrelatedStrategy(np.full(game.num_joint_actions, 1 / game.num_joint_actions))
+    return run_game_counts(game, sigma, toy_schedule(game, sigma, 0.1, 0.01, [20], [20]))
 
 
 def _isf_after_caching(alpha, df):
@@ -107,6 +119,7 @@ INTEGERS = [
      lambda e, v: toy_schedule(e["game"], e["sigma"], 0.1, 0.01, [4], [v])),
     ("Phase", "phase length", lambda e, v: Phase(PhaseKind.FREE_PERIOD, 1, 1, v)),
     ("Phase", "phase begin", lambda e, v: Phase(PhaseKind.FREE_PERIOD, 1, v, 1)),
+    ("Phase", "phase index", lambda e, v: Phase(PhaseKind.FREE_PERIOD, v, 1, 1)),
     ("locate", "time index t", lambda e, v: locate(e["schedule"], v)),
     ("validate_schedule", "prefix_tests", lambda e, v: validate_schedule(e["schedule"], v)),
     ("Game", "action_counts[0]", lambda e, v: Game([v, 2], np.ones((4, 2)))),
@@ -216,9 +229,9 @@ OTHERS = [
     ("run_batch", "seeds must be a sequence of integers, got b'12'",
      lambda e: run_batch(e["game"], e["sigma"], e["schedule"], None, b"12")),
     # a bool is not a count, nor a number for the chi-square entry points
-    ("pearson_statistic", "observed_counts must be finite whole numbers",
+    ("pearson_statistic", "observed_counts must hold numbers",
      lambda e: pearson_statistic(np.array([True, True, False, False]), e["sigma"], 2)),
-    ("run_sampling_decision", "observed_counts must be finite whole numbers",
+    ("run_sampling_decision", "observed_counts must hold numbers",
      lambda e: run_sampling_decision(manual_plan(e["game"], e["sigma"], 0.1, 0.01, 2), e["sigma"],
                                      np.array([True, True, False, False]))),
     ("chi2_cdf", "x must be a number", lambda e: chi2_cdf("a", 1)),
@@ -228,8 +241,64 @@ OTHERS = [
     ("noncentral_chi2_cdf", "x must be a number", lambda e: noncentral_chi2_cdf(True, 1, 1.0)),
     ("noncentral_chi2_cdf", "ncp must be a number", lambda e: noncentral_chi2_cdf(1.0, 1, "a")),
     ("noncentral_chi2_cdf", "ncp must be a number", lambda e: noncentral_chi2_cdf(1.0, 1, True)),
-    ("chi2_quantile", "p must be in [0, 1)", lambda e: chi2_quantile("a", 1)),
-    ("chi2_quantile", "p must be in [0, 1)", lambda e: chi2_quantile(False, 1)),
+    ("chi2_quantile", "p must be a number", lambda e: chi2_quantile("a", 1)),
+    ("chi2_quantile", "p must be a number", lambda e: chi2_quantile(False, 1)),
+    # a bool, a string or a ragged row is not a number in a vector either
+    ("MixedStrategy", "strategy must hold numbers", lambda e: MixedStrategy(["0.5", "0.5"])),
+    ("CorrelatedStrategy", "correlated strategy must hold numbers",
+     lambda e: CorrelatedStrategy([True, False, False, False])),
+    ("Game", "utilities must hold numbers", lambda e: Game([2], [["1"], [True]])),
+    ("Game", "utilities must hold numbers", lambda e: Game([2], [[1.0], [True]])),
+    ("Game", "utilities must hold numbers", lambda e: Game([2, 2], [[1, 2], [3]])),
+    ("compose_deviation", "strategy of agent 1 must hold numbers",
+     lambda e: compose_deviation(e["sigma"], e["game"], {1: ["0.5", "0.5"]})),
+    ("run_game", "strategy of agent 1 must hold numbers",
+     lambda e: run_game(e["game"], e["sigma"], e["schedule"], [{"fallback": [True, False]}, {}])),
+    ("pearson_statistic", "observed_counts must hold numbers",
+     lambda e: pearson_statistic([True, 1, 0, 1], e["sigma"], 3)),
+    ("run_sampling_decision", "observed_counts must hold numbers",
+     lambda e: run_sampling_decision(manual_plan(e["game"], e["sigma"], 0.1, 0.01, 3), e["sigma"],
+                                     [True, 1, 0, 1])),
+    ("tv_distance", "q must hold numbers", lambda e: tv_distance([0.5, 0.5], [True, False])),
+    ("tv_distance", "p must hold numbers", lambda e: tv_distance("ab", [1.0, 0.0])),
+    ("sensitivity_delta", "sigma_tilde must hold numbers",
+     lambda e: sensitivity_delta([0.5, 0.5], [True, False])),
+    ("sensitivity_delta", "sigma_m must hold numbers", lambda e: sensitivity_delta("ab", "cd")),
+    ("sensitivity_delta", "sigma_m must be one-dimensional",
+     lambda e: sensitivity_delta([[0.5], [0.5]], [[0.5], [0.5]])),
+    ("check_correlated_equilibrium", "tolerance must be a number",
+     lambda e: check_correlated_equilibrium(e["game"], e["sigma"], "a")),
+    ("agent_incentive_violations", "tolerance must be a number",
+     lambda e: agent_incentive_violations(e["game"], e["sigma"], 0, True)),
+    ("geometric_rules", "delta_decay must be a number", lambda e: geometric_rules(0.1, 0.1, "a")),
+    ("geometric_rules", "p_decay must be a number",
+     lambda e: geometric_rules(0.1, 0.1, 16.0, True)),
+    # a timeline the engine would play wrongly
+    ("Phase", "phase kind must be a PhaseKind", lambda e: Phase("R", 1, 1, 10)),
+    ("Phase", "phase index must be at least 1",
+     lambda e: Phase(PhaseKind.SAMPLING_TEST, 0, 1, 10)),
+    ("Schedule", "need a plan slot per test",
+     lambda e: Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10),), (), None)),
+    ("Schedule", "phase R1 at t=11 should be 2",
+     lambda e: Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10),
+                         Phase(PhaseKind.SAMPLING_TEST, 1, 11, 10)), (None, None), None)),
+    ("Schedule", "phase R3 at t=11 should be 2",
+     lambda e: Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10),
+                         Phase(PhaseKind.SAMPLING_TEST, 3, 11, 10)), (None,) * 3, None)),
+    ("Schedule", "phase F2 at t=11 should be 1",
+     lambda e: Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10),
+                         Phase(PhaseKind.FREE_PERIOD, 2, 11, 10)), (None,), None)),
+    ("Schedule", "test 1 lasts 21 rounds, but its plan's sample size is 20",
+     lambda e: Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 1, 21),), (e["plan"],), None)),
+    # a phase-resolved run has no rounds to read, and runs of two games share no cells
+    ("empirical_frequency", "transcript must be a Transcript",
+     lambda e: empirical_frequency(e["summary"], 1, 5)),
+    ("transcript_to_csv", "transcript must be a Transcript",
+     lambda e: transcript_to_csv(e["summary"], os.devnull)),
+    ("batch_summary_dict", "runs must share one game: run 1's differs from run 0's",
+     lambda e: batch_summary_dict([e["summary"], _run_of(Game([2, 3], np.ones((6, 2))))])),
+    ("batch_summary_dict", "runs must share one game: run 1's differs from run 0's",
+     lambda e: batch_summary_dict([e["summary"], _run_of(Game([2, 2], e["game"].utilities / 3))])),
 ]
 # every public entry point that takes an announcement, called with ``s`` as it
 ANNOUNCEMENT_READERS = [
@@ -264,6 +333,7 @@ def env(game, ce_strategy):
     transcript = run_game(game, ce_strategy, schedule, seed=0)
     return {"game": game, "sigma": ce_strategy, "schedule": schedule,
             "transcript": transcript, "ledger": build_ledger(transcript),
+            "summary": run_game_counts(game, ce_strategy, schedule, seed=0),
             "plan": schedule.plan_for(1),
             "pure": run_pure_learning(game, [UNIFORM] * 2, rounds=10)}
 

@@ -36,6 +36,7 @@ from advicecheck import (
     sensitivity_delta,
 )
 from advicecheck import verifier
+from advicecheck.errors import check_reals
 from advicecheck.games import agent_incentive_violations
 
 ACCEPT_COUNTS = [96, 601, 224, 1179]
@@ -69,6 +70,16 @@ def test_pearson_statistic_nonnegative_and_zero_iff_match(ce_strategy):
 def test_pearson_statistic_validates_total(ce_strategy):
     with pytest.raises(InvalidInputError):
         pearson_statistic([1, 2, 3, 4], ce_strategy, 9)
+
+
+def test_pearson_statistic_reads_integer_counts_exactly(ce_strategy):
+    # the engine's int64 counts pass the shared reader as they are, unscanned, and
+    # a list of Python ints stays integer: 2**53 + 1 would round to 2**53 in floats
+    counts = np.array([1, 2, 3, 3])
+    assert check_reals(counts, "observed_counts") is counts
+    uniform = CorrelatedStrategy([0.25] * 4)
+    l_t = 2**53 + 1
+    assert pearson_statistic([l_t, 0, 0, 0], uniform, l_t) == pytest.approx(3.0 * l_t)
 
 
 def test_pearson_statistic_zero_cell_signal():
