@@ -35,9 +35,9 @@ print("seed   with verification      pure learning         gap")
 for seed in range(3):
     rs = run_game_counts(game, bad, sched, configs, seed=seed)
     ledger = build_ledger(rs)
-    pure = run_pure_learning(game, [fp, fp], rounds=horizon, seed=seed)
+    pure = build_ledger(run_pure_learning(game, [fp, fp], rounds=horizon, seed=seed))
     lam = [average_utility(ledger, a, horizon) for a in range(2)]
-    base = [pure.average_utility(a) for a in range(2)]
+    base = [average_utility(pure, a, horizon) for a in range(2)]
     gaps = [la - b for la, b in zip(lam, base)]
     print(f"  {seed}   ({lam[0]:.3f}, {lam[1]:.3f})      "
           f"({base[0]:.3f}, {base[1]:.3f})      "

@@ -59,7 +59,6 @@ from .schedule import (
 )
 from .sim import (
     EmpiricalFrequency,
-    PureLearningRun,
     RunSummary,
     Transcript,
     UtilityLedger,

@@ -124,8 +124,9 @@ class Schedule:
 
     The phases tile the timeline from t = 1. Tests are numbered 1..J in
     order, and a free period after test j is numbered j (one before any test
-    only needs an index of at least 1). ``plans[j - 1]`` is test j's plan, or
-    None, and a test with a plan is as long as its sample size.
+    only needs an index of at least 1). ``plans`` holds one slot per test:
+    ``plans[j - 1]`` is test j's plan, or None, and a test with a plan is as
+    long as its sample size.
     """
 
     phases: tuple[Phase, ...]
@@ -144,7 +145,7 @@ class Schedule:
                 raise InvalidInputError(
                     f"phase {ph.kind.value}{ph.index} at t={ph.begin} should be {tests}: tests "
                     f"run 1..J in order, and the free period after test j is j")
-        if len(self.plans) < tests:
+        if len(self.plans) != tests:
             raise InvalidInputError(f"need a plan slot per test: {tests} tests, "
                                     f"{len(self.plans)} slots")
         for ph, plan in zip(self.tests(), self.plans):

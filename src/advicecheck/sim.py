@@ -32,8 +32,13 @@ round that is not drawn in bulk:
   generator only when it may first draw from it, from the state one pass
   over the batch computed for it (``streams``, which keys every generator).
   ``run_game_counts`` is the one-seed batch;
-* ``run_pure_learning`` steps its horizon as one free period in which every
-  agent plays its learner.
+* ``run_pure_learning``, the baseline with no mediator, steps its horizon
+  as one free period in which every agent plays its learner, and returns a
+  ``RunSummary`` whose ``sigma_m`` is None.
+
+Every runner returns a ``RunSummary``. Its whole-run ``num_rounds``,
+``counts`` and exact ``utility_totals`` are formed on read from its phase
+results, and a ``UtilityLedger`` is a view of the run it was built from.
 
 The stepper has one path: it plays rounds in skip-ahead blocks of as many
 rounds as every learning agent's ``Learner.stable_rounds()`` guarantees its
@@ -118,21 +123,37 @@ class PhaseResult(NamedTuple):
 
 @dataclass
 class RunSummary:
-    """Phase-aggregated record of one run: per-phase counts, totals, decisions."""
+    """Phase-aggregated record of one run: per-phase counts, totals, decisions.
+
+    ``sigma_m`` is None for the pure-learning baseline, which has no mediator.
+    The whole-run properties are formed on read from the phase results.
+    """
 
     seed: int
     game: Game
-    sigma_m: CorrelatedStrategy
+    sigma_m: CorrelatedStrategy | None
     phase_results: list[PhaseResult] = field(default_factory=list)
     decisions: dict[tuple[int, int], Decision] = field(default_factory=dict)
-
-
-class Transcript(RunSummary):
-    """A run summary whose phase results keep every round's index columns."""
 
     @property
     def num_rounds(self) -> int:
         return sum(pr.rounds_run for pr in self.phase_results)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The whole run's joint-action counts."""
+        return sum((pr.counts for pr in self.phase_results),
+                   np.zeros(self.game.num_joint_actions, dtype=np.int64))
+
+    @property
+    def utility_totals(self) -> tuple[Fraction, ...]:
+        """Each agent's whole-run utility total as an exact Fraction."""
+        return tuple(Fraction(sum(pr.utility_numerators[a] for pr in self.phase_results), den)
+                     for a, (_, den) in enumerate(self.game.payoff_table))
+
+
+class Transcript(RunSummary):
+    """A run summary whose phase results keep every round's index columns."""
 
 
 @dataclass(frozen=True)
@@ -163,22 +184,11 @@ class LedgerSegment:
 
 @dataclass
 class UtilityLedger:
-    """Per-agent cumulative utility, segmented by phase; a transcript's resolves rounds."""
+    """Per-agent utility, segmented by phase: a view of the run it was built
+    from, which resolves single rounds when it is a transcript."""
 
     segments: list[LedgerSegment]
-    num_agents: int
-    transcript: Transcript | None = field(default=None, repr=False)
-
-    def totals(self) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.num_agents
-        for seg in self.segments:
-            for i in range(self.num_agents):
-                out[i] += seg.totals[i]
-        return tuple(out)
-
-    @property
-    def num_rounds(self) -> int:
-        return sum(seg.length for seg in self.segments)
+    run: RunSummary = field(repr=False)
 
 
 def build_ledger(run: RunSummary) -> UtilityLedger:
@@ -188,8 +198,7 @@ def build_ledger(run: RunSummary) -> UtilityLedger:
                       pr.utility_totals)
         for pr in run.phase_results
     ]
-    transcript = run if isinstance(run, Transcript) else None
-    return UtilityLedger(segments=segments, num_agents=run.game.num_agents, transcript=transcript)
+    return UtilityLedger(segments=segments, run=run)
 
 
 def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
@@ -198,10 +207,11 @@ def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
     Round-resolved ledgers support any t; phase-resolved ledgers support
     phase boundaries only.
     """
-    check_int(agent, "agent", hi=ledger.num_agents)
+    run = ledger.run
+    check_int(agent, "agent", hi=run.game.num_agents)
     check_int(up_to_t, "up_to_t", 1)
-    if up_to_t > ledger.num_rounds:
-        raise InvalidInputError(f"up_to_t={up_to_t} beyond recorded {ledger.num_rounds} rounds")
+    if up_to_t > run.num_rounds:
+        raise InvalidInputError(f"up_to_t={up_to_t} beyond recorded {run.num_rounds} rounds")
     total = Fraction(0)
     rest = up_to_t
     for i, seg in enumerate(ledger.segments):
@@ -212,12 +222,11 @@ def average_utility(ledger: UtilityLedger, agent: int, up_to_t: int) -> float:
         if rest == 0:
             return float(total / up_to_t)
     # up_to_t ends ``rest`` rounds into segment i
-    if ledger.transcript is None:
+    if not isinstance(run, Transcript):
         raise InvalidInputError(f"phase-resolved ledger: up_to_t={up_to_t} is not a phase boundary")
-    game = ledger.transcript.game
-    counts = np.bincount(ledger.transcript.phase_results[i].joints[:rest],
-                         minlength=game.num_joint_actions)
-    return float((total + _exact_utility_totals(game, counts)[agent]) / up_to_t)
+    counts = np.bincount(run.phase_results[i].joints[:rest], minlength=run.game.num_joint_actions)
+    part = Fraction(_utility_numerators(run.game, counts)[agent], run.game.payoff_table[agent][1])
+    return float((total + part) / up_to_t)
 
 
 _PHASE_KINDS = tuple(k.value for k in PhaseKind)
@@ -225,7 +234,7 @@ _PHASE_KINDS = tuple(k.value for k in PhaseKind)
 
 def phase_average(ledger: UtilityLedger, agent: int, kind: str) -> float:
     """Average utility restricted to phases of one kind ("R" or "F")."""
-    check_int(agent, "agent", hi=ledger.num_agents)
+    check_int(agent, "agent", hi=ledger.run.game.num_agents)
     if kind not in _PHASE_KINDS:
         raise InvalidInputError(f"kind must be one of {_PHASE_KINDS}, got {kind!r}")
     total = Fraction(0)
@@ -320,12 +329,6 @@ def _utility_numerators(game: Game, counts) -> list:
     product in Python ints, since counts reach 1e18."""
     table = np.array([nums for nums, _ in game.payoff_table], dtype=object)
     return (np.asarray(counts).astype(object) @ table.T).tolist()
-
-
-def _exact_utility_totals(game: Game, counts) -> tuple[Fraction, ...]:
-    """Each agent's sum of count times payoff as an exact Fraction."""
-    return tuple(Fraction(num, den) for num, (_, den)
-                 in zip(_utility_numerators(game, counts), game.payoff_table))
 
 
 # the most rounds in one block, which bounds its arrays; splitting a block
@@ -590,28 +593,17 @@ def run_game_counts(
     return run_batch(game, sigma_m, schedule, agent_configs, [seed], rounds)[0]
 
 
-@dataclass
-class PureLearningRun:
-    """Joint-learning baseline: counts and exact utility totals."""
-
-    counts: np.ndarray
-    utility_totals: tuple[Fraction, ...]
-    rounds: int
-
-    def average_utility(self, agent: int) -> float:
-        check_int(agent, "agent", hi=len(self.utility_totals))
-        if self.rounds == 0:
-            raise NoDataError("zero-round run has no averages")
-        return float(self.utility_totals[agent] / self.rounds)
-
-
-def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> PureLearningRun:
+def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> RunSummary:
     """Joint play when every agent runs its learner for the whole horizon.
 
     No mediator, no tests, no resets: the baseline an agent would have earned
-    by learning alone, played as one free period in which every agent has
-    the "learner" play of ``Mode.plays``: it plays its learner, which observes
-    every round.
+    by learning alone. It returns a ``RunSummary`` with ``sigma_m`` None and
+    one free period, rounds 1..``rounds`` (none at 0), in which every agent
+    has the "learner" play of ``Mode.plays``: it plays its learner, which
+    observes every round. Agent i draws from generator i of the seed; the
+    phase loop, which keys agent i's generator 1 + i and draws an i.i.d.
+    cohort's phase as one multinomial, would move these streams, so the
+    period is stepped here.
     """
     check_int(rounds, "rounds")
     seed = check_int(seed, "seed")
@@ -619,13 +611,15 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
         raise InvalidInputError(f"learner_specs must be a list of one learner spec per agent, "
                                 f"got {learner_specs!r}")
     learners = [make_learner(spec, game, i) for i, spec in enumerate(learner_specs)]
-    rngs = streams.generators(seed, range(game.num_agents))
-    # a Phase is at least one round long; ``rounds`` alone sets how many are played
-    phase = Phase(PhaseKind.FREE_PERIOD, 1, 1, max(rounds, 1))
-    counts = _step(game, phase, learners, rngs, rounds)
-    return PureLearningRun(
-        counts=counts, utility_totals=_exact_utility_totals(game, counts), rounds=rounds
-    )
+    run = RunSummary(seed=seed, game=game, sigma_m=None)
+    if rounds:
+        phase = Phase(PhaseKind.FREE_PERIOD, 1, 1, rounds)
+        counts = _step(game, phase, learners, streams.generators(seed, range(game.num_agents)),
+                       rounds)
+        run.phase_results.append(PhaseResult(phase, rounds, counts,
+                                             tuple(_utility_numerators(game, counts)),
+                                             tuple(den for _, den in game.payoff_table)))
+    return run
 
 
 # --- exports ----------------------------------------------------------------
@@ -729,6 +723,8 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
         raise InvalidInputError("need at least one run")
     game = runs[0].game
     for i, run in enumerate(runs):
+        if run.sigma_m is None:
+            raise InvalidInputError(f"run {i} has no announcement (a pure-learning baseline)")
         if run.game is not game and (run.game.action_counts, run.game.payoff_table) != (
                 game.action_counts, game.payoff_table):
             raise InvalidInputError(f"runs must share one game: run {i}'s differs from run 0's")
@@ -739,7 +735,7 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
     finals = []  # each run's final free period, and its announcement
     for run in runs:
         phases = run.phase_results
-        total_rounds = sum([pr.rounds_run for pr in phases])
+        total_rounds = run.num_rounds
         if not total_rounds:
             raise NoDataError(f"run with seed {run.seed} has no rounds to average")
         by_length.setdefault(total_rounds, []).extend([pr.utility_numerators for pr in phases])

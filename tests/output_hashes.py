@@ -27,7 +27,8 @@ deviators' grid shapes, all different here),
 ``simulate --seeds 20`` on a generated game whose 9-action agent draws its
 fall-backs, the stdout of every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
-on the bundled game, for seeds 0-4 and 2**128. ``manifest.json`` carries a
+on the bundled game, for seeds 0-4 and 2**128, with each baseline's whole-run
+``counts`` and exact ``utility_totals``. ``manifest.json`` carries a
 timestamp and is left out. Each command runs in a fresh process on the
 checkout's own ``src/``. The file is not a test module, so pytest does not
 collect it.
@@ -210,7 +211,8 @@ def outputs(root: Path, tmp: Path):
 
 
 def _act_counts() -> None:
-    """Print, per learner pair and seed, how often the engine calls ``sim.agent_act``."""
+    """Print, per learner pair and seed, how often the engine calls ``sim.agent_act``, and
+    the pure-learning baseline's whole-run counts and exact utility totals."""
     from advicecheck import load_game, load_strategy, schedule, sim
 
     game = load_game("fixtures/small_game.json")
@@ -227,12 +229,16 @@ def _act_counts() -> None:
     sim.agent_act = counted
     for pair, specs in PAIRS.items():
         per_seed = []
+        baselines = []
         for seed in (*range(5), 2**128):  # 2**128: five entropy words
             calls = 0
             sim.run_game_counts(game, sigma, sched, [{"learner": s} for s in specs], seed=seed)
-            sim.run_pure_learning(game, specs, rounds=sched.horizon, seed=seed)
+            pure = sim.run_pure_learning(game, specs, rounds=sched.horizon, seed=seed)
             per_seed.append(calls)
+            baselines.append((seed, pure.counts.tolist(), pure.utility_totals))
         print(pair, per_seed)
+        for baseline in baselines:
+            print(pair, "baseline", *baseline)
 
 
 def hashes(root: Path) -> dict[str, str]:

@@ -218,9 +218,10 @@ def test_criterion_09_no_worse_off_and_repetition_structure(game, non_ce_strateg
         for seed in range(50):
             rs = ac.run_game_counts(game, non_ce_strategy, sched, configs, seed=seed)
             ledger = ac.build_ledger(rs)
-            pure = ac.run_pure_learning(game, [fp, fp], rounds=horizon, seed=seed)
+            pure = ac.build_ledger(
+                ac.run_pure_learning(game, [fp, fp], rounds=horizon, seed=seed))
             ok = all(
-                ac.average_utility(ledger, a, horizon) - pure.average_utility(a) >= -0.05
+                ac.average_utility(ledger, a, horizon) - ac.average_utility(pure, a, horizon) >= -0.05
                 for a in range(2)
             )
             good += ok

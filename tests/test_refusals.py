@@ -149,7 +149,8 @@ INTEGERS = [
     ("average_utility", "up_to_t", lambda e, v: average_utility(e["ledger"], 0, v)),
     ("average_utility", "agent", lambda e, v: average_utility(e["ledger"], v, 10)),
     ("phase_average", "agent", lambda e, v: phase_average(e["ledger"], v, "F")),
-    ("PureLearningRun.average_utility", "agent", lambda e, v: e["pure"].average_utility(v)),
+    ("average_utility of run_pure_learning", "agent",
+     lambda e, v: average_utility(build_ledger(e["pure"]), v, 10)),
     ("empirical_frequency", "from_t", lambda e, v: empirical_frequency(e["transcript"], v, 10)),
     ("empirical_frequency", "to_t", lambda e, v: empirical_frequency(e["transcript"], 1, v)),
     ("pearson_statistic", "l_t", lambda e, v: pearson_statistic([2, 0, 0, 2], e["sigma"], v)),
@@ -299,6 +300,12 @@ OTHERS = [
      lambda e: batch_summary_dict([e["summary"], _run_of(Game([2, 3], np.ones((6, 2))))])),
     ("batch_summary_dict", "runs must share one game: run 1's differs from run 0's",
      lambda e: batch_summary_dict([e["summary"], _run_of(Game([2, 2], e["game"].utilities / 3))])),
+    # a pure-learning baseline has no announcement to measure its play against
+    ("batch_summary_dict", "run 1 has no announcement",
+     lambda e: batch_summary_dict([e["summary"], e["pure"]])),
+    # a plan slot beyond the tests would be a plan for a test that never runs
+    ("Schedule", "need a plan slot per test: 1 tests, 2 slots",
+     lambda e: Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10),), (None, None), None)),
 ]
 # every public entry point that takes an announcement, called with ``s`` as it
 ANNOUNCEMENT_READERS = [
@@ -364,8 +371,8 @@ def test_entry_point_refuses_an_announcement_that_is_a_raw_array(env, call, raw)
 
 
 def test_pure_learning_average_of_zero_rounds_has_no_data(env):
-    with pytest.raises(NoDataError, match="zero-round run"):
-        run_pure_learning(env["game"], [UNIFORM] * 2, rounds=0).average_utility(0)
+    with pytest.raises(NoDataError, match="no rounds of kind 'F'"):
+        phase_average(build_ledger(run_pure_learning(env["game"], [UNIFORM] * 2, rounds=0)), 0, "F")
 
 
 def test_phase_average_of_a_valid_kind_without_rounds_has_no_data(env):

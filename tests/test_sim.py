@@ -514,12 +514,14 @@ def test_empirical_frequency_windows(game, ce_strategy, small_toy):
 def test_ledger_partitions_total_exactly(game, ce_strategy, small_toy):
     tr = run_game(game, ce_strategy, small_toy, seed=2)
     ledger = build_ledger(tr)
-    totals = ledger.totals()
+    totals = tr.utility_totals
     for agent in range(2):
         per_round_sum = sum(_round_utilities(tr, agent), Fraction(0))
         assert totals[agent] == per_round_sum  # exact rational equality
-    assert ledger.num_rounds == tr.num_rounds
+        assert sum((seg.totals[agent] for seg in ledger.segments), Fraction(0)) == per_round_sum
+    assert sum(seg.length for seg in ledger.segments) == tr.num_rounds
     assert len(ledger.segments) == 4
+    assert ledger.run is tr
 
 
 def test_average_utility_constant_game(ce_strategy):
@@ -614,6 +616,13 @@ def test_transcript_csv_matches_per_record_writer_on_awkward_payoffs(game, seed,
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
+def _exact_totals(game, counts):
+    """Each agent's utility total over ``counts``, as a run's record forms it
+    from ``sim._utility_numerators`` and the ``payoff_table`` denominators."""
+    return tuple(map(Fraction, sim._utility_numerators(game, counts),
+                     [den for _, den in game.payoff_table]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(game=awkward_games(), data=st.data())
 def test_exact_utility_totals_match_fraction_sums(game, data):
@@ -625,7 +634,7 @@ def test_exact_utility_totals_match_fraction_sums(game, data):
             Fraction(0))
         for agent in range(game.num_agents)
     )
-    assert sim._exact_utility_totals(game, counts) == want
+    assert _exact_totals(game, counts) == want
 
 
 def test_exact_utility_totals_mix_binary_exponents_at_counts_near_2_62():
@@ -638,7 +647,7 @@ def test_exact_utility_totals_mix_binary_exponents_at_counts_near_2_62():
             Fraction(0))
         for agent in range(g.num_agents)
     )
-    assert sim._exact_utility_totals(g, counts) == want
+    assert _exact_totals(g, counts) == want
     assert g.payoff_table is g.payoff_table  # built once per game
     nums, den = g.payoff_table[0]
     assert [Fraction(n, den) for n in nums] == [Fraction(u) for u in g.utilities[:, 0].tolist()]
@@ -793,8 +802,9 @@ def test_pure_learning_locks_pure_equilibrium(game):
     run = run_pure_learning(game, [fp, fp], rounds=2000, seed=0)
     # joint fictitious play on this game locks the strict pure equilibrium
     # (second action, first action) worth (5, 2)
-    assert run.average_utility(0) == pytest.approx(5.0, abs=0.05)
-    assert run.average_utility(1) == pytest.approx(2.0, abs=0.05)
+    ledger = build_ledger(run)
+    assert average_utility(ledger, 0, 2000) == pytest.approx(5.0, abs=0.05)
+    assert average_utility(ledger, 1, 2000) == pytest.approx(2.0, abs=0.05)
     assert run.counts[2] >= 1990
 
 
@@ -909,7 +919,7 @@ def test_run_game_counts_matches_per_round_oracle_when_stepped(case, configs, re
     # free periods only: every phase is stepped in counts mode too
     game, sigma = request.getfixturevalue(case)
     frees = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 300), Phase(PhaseKind.FREE_PERIOD, 2, 301, 400),
-                      Phase(PhaseKind.FREE_PERIOD, 3, 701, 500)), (None, None, None), rules=None)
+                      Phase(PhaseKind.FREE_PERIOD, 3, 701, 500)), (), rules=None)
     for rounds in (None, 0, 100, 300, 700):
         for seed in range(3):
             rs = run_game_counts(game, sigma, frees, configs, seed=seed, rounds=rounds)
@@ -968,6 +978,42 @@ def test_run_pure_learning_matches_per_round_oracle(case, learners, request):
             counts, totals = per_round_pure_learning(game, learners, rounds, seed=seed)
             assert np.array_equal(run.counts, counts)
             assert run.utility_totals == totals
+
+
+@pytest.mark.parametrize("rounds", [None, 150, 0], ids=["whole", "mid-phase", "zero"])
+def test_every_runner_reads_whole_run_totals_off_its_phases(game, non_ce_strategy, rounds):
+    # every runner returns a RunSummary whose whole-run reads add up its
+    # phases; the pure-learning baseline's also equal the per-round oracle
+    sched = toy_schedule(game, non_ce_strategy, 0.1, 0.01, [100, 100], [200, 300])
+    configs = [{"learner": FP}, {"learner": UNIFORM, "fallback": [0.3, 0.7]}]
+    horizon = sched.horizon if rounds is None else rounds
+    runs = {
+        "run_game": run_game(game, non_ce_strategy, sched, configs, seed=3, rounds=rounds),
+        "run_game_counts": run_game_counts(game, non_ce_strategy, sched, configs, seed=3,
+                                           rounds=rounds),
+        "run_batch": run_batch(game, non_ce_strategy, sched, configs, [4, 3], rounds=rounds)[1],
+        "run_pure_learning": run_pure_learning(game, [FP, UNIFORM], horizon, seed=3),
+    }
+    for name, run in runs.items():
+        phases = run.phase_results
+        assert isinstance(run, sim.RunSummary), name
+        assert run.num_rounds == sum(pr.rounds_run for pr in phases) == horizon, name
+        assert run.counts.dtype == np.int64
+        assert run.counts.tolist() == [sum(int(pr.counts[k]) for pr in phases) for k in range(4)]
+        assert run.utility_totals == tuple(sum((pr.utility_totals[a] for pr in phases), Fraction(0))
+                                           for a in range(2)), name
+    # a batch's run is its seed played alone
+    assert np.array_equal(runs["run_batch"].counts, runs["run_game_counts"].counts)
+    assert runs["run_batch"].utility_totals == runs["run_game_counts"].utility_totals
+    tr = runs["run_game"]
+    assert tr.utility_totals == tuple(sum(_round_utilities(tr, a), Fraction(0)) for a in range(2))
+    pure = runs["run_pure_learning"]
+    assert pure.sigma_m is None and not pure.decisions
+    assert [pr.phase for pr in pure.phase_results] == (
+        [Phase(PhaseKind.FREE_PERIOD, 1, 1, horizon)] if horizon else [])
+    counts, totals = per_round_pure_learning(game, [FP, UNIFORM], horizon, seed=3)
+    assert np.array_equal(pure.counts, counts)
+    assert pure.utility_totals == totals
 
 
 def test_one_agent_fictitious_play_matches_per_round_oracle():
@@ -1099,7 +1145,7 @@ def test_stepped_phase_spanning_signal_chunks_matches_per_round_oracle(game, non
     # chunked draws give the oracle's one-call signals, and an override is
     # read chunk by chunk into the same transcript
     long_free = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 2 * sim._BLOCK_ROUNDS + 300),),
-                         (None,), rules=None)
+                         (), rules=None)
     configs = [{"learner": FP}, {"learner": FP}]
     tr = run_game(game, non_ce_strategy, long_free, configs, seed=2)
     rows, _ = per_round_game(game, non_ce_strategy, long_free, configs, seed=2)
@@ -1145,5 +1191,5 @@ def test_long_free_periods_are_not_stepped_per_round(game, non_ce_strategy, monk
                          test_lengths=[2500], free_lengths=[247500])
     rs = run_game_counts(game, non_ce_strategy, sched, configs, seed=0)
     pure = run_pure_learning(game, [FP, FP], rounds=sched.horizon, seed=0)
-    assert sum(pr.rounds_run for pr in rs.phase_results) == pure.rounds == 250_000
+    assert sum(pr.rounds_run for pr in rs.phase_results) == pure.num_rounds == 250_000
     assert len(calls) < 1000
