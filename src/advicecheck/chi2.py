@@ -49,11 +49,12 @@ alternative is noncentral chi-square with df_total degrees of freedom and
 noncentrality l_T * delta_hat (one degree of freedom carries the
 noncentrality; the remaining df_total - 1 are central).
 
-The sample-size solver starts from the closed-form noncentrality of the
-normal approximation, brackets the answer by geometric widening and narrows
-it by Illinois regula falsi on log beta: 5-8 noncentral CDF calls for
-sample sizes of 2e3-3e6 at df 127-242, where doubling from n = 1 and
-bisecting took 24-44.
+The sample-size solver checks n = 1, then starts from the closed-form
+noncentrality of the normal approximation. A start that meets the target
+brackets the answer with n = 1; one that misses it widens geometrically
+upward until the target is met. Illinois regula falsi on log beta narrows
+the bracket: 5-7 noncentral CDF calls for sample sizes of 2e3-3e6 at df
+127-242, where doubling from n = 1 and bisecting took 24-44.
 """
 
 from __future__ import annotations
@@ -296,10 +297,12 @@ def sample_size(alpha: float, beta_target: float, delta_hat: float, df_total: in
 
     beta is monotone nonincreasing in the sample size (the noncentrality
     grows linearly with it), so any bracket of the target narrowed to two
-    adjacent sizes gives it exactly. The search starts where the normal
-    approximation of the noncentral chi-square meets the target, widens
-    geometrically until it brackets, and narrows by Illinois regula falsi
-    on log beta (Dowell & Jarratt 1971), bisecting where that stalls.
+    adjacent sizes gives it exactly. After n = 1 misses the target, the
+    search starts where the normal approximation of the noncentral
+    chi-square meets it. If the start meets the target, [1, start] is the
+    bracket; otherwise the search widens upward geometrically until the
+    target is met. Illinois regula falsi on log beta (Dowell & Jarratt
+    1971) narrows the bracket, bisecting where that stalls.
     Degenerate targets that are met at a single sample report 1; a target
     that no sample size up to 2^62 meets is refused.
     """
@@ -328,28 +331,18 @@ def sample_size(alpha: float, beta_target: float, delta_hat: float, df_total: in
     n = max(math.ceil(min(lam / delta_hat, _MAX_SAMPLE_SIZE)), 2)
     widen = _FIRST_WIDENING
     beta = beta_at(n)
-    if beta > beta_target:  # widen upward until the target is met
-        while beta > beta_target:
-            lo, f_lo = n, excess(beta)
-            if lo == _MAX_SAMPLE_SIZE:
-                raise InvalidInputError(
-                    f"no sample size up to 2^62 meets beta={beta_target} at alpha={alpha}, "
-                    f"delta_hat={delta_hat}"
-                )
-            n = math.ceil(min(lo * widen, _MAX_SAMPLE_SIZE))
-            widen *= widen
-            beta = beta_at(n)
-        hi, f_hi = n, excess(beta)
-    else:  # widen downward until the target is missed or hi is lo + 1
-        while beta <= beta_target:
-            hi, f_hi = n, excess(beta)
-            if hi - lo == 1:
-                break
-            n = max(math.floor(hi / widen), lo + 1)
-            widen *= widen
-            beta = beta_at(n)
-        if beta > beta_target:
-            lo, f_lo = n, excess(beta)
+    while beta > beta_target:  # widen upward until the target is met
+        lo, f_lo = n, excess(beta)
+        if lo == _MAX_SAMPLE_SIZE:
+            raise InvalidInputError(
+                f"no sample size up to 2^62 meets beta={beta_target} at alpha={alpha}, "
+                f"delta_hat={delta_hat}"
+            )
+        n = math.ceil(min(lo * widen, _MAX_SAMPLE_SIZE))
+        widen *= widen
+        beta = beta_at(n)
+    # a start that meets the target brackets it with n = 1, which misses it
+    hi, f_hi = n, excess(beta)
     # retained: the end the last step kept (-1 lo, 1 hi); stalls: steps since the bracket halved
     retained = stalls = 0
     while hi - lo > 1:

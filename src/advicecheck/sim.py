@@ -25,13 +25,14 @@ round that is not drawn in bulk:
   arguments are checked, every agent is screened, its one learner built and
   the announcement shaped into its joint tensor once per batch. In each
   phase the runs go in cohorts, by their agents' modes: a cohort is those
-  modes and its run indices, and each agent's fall-backs are one array with
+  modes and its run indices, and each agent's fall-backs are one table with
   a row per run. A cohort's i.i.d. mixes are composed once on that tensor,
   and each run's multinomial is drawn by its own mediator generator; agents'
-  plays are resolved per run only for a run that steps. A seed builds a
-  generator only when it may first draw from it, from the state one pass
-  over the batch computed for it (``streams``, which keys every generator).
-  ``run_game_counts`` is the one-seed batch;
+  plays are resolved per run only for a run that steps. Every generator's
+  state comes from one pass over the batch (``streams``, which keys every
+  generator). Each seed's mediator generator is built up front, since every
+  run draws from it in its first phase; an agent's is built only when the
+  run first draws from it. ``run_game_counts`` is the one-seed batch;
 * ``run_pure_learning``, the baseline with no mediator, steps its horizon
   as one free period in which every agent plays its learner, and returns a
   ``RunSummary`` whose ``sigma_m`` is None.
@@ -51,10 +52,11 @@ so a stepped phase's memory does not grow with its length.
 
 Inputs are checked once, at the public entry points (``_setup`` for the
 runners); values the engine built valid are trusted inside. Past the entry
-check a fall-back is a read-only probability vector: a configured one is
-checked by ``games._checked_mixes``, the one mix check, and a seed's drawn
-one is the draw itself, a row of the batch's array normalized with the
-others in one step (``agents._simplex_draws``). Deviators are composed
+check a fall-back is a probability vector: a configured one is checked by
+``games._checked_mixes``, the one mix check, and a seed's drawn one is the
+draw itself, normalized with the other rows drawn with it in one step
+(``agents._simplex_draws``) and written once into its row of the agent's
+table, before that row is first read. Deviators are composed
 without re-checking their mixes (``games._composed``), so a seed of a batch
 pays for its generators, its draws, its rows of the cohort's arrays and,
 where some agent is unscreened, one verdict per completed test; what is the
@@ -396,10 +398,15 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
     rejected, every other agent takes the run's one verdict), so a cohort is
     its modes and its run indices. Generator 0 of run r is its mediator's and
     generator 1 + i agent i's, keyed (seed, g) by ``streams``: their states
-    come from one ``streams._seed_states`` pass over the batch, and each is
-    built on first use. An agent's generator first draws the agent's
-    fall-back where none is configured, into a row of the agent's (runs,
-    actions) array (``_simplex_draws``), so each stream is consumed as if
+    come from one ``streams._seed_states`` pass over the batch. The
+    mediators' are built up front, since every run draws from its own in
+    its first phase. An agent's are built on first use by one lookup
+    (``agent``), which also returns its fall-back: when the agent steps, or
+    plays a drawn fall-back in a cohort's multinomial (a configured one is
+    played as is, and builds nothing). A new generator's first draw is the
+    agent's fall-back where none is configured, written in place into the
+    run's row of the agent's (runs, actions) table (``_simplex_draws``),
+    once and before the row is first read; so each stream is consumed as if
     every generator and fall-back had been made up front.
 
     Each cohort reads its agents' plays in the phase from the one policy
@@ -428,56 +435,46 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
     record = isinstance(runs[0], Transcript)
     dens = tuple(den for _, den in game.payoff_table)
     seeded = streams._seed_states([run.seed for run in runs], range(1 + game.num_agents))
-    # generator g of run r, rngs[g][r], built on first use
-    rngs = [[None] * len(runs) for _ in range(1 + game.num_agents)]
-    # row r of drawn[i]: agent i's drawn fall-back in run r, the first draw of
-    # its generator, set when that is built (a configured one is used as is)
-    drawn = [np.empty((len(runs), k)) for k in game.action_counts]
-    every_run = list(range(len(runs)))
+    mediators = streams._generators(seeded[:, 0])  # every run draws from its own in phase 1
+    # agent i's generator in run r, agent_rngs[i][r], built on first use; row r of
+    # tables[i], agent i's drawn fall-back in run r, is that generator's first draw
+    agent_rngs = [[None] * len(runs) for _ in range(game.num_agents)]
+    tables = [np.empty((len(runs), k)) for k in game.action_counts]
 
-    def generators(g, members):
-        """Generator g of every member run, built where missing; an agent's
-        generator draws the agent's fall-back first."""
-        gens = rngs[g]
-        built = [r for r in members if gens[r] is None]
-        for r, gen in zip(built, streams._generators(seeded[r, g] for r in built)):
-            gens[r] = gen
-        if g and built and setup.fallbacks[g - 1] is None:
-            rows = _simplex_draws(game.action_counts[g - 1], [gens[r] for r in built])
-            if built != every_run:  # the other runs' rows kept, in a read-only copy
-                merged = drawn[g - 1].copy()
-                merged[built] = rows
-                merged.setflags(write=False)
-                rows = merged
-            drawn[g - 1] = rows
-        return gens
-
-    def fallbacks(i, rows):
-        """Agent i's configured fall-back, or its drawn one in ``rows`` (a run's
-        index, or a list of them for a row each), once their generators exist."""
-        return drawn[i][rows] if setup.fallbacks[i] is None else setup.fallbacks[i]
+    def agent(i, rows):
+        """Agent i's fall-back in ``rows`` (a run's index, or a list of them for a
+        row each): its configured one as is, else their rows of its table. The
+        runs' generators of agent i are built where missing; a new one's first
+        draw writes the run's drawn row, once, before the row is first read."""
+        new = [r for r in ([rows] if isinstance(rows, int) else rows) if agent_rngs[i][r] is None]
+        if new:
+            for r, gen in zip(new, streams._generators(seeded[new, 1 + i])):
+                agent_rngs[i][r] = gen
+            if setup.fallbacks[i] is None:
+                tables[i][new] = _simplex_draws(game.action_counts[i],
+                                                [agent_rngs[i][r] for r in new])
+        return tables[i][rows] if setup.fallbacks[i] is None else setup.fallbacks[i]
 
     def step(r, plays, phase, length):
         """Step run r through ``phase`` on its own generators, each agent's play resolved."""
-        # a deviator's generator, once built, has drawn any fall-back it lacks
-        agent_rngs = [None if play == "signal" else generators(1 + i, [r])[r]
-                      for i, play in enumerate(plays)]
-        resolved = [None if play == "signal" else setup.learners[i] if play == "learner"
-                    else fallbacks(i, r) for i, play in enumerate(plays)]
+        # every deviator draws its actions from its generator, built here
+        fallbacks = [None if play == "signal" else agent(i, r) for i, play in enumerate(plays)]
+        resolved = [setup.learners[i] if play == "learner" else fallback
+                    for i, (play, fallback) in enumerate(zip(plays, fallbacks))]
+        rngs = [None if play == "signal" else agent_rngs[i][r] for i, play in enumerate(plays)]
         if signal_override is not None:
             def signals(lo, hi):
                 return np.asarray(signal_override[lo:hi], dtype=np.int64)
         else:
             def signals(lo, hi):
-                return generators(0, [r])[r].choice(len(setup.probs), size=hi - lo,
-                                                    p=setup.probs)
+                return mediators[r].choice(len(setup.probs), size=hi - lo, p=setup.probs)
         columns = np.empty((2, length), dtype=np.int64) if record else (None, None)
-        counts = _step(game, phase, resolved, agent_rngs, length, signals, *columns)
+        counts = _step(game, phase, resolved, rngs, length, signals, *columns)
         runs[r].phase_results.append(PhaseResult(
             phase, length, counts, tuple(_utility_numerators(game, counts)), dens, *columns))
 
     some_unscreened = any(mode is not Mode.REJECTED_BY_EQ2 for mode in setup.modes)
-    cohorts = {setup.modes: every_run}  # modes -> run indices
+    cohorts = {setup.modes: list(range(len(runs)))}  # modes -> run indices
     for phase in schedule.phases:
         if phase.begin > horizon:
             break
@@ -494,17 +491,14 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
                             learner.reset()
                     step(r, plays, phase, length)
                 continue
-            for i in deviators:  # building a generator draws the fall-back it lacks
-                if plays[i] == "fallback" and setup.fallbacks[i] is None:
-                    generators(1 + i, members)
-            mixes = {i: setup.free_mixes[i] if plays[i] == "learner" else fallbacks(i, members)
-                     for i in deviators}
+            # only a drawn fall-back draws from its agent's generator here
+            mixes = {i: setup.free_mixes[i] if plays[i] == "learner" else setup.fallbacks[i]
+                     if setup.fallbacks[i] is not None else agent(i, members) for i in deviators}
             dists = (_composed(_others_marginal(setup.tensor, deviators), game, mixes)
                      if deviators else setup.probs)  # in a test, a row per run of its fall-backs
             if dists.ndim == 1:  # a free period's or the followers': the cohort's one distribution
                 dists = [dists] * len(members)
-            gens = generators(0, members)
-            counts = np.array([gens[r].multinomial(length, dist)
+            counts = np.array([mediators[r].multinomial(length, dist)
                                for r, dist in zip(members, dists)], dtype=np.int64)
             for r, row, nums in zip(members, counts, _utility_numerators(game, counts)):
                 runs[r].phase_results.append(PhaseResult(phase, length, row, tuple(nums), dens))
@@ -673,6 +667,9 @@ def transcript_to_csv(transcript: Transcript, path) -> None:
 
 def run_summary_dict(run: RunSummary) -> dict:
     """JSON-ready summary: decisions, per-phase averages, free-period TV."""
+    if run.sigma_m is None:
+        raise InvalidInputError(f"run with seed {run.seed} has no announcement "
+                                f"(a pure-learning baseline)")
     phase_rows = []
     for pr in run.phase_results:
         row = {
@@ -697,8 +694,9 @@ def run_summary_dict(run: RunSummary) -> dict:
 
 
 def write_summary_json(run, path) -> None:
+    summary = run_summary_dict(run)  # a refused run leaves the file untouched
     with open(path, "w") as fh:
-        json.dump(run_summary_dict(run), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

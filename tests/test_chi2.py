@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import bisect_sample_size
 
@@ -211,6 +211,10 @@ def test_sample_size_refuses_exactly_when_two_to_the_62_misses_the_target():
     delta=st.floats(1e-5, 1.0),
     df=st.sampled_from([1, 3, 26, 127, 242, 1000]),
 )
+# the normal-approximation start meets the target (n = 1 and it bracket the
+# answer), and misses it (the search widens upward from it)
+@example(alpha=0.5, beta=0.1, delta=0.1, df=3)
+@example(alpha=0.3, beta=0.2222222222222222, delta=0.01, df=127)
 def test_sample_size_is_the_least_crossing(alpha, beta, delta, df):
     n = sample_size(alpha, beta, delta, df)
     assert power_beta(alpha, delta, df, n) <= beta

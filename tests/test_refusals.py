@@ -65,6 +65,7 @@ from advicecheck import (
     validate_schedule,
 )
 from advicecheck.games import agent_incentive_violations, joint_distribution
+from advicecheck.sim import run_summary_dict
 
 from oracles import exact_window_expectation
 
@@ -303,6 +304,8 @@ OTHERS = [
     # a pure-learning baseline has no announcement to measure its play against
     ("batch_summary_dict", "run 1 has no announcement",
      lambda e: batch_summary_dict([e["summary"], e["pure"]])),
+    ("run_summary_dict", "run with seed 0 has no announcement",
+     lambda e: run_summary_dict(e["pure"])),
     # a plan slot beyond the tests would be a plan for a test that never runs
     ("Schedule", "need a plan slot per test: 1 tests, 2 slots",
      lambda e: Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10),), (None, None), None)),

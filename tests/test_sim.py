@@ -42,7 +42,7 @@ from advicecheck import (
 )
 from advicecheck import sim, streams, verifier
 from advicecheck.agents import sample_block
-from advicecheck.sim import run_summary_dict, transcript_to_csv
+from advicecheck.sim import run_summary_dict, transcript_to_csv, write_summary_json
 
 from oracles import (
     WORD_EDGES,
@@ -332,14 +332,19 @@ def test_run_batch_of_multi_word_seeds_equals_one_run_per_seed(game, non_ce_stra
     assert len({run.decisions[(0, 1)].statistic for run in runs}) == 3
 
 
-@pytest.mark.parametrize("announcement, per_seed", [("ce_strategy", 1), ("non_ce_strategy", 2)])
-def test_run_batch_builds_only_the_generators_a_seed_draws_from(game, announcement, per_seed,
-                                                                 request):
+@pytest.mark.parametrize("announcement, fallback, per_seed", [
+    pytest.param("ce_strategy", None, 1, id="ce_strategy-1"),
+    pytest.param("non_ce_strategy", None, 2, id="non_ce_strategy-2"),
+    pytest.param("non_ce_strategy", [0.25, 0.75], 1, id="non_ce_strategy-configured-1"),
+])
+def test_run_batch_builds_only_the_generators_a_seed_draws_from(game, announcement, fallback,
+                                                                 per_seed, request):
     # i.i.d. phases draw from the mediator's generator alone; an agent's is
     # built only to draw its fall-back for a test it plays it in (the screened
-    # agent of the non-CE announcement), or when it deviates in a stepped phase
+    # agent of the non-CE announcement), or when it deviates in a stepped phase;
+    # a configured fall-back is played as is, so its agent's generator is never built
     sigma = request.getfixturevalue(announcement)
-    configs = [{"learner": UNIFORM}, {"learner": UNIFORM}]
+    configs = [{"learner": UNIFORM}, {"learner": UNIFORM, "fallback": fallback}]
     sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
                          test_lengths=[500], free_lengths=[10**12])
     seeds = range(20)
@@ -889,6 +894,14 @@ def test_counts_and_transcript_agree_when_every_phase_is_stepped(game, non_ce_st
             assert np.array_equal(a.counts, b.counts)
         assert tr.decisions == rs.decisions
         assert run_summary_dict(tr) == run_summary_dict(rs)
+
+
+def test_summary_of_a_baseline_is_refused_before_its_file_is_opened(game, tmp_path):
+    # a pure-learning baseline has no announcement to measure its free period against
+    path = tmp_path / "summary.json"
+    with pytest.raises(InvalidInputError, match="has no announcement"):
+        write_summary_json(run_pure_learning(game, [UNIFORM] * 2, rounds=10), path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("case, configs", BEYOND_2X2, ids=BEYOND_IDS)
