@@ -2,8 +2,12 @@
 
 Commands: check-ce, plan, test, schedule, simulate. Exit codes: 0 for
 success/accept, 1 for a domain negative (not an equilibrium / reject), 2 for
-usage or validation errors. Outputs are deterministic for a fixed config and
-seed; only the manifest carries a timestamp.
+usage or validation errors, each reported on one line. The CLI keeps no input
+rule of its own: each range-checked flag gets its ``errors`` rule under the
+flag's name (``_FLAGS``) before any command runs, also on a path that does not
+read it, and a config number goes as it is to the library call that reads it,
+which names its argument. Outputs are deterministic for a fixed config and
+seed; only the manifest carries a timestamp. Every file goes through ``_write``.
 """
 
 from __future__ import annotations
@@ -54,25 +58,17 @@ def cmd_check_ce(args) -> int:
     return EXIT_DOMAIN
 
 
-def _check_mc_samples(args) -> None:
-    """Refuse --mc-samples by its own name, not the library's mc_samples."""
-    check_int(args.mc_samples, "--mc-samples", verifier.MIN_MC_SAMPLES)
-
-
 def cmd_plan(args) -> int:
     game, sigma = load_game(args.game), load_strategy(args.strategy)
-    check_unit(args.p, "--p")
-    check_positive(args.delta_hat, "--delta-hat")
-    _check_mc_samples(args)
     plan = verifier.plan_test(
         game, sigma, p=args.p, delta_hat=args.delta_hat,
         mc_samples=args.mc_samples, seed=args.seed,
     )
-    text = json.dumps(plan.as_dict(), indent=2, sort_keys=True)
-    print(text)
+    text = _json(plan.as_dict())
+    sys.stdout.write(text)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write(Path(args.out) / "plan.json", text + "\n")
+        _write(Path(args.out) / "plan.json", text)
         _manifest(args, Path(args.out))
     return EXIT_OK
 
@@ -103,8 +99,6 @@ def _simulated_counts(args, game, sigma, sample_size):
 def cmd_test(args) -> int:
     game, sigma = load_game(args.game), load_strategy(args.strategy)
     check_int(args.agent, "--agent", 1, game.num_agents + 1)
-    check_unit(args.p, "--p")  # alpha in counts mode, p in simulate mode
-    check_positive(args.delta_hat, "--delta-hat")
     if args.counts:
         # the counts are the sample: size the test from them
         with open(args.counts) as fh:
@@ -115,11 +109,10 @@ def cmd_test(args) -> int:
         counts = [check_int(c, f"counts[{i}]", 0, 2**63) for i, c in enumerate(counts)]
         total = check_int(sum(counts), "total of counts", 0, 2**63)
         counts = np.asarray(counts, dtype=np.int64)
-        plan = verifier.manual_plan(
+        plan = verifier.manual_plan(  # --p is alpha here
             game, sigma, alpha=args.p, delta_hat=args.delta_hat, sample_size=total,
         )
     else:
-        _check_mc_samples(args)
         plan = verifier.plan_test(
             game, sigma, p=args.p, delta_hat=args.delta_hat,
             mc_samples=args.mc_samples, seed=args.seed,
@@ -136,29 +129,22 @@ def cmd_test(args) -> int:
         "critical_value": plan.critical_value,
         "sample_size": plan.sample_size,
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    sys.stdout.write(_json(out))
     print("do not reject" if not decision.rejected else "reject")
     return EXIT_OK if not decision.rejected else EXIT_DOMAIN
 
 
-_NUMBER = (int, float)
 _REQUIRED = object()
 
 
-def _typed(value, kind) -> bool:
-    """Whether a JSON value has ``kind``: a type, a tuple of them, or [t] for a list of t."""
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_typed(v, kind[0]) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _entry(cfg: dict, key: str, where: str, kind, default=_REQUIRED):
-    """cfg[key] if it has ``kind`` (a bool is no number), or ``default`` when absent."""
+def _entry(cfg: dict, key: str, where: str, default=_REQUIRED, path=False):
+    """cfg[key], or ``default`` when absent; a path entry must be text. Any other
+    entry goes as it is to the library call that reads it, which checks it."""
     if key not in cfg:
         if default is _REQUIRED:
             raise InvalidInputError(f"{where} lacks required key {key!r}")
         return default
-    if not _typed(cfg[key], kind):
+    if path and not isinstance(cfg[key], str):
         raise InvalidInputError(f"{where} entry {key!r} has the wrong type: {cfg[key]!r}")
     return cfg[key]
 
@@ -172,10 +158,10 @@ def _schedule_from_config(game, sigma, cfg, mc_samples, seed):
                    "toy schedule")
         return sched.toy_schedule(
             game, sigma,
-            alpha=_entry(cfg, "alpha", "toy schedule", _NUMBER, 0.1),
-            delta_hat=_entry(cfg, "delta_hat", "toy schedule", _NUMBER, 0.01),
-            test_lengths=_entry(cfg, "test_lengths", "toy schedule", [int]),
-            free_lengths=_entry(cfg, "free_lengths", "toy schedule", [int]),
+            alpha=cfg.get("alpha", 0.1),
+            delta_hat=cfg.get("delta_hat", 0.01),
+            test_lengths=_entry(cfg, "test_lengths", "toy schedule"),
+            free_lengths=_entry(cfg, "free_lengths", "toy schedule"),
         )
     if kind == "harmonic":
         check_keys(cfg, ("kind", "horizon_tests"), "harmonic schedule")
@@ -185,16 +171,15 @@ def _schedule_from_config(game, sigma, cfg, mc_samples, seed):
                    "geometric schedule")
         # a decay the config leaves out takes geometric_rules' default
         rules = sched.geometric_rules(
-            delta0=_entry(cfg, "delta0", "geometric schedule", _NUMBER),
-            p0=_entry(cfg, "p0", "geometric schedule", _NUMBER),
-            **{key: _entry(cfg, key, "geometric schedule", _NUMBER)
-               for key in ("delta_decay", "p_decay") if key in cfg},
+            delta0=_entry(cfg, "delta0", "geometric schedule"),
+            p0=_entry(cfg, "p0", "geometric schedule"),
+            **{key: cfg[key] for key in ("delta_decay", "p_decay") if key in cfg},
         )
     else:
         raise InvalidInputError(f"unknown schedule rule kind {kind!r}")
     return sched.build_schedule(
         game, sigma, rules,
-        horizon_tests=_entry(cfg, "horizon_tests", "schedule", int, 3),
+        horizon_tests=cfg.get("horizon_tests", 3),
         mc_samples=mc_samples, seed=seed,
     )
 
@@ -214,12 +199,8 @@ def _schedule_rows(schedule: sched.Schedule):
 
 def cmd_schedule(args) -> int:
     game, sigma = load_game(args.game), load_strategy(args.strategy)
-    check_int(args.tests, "--tests", 1)
-    _check_mc_samples(args)
     cfg = {"kind": args.rules, "horizon_tests": args.tests}
     if args.rules == "geometric":
-        check_positive(args.delta0, "--delta0")
-        check_unit(args.p0, "--p0")
         cfg.update(delta0=args.delta0, p0=args.p0)
     schedule = _schedule_from_config(game, sigma, cfg, args.mc_samples, args.seed)
     buf = io.StringIO()
@@ -237,8 +218,6 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.seeds is not None:
-        check_int(args.seeds, "--seeds", 1)
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -246,34 +225,26 @@ def cmd_simulate(args) -> int:
     where = "simulate config"
     check_keys(cfg, ("game", "strategy", "seed", "mc_samples", "record", "schedule", "agents",
                      "rounds", "output_dir"), where)
-    record = _entry(cfg, "record", where, str, "full")
+    record = cfg.get("record", "full")
     if record not in ("full", "counts"):
         raise InvalidInputError(
             f"{where} entry 'record' is neither 'full' nor 'counts': {record!r}")
-    seed = args.seed if args.seed is not None else _entry(cfg, "seed", where, int, 0)
-    # toy schedules never estimate psi, so the draws are checked here, each by its own name
-    if args.mc_samples is not None:
-        _check_mc_samples(args)
-        mc_samples = args.mc_samples
-    else:
-        mc_samples = check_int(_entry(cfg, "mc_samples", where, int, verifier.DEFAULT_MC_SAMPLES),
-                               f"{where} entry 'mc_samples'", verifier.MIN_MC_SAMPLES)
-    verifier.check_draws(mc_samples, seed)
-    game = load_game(_entry(cfg, "game", where, str))
-    sigma = load_strategy(_entry(cfg, "strategy", where, str))
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    mc_samples = (args.mc_samples if args.mc_samples is not None
+                  else cfg.get("mc_samples", verifier.DEFAULT_MC_SAMPLES))
+    verifier.check_draws(mc_samples, seed)  # a toy schedule never estimates psi
+    game = load_game(_entry(cfg, "game", where, path=True))
+    sigma = load_strategy(_entry(cfg, "strategy", where, path=True))
     schedule = _schedule_from_config(game, sigma, cfg.get("schedule", {}), mc_samples, seed)
     agent_configs = cfg.get("agents")
     rounds = cfg.get("rounds")
-    outdir = Path(args.out or _entry(cfg, "output_dir", where, str, "out"))
+    outdir = Path(args.out or _entry(cfg, "output_dir", where, "out", path=True))
     outdir.mkdir(parents=True, exist_ok=True)
     if args.seeds is not None:
         # batch mode: independent generators per seed, order-free aggregation
         runs = sim.run_batch(game, sigma, schedule, agent_configs,
                              range(seed, seed + args.seeds), rounds=rounds)
-        batch = sim.batch_summary_dict(runs)
-        with open(outdir / "batch_summary.json", "w") as fh:
-            json.dump(batch, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(outdir / "batch_summary.json", _json(sim.batch_summary_dict(runs)))
         _manifest(args, outdir, cfg, seed)
         print(f"wrote {outdir}/batch_summary.json")
         return EXIT_OK
@@ -286,6 +257,10 @@ def cmd_simulate(args) -> int:
     _manifest(args, outdir, cfg, seed)
     print(f"wrote {outdir}/summary.json")
     return EXIT_OK
+
+
+def _json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def _write(path: Path, text: str) -> None:
@@ -305,9 +280,7 @@ def _manifest(args, outdir: Path, config: dict | None = None, seed=None) -> None
         "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(outdir / "manifest.json", _json(manifest))
 
 
 def _add_common(p):
@@ -374,10 +347,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each flag's rule, applied under the flag's own name before any command runs: the
+# library would name the argument (delta_hat, horizon_tests), not the flag as typed
+_FLAGS = {
+    "p": check_unit,
+    "delta_hat": check_positive,
+    "tests": functools.partial(check_int, lo=1),
+    "seeds": functools.partial(check_int, lo=1),
+    "mc_samples": functools.partial(check_int, lo=verifier.MIN_MC_SAMPLES),
+    "delta0": check_positive,
+    "p0": check_unit,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, rule in _FLAGS.items():
+            # absent: a flag this command lacks, or simulate's unset --seeds or --mc-samples
+            if (value := getattr(args, dest, None)) is not None:
+                rule(value, "--" + dest.replace("_", "-"))
         return args.func(args)
     except (ValueError, OSError, NonConvergenceError) as exc:
         # InvalidInputError and json.JSONDecodeError are ValueErrors

@@ -3,7 +3,9 @@ argument: a count or index (``check_int``), a real number in an interval
 (``check_real``: a probability, a threshold, a chi-square argument), a vector
 of real numbers (``check_reals``: a strategy, payoffs, counts) and the keys of
 a config object. A number is an int, a float or a numpy integer or float; a
-bool is not one, nor is a string. No other module decides what a number is.
+bool is not one, nor is a string, and a whole float such as 2.0 is no integer.
+No other module decides what a number is: the CLI applies these rules to its
+flags under the flags' names and passes config numbers to the library as they are.
 """
 
 import functools

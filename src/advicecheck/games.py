@@ -321,10 +321,12 @@ def compose_deviation(sigma: CorrelatedStrategy, game: Game, deviations: dict) -
 def load_game(path) -> Game:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"game file {path} must be a JSON object")
     try:
         counts = data["action_counts"]
         utilities = data["utilities"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise InvalidInputError(f"game file {path} is missing field {exc}") from exc
     names = data.get("action_names")
     if not isinstance(counts, list):

@@ -221,17 +221,20 @@ def build_schedule(
             plan = plan_test(game, sigma_m, p_j, delta_j, psi=est)
         except InfeasiblePlanError as exc:
             raise InfeasibleScheduleError(j, p_j, exc.psi) from exc
-        l_f = rules.free_length_rule(plan.sample_size)
-        if isinstance(l_f, float) and l_f.is_integer():  # the rule may give a whole float
-            l_f = int(l_f)
         plans.append(plan)
-        free_lengths.append(check_int(l_f, f"free length rule at test {j}", 1))
+        free_lengths.append(check_int(rules.free_length_rule(plan.sample_size),
+                                      f"free length rule at test {j}", 1))
     layout = literal_layout([plan.sample_size for plan in plans], free_lengths)
     return Schedule(layout.phases, tuple(plans), rules)
 
 
-def literal_layout(test_lengths: Sequence[int], free_lengths: Sequence[int]) -> Schedule:
-    """Phases from literal length lists, no plans attached; a free length of 0 omits that period."""
+def literal_layout(test_lengths: list[int] | tuple[int, ...],
+                   free_lengths: list[int] | tuple[int, ...]) -> Schedule:
+    """Phases from literal length lists or tuples, no plans attached; a free length of 0
+    omits that period."""
+    for name, lengths in (("test_lengths", test_lengths), ("free_lengths", free_lengths)):
+        if not isinstance(lengths, (list, tuple)):
+            raise InvalidInputError(f"{name} must be a list or tuple, got {lengths!r}")
     if len(test_lengths) != len(free_lengths):
         raise InvalidInputError("need one free length per test length")
     phases: list[Phase] = []
@@ -251,15 +254,18 @@ def toy_schedule(
     sigma_m: CorrelatedStrategy,
     alpha: float,
     delta_hat: float,
-    test_lengths: Sequence[int],
-    free_lengths: Sequence[int],
+    test_lengths: list[int] | tuple[int, ...],
+    free_lengths: list[int] | tuple[int, ...],
 ) -> Schedule:
     """Literal lengths with explicitly chosen alpha; for fast runs only.
 
     Not produced by the planning rules, hence non-conforming: the asymptotic
     growth conditions are not expected to hold and validation refuses it.
     Phases come from ``literal_layout`` (a free length of 0 omits that free period).
+    alpha and delta_hat are checked first, so a schedule of no tests refuses them too.
     """
+    check_unit(alpha, "alpha")
+    check_positive(delta_hat, "delta_hat")
     layout = literal_layout(test_lengths, free_lengths)
     plans = tuple(manual_plan(game, sigma_m, alpha, delta_hat, ph.length) for ph in layout.tests())
     return Schedule(layout.phases, plans, rules=None)

@@ -28,7 +28,10 @@ deviators' grid shapes, all different here),
 fall-backs, the stdout of every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
 on the bundled game, for seeds 0-4 and 2**128, with each baseline's whole-run
-``counts`` and exact ``utility_totals``. ``manifest.json`` carries a
+``counts`` and exact ``utility_totals``; and the exit code and stderr of each
+of a fixed set of CLI refusals (every range-checked flag out of range on a
+path that reads it, ``simulate`` config entries of the wrong type, bad counts
+files), so a reworded refusal shows as its own line. ``manifest.json`` carries a
 timestamp and is left out. Each command runs in a fresh process on the
 checkout's own ``src/``. The file is not a test module, so pytest does not
 collect it.
@@ -65,11 +68,16 @@ GAME_STRATEGY = ["--game", "fixtures/small_game.json", "--strategy", "fixtures/c
 DOMAIN = (0, 1)
 
 
+def _process(root: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    """``argv`` run by this interpreter in a fresh process on the checkout's own ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True,
+                          timeout=600)
+
+
 def _run(root: Path, argv: list[str], codes=(0,)) -> bytes:
     """stdout of ``argv``; a crash (an exit code not in ``codes``, or any stderr) stops the tool."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True,
-                          timeout=600)
+    done = _process(root, argv)
     if done.returncode not in codes or done.stderr:
         raise SystemExit(f"{argv} exited {done.returncode}: {done.stderr.decode()}")
     return done.stdout
@@ -77,6 +85,13 @@ def _run(root: Path, argv: list[str], codes=(0,)) -> bytes:
 
 def _cli(root: Path, *args: str, codes=(0,)) -> bytes:
     return _run(root, ["-m", "advicecheck.cli", *args], codes)
+
+
+def _refusal(root: Path, *args: str) -> bytes:
+    """The exit code and stderr of a CLI call, whatever they are: a call that is not
+    refused, or refused in other words, hashes differently."""
+    done = _process(root, ["-m", "advicecheck.cli", *args])
+    return b"%d\n" % done.returncode + done.stderr
 
 
 def _config(root: Path, tmp: Path, name: str, **changes) -> str:
@@ -205,9 +220,71 @@ def outputs(root: Path, tmp: Path):
     yield "plan 2x3x4", _cli(root, "plan", *mixed, "--p", "0.5", "--delta-hat", "0.1")
     yield "schedule 2x3x4", _cli(root, "schedule", *mixed, "--rules", "geometric", "--tests", "3",
                                  "--delta0", "0.2", "--p0", "0.5")
+    yield from _refusals(root, tmp)
     for demo in sorted((root / "demos").glob("*.py")):
         yield f"demo {demo.stem}", _run(root, [str(demo)])
     yield "agent_act calls per seed", _run(root, [__file__, "--act-counts"])
+
+
+# (label, argv) of flags out of range, each on a path that reads it
+FLAG_REFUSALS = [
+    ("plan --p 1", ["plan", *GAME_STRATEGY, "--p", "1", "--delta-hat", "0.01"]),
+    ("plan --delta-hat 0", ["plan", *GAME_STRATEGY, "--p", "0.1", "--delta-hat", "0"]),
+    ("plan --mc-samples 999", ["plan", *GAME_STRATEGY, "--p", "0.1", "--delta-hat", "0.01",
+                               "--mc-samples", "999"]),
+    ("plan --seed -1", ["plan", *GAME_STRATEGY, "--p", "0.1", "--delta-hat", "0.01",
+                        "--seed", "-1"]),
+    ("test --p 0 --counts", ["test", *GAME_STRATEGY, "--p", "0",
+                             "--counts", "fixtures/accept_counts.json"]),
+    ("test --delta-hat nan", ["test", *GAME_STRATEGY, "--delta-hat", "nan"]),
+    ("test --mc-samples 5", ["test", *GAME_STRATEGY, "--mc-samples", "5"]),
+    ("test --agent 3", ["test", *GAME_STRATEGY, "--agent", "3"]),
+    ("schedule --tests 0", ["schedule", *GAME_STRATEGY, "--tests", "0"]),
+    ("schedule --mc-samples 5", ["schedule", *GAME_STRATEGY, "--mc-samples", "5"]),
+    ("schedule --delta0 -1", ["schedule", *GAME_STRATEGY, "--rules", "geometric",
+                              "--delta0", "-1"]),
+    ("schedule --p0 1", ["schedule", *GAME_STRATEGY, "--rules", "geometric", "--p0", "1"]),
+    ("simulate --seeds 0", ["simulate", "--config", "fixtures/sim_config.json", "--seeds", "0"]),
+    ("simulate --mc-samples 5", ["simulate", "--config", "fixtures/sim_config.json",
+                                 "--mc-samples", "5"]),
+]
+TOY = {"kind": "toy", "alpha": 0.1, "delta_hat": 0.01, "test_lengths": [300],
+       "free_lengths": [900]}
+GEOMETRIC = {"kind": "geometric", "delta0": 0.01, "p0": 0.2, "horizon_tests": 1}
+# (label, entries replaced in fixtures/sim_config.json), each entry of the wrong type
+CONFIG_REFUSALS = [
+    ("seed text", {"seed": "1"}),
+    ("mc_samples float", {"mc_samples": 2.5}),
+    ("mc_samples below the bound", {"mc_samples": 5}),
+    ("game number", {"game": 3}),
+    ("strategy null", {"strategy": None}),
+    ("output_dir number", {"output_dir": 5}),
+    ("record true", {"record": True}),
+    ("rounds text", {"rounds": "x"}),
+    ("toy alpha text", {"schedule": {**TOY, "alpha": "0.1"}}),
+    ("toy delta_hat true", {"schedule": {**TOY, "delta_hat": True}}),
+    ("toy test_lengths float", {"schedule": {**TOY, "test_lengths": [2.5]}}),
+    ("toy free_lengths number", {"schedule": {**TOY, "free_lengths": 900}}),
+    ("geometric delta0 text", {"schedule": {**GEOMETRIC, "delta0": "0.01"}}),
+    ("geometric p_decay null", {"schedule": {**GEOMETRIC, "p_decay": None}}),
+    ("harmonic horizon_tests float", {"schedule": {"kind": "harmonic", "horizon_tests": 1.0}}),
+]
+COUNTS_REFUSALS = [("object", {"counts": [2, 2]}), ("float entry", [100, 2.5, 100, 100]),
+                   ("negative entry", [100, -1, 100, 100])]
+
+
+def _refusals(root: Path, tmp: Path):
+    """(name, exit code and stderr) of each refused CLI call."""
+    for label, argv in FLAG_REFUSALS:
+        yield f"refusal {label}", _refusal(root, *argv)
+    for label, changes in CONFIG_REFUSALS:
+        cfg = _config(root, tmp, "refused", **changes)
+        yield f"refusal simulate config {label}", _refusal(root, "simulate", "--config", cfg)
+    for label, counts in COUNTS_REFUSALS:
+        path = tmp / "counts.json"
+        path.write_text(json.dumps(counts))
+        yield (f"refusal test counts {label}",
+               _refusal(root, "test", *GAME_STRATEGY, "--counts", str(path)))
 
 
 def _act_counts() -> None:

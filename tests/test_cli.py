@@ -261,6 +261,15 @@ def test_game_file_with_action_counts_that_are_not_positive_integers_exits_2(tmp
     assert err.startswith("error:") and err.count("\n") == 1 and "action_counts" in err
 
 
+@pytest.mark.parametrize("top", ["[1, 2]", "3"])
+def test_game_file_that_is_not_an_object_exits_2(tmp_path, capsys, top):
+    # this read "is missing field list indices must be integers or slices, not str"
+    game = tmp_path / "game.json"
+    game.write_text(top)
+    assert main(["check-ce", "--game", str(game), "--strategy", CE]) == 2
+    assert capsys.readouterr().err == f"error: game file {game} must be a JSON object\n"
+
+
 @pytest.mark.parametrize("key, value", [("action_counts", 3), ("action_names", 5),
                                         ("action_names", [5, 6])])
 def test_game_file_with_fields_that_are_not_arrays_exits_2(tmp_path, capsys, key, value):
@@ -404,6 +413,9 @@ def test_cmd_schedule_negative_delta0_exits_2_naming_it(capsys):
     (["schedule", "--mc-samples", "5"], "--mc-samples"),
     (["schedule", "--rules", "geometric", "--delta0", "inf"], "--delta0"),
     (["schedule", "--rules", "geometric", "--p0", "1"], "--p0"),
+    # a flag the command does not read on this path is refused all the same
+    (["schedule", "--rules", "harmonic", "--delta0", "inf"], "--delta0"),
+    (["test", "--counts", "fixtures/accept_counts.json", "--mc-samples", "5"], "--mc-samples"),
 ])
 def test_cli_refusal_names_the_flag_as_typed(capsys, argv, flag):
     # the library calls these horizon_tests, delta_hat, mc_samples, delta0 and p0
@@ -668,6 +680,27 @@ def test_simulate_config_of_wrong_shape_exits_2(tmp_path, capsys, key, value):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cfg, named", [
+    ({"seed": "1"}, "seed must be an integer, got '1'"),
+    ({"mc_samples": 2.5}, "mc_samples must be an integer, got 2.5"),
+    ({"schedule": {**TOY, "alpha": "0.1"}}, "alpha must be a number, got '0.1'"),
+    ({"schedule": {**TOY, "delta_hat": True}}, "delta_hat must be a number, got True"),
+    # no test reads alpha, so the schedule itself must refuse it
+    ({"schedule": {**TOY, "alpha": None, "test_lengths": [], "free_lengths": []}},
+     "alpha must be a number, got None"),
+    ({"schedule": {**TOY, "test_lengths": [2.0]}}, "test 1 length must be an integer, got 2.0"),
+    ({"schedule": {**TOY, "free_lengths": 200}}, "free_lengths must be a list or tuple, got 200"),
+    ({"schedule": {**GEOMETRIC, "p0": True}}, "p0 must be a number, got True"),
+    ({"schedule": {**GEOMETRIC, "p_decay": "2"}}, "p_decay must be a number, got '2'"),
+    ({"schedule": {"kind": "harmonic", "horizon_tests": 1.0}},
+     "horizon_tests must be an integer, got 1.0"),
+])
+def test_simulate_config_number_refusal_names_the_library_argument(tmp_path, capsys, cfg, named):
+    # the CLI checks no config number itself: the library call that reads it names it
+    assert _simulate(tmp_path, {"game": GAME, "strategy": CE, "schedule": TOY, **cfg}) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
 @pytest.mark.parametrize("where, key", [
     ((), "round"), (("schedule",), "alhpa"), (("agents", 0), "fallbak"),
     (("agents", 1, "learner"), "watch_agnet"),
@@ -827,14 +860,14 @@ def test_simulate_mc_samples_flag_of_0_overrides_the_config(tmp_path, capsys):
 def test_simulate_refuses_mc_samples_below_the_bound_for_every_schedule_kind(tmp_path, capsys,
                                                                              schedule):
     # a toy schedule never estimates psi, so the bound must be checked up front
-    # the flag is refused by its own name, the config's entry by the config's wording
+    # the flag is refused by its own name, the config's entry by the library's argument
     cfg = {"game": GAME, "strategy": CE, "record": "counts", "schedule": schedule}
     low = str(verifier.MIN_MC_SAMPLES - 1)
     for cfg_, extra, name in [
         (cfg, ("--mc-samples", "5", "--seeds", "1"), "--mc-samples"),
         (cfg, ("--mc-samples", low), "--mc-samples"),
         ({**cfg, "mc_samples": 2000}, ("--mc-samples", low), "--mc-samples"),
-        ({**cfg, "mc_samples": 5}, (), "simulate config entry 'mc_samples'"),
+        ({**cfg, "mc_samples": 5}, (), "mc_samples"),
     ]:
         assert _simulate(tmp_path, cfg_, *extra) == 2
         assert capsys.readouterr().err.startswith(

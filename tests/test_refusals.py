@@ -164,6 +164,8 @@ PROBABILITIES = [
     ("manual_plan", "alpha", lambda e, v: manual_plan(e["game"], e["sigma"], v, 0.01, 10)),
     ("plan_test", "p", lambda e, v: plan_test(e["game"], e["sigma"], v, 0.01, mc_samples=1000)),
     ("geometric_rules", "p0", lambda e, v: geometric_rules(1e-4, v)),
+    # with no tests, no plan reads alpha or delta_hat
+    ("toy_schedule", "alpha", lambda e, v: toy_schedule(e["game"], e["sigma"], v, 0.01, [], [])),
 ]
 THRESHOLDS = [
     ("power_beta", "delta_hat", lambda e, v: power_beta(0.1, v, 3, 10)),
@@ -176,6 +178,7 @@ THRESHOLDS = [
     ("estimate_psi", "delta_hat[1]",
      lambda e, v: estimate_psi(e["game"], e["sigma"], [0.1, v], mc_samples=1000)),
     ("geometric_rules", "delta0", lambda e, v: geometric_rules(v, 0.1)),
+    ("toy_schedule", "delta_hat", lambda e, v: toy_schedule(e["game"], e["sigma"], 0.1, v, [], [])),
 ]
 # arguments refused for their type or value, not a number: (entry point, name, call)
 OTHERS = [
@@ -309,6 +312,17 @@ OTHERS = [
     # a plan slot beyond the tests would be a plan for a test that never runs
     ("Schedule", "need a plan slot per test: 1 tests, 2 slots",
      lambda e: Schedule((Phase(PhaseKind.SAMPLING_TEST, 1, 1, 10),), (None, None), None)),
+    # lengths are a list or tuple: 5 leaked a TypeError, and a dict was read as its keys
+    ("literal_layout", "test_lengths must be a list or tuple, got 5",
+     lambda e: literal_layout(5, 5)),
+    ("literal_layout", "test_lengths must be a list or tuple, got {100: 0}",
+     lambda e: literal_layout({100: 0}, {900: 0})),
+    ("literal_layout", "free_lengths must be a list or tuple, got {900: 0}",
+     lambda e: literal_layout([100], {900: 0})),
+    ("toy_schedule", "test_lengths must be a list or tuple, got 5",
+     lambda e: toy_schedule(e["game"], e["sigma"], 0.1, 0.01, 5, [4])),
+    ("toy_schedule", "free_lengths must be a list or tuple, got range(0, 1)",
+     lambda e: toy_schedule(e["game"], e["sigma"], 0.1, 0.01, [4], range(1))),
 ]
 # every public entry point that takes an announcement, called with ``s`` as it
 ANNOUNCEMENT_READERS = [
