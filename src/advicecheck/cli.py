@@ -7,7 +7,10 @@ rule of its own: each range-checked flag gets its ``errors`` rule under the
 flag's name (``_FLAGS``) before any command runs, also on a path that does not
 read it, and a config number goes as it is to the library call that reads it,
 which names its argument. Outputs are deterministic for a fixed config and
-seed; only the manifest carries a timestamp. Every file goes through ``_write``.
+seed; only the manifest carries a timestamp. Every file except the streamed
+transcript goes through ``sim._write``, every JSON text through ``sim._json``,
+and every JSON input through ``games._read_json``, which refuses a file that
+is not JSON naming the file.
 """
 
 from __future__ import annotations
@@ -28,15 +31,17 @@ from . import schedule as sched
 from . import sim, verifier
 from .agents import Mode
 from .errors import InvalidInputError, NonConvergenceError, check_int, check_keys, check_positive
-from .errors import check_unit
+from .errors import check_real, check_unit
 from .games import (
     _checked_mixes,
+    _read_json,
     agent_incentive_violations,
     check_correlated_equilibrium,
     compose_deviation,
     load_game,
     load_strategy,
 )
+from .sim import _json, _write
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -64,12 +69,7 @@ def cmd_plan(args) -> int:
         game, sigma, p=args.p, delta_hat=args.delta_hat,
         mc_samples=args.mc_samples, seed=args.seed,
     )
-    text = _json(plan.as_dict())
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write(Path(args.out) / "plan.json", text)
-        _manifest(args, Path(args.out))
+    _emit(args, "plan.json", _json(plan.as_dict()))
     return EXIT_OK
 
 
@@ -87,10 +87,8 @@ def _simulated_counts(args, game, sigma, sample_size):
     if args.simulate_under in (None, "mediator"):
         dist = sigma.probs
     else:
-        with open(args.simulate_under) as fh:
-            profile = json.load(fh)
-        if not isinstance(profile, dict):
-            raise InvalidInputError("--simulate-under profile must be a JSON object {agent: [probs]}")
+        profile = _read_json(args.simulate_under, dict,
+                             "--simulate-under profile must be a JSON object {agent: [probs]}")
         deviations = {_profile_agent(k, game.num_agents): v for k, v in profile.items()}
         dist = compose_deviation(sigma, game, _checked_mixes(game, deviations, first=1)).probs
     return rng.multinomial(sample_size, dist).astype(np.int64)
@@ -101,10 +99,7 @@ def cmd_test(args) -> int:
     check_int(args.agent, "--agent", 1, game.num_agents + 1)
     if args.counts:
         # the counts are the sample: size the test from them
-        with open(args.counts) as fh:
-            counts = json.load(fh)
-        if not isinstance(counts, list):
-            raise InvalidInputError("counts file must be a flat JSON array")
+        counts = _read_json(args.counts, list, "counts file must be a flat JSON array")
         # the counts become an int64 array: each entry and the total must fit one
         counts = [check_int(c, f"counts[{i}]", 0, 2**63) for i, c in enumerate(counts)]
         total = check_int(sum(counts), "total of counts", 0, 2**63)
@@ -122,14 +117,8 @@ def cmd_test(args) -> int:
     # a screened agent never tests: it concludes without a verdict
     _, decision = mode.conclude(None if mode.rejected
                                 else verifier.run_sampling_decision(plan, sigma, counts))
-    out = {
-        "outcome": decision.outcome.value,
-        "statistic": decision.statistic,
-        "p_value": decision.p_value,
-        "critical_value": plan.critical_value,
-        "sample_size": plan.sample_size,
-    }
-    sys.stdout.write(_json(out))
+    sys.stdout.write(_json({**decision.as_dict(), "critical_value": plan.critical_value,
+                            "sample_size": plan.sample_size}))
     print("do not reject" if not decision.rejected else "reject")
     return EXIT_OK if not decision.rejected else EXIT_DOMAIN
 
@@ -208,20 +197,12 @@ def cmd_schedule(args) -> int:
         "kind", "j", "begin", "length", "delta", "p", "alpha", "beta", "psi", "l_T"])
     writer.writeheader()
     writer.writerows(_schedule_rows(schedule))
-    sys.stdout.write(buf.getvalue())
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write(outdir / "schedule.csv", buf.getvalue())
-        _manifest(args, outdir)
+    _emit(args, "schedule.csv", buf.getvalue())
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise InvalidInputError("simulate config must be a JSON object")
+    cfg = _read_json(args.config, dict, "simulate config must be a JSON object")
     where = "simulate config"
     check_keys(cfg, ("game", "strategy", "seed", "mc_samples", "record", "schedule", "agents",
                      "rounds", "output_dir"), where)
@@ -259,13 +240,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _json(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
-def _write(path: Path, text: str) -> None:
-    with open(path, "w", newline="") as fh:  # as given: a CSV keeps its CRLFs
-        fh.write(text)
+def _emit(args, name: str, text: str) -> None:
+    """Print ``text`` and, with ``--out``, write it there as ``name`` with the manifest."""
+    sys.stdout.write(text)
+    if args.out:
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write(outdir / name, text)
+        _manifest(args, outdir)
 
 
 def _manifest(args, outdir: Path, config: dict | None = None, seed=None) -> None:
@@ -350,9 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 # each flag's rule, applied under the flag's own name before any command runs: the
 # library would name the argument (delta_hat, horizon_tests), not the flag as typed
 _FLAGS = {
+    "tolerance": functools.partial(check_real, interval="[0, inf)"),
     "p": check_unit,
     "delta_hat": check_positive,
     "tests": functools.partial(check_int, lo=1),
+    "seed": check_int,
     "seeds": functools.partial(check_int, lo=1),
     "mc_samples": functools.partial(check_int, lo=verifier.MIN_MC_SAMPLES),
     "delta0": check_positive,
@@ -365,12 +349,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for dest, rule in _FLAGS.items():
-            # absent: a flag this command lacks, or simulate's unset --seeds or --mc-samples
+            # absent: a flag this command lacks, or simulate's unset --seed, --seeds or --mc-samples
             if (value := getattr(args, dest, None)) is not None:
                 rule(value, "--" + dest.replace("_", "-"))
         return args.func(args)
     except (ValueError, OSError, NonConvergenceError) as exc:
-        # InvalidInputError and json.JSONDecodeError are ValueErrors
+        # InvalidInputError and the infeasible-plan errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -318,11 +318,22 @@ def compose_deviation(sigma: CorrelatedStrategy, game: Game, deviations: dict) -
 # Strategy file (JSON): flat row-major probability array  [p_1, .., p_|A|].
 
 
-def load_game(path) -> Game:
+def _read_json(path, kind: type, refusal: str):
+    """The document in the JSON file at ``path``, which must be a ``kind``: the one
+    read of every JSON input. A file that is not JSON is refused naming ``path``, a
+    document of another type with ``refusal``."""
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise InvalidInputError(f"game file {path} must be a JSON object")
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError, or bytes that are not text
+            raise InvalidInputError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(data, kind):
+        raise InvalidInputError(refusal)
+    return data
+
+
+def load_game(path) -> Game:
+    data = _read_json(path, dict, f"game file {path} must be a JSON object")
     try:
         counts = data["action_counts"]
         utilities = data["utilities"]
@@ -339,9 +350,6 @@ def load_game(path) -> Game:
 
 
 def load_strategy(path) -> CorrelatedStrategy:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise InvalidInputError(f"strategy file {path} must be a flat JSON array")
-    return CorrelatedStrategy(data)
+    return CorrelatedStrategy(
+        _read_json(path, list, f"strategy file {path} must be a flat JSON array"))
 

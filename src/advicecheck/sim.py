@@ -258,12 +258,17 @@ def _check_transcript(transcript) -> None:
 
 
 def empirical_frequency(transcript: Transcript, from_t: int, to_t: int) -> EmpiricalFrequency:
-    """Counts of each joint action over the inclusive round window."""
+    """Counts of each joint action over the inclusive round window, summed over
+    the slices of the phases it overlaps: no column is copied."""
     _check_transcript(transcript)
     from_t = check_int(from_t, "from_t", 1, transcript.num_rounds + 1)
     to_t = check_int(to_t, "to_t", from_t, transcript.num_rounds + 1)
-    joints = np.concatenate([pr.joints for pr in transcript.phase_results])
-    counts = np.bincount(joints[from_t - 1 : to_t], minlength=transcript.game.num_joint_actions)
+    counts = np.zeros(transcript.game.num_joint_actions, dtype=np.int64)
+    begin = 1  # the phase's first round: a phase outside the window adds an empty slice
+    for pr in transcript.phase_results:
+        counts += np.bincount(pr.joints[max(from_t - begin, 0):max(to_t + 1 - begin, 0)],
+                              minlength=len(counts))
+        begin += pr.rounds_run
     return EmpiricalFrequency(counts=counts, total=to_t - from_t + 1)
 
 
@@ -682,22 +687,30 @@ def run_summary_dict(run: RunSummary) -> dict:
         if pr.phase.kind is PhaseKind.FREE_PERIOD:
             row["tv_to_announced"] = tv_distance(pr.counts / pr.rounds_run, run.sigma_m)
         phase_rows.append(row)
-    decisions = {
-        f"agent{agent+1}.test{j}": {
-            "outcome": d.outcome.value,
-            "statistic": d.statistic,
-            "p_value": d.p_value,
-        }
-        for (agent, j), d in sorted(run.decisions.items())
-    }
+    decisions = {_decision_key(agent, j): d.as_dict()
+                 for (agent, j), d in sorted(run.decisions.items())}
     return {"seed": run.seed, "phases": phase_rows, "decisions": decisions}
 
 
 def write_summary_json(run, path) -> None:
-    summary = run_summary_dict(run)  # a refused run leaves the file untouched
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, _json(run_summary_dict(run)))  # formed first: a refused run writes nothing
+
+
+def _decision_key(agent: int, j: int) -> str:
+    """A decision's key in both summaries: 1-based agent, then the test's index."""
+    return f"agent{agent + 1}.test{j}"
+
+
+def _json(value) -> str:
+    """The one JSON text of every document written or printed: sorted keys, indent 2."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path`` as given (a CSV keeps its CRLFs): every file but the
+    streamed transcript."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def batch_summary_dict(runs: list[RunSummary]) -> dict:
@@ -748,7 +761,7 @@ def batch_summary_dict(runs: list[RunSummary]) -> dict:
              for a, den in enumerate(dens)]
     by_test: dict[str, dict] = {}
     for ((agent, j), outcome), n in tallies.items():
-        by_test.setdefault(f"agent{agent + 1}.test{j}", {})[outcome] = n
+        by_test.setdefault(_decision_key(agent, j), {})[outcome] = n
     out = {
         "num_seeds": len(runs),
         "seeds": sorted(run.seed for run in runs),

@@ -92,6 +92,11 @@ class Decision:
             return None
         return chi2.chi2_sf(self.statistic, self.df)
 
+    def as_dict(self) -> dict:
+        """The fields every report of a decision carries: outcome, statistic, p-value."""
+        return {"outcome": self.outcome.value, "statistic": self.statistic,
+                "p_value": self.p_value}
+
 
 @dataclass(frozen=True)
 class PsiEstimate:

@@ -29,9 +29,10 @@ fall-backs, the stdout of every demo, and per-seed
 ``sim.agent_act`` call counts of ``run_game_counts`` plus ``run_pure_learning``
 on the bundled game, for seeds 0-4 and 2**128, with each baseline's whole-run
 ``counts`` and exact ``utility_totals``; and the exit code and stderr of each
-of a fixed set of CLI refusals (every range-checked flag out of range on a
-path that reads it, ``simulate`` config entries of the wrong type, bad counts
-files), so a reworded refusal shows as its own line. ``manifest.json`` carries a
+of a fixed set of CLI refusals (every range-checked flag out of range, also
+on a path that does not read it, ``simulate`` config entries of the wrong
+type, bad counts files, and each JSON input given a file that is not JSON),
+so a reworded refusal shows as its own line. ``manifest.json`` carries a
 timestamp and is left out. Each command runs in a fresh process on the
 checkout's own ``src/``. The file is not a test module, so pytest does not
 collect it.
@@ -226,8 +227,10 @@ def outputs(root: Path, tmp: Path):
     yield "agent_act calls per seed", _run(root, [__file__, "--act-counts"])
 
 
-# (label, argv) of flags out of range, each on a path that reads it
+# (label, argv) of flags out of range: each flag's rule runs before any command, so
+# ``test --counts`` refuses a --seed it does not read
 FLAG_REFUSALS = [
+    ("check-ce --tolerance -1", ["check-ce", *GAME_STRATEGY, "--tolerance", "-1"]),
     ("plan --p 1", ["plan", *GAME_STRATEGY, "--p", "1", "--delta-hat", "0.01"]),
     ("plan --delta-hat 0", ["plan", *GAME_STRATEGY, "--p", "0.1", "--delta-hat", "0"]),
     ("plan --mc-samples 999", ["plan", *GAME_STRATEGY, "--p", "0.1", "--delta-hat", "0.01",
@@ -236,6 +239,8 @@ FLAG_REFUSALS = [
                         "--seed", "-1"]),
     ("test --p 0 --counts", ["test", *GAME_STRATEGY, "--p", "0",
                              "--counts", "fixtures/accept_counts.json"]),
+    ("test --counts --seed -1", ["test", *GAME_STRATEGY, "--counts",
+                                 "fixtures/accept_counts.json", "--seed", "-1"]),
     ("test --delta-hat nan", ["test", *GAME_STRATEGY, "--delta-hat", "nan"]),
     ("test --mc-samples 5", ["test", *GAME_STRATEGY, "--mc-samples", "5"]),
     ("test --agent 3", ["test", *GAME_STRATEGY, "--agent", "3"]),
@@ -271,6 +276,15 @@ CONFIG_REFUSALS = [
 ]
 COUNTS_REFUSALS = [("object", {"counts": [2, 2]}), ("float entry", [100, 2.5, 100, 100]),
                    ("negative entry", [100, -1, 100, 100])]
+# (label, argv) of each JSON input given not-json.json, a file that is not JSON
+NOT_JSON = "not-json.json"
+NOT_JSON_REFUSALS = [
+    ("--game", ["test", "--game", NOT_JSON, "--strategy", "fixtures/ce_strategy.json"]),
+    ("--strategy", ["test", "--game", "fixtures/small_game.json", "--strategy", NOT_JSON]),
+    ("--counts", ["test", *GAME_STRATEGY, "--counts", NOT_JSON]),
+    ("--simulate-under", ["test", *GAME_STRATEGY, "--simulate-under", NOT_JSON]),
+    ("--config", ["simulate", "--config", NOT_JSON]),
+]
 
 
 def _refusals(root: Path, tmp: Path):
@@ -285,6 +299,12 @@ def _refusals(root: Path, tmp: Path):
         path.write_text(json.dumps(counts))
         yield (f"refusal test counts {label}",
                _refusal(root, "test", *GAME_STRATEGY, "--counts", str(path)))
+    (tmp / NOT_JSON).write_text("not json")
+    for label, argv in NOT_JSON_REFUSALS:
+        # the file's path as given, less the temporary directory that differs per run
+        argv = [str(tmp / arg) if arg == NOT_JSON else arg for arg in argv]
+        yield (f"refusal {label} not JSON",
+               _refusal(root, *argv).replace(str(tmp / NOT_JSON).encode(), NOT_JSON.encode()))
 
 
 def _act_counts() -> None:

@@ -41,7 +41,7 @@ def test_check_ce_bad_tolerance_exits_2(capsys, tolerance):
     code = main(["check-ce", "--game", GAME, "--strategy", NON_CE, "--tolerance", tolerance])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "tolerance" in err
+    assert err.startswith("error: --tolerance")
 
 
 def test_check_ce_malformed_strategy(tmp_path, capsys):
@@ -434,13 +434,21 @@ def test_negative_seed_exits_2_naming_it(capsys, argv):
     code = main([*argv, "--game", GAME, "--strategy", CE, "--mc-samples", "1000", "--seed", "-1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: seed") and err.count("\n") == 1
+    assert err.startswith("error: --seed") and err.count("\n") == 1
 
 
 def test_simulate_negative_seed_exits_2_naming_it(tmp_path, capsys):
     assert _simulate(tmp_path, {"game": GAME, "strategy": CE, "schedule": TOY}, "--seed", "-1") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: seed") and err.count("\n") == 1
+    assert err.startswith("error: --seed") and err.count("\n") == 1
+
+
+def test_negative_seed_is_refused_on_a_path_that_draws_nothing(capsys):
+    # the counts are the sample: --seed goes unread, and is refused all the same
+    code = main(["test", "--game", GAME, "--strategy", CE,
+                 "--counts", "fixtures/accept_counts.json", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
 
 
 def test_cmd_schedule_beyond_the_sample_size_search_exits_2(capsys):
@@ -946,3 +954,46 @@ def test_simulate_mutated_configs_exit_cleanly(cfg, batch):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+# each JSON input's flag -> the rest of a call that reads it
+_READERS = {
+    "--game": ["test", "--strategy", CE],
+    "--strategy": ["test", "--game", GAME],
+    "--counts": ["test", "--game", GAME, "--strategy", CE],
+    "--simulate-under": ["test", "--game", GAME, "--strategy", CE, "--mc-samples", "1000"],
+    "--config": ["simulate"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_READERS))
+def test_a_file_that_is_not_json_is_refused_naming_it(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert main([*_READERS[flag], flag, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_every_json_document_comes_from_one_encoder(tmp_path, capsys):
+    # plan.json, summary.json, batch_summary.json, manifest.json and the stdout of
+    # plan and test: each is sim._json of its own parse, byte for byte
+    texts = {}
+    common = ["--game", GAME, "--strategy", CE, "--mc-samples", "1000"]
+    assert main(["plan", *common, "--p", "0.1", "--delta-hat", "0.01",
+                 "--out", str(tmp_path / "plan")]) == 0
+    texts["plan stdout"] = capsys.readouterr().out
+    assert main(["test", *common, "--counts", "fixtures/accept_counts.json"]) == 0
+    texts["test stdout"] = capsys.readouterr().out.removesuffix("do not reject\n")
+    cfg = {"game": GAME, "strategy": CE, "schedule": TOY}
+    for name, extra in [("run", ()), ("batch", ("--seeds", "3"))]:
+        (tmp_path / name).mkdir()
+        assert _simulate(tmp_path / name, cfg, *extra) == 0
+    for path in sorted(tmp_path.glob("*/**/*.json")):
+        if path.name != "cfg.json":
+            texts[path.relative_to(tmp_path).as_posix()] = path.read_text()
+    assert set(texts) == {"plan stdout", "test stdout", "plan/plan.json", "plan/manifest.json",
+                          "run/o/summary.json", "run/o/manifest.json",
+                          "batch/o/batch_summary.json", "batch/o/manifest.json"}
+    for name, text in texts.items():
+        assert text == sim._json(json.loads(text)), name

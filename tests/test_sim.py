@@ -682,6 +682,23 @@ def test_transcript_csv_memory_is_bounded(game, ce_strategy, tmp_path):
     assert _export_peak_mib(tr, tmp_path / "long.csv") < 4
 
 
+def test_empirical_frequency_of_a_short_window_copies_no_column(game, ce_strategy):
+    # a 10-round window at the end of 200k rounds reads the last phase's slice
+    sched = toy_schedule(game, ce_strategy, 0.1, 0.01, [1000, 1000], [99_000, 99_000])
+    tr = run_game(game, ce_strategy, sched, seed=3)
+    column = sum(pr.joints.nbytes for pr in tr.phase_results)
+    tracemalloc.start()
+    try:
+        window = empirical_frequency(tr, tr.num_rounds - 9, tr.num_rounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert window.total == 10
+    assert np.array_equal(window.counts, np.bincount(tr.phase_results[-1].joints[-10:],
+                                                     minlength=4))
+    assert peak < column / 100
+
+
 def test_pure_learning_needs_one_spec_per_agent(game):
     for specs in ([UNIFORM], [UNIFORM] * 3):
         with pytest.raises(InvalidInputError):

@@ -36,6 +36,7 @@ from advicecheck import (
     sensitivity_delta,
 )
 from advicecheck import verifier
+from advicecheck.agents import Mode
 from advicecheck.errors import check_reals
 from advicecheck.games import agent_incentive_violations
 
@@ -609,6 +610,17 @@ def test_decision_reject_by_zero_cell(game):
     assert d.statistic is None
     # zero-cell strategies drop a degree of freedom
     assert plan.df_total == 2
+
+
+def test_decision_as_dict_of_a_verdict_without_a_statistic(game):
+    # a zero-cell reject and a screened agent's decision report no statistic
+    sigma = CorrelatedStrategy([0.0, 0.5, 0.25, 0.25])
+    plan = manual_plan(game, sigma, alpha=0.1, delta_hat=0.01, sample_size=100)
+    zero_cell = run_sampling_decision(plan, sigma, [2, 49, 25, 24])
+    _, screened = Mode.REJECTED_BY_EQ2.conclude(None)
+    assert zero_cell.as_dict() == {"outcome": "RejectByZeroCell", "statistic": None,
+                                   "p_value": None}
+    assert screened.as_dict() == {"outcome": "RejectByEq2", "statistic": None, "p_value": None}
 
 
 def test_decision_outcome_matches_critical_value(game, ce_strategy):
