@@ -102,7 +102,7 @@ def cmd_test(args) -> int:
         counts = _read_json(args.counts, list, "counts file must be a flat JSON array")
         # the counts become an int64 array: each entry and the total must fit one
         counts = [check_int(c, f"counts[{i}]", 0, 2**63) for i, c in enumerate(counts)]
-        total = check_int(sum(counts), "total of counts", 0, 2**63)
+        total = check_int(sum(counts), "total of counts", 1, 2**63)
         counts = np.asarray(counts, dtype=np.int64)
         plan = verifier.manual_plan(  # --p is alpha here
             game, sigma, alpha=args.p, delta_hat=args.delta_hat, sample_size=total,
@@ -221,12 +221,14 @@ def cmd_simulate(args) -> int:
     rounds = cfg.get("rounds")
     outdir = Path(args.out or _entry(cfg, "output_dir", where, "out", path=True))
     outdir.mkdir(parents=True, exist_ok=True)
+    # the manifest hashes what the run used: the config and the numbers resolved from the flags
+    settings = {"config": cfg, "seed": seed, "mc_samples": mc_samples, "seeds": args.seeds}
     if args.seeds is not None:
         # batch mode: independent generators per seed, order-free aggregation
         runs = sim.run_batch(game, sigma, schedule, agent_configs,
                              range(seed, seed + args.seeds), rounds=rounds)
         _write(outdir / "batch_summary.json", _json(sim.batch_summary_dict(runs)))
-        _manifest(args, outdir, cfg, seed)
+        _manifest(outdir, settings)
         print(f"wrote {outdir}/batch_summary.json")
         return EXIT_OK
     if record == "counts":
@@ -235,7 +237,7 @@ def cmd_simulate(args) -> int:
         run = sim.run_game(game, sigma, schedule, agent_configs, seed=seed, rounds=rounds)
         sim.transcript_to_csv(run, outdir / "transcript.csv")
     sim.write_summary_json(run, outdir / "summary.json")
-    _manifest(args, outdir, cfg, seed)
+    _manifest(outdir, settings)
     print(f"wrote {outdir}/summary.json")
     return EXIT_OK
 
@@ -247,19 +249,18 @@ def _emit(args, name: str, text: str) -> None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         _write(outdir / name, text)
-        _manifest(args, outdir)
+        _manifest(outdir, {k: v for k, v in vars(args).items() if k != "func"})
 
 
-def _manifest(args, outdir: Path, config: dict | None = None, seed=None) -> None:
-    """Write manifest.json: config hash (default: the parsed options), seed, timestamp."""
-    if config is None:
-        config = {k: v for k, v in vars(args).items() if k != "func"}
-        seed = args.seed
+def _manifest(outdir: Path, settings: dict) -> None:
+    """Write manifest.json: the hash of the settings the run used (a command's
+    parsed options, or ``simulate``'s config and resolved numbers), its seed and
+    a timestamp."""
     manifest = {
         "config_hash": hashlib.sha256(
-            json.dumps(config, sort_keys=True, default=str).encode()
+            json.dumps(settings, sort_keys=True, default=str).encode()
         ).hexdigest(),
-        "seed": seed,
+        "seed": settings["seed"],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     _write(outdir / "manifest.json", _json(manifest))

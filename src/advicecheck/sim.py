@@ -143,7 +143,11 @@ class RunSummary:
 
     @property
     def counts(self) -> np.ndarray:
-        """The whole run's joint-action counts."""
+        """The whole run's joint-action counts, in int64: refused from 2**63 rounds,
+        where a cell could wrap (below that none can)."""
+        if (rounds := self.num_rounds) >= 2**63:
+            raise InvalidInputError(f"the run's {rounds} rounds overflow int64 counts: "
+                                    f"read each phase's counts from phase_results")
         return sum((pr.counts for pr in self.phase_results),
                    np.zeros(self.game.num_joint_actions, dtype=np.int64))
 
@@ -343,19 +347,19 @@ def _utility_numerators(game: Game, counts) -> list:
 _BLOCK_ROUNDS = 1 << 14
 
 
-def _step(game, phase, plays, rngs, length, signals=None, signals_out=None,
+def _step(game, plays, rngs, length, signals=None, signals_out=None,
           joints_out=None) -> np.ndarray:
     """Play ``length`` rounds of a phase; returns their joint-action counts.
 
     ``plays`` holds each agent's resolved play (``agent_act``): None for its
     signal, a fall-back vector, or a ``Learner``, which also observes the
     rounds; ``rngs`` each agent's generator (None for a following agent).
-    ``signals(lo, hi)`` gives the joint signals of the run's rounds lo + 1..hi
-    (None when no agent follows); they are taken in chunks of ``_BLOCK_ROUNDS``
-    rounds, so memory does not grow with the phase. Within a chunk, rounds go
-    in blocks of the least ``stable_rounds()`` over the learning agents'
-    learners, one ``agent_act`` call per agent and block; a one-round block is
-    just a small block. ``signals_out`` and ``joints_out``, when given,
+    ``signals(n)`` gives the phase's next ``n`` joint signals (None with no
+    mediator, where no agent follows); they are taken in chunks of
+    ``_BLOCK_ROUNDS`` rounds, so memory does not grow with the phase. Within a
+    chunk, rounds go in blocks of the least ``stable_rounds()`` over the
+    learning agents' learners, one ``agent_act`` call per agent and block; a
+    one-round block is just a small block. ``signals_out`` and ``joints_out``, when given,
     receive each round's joint signal and joint action index.
     """
     shape = game.action_counts
@@ -366,7 +370,7 @@ def _step(game, phase, plays, rngs, length, signals=None, signals_out=None,
     for lo in range(0, length, _BLOCK_ROUNDS):
         size = min(_BLOCK_ROUNDS, length - lo)
         if signals is not None:
-            chunk = signals(phase.begin - 1 + lo, phase.begin - 1 + lo + size)
+            chunk = signals(size)
             if signals_out is not None:
                 signals_out[lo : lo + size] = chunk
             columns = np.unravel_index(chunk, shape)
@@ -393,7 +397,7 @@ def _step(game, phase, plays, rngs, length, signals=None, signals_out=None,
     return counts
 
 
-def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[RunSummary]:
+def _play(runs: list[RunSummary], setup: _Setup) -> list[RunSummary]:
     """Play the schedule into every run of a batch, phase by phase: the phase
     loop behind every runner.
 
@@ -416,10 +420,10 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
 
     Each cohort reads its agents' plays in the phase from the one policy
     (``Mode.plays``). A Transcript (``run_game``'s one run) steps every phase
-    and keeps its columns (the signals copied, never a view of
-    ``signal_override``), as does each run of a cohort where some agent plays
-    a sequential learner (``_step``, on the run's own generators, each play
-    resolved to the run's fall-back or the shared learner). Every other run
+    and keeps its columns, as does each run of a cohort where some agent
+    plays a sequential learner (``_step``, on the run's own generators, its
+    signals drawn by its mediator generator and each play resolved to the
+    run's fall-back or the shared learner). Every other run
     is one exact multinomial drawn by its mediator generator from the
     deviators' mixes composed, once per cohort, with the followers' marginal:
     a fall-back play is one row per run, a learner play the fresh learner's
@@ -467,14 +471,11 @@ def _play(runs: list[RunSummary], setup: _Setup, signal_override=None) -> list[R
         resolved = [setup.learners[i] if play == "learner" else fallback
                     for i, (play, fallback) in enumerate(zip(plays, fallbacks))]
         rngs = [None if play == "signal" else agent_rngs[i][r] for i, play in enumerate(plays)]
-        if signal_override is not None:
-            def signals(lo, hi):
-                return np.asarray(signal_override[lo:hi], dtype=np.int64)
-        else:
-            def signals(lo, hi):
-                return mediators[r].choice(len(setup.probs), size=hi - lo, p=setup.probs)
+        def signals(n):
+            return mediators[r].choice(len(setup.probs), size=n, p=setup.probs)
+
         columns = np.empty((2, length), dtype=np.int64) if record else (None, None)
-        counts = _step(game, phase, resolved, rngs, length, signals, *columns)
+        counts = _step(game, resolved, rngs, length, signals, *columns)
         runs[r].phase_results.append(PhaseResult(
             phase, length, counts, tuple(_utility_numerators(game, counts)), dens, *columns))
 
@@ -533,20 +534,15 @@ def run_game(
     agent_configs: list[dict] | None = None,
     seed: int = 0,
     rounds: int | None = None,
-    signal_override=None,
 ) -> Transcript:
     """Run the repeated game, recording every round.
 
     ``rounds`` caps the run (None runs the whole schedule horizon; 0 yields
     an empty transcript). Decisions occur only for tests that complete within
-    the cap. ``signal_override`` (a sequence of joint indices) replaces the
-    mediator's draws; it exists for tests.
+    the cap.
     """
     run = Transcript(seed=check_int(seed, "seed"), game=game, sigma_m=sigma_m)
-    setup = _setup(game, sigma_m, schedule, agent_configs, rounds)
-    if signal_override is not None and len(signal_override) < setup.horizon:
-        raise InvalidInputError(f"signal_override covers fewer than {setup.horizon} rounds")
-    return _play([run], setup, signal_override)[0]
+    return _play([run], _setup(game, sigma_m, schedule, agent_configs, rounds))[0]
 
 
 def run_batch(
@@ -613,8 +609,7 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
     run = RunSummary(seed=seed, game=game, sigma_m=None)
     if rounds:
         phase = Phase(PhaseKind.FREE_PERIOD, 1, 1, rounds)
-        counts = _step(game, phase, learners, streams.generators(seed, range(game.num_agents)),
-                       rounds)
+        counts = _step(game, learners, streams.generators(seed, range(game.num_agents)), rounds)
         run.phase_results.append(PhaseResult(phase, rounds, counts,
                                              tuple(_utility_numerators(game, counts)),
                                              tuple(den for _, den in game.payoff_table)))

@@ -593,8 +593,8 @@ def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
             states.append(AgentState(id=i, fallback=fallback, learner=make_learner(spec, game, i),
                                      mode=mode))
 
-        def draw_signals(lo, hi):
-            return mediator_rng.choice(game.num_joint_actions, size=hi - lo, p=setup.probs)
+        def draw_signals(n):
+            return mediator_rng.choice(game.num_joint_actions, size=n, p=setup.probs)
 
         for phase in schedule.phases:
             if phase.begin > setup.horizon:
@@ -609,8 +609,8 @@ def per_seed_counts(game, sigma_m, schedule, agent_configs, seeds, rounds=None):
                         if deviators else setup.probs)
                 counts = mediator_rng.multinomial(length, dist).astype(np.int64)
             else:
-                counts = sim._step(game, phase, [st.play(phase) for st in states], agent_rngs,
-                                   length, draw_signals)
+                counts = sim._step(game, [st.play(phase) for st in states], agent_rngs, length,
+                                   draw_signals)
             totals = tuple(sum((c * Fraction(u) for c, u in zip(counts.tolist(), column)),
                                Fraction(0)) for column in columns)
             run.phase_results.append(SeedPhase(phase, length, counts, totals))

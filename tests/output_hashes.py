@@ -275,7 +275,7 @@ CONFIG_REFUSALS = [
     ("harmonic horizon_tests float", {"schedule": {"kind": "harmonic", "horizon_tests": 1.0}}),
 ]
 COUNTS_REFUSALS = [("object", {"counts": [2, 2]}), ("float entry", [100, 2.5, 100, 100]),
-                   ("negative entry", [100, -1, 100, 100])]
+                   ("negative entry", [100, -1, 100, 100]), ("zero total", [0, 0, 0, 0])]
 # (label, argv) of each JSON input given not-json.json, a file that is not JSON
 NOT_JSON = "not-json.json"
 NOT_JSON_REFUSALS = [

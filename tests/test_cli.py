@@ -283,9 +283,11 @@ def test_game_file_with_fields_that_are_not_arrays_exits_2(tmp_path, capsys, key
 
 
 @pytest.mark.parametrize("counts, name", [([2**64, 0, 0, 0], "counts[0]"),
-                                          ([0, 2**63 - 1, 2**63 - 1, 0], "total of counts")])
+                                          ([0, 2**63 - 1, 2**63 - 1, 0], "total of counts"),
+                                          ([0, 0, 0, 0], "total of counts")])
 def test_cmd_test_counts_beyond_int64_exit_2(tmp_path, capsys, counts, name):
-    # 2**64 died with an OverflowError traceback; the two 2**63 - 1 wrapped to a total of -2
+    # 2**64 died with an OverflowError traceback; the two 2**63 - 1 wrapped to a total of -2;
+    # a zero total was refused as the library's sample_size, not as the file's total
     (tmp_path / "counts.json").write_text(json.dumps(counts))
     code = main(["test", "--game", GAME, "--strategy", CE,
                  "--counts", str(tmp_path / "counts.json")])
@@ -494,6 +496,27 @@ def test_simulate_writes_outputs_and_is_idempotent(tmp_path, capsys):
     assert m1["seed"] == m2["seed"]
     summary = json.loads((out1 / "summary.json").read_text())
     assert "decisions" in summary and "phases" in summary
+
+
+def test_simulate_manifest_hashes_the_resolved_numbers(tmp_path, capsys):
+    # the hash covered the config file alone: runs that differ in --mc-samples
+    # (test 1 lasts 140 rounds against 143) or in --seeds shared it
+    cfg = {"game": GAME, "strategy": CE,
+           "schedule": {"kind": "geometric", "delta0": 0.05, "p0": 0.3, "horizon_tests": 1}}
+
+    def run(name, *extra):
+        (tmp_path / name).mkdir()
+        assert _simulate(tmp_path / name, cfg, *extra) == 0
+        out = tmp_path / name / "o"
+        return (json.loads((out / "manifest.json").read_text())["config_hash"],
+                sorted(path.read_text() for path in out.glob("*summary.json")))
+
+    hash_1000, summary_1000 = run("mc-1000", "--mc-samples", "1000")
+    hash_4000, summary_4000 = run("mc-4000", "--mc-samples", "4000")
+    assert summary_1000 != summary_4000 and hash_1000 != hash_4000
+    assert run("mc-1000-again", "--mc-samples", "1000")[0] == hash_1000
+    assert run("seeds-2", "--seeds", "2")[0] != run("seeds-3", "--seeds", "3")[0]
+    assert run("seed-1", "--seed", "1")[0] != run("seed-2", "--seed", "2")[0]
 
 
 def test_simulate_single_test_no_free_periods(tmp_path, capsys):

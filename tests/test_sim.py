@@ -41,7 +41,7 @@ from advicecheck import (
     tv_distance,
 )
 from advicecheck import sim, streams, verifier
-from advicecheck.agents import sample_block
+from advicecheck.agents import make_learner, sample_block
 from advicecheck.sim import run_summary_dict, transcript_to_csv, write_summary_json
 
 from oracles import (
@@ -427,14 +427,14 @@ def test_run_batch_splits_a_free_period_into_a_stepped_and_a_bulk_cohort(game, c
     configs = [{"learner": FP}, {"learner": FP}]
     sched = toy_schedule(game, ce_strategy, alpha=0.25, delta_hat=0.01,
                          test_lengths=[300, 300], free_lengths=[900, 900])
-    free_1 = sched.phases[1]
-    assert free_1.kind is PhaseKind.FREE_PERIOD
     seeds = list(range(1, 21))
     with mock.patch.object(sim, "_step", wraps=sim._step) as stepped:
         runs = run_batch(game, ce_strategy, sched, configs, seeds)
     rejected = [run.decisions[(0, 1)].rejected for run in runs]
     assert any(rejected) and not all(rejected)
-    assert [call.args[1] for call in stepped.call_args_list].count(free_1) == sum(rejected)
+    # each run that rejects test j steps free period j, 900 rounds (a test has 300)
+    rejected_2 = [run.decisions[(0, 2)].rejected for run in runs]
+    assert [call.args[3] for call in stepped.call_args_list] == [900] * sum(rejected + rejected_2)
     for run, seed in zip(runs, seeds):
         assert _same_run(run, run_game_counts(game, ce_strategy, sched, configs, seed=seed))
     assert all(_same_run(a, b) for a, b in zip(
@@ -714,42 +714,50 @@ def test_tv_distance_examples(ce_strategy):
         tv_distance([0.5, 0.5], [1.0])
 
 
-def test_signal_privacy(game):
-    # two joint signals with equal probability differ only in agent 1's
-    # component; swapping them leaves agent 2's own signals unchanged, so its
-    # actions must be identical (it never sees the other component)
-    sigma = CorrelatedStrategy([0.3, 0.2, 0.3, 0.2])
-    sched = toy_schedule(game, sigma, alpha=0.1, delta_hat=0.01,
-                         test_lengths=[60], free_lengths=[120])
-    rng = np.random.default_rng(99)
-    base = rng.choice(4, size=sched.horizon, p=sigma.probs)
-    swapped = base.copy()
-    swapped[base == 0] = 2
-    swapped[base == 2] = 0
-    cfg = [{}, {"learner": {"name": "fictitious-play"}}]
-    tr_a = run_game(game, sigma, sched, cfg, seed=4, signal_override=base)
-    tr_b = run_game(game, sigma, sched, cfg, seed=4, signal_override=swapped)
-    # agent 2 is screened out by its incentive check here, so its play is
-    # fall-back/learner driven; its action stream may not depend on agent 1's
-    # signals
-    assert tr_a.decisions[(1, 1)].outcome is Outcome.REJECT_BY_EQ2
-    def agent_2_actions(tr):
-        joints = np.concatenate([pr.joints for pr in tr.phase_results])
-        return np.unravel_index(joints, game.action_counts)[1].tolist()
+def _signal_stream(signals):
+    """``_step``'s signal source over a fixed array: each call returns a view of
+    the next rounds."""
+    read = 0
 
-    assert agent_2_actions(tr_a) == agent_2_actions(tr_b)
-    # the transcript owns its signal column: the override may change afterwards
-    columns_a = _columns(tr_a)
-    base[:] = 3
-    assert _columns(tr_a) == columns_a
+    def next_signals(n):
+        nonlocal read
+        read += n
+        return signals[read - n : read]
+
+    return next_signals
 
 
-def test_short_signal_override_refused(game, ce_strategy, small_toy):
-    short = [0] * (small_toy.horizon - 1)
-    with pytest.raises(InvalidInputError):
-        run_game(game, ce_strategy, small_toy, seed=0, signal_override=short)
-    assert run_game(game, ce_strategy, small_toy, seed=0, rounds=len(short),
-                    signal_override=short).num_rounds == len(short)
+@pytest.mark.parametrize("play", ["learner", "fallback", "signal"])
+def test_signal_privacy(game, play):
+    # joint signals 1 and 3 (1-based) differ only in agent 1's component, so
+    # swapping them leaves agent 2's own signals as they were: whether agent 2
+    # learns, plays its fall-back or follows, its actions may not change (it
+    # never sees the other component). Agent 1 follows, so the swap changes
+    # the actions fictitious play answers: the stream opens with rounds the
+    # swap leaves alone (joints 4, then 2), after which no swapped round moves
+    # agent 2's best response
+    drawn = np.random.default_rng(99).choice(4, size=420, p=[0.3, 0.2, 0.3, 0.2])
+    base = np.concatenate([np.full(20, 3), np.full(60, 1), drawn])
+    swapped = np.choose(base, [2, 1, 0, 3])
+
+    def columns(signals):
+        agent_2 = {"learner": make_learner(FP, game, 1), "fallback": np.array([0.4, 0.6]),
+                   "signal": None}[play]
+        out = np.empty((2, len(signals)), dtype=np.int64)
+        sim._step(game, [None, agent_2], [None, np.random.default_rng(4)], len(signals),
+                  _signal_stream(signals), *out)
+        return out
+
+    signals_a, joints_a = columns(base)
+    _, joints_b = columns(swapped)
+    assert joints_a.tolist() != joints_b.tolist()  # agent 1 plays the swapped component
+    agent_2_a = np.unravel_index(joints_a, game.action_counts)[1].tolist()
+    assert agent_2_a == np.unravel_index(joints_b, game.action_counts)[1].tolist()
+    assert set(agent_2_a) == {0, 1}
+    # signals_out owns its values: the stream's array may change afterwards
+    drawn_signals = base.tolist()
+    base[:] = 0
+    assert signals_a.tolist() == drawn_signals
 
 
 def test_goodness_of_fit_calibration(game, ce_strategy):
@@ -787,6 +795,27 @@ def test_phases_longer_than_int64_are_refused_before_drawing(game, ce_strategy):
             runner(game, ce_strategy, too_long, seed=1)
     # capped below the long phase, the run is fine
     assert run_game_counts(game, ce_strategy, too_long, seed=1, rounds=500).decisions
+
+
+def test_whole_run_counts_past_int64_are_refused(game):
+    # four free periods of 6e18 rounds each fit int64, but their sum, 2.4e19
+    # rounds, wrapped two cells of the whole run's counts negative
+    sigma = CorrelatedStrategy([0.02, 0.48, 0.48, 0.02])
+    sched = toy_schedule(game, sigma, 1e-9, 0.01, [100] * 4, [6 * 10**18] * 4)
+    run = run_game_counts(game, sigma, sched, seed=1)
+    assert run.num_rounds == 400 + 24 * 10**18
+    with pytest.raises(InvalidInputError, match="24000000000000000400 rounds.*phase_results"):
+        run.counts
+    per_phase = [sum(int(pr.counts[j]) for pr in run.phase_results) for j in range(4)]
+    assert sum(per_phase) == run.num_rounds
+    assert run.utility_totals == tuple(sum((pr.utility_totals[a] for pr in run.phase_results),
+                                           Fraction(0)) for a in range(2))
+    assert run.utility_totals == tuple(
+        sum((c * Fraction(u) for c, u in zip(per_phase, game.utilities[:, a].tolist())),
+            Fraction(0)) for a in range(2))
+    # one round short of 2**63 no cell can wrap: the counts are read
+    short = toy_schedule(game, sigma, 1e-9, 0.01, [100], [2**63 - 101])
+    assert run_game_counts(game, sigma, short, seed=1).counts.sum() == 2**63 - 1
 
 
 @pytest.mark.parametrize("configs, rounds", [
@@ -1172,17 +1201,13 @@ def test_one_agent_fictitious_play_is_one_block_per_signal_chunk(monkeypatch):
 
 def test_stepped_phase_spanning_signal_chunks_matches_per_round_oracle(game, non_ce_strategy):
     # a free period over three signal chunks (agent 1 follows, agent 2 learns):
-    # chunked draws give the oracle's one-call signals, and an override is
-    # read chunk by chunk into the same transcript
+    # chunked draws give the oracle's one-call signals
     long_free = Schedule((Phase(PhaseKind.FREE_PERIOD, 1, 1, 2 * sim._BLOCK_ROUNDS + 300),),
                          (), rules=None)
     configs = [{"learner": FP}, {"learner": FP}]
     tr = run_game(game, non_ce_strategy, long_free, configs, seed=2)
     rows, _ = per_round_game(game, non_ce_strategy, long_free, configs, seed=2)
     assert _columns(tr) == phase_columns(game, rows)
-    signals = tr.phase_results[0].signals.tolist()
-    again = run_game(game, non_ce_strategy, long_free, configs, seed=2, signal_override=signals)
-    assert _columns(again) == phase_columns(game, rows)
 
 
 def _stepped_peak_mib(game, sigma, free_rounds) -> float:
