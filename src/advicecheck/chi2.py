@@ -281,7 +281,10 @@ def power_beta(alpha: float, delta_hat: float, df_total: int, sample_size: int) 
     check_unit(alpha, "alpha")
     check_positive(delta_hat, "delta_hat")
     check_int(sample_size, "sample_size", 1)
-    return noncentral_chi2_cdf(chi2_isf(alpha, df_total), df_total, sample_size * delta_hat)
+    ncp = sample_size * delta_hat
+    if math.isinf(ncp):  # no mass stays below a finite critical value
+        return 0.0
+    return noncentral_chi2_cdf(chi2_isf(alpha, df_total), df_total, ncp)
 
 
 def _normal_isf(p: float) -> float:

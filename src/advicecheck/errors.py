@@ -10,6 +10,7 @@ flags under the flags' names and passes config numbers to the library as they ar
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -46,10 +47,15 @@ def check_real(value, name: str, interval: str):
     """``value`` as given if it is a number in ``interval``, else InvalidInputError
     naming ``name``. The interval is written as in mathematics, "(0, 1)", "[0, inf]",
     and NaN lies in none. A Fraction is not a number here, since the value is kept
-    as given. A plain float skips the type test: chi2_isf's bisection and
-    sample_size's solver check x and ncp on every call."""
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, _NUMBERS)):
-        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    as given, nor is an int too large for a float: 10**400 compares as lying in
+    (0, inf), but would overflow where it is used. A plain float skips the type
+    tests: chi2_isf's bisection and sample_size's solver check x and ncp on every
+    call."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+            raise InvalidInputError(f"{name} must be a number, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise InvalidInputError(f"{name} is too large for a float: {value.bit_length()} bits")
     lo, hi, with_lo, with_hi = _bounds(interval)
     if (lo < value or with_lo and lo == value) and (value < hi or with_hi and value == hi):
         return value

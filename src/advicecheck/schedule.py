@@ -200,18 +200,23 @@ def build_schedule(
     psi is estimated once, as a curve over delta(1), ..., delta(J) from one
     set of draws at seed ``seed + 1`` (so test 1 is planned exactly as
     ``plan_test(..., seed=seed + 1)`` plans it); the per-test estimates are
-    therefore dependent, each still unbiased. Raises InfeasibleScheduleError
-    naming the first test whose target error does not exceed its estimated
-    undetectable-deviation measure.
+    therefore dependent, each still unbiased. Each test's rules are read and
+    checked before the next test's, and InvalidInputError names the first test
+    whose p(j) or delta(j) is out of range or overflows a float, or whose target
+    no sample size meets. Raises InfeasibleScheduleError naming the first test
+    whose target error does not exceed its estimated undetectable-deviation
+    measure.
     """
     check_int(horizon_tests, "horizon_tests", 1)
     verifier.check_draws(mc_samples, seed)
-    targets = [(rules.p_rule(j), rules.delta_rule(j)) for j in range(1, horizon_tests + 1)]
-    for j, (p_j, delta_j) in enumerate(targets, start=1):
+    targets: list[tuple[float, float]] = []
+    for j in range(1, horizon_tests + 1):
         try:
-            verifier.check_target(p_j, delta_j)
+            targets.append(verifier.check_target(rules.p_rule(j), rules.delta_rule(j)))
         except InvalidInputError as exc:
             raise InvalidInputError(f"test {j}: {exc}") from None
+        except OverflowError:  # e.g. a decay raised to the power j - 1
+            raise InvalidInputError(f"test {j}: p(j) or delta(j) overflows a float") from None
     curve = verifier.estimate_psi(game, sigma_m, [delta_j for _, delta_j in targets],
                                   mc_samples=mc_samples, seed=seed + 1)
     plans: list[TestPlan] = []
@@ -221,6 +226,8 @@ def build_schedule(
             plan = plan_test(game, sigma_m, p_j, delta_j, psi=est)
         except InfeasiblePlanError as exc:
             raise InfeasibleScheduleError(j, p_j, exc.psi) from exc
+        except InvalidInputError as exc:  # no sample size up to the cap meets the target
+            raise InvalidInputError(f"test {j}: {exc}") from None
         plans.append(plan)
         free_lengths.append(check_int(rules.free_length_rule(plan.sample_size),
                                       f"free length rule at test {j}", 1))

@@ -17,7 +17,8 @@ round that is not drawn in bulk:
 * ``run_game`` steps every round and returns a ``Transcript``, whose phase
   results also keep each round's joint signal and joint action index: rows,
   windows, the CSV and mid-phase ledger averages are read from these columns
-  (the CSV through per-joint-index row tables, see ``transcript_to_csv``);
+  (the CSV through per-joint-index row tables of comma-joined cells, see
+  ``transcript_to_csv``);
 * ``run_game_counts`` returns a ``RunSummary`` and draws one exact
   multinomial per phase whenever every active behavior is i.i.d. within the
   phase, which makes astronomically long phases cheap;
@@ -74,8 +75,6 @@ totals exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from collections import Counter
@@ -619,41 +618,32 @@ def run_pure_learning(game: Game, learner_specs, rounds: int, seed: int = 0) -> 
 # --- exports ----------------------------------------------------------------
 
 
-def _csv_lines(rows) -> list[str]:
-    """Each row as ``csv.writer`` formats it, line terminator included."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    lines = []
-    for row in rows:
-        writer.writerow(row)
-        lines.append(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
-    return lines
-
-
 def transcript_to_csv(transcript: Transcript, path) -> None:
     """One row per round: t, phase, j, signals, actions, utilities.
 
     Past t, phase and j a row depends only on its joint signal and joint
     action index, so both parts are formatted once per joint index and each
     phase is written in slices of at most ``_BLOCK_ROUNDS`` rows: memory is
-    O(|A| + _BLOCK_ROUNDS) whatever the run's length.
+    O(|A| + _BLOCK_ROUNDS) whatever the run's length. A row is its cells
+    joined by commas and ended by "\\r\\n", the bytes ``csv.writer`` writes for
+    them: no cell needs quoting, since each is an integer, the phase letter
+    or the ``repr`` of a finite payoff. The tests hold the file to that
+    writer's, byte for byte (``tests/oracles.py::write_rows_csv``).
     """
     _check_transcript(transcript)
     game = transcript.game
     n = game.num_agents
     decode = list(game.all_joint_actions())
-    signal_part = [line[:-2] + "," for line in _csv_lines(decode)]  # "\r\n" -> ","
-    action_part = _csv_lines([*actions, *map(repr, utilities)]
-                             for actions, utilities in zip(decode, game.utilities.tolist()))
+    signal_part = [",".join(map(str, signals)) + "," for signals in decode]
+    action_part = [",".join([*map(str, actions), *map(repr, utilities)]) + "\r\n"
+                   for actions, utilities in zip(decode, game.utilities.tolist())]
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(
+        fh.write(",".join(
             ["t", "phase", "j"]
             + [f"signal_{i+1}" for i in range(n)]
             + [f"action_{i+1}" for i in range(n)]
             + [f"utility_{i+1}" for i in range(n)]
-        )
+        ) + "\r\n")
         for pr in transcript.phase_results:
             head = f"{pr.phase.kind.value},{pr.phase.index},"
             for lo in range(0, pr.rounds_run, _BLOCK_ROUNDS):

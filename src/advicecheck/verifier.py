@@ -308,10 +308,10 @@ def check_draws(mc_samples: int, seed: int) -> int:
     return check_int(seed, "seed")
 
 
-def check_target(p: float, delta_hat: float) -> None:
-    """Refuse a test's target error p outside (0, 1) or a bad threshold delta_hat."""
-    check_unit(p, "p")
-    check_positive(delta_hat, "delta_hat")
+def check_target(p: float, delta_hat: float) -> tuple[float, float]:
+    """(p, delta_hat) as given; refuse a test's target error p outside (0, 1) or a bad
+    threshold delta_hat."""
+    return check_unit(p, "p"), check_positive(delta_hat, "delta_hat")
 
 
 def _deviating_subsets(game: Game) -> list[tuple[int, ...]]:

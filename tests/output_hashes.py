@@ -31,8 +31,9 @@ on the bundled game, for seeds 0-4 and 2**128, with each baseline's whole-run
 ``counts`` and exact ``utility_totals``; and the exit code and stderr of each
 of a fixed set of CLI refusals (every range-checked flag out of range, also
 on a path that does not read it, ``simulate`` config entries of the wrong
-type, bad counts files, and each JSON input given a file that is not JSON),
-so a reworded refusal shows as its own line. ``manifest.json`` carries a
+type, schedule rules and config numbers that overflow a float, bad counts
+files, and each JSON input given a file that is not JSON), so a reworded
+refusal shows as its own line. ``manifest.json`` carries a
 timestamp and is left out. Each command runs in a fresh process on the
 checkout's own ``src/``. The file is not a test module, so pytest does not
 collect it.
@@ -249,6 +250,8 @@ FLAG_REFUSALS = [
     ("schedule --delta0 -1", ["schedule", *GAME_STRATEGY, "--rules", "geometric",
                               "--delta0", "-1"]),
     ("schedule --p0 1", ["schedule", *GAME_STRATEGY, "--rules", "geometric", "--p0", "1"]),
+    ("schedule geometric --tests 257", ["schedule", *GAME_STRATEGY, "--rules", "geometric",
+                                        "--tests", "257"]),
     ("simulate --seeds 0", ["simulate", "--config", "fixtures/sim_config.json", "--seeds", "0"]),
     ("simulate --mc-samples 5", ["simulate", "--config", "fixtures/sim_config.json",
                                  "--mc-samples", "5"]),
@@ -256,7 +259,8 @@ FLAG_REFUSALS = [
 TOY = {"kind": "toy", "alpha": 0.1, "delta_hat": 0.01, "test_lengths": [300],
        "free_lengths": [900]}
 GEOMETRIC = {"kind": "geometric", "delta0": 0.01, "p0": 0.2, "horizon_tests": 1}
-# (label, entries replaced in fixtures/sim_config.json), each entry of the wrong type
+# (label, entries replaced in fixtures/sim_config.json), each entry of the wrong type or
+# out of a float's range
 CONFIG_REFUSALS = [
     ("seed text", {"seed": "1"}),
     ("mc_samples float", {"mc_samples": 2.5}),
@@ -273,6 +277,11 @@ CONFIG_REFUSALS = [
     ("geometric delta0 text", {"schedule": {**GEOMETRIC, "delta0": "0.01"}}),
     ("geometric p_decay null", {"schedule": {**GEOMETRIC, "p_decay": None}}),
     ("harmonic horizon_tests float", {"schedule": {"kind": "harmonic", "horizon_tests": 1.0}}),
+    ("toy delta_hat 10**400", {"schedule": {**TOY, "delta_hat": 10**400}}),
+    ("geometric delta0 10**400", {"schedule": {**GEOMETRIC, "delta0": 10**400}}),
+    ("geometric p_decay 10**400", {"schedule": {**GEOMETRIC, "p_decay": 10**400}}),
+    ("geometric delta_decay 1e308",
+     {"schedule": {**GEOMETRIC, "delta_decay": 1e308, "horizon_tests": 3}}),
 ]
 COUNTS_REFUSALS = [("object", {"counts": [2, 2]}), ("float entry", [100, 2.5, 100, 100]),
                    ("negative entry", [100, -1, 100, 100]), ("zero total", [0, 0, 0, 0])]

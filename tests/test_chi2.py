@@ -162,6 +162,12 @@ def test_power_beta_huge_effect_vanishes():
     assert power_beta(0.1, 1.0, 3, 2100) < 1e-12
 
 
+def test_power_beta_at_an_infinite_noncentrality_is_zero():
+    # 2100 * 1e308 overflows to inf, which noncentral_chi2_cdf refuses as an ncp
+    assert power_beta(0.1, 1e308, 3, 2100) == 0.0
+    assert power_beta(0.1, 1e308, 3, 1) == 0.0  # as at the largest finite one
+
+
 def test_power_beta_monotone_in_sample_size():
     betas = [power_beta(0.1, 0.01, 3, n) for n in (100, 300, 900, 2100, 5000)]
     assert all(b <= a + 1e-12 for a, b in zip(betas, betas[1:]))

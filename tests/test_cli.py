@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -334,6 +335,16 @@ def test_cmd_test_counts_of_a_huge_valid_total_finish(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out.rsplit("}", 1)[0] + "}")
     assert payload["sample_size"] == 2**56 and payload["outcome"] == "RejectByStatistic"
+
+
+def test_cmd_test_counts_verdict_is_the_same_at_a_delta_hat_whose_power_overflows(capsys):
+    # the verdict reads only the critical value, df and the counts; beta's
+    # noncentrality 2100 * 1e308 is inf, which used to be refused
+    argv = ["test", "--game", GAME, "--strategy", CE, "--counts", "fixtures/accept_counts.json"]
+    assert main(argv) == 0
+    default = capsys.readouterr()
+    assert main([*argv, "--delta-hat", "1e308"]) == 0
+    assert capsys.readouterr() == (default.out, "")
 
 
 def test_cmd_test_counts_of_the_largest_total_give_a_verdict(tmp_path, capsys):
@@ -703,6 +714,9 @@ def _simulate(tmp_path, cfg, *extra):
     # falsy values used to run with the default agents; only an absent key means those
     ("agents", []), ("agents", {}), ("agents", 0), ("agents", False), ("agents", ""),
     ("schedule", {**GEOMETRIC, "p_decay": "2"}), ("schedule", {**GEOMETRIC, "delta_decay": None}),
+    # integers no float can hold passed the range check and overflowed
+    ("schedule", {**TOY, "delta_hat": 10**400}), ("schedule", {**GEOMETRIC, "delta0": 10**400}),
+    ("schedule", {**GEOMETRIC, "p_decay": 10**400}),
 ])
 def test_simulate_config_of_wrong_shape_exits_2(tmp_path, capsys, key, value):
     cfg = {"game": GAME, "strategy": CE, "schedule": TOY, key: value}
@@ -730,6 +744,40 @@ def test_simulate_config_number_refusal_names_the_library_argument(tmp_path, cap
     # the CLI checks no config number itself: the library call that reads it names it
     assert _simulate(tmp_path, {"game": GAME, "strategy": CE, "schedule": TOY, **cfg}) == 2
     assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv, named", [
+    # delta(257) divides by 16.0 ** 256, which overflows
+    (["--rules", "geometric", "--tests", "257"], "test 257: p(j) or delta(j) overflows a float"),
+    (["--rules", "geometric", "--tests", "256"], "test 12: no sample size up to 2^62"),
+])
+def test_schedule_refusal_names_the_planned_test(capsys, argv, named):
+    assert main(["schedule", "--game", GAME, "--strategy", CE, *argv]) == 2
+    assert _one_error_line(capsys).startswith(f"error: {named}")
+
+
+def test_schedule_stops_reading_rules_at_the_first_bad_test(monkeypatch, capsys):
+    # harmonic p(1075) = 2^-1075 is 0.0; all 10^7 tests' rules used to be read first
+    calls = []
+    rules = sched.harmonic_rules()
+    monkeypatch.setattr(sched, "harmonic_rules", lambda: dataclasses.replace(
+        rules, p_rule=lambda j: calls.append(j) or rules.p_rule(j)))
+    assert main(["schedule", "--game", GAME, "--strategy", CE, "--tests", "10000000"]) == 2
+    assert _one_error_line(capsys) == "error: test 1075: p must be in (0, 1), got 0.0\n"
+    assert len(calls) == 1075
+
+
+def test_simulate_config_decay_that_overflows_names_the_test(tmp_path, capsys):
+    # delta(3) divides by 1e308 ** 2
+    schedule = {**GEOMETRIC, "delta_decay": 1e308, "horizon_tests": 3}
+    assert _simulate(tmp_path, {"game": GAME, "strategy": CE, "schedule": schedule}) == 2
+    assert _one_error_line(capsys) == "error: test 3: p(j) or delta(j) overflows a float\n"
 
 
 @pytest.mark.parametrize("where, key", [

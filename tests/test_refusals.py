@@ -64,6 +64,7 @@ from advicecheck import (
     tv_distance,
     validate_schedule,
 )
+from advicecheck.errors import check_real
 from advicecheck.games import agent_incentive_violations, joint_distribution
 from advicecheck.sim import run_summary_dict
 
@@ -398,6 +399,14 @@ def test_phase_average_of_a_valid_kind_without_rounds_has_no_data(env):
     with pytest.raises(NoDataError, match="no rounds of kind 'F'"):
         phase_average(capped, 0, "F")
     assert phase_average(capped, 0, "R") == average_utility(capped, 0, 10)
+
+
+def test_check_real_refuses_an_int_no_float_can_hold():
+    # 10**400 lies in (0, inf) by comparison, and overflowed where it was used
+    with pytest.raises(InvalidInputError, match="^delta_hat is too large for a float: 1329 bits"):
+        check_real(10**400, "delta_hat", "(0, inf)")
+    assert check_real(2**1000, "x", "(0, inf)") == 2**1000
+    assert check_real(np.float64(math.inf), "x", "[0, inf]") == math.inf
 
 
 def test_chi2_isf_refuses_a_whole_float_df_after_the_int_is_cached():

@@ -248,6 +248,26 @@ def test_build_schedule_refuses_a_bad_delta_before_drawing(game, ce_strategy, ba
             build_schedule(game, ce_strategy, rules, 4, mc_samples=1000)
 
 
+@pytest.mark.parametrize("p_rule, message", [
+    (lambda j: 2.0 ** (-1 - 537 * (j - 1)), r"test 3: p must be in \(0, 1\), got 0.0"),  # underflows
+    (lambda j: 0.5 / 1e200 ** (j - 1), "test 3: p\\(j\\) or delta\\(j\\) overflows a float"),
+], ids=["underflow", "overflow"])
+def test_build_schedule_reads_no_rule_past_the_first_bad_test(game, ce_strategy, p_rule,
+                                                              message):
+    calls = []
+    rules = _harmonic_with(p_rule=lambda j: calls.append(j) or p_rule(j))
+    with mock.patch.object(verifier, "estimate_psi", side_effect=AssertionError("psi estimated")):
+        with pytest.raises(InvalidInputError, match=message):
+            build_schedule(game, ce_strategy, rules, 10**4, mc_samples=1000)
+    assert calls == [1, 2, 3]
+
+
+def test_build_schedule_names_the_test_no_sample_size_meets(game, ce_strategy):
+    # delta(12) = 1e-4 / 16^11 needs more than 2^62 rounds at p(12) = 0.1 / 2^11
+    with pytest.raises(InvalidInputError, match="^test 12: no sample size up to 2"):
+        build_schedule(game, ce_strategy, geometric_rules(1e-4, 0.1), 12, mc_samples=1000)
+
+
 # 16.0 too: a whole float is no integer here, as in literal_layout and Phase
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.7, 0, -4, 16.0])
 def test_build_schedule_refuses_a_bad_free_length(game, correlated_strategy, bad):
